@@ -35,11 +35,11 @@ for space in ("mn", "gln", "sln", "un", "nn", "gln_ss", "sln_ss"):
 
 print()
 print("degenerate shrinkers where divisibility fails:")
-hn = shrinkers.check_shrinking(lambda X: shrinkers.degenerate_shrinker_hn(X, 5),
+hn = shrinkers.verify_shrinker(lambda X: shrinkers.degenerate_shrinker_hn(X, 5),
                                "hn", 2, 5, samples=100, seed=0)
 print(f"  Hermitian 2x2 -> 5x5 (2 does not divide 5): "
       f"inclusion defect {hn.inclusion_defect:.3e}")
-su = shrinkers.check_shrinking(lambda U: shrinkers.degenerate_shrinker_sun(U, 4),
+su = shrinkers.verify_shrinker(lambda U: shrinkers.degenerate_shrinker_sun(U, 4),
                                "sun", 3, 4, samples=100, seed=0)
 print(f"  special unitary 3x3 -> 4x4 (3 does not divide 4): "
       f"inclusion defect {su.inclusion_defect:.3e}")

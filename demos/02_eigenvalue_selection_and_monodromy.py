@@ -13,28 +13,15 @@ any would-be selector comes back to a different value than it left with.
 """
 
 import numpy as np
-import scipy.linalg
 
-from specshrink import core, selectors, spaces
+from specshrink import selectors
 
 rng = np.random.default_rng(7)
 
 print("continuous selection on the special unitary group (n = 3)")
-U = spaces.special_unitary(rng, 3)
-g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-A = 0.5 * (g - g.conj().T)
-A -= (np.trace(A) / 3) * np.eye(3)
-A /= core.opnorm(A)
-E = scipy.linalg.expm(1e-3 * A)
-mats = []
-for _ in range(1000):
-    mats.append(U)
-    U = E @ U
-path = selectors.selector_path(selectors.su_select, mats)
+path = selectors.su_path(rng, 3, 1000, 1e-3)
 print(f"  1000 steps of size 1e-3, max consecutive jump {path.max_jump:.3e}")
-worst = max(float(np.min(np.abs(np.linalg.eigvals(M) - v)))
-            for M, v in zip(mats, path.values))
-print(f"  selected value stays on the spectrum within {worst:.3e}")
+print(f"  selected value stays on the spectrum within {path.spectral_defect():.3e}")
 
 print()
 print("the fundamental-domain representative at work:")

@@ -1,10 +1,13 @@
 """The acceptance suite: every headline claim as an executable check.
 
 Each criterion runs at a pinned tolerance and yields one or more
-:class:`CheckResult` records.  The same runner backs the ``all`` command
-line subcommand and the acceptance test module, so the reported defects
-are identical in both; determinism of those defects under a fixed seed is
-itself the final criterion, checked by comparing two runs.
+:class:`CheckResult` records.  The claims themselves are computed by
+library functions in each claim's own module; this suite and the
+``specshrink`` command line call the same functions and differ only in the
+parameters they pick (seed, sizes, sample counts, functions).  The same
+runner backs the ``all`` subcommand and the acceptance test module, so the
+reported defects are identical in both; determinism of those defects under
+a fixed seed is itself the final criterion, checked by comparing two runs.
 """
 
 from __future__ import annotations
@@ -13,21 +16,36 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import calculus, configspace, core, reconstruct, selectors, shrinkers, spaces, theta
-from .errors import DivisibilityViolation, ResidualTooLarge
+from .errors import ResidualTooLarge
 
 
 @dataclass(frozen=True)
 class CheckResult:
-    criterion: int
+    """One check: its claim, worst defect, threshold and verdict.
+
+    ``criterion`` is the acceptance criterion number, or None for a
+    command line check.
+    """
+
+    criterion: Optional[int]
     name: str
     claim: str
     passed: bool
     defect: Optional[float]
     threshold: Optional[float]
     details: dict = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, criterion, name, claim, defect, threshold, details=None, passed=None):
+        """Build a result; ``passed`` defaults to ``defect <= threshold``."""
+        if passed is None:
+            passed = defect is not None and defect <= threshold
+        return cls(criterion, name, claim, bool(passed),
+                   None if defect is None else float(defect),
+                   None if threshold is None else float(threshold),
+                   details or {})
 
     def to_dict(self) -> dict:
         return {
@@ -39,15 +57,6 @@ class CheckResult:
             "threshold": self.threshold,
             "details": self.details,
         }
-
-
-def _result(criterion, name, claim, defect, threshold, details=None, passed=None):
-    if passed is None:
-        passed = defect is not None and defect <= threshold
-    return CheckResult(criterion, name, claim, bool(passed),
-                       None if defect is None else float(defect),
-                       None if threshold is None else float(threshold),
-                       details or {})
 
 
 # ---------------------------------------------------------------------------
@@ -63,19 +72,18 @@ def _crit_powerlaw(seed):
     rng = np.random.default_rng(seed)
     out = []
     for space in POWERLAW_SPACES:
-        g = np.asarray((rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))))
-        S0 = np.eye(6) + 0.25 * g / core.opnorm(g)  # fixed conjugator: continuous, condition <= 5/3
+        S0 = shrinkers.fixed_conjugator(rng, 6)
 
         def phi(X, S0=S0):
             return shrinkers.canonical_shrinker(X, 1, 1, S0)
 
         report = shrinkers.verify_shrinker(phi, space, 3, 6, samples=100, seed=seed)
-        out.append(_result(1, f"powerlaw-{space}", claim_pl,
-                           report.powerlaw_defect, 1e-7,
-                           {"samples": 100, "pq": [1, 1]}))
-        out.append(_result(2, f"inclusion-{space}", claim_in,
-                           report.inclusion_defect, 1e-8,
-                           {"samples": 100}))
+        out.append(CheckResult.of(1, f"powerlaw-{space}", claim_pl,
+                                  report.powerlaw_defect, shrinkers.POWERLAW_TOL,
+                                  {"samples": 100, "pq": [1, 1]}))
+        out.append(CheckResult.of(2, f"inclusion-{space}", claim_in,
+                                  report.inclusion_defect, shrinkers.INCLUSION_TOL,
+                                  {"samples": 100}))
     return out
 
 
@@ -88,18 +96,14 @@ def _crit_degenerate(seed):
         ("sun", 3, 4, lambda U: shrinkers.degenerate_shrinker_sun(U, 4)),
     ]
     for space, n, m, phi in cases:
-        report = shrinkers.check_shrinking(phi, space, n, m, samples=100, seed=seed)
-        try:
-            shrinkers.check_powerlaw(phi, space, n, m, samples=1, seed=seed)
-            divisibility_flagged = False
-        except DivisibilityViolation:
-            divisibility_flagged = True
-        out.append(_result(
+        report = shrinkers.verify_shrinker(phi, space, n, m, samples=100, seed=seed)
+        divisibility_flagged = not report.divisible
+        out.append(CheckResult.of(
             3, f"degenerate-{space}-{n}to{m}", claim,
-            report.inclusion_defect, 1e-8,
+            report.inclusion_defect, shrinkers.INCLUSION_TOL,
             {"n": n, "m": m, "divisibility_flagged": divisibility_flagged},
-            passed=(report.inclusion_defect <= 1e-8 and divisibility_flagged
-                    and m % n != 0),
+            passed=(report.inclusion_defect <= shrinkers.INCLUSION_TOL
+                    and divisibility_flagged and m % n != 0),
         ))
     return out
 
@@ -107,13 +111,6 @@ def _crit_degenerate(seed):
 # ---------------------------------------------------------------------------
 # Criterion 4: the special unitary selector
 # ---------------------------------------------------------------------------
-
-def _skew_traceless(rng, n):
-    g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    a = 0.5 * (g - g.conj().T)
-    a -= (np.trace(a) / n) * np.eye(n)
-    return a / core.opnorm(a)
-
 
 def _crit_su_selector(seed):
     claim = ("special unitary eigenvalue selection is spectral, conjugation "
@@ -135,21 +132,15 @@ def _crit_su_selector(seed):
     max_jump = 0.0
     for n in (2, 3, 4):
         for _ in range(50):
-            U = spaces.special_unitary(rng, n)
-            A = _skew_traceless(rng, n)
-            E = scipy.linalg.expm(step * A)
-            vals = np.empty(nsteps + 1, dtype=complex)
-            for k in range(nsteps + 1):
-                vals[k] = selectors.su_select(U)
-                U = E @ U
-            max_jump = max(max_jump, float(np.max(np.abs(np.diff(vals)))))
+            max_jump = max(max_jump, selectors.su_path(rng, n, nsteps, step).max_jump)
 
     return [
-        _result(4, "su-selector-spectral", claim, spectral, 1e-8, {"draws": 180}),
-        _result(4, "su-selector-conjugation-invariant", claim, invariance, 1e-8,
-                {"pairs": 180}),
-        _result(4, "su-selector-path-continuity", claim, max_jump, 0.05,
-                {"paths": 150, "step": step, "steps_per_path": nsteps}),
+        CheckResult.of(4, "su-selector-spectral", claim, spectral, selectors.SPECTRAL_TOL,
+                       {"draws": 180}),
+        CheckResult.of(4, "su-selector-conjugation-invariant", claim, invariance, 1e-8,
+                       {"pairs": 180}),
+        CheckResult.of(4, "su-selector-path-continuity", claim, max_jump, selectors.JUMP_TOL,
+                       {"paths": 150, "step": step, "steps_per_path": nsteps}),
     ]
 
 
@@ -166,29 +157,19 @@ def _crit_monodromy(seed):
         for r in (0.5, 1.0, 2.0):
             res = selectors.monodromy_xz(n, r, steps=max(64 * n, 256))
             all_cycles = all_cycles and res.is_single_cycle()
-            target = np.exp(2j * np.pi / n)
-            worst_ratio = max(worst_ratio, float(np.max(np.abs(res.ratios() - target))))
-    out.append(_result(5, "monodromy-cycles", claim,
-                       0.0 if all_cycles else 1.0, 0.5,
-                       {"n_range": [2, 6], "radii": [0.5, 1.0, 2.0]},
-                       passed=all_cycles))
-    out.append(_result(5, "monodromy-ratio", claim, worst_ratio, 1e-6,
-                       {"target": "exp(2 pi i / n)"}))
+            worst_ratio = max(worst_ratio, res.ratio_defect())
+    out.append(CheckResult.of(5, "monodromy-cycles", claim,
+                              0.0 if all_cycles else 1.0, 0.5,
+                              {"n_range": [2, 6], "radii": [0.5, 1.0, 2.0]},
+                              passed=all_cycles))
+    out.append(CheckResult.of(5, "monodromy-ratio", claim, worst_ratio,
+                              selectors.MONODROMY_RATIO_TOL, {"target": "exp(2 pi i / n)"}))
     return out
 
 
 # ---------------------------------------------------------------------------
 # Criterion 6: configuration space
 # ---------------------------------------------------------------------------
-
-def _circle_points(rng, n, min_gap=0.15):
-    while True:
-        z = np.exp(2j * np.pi * rng.uniform(size=n))
-        d = np.abs(z[:, None] - z[None, :])
-        np.fill_diagonal(d, np.inf)
-        if d.min() > min_gap:
-            return configspace.CirclePoints(z)
-
 
 def _crit_configspace(seed):
     claim = ("counterclockwise cosets classify circle configurations "
@@ -197,26 +178,19 @@ def _crit_configspace(seed):
     equivariance_failures = 0
     isotropy_failures = 0
     for n in range(2, 6):
-        for _ in range(3):
-            pts = _circle_points(rng, n)
-            base = configspace.classify_component(pts)
-            for sigma in configspace.all_permutations(n):
-                lhs = configspace.classify_component(configspace.act(sigma, pts))
-                if lhs != base.left_multiply(sigma):
-                    equivariance_failures += 1
-            iso = configspace.isotropy_of_component(pts)
-            expected = configspace.expected_isotropy(base)
-            if iso != expected or len(iso) != n:
-                isotropy_failures += 1
+        eq, iso = configspace.classification_failures(rng, n, trials=3)
+        equivariance_failures += eq
+        isotropy_failures += iso
     cycle_ok = all(configspace.verify_cycle_decomposition(n) for n in range(2, 9))
+    tol = configspace.FAILURE_TOL
     return [
-        _result(6, "configspace-equivariance", claim,
-                float(equivariance_failures), 0.5, {"n_max": 5}),
-        _result(6, "configspace-isotropy", claim,
-                float(isotropy_failures), 0.5, {"n_max": 5}),
-        _result(6, "configspace-cycle-decomposition", claim,
-                0.0 if cycle_ok else 1.0, 0.5, {"n_range": [2, 8]},
-                passed=cycle_ok),
+        CheckResult.of(6, "configspace-equivariance", claim,
+                       float(equivariance_failures), tol, {"n_max": 5}),
+        CheckResult.of(6, "configspace-isotropy", claim,
+                       float(isotropy_failures), tol, {"n_max": 5}),
+        CheckResult.of(6, "configspace-cycle-decomposition", claim,
+                       0.0 if cycle_ok else 1.0, tol, {"n_range": [2, 8]},
+                       passed=cycle_ok),
     ]
 
 
@@ -224,42 +198,13 @@ def _crit_configspace(seed):
 # Criteria 7-8: functional calculus
 # ---------------------------------------------------------------------------
 
-def _semisimple_sample(rng, n, min_gap=0.05, max_mod=2.5):
-    while True:
-        lam = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
-        d = np.abs(lam[:, None] - lam[None, :])
-        np.fill_diagonal(d, np.inf)
-        if d.min() > min_gap and np.max(np.abs(lam)) < max_mod:
-            break
-    c = spaces.bounded_conjugator(rng, n)
-    return c @ np.diag(lam) @ np.linalg.inv(c)
-
-
 def _crit_calculus(seed):
     claim = ("the 2x2 closed form, interpolation oracle and blow-up witness "
              "agree with the idempotent calculus")
     rng = np.random.default_rng(seed)
-    fns = [np.conj, lambda z: z * z, calculus.sqrt_shift]
-
-    closed = 0.0
-    for _ in range(100):
-        while True:
-            l1, l2 = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) / np.sqrt(2)
-            if abs(l1 - l2) > 0.2:
-                break
-        alpha = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        T = np.array([[l1, alpha], [0.0, l2]])
-        for f in fns:
-            d = core.opnorm(calculus.calc_2x2_closed_form(l1, l2, alpha, f)
-                            - calculus.apply_function(T, f))
-            closed = max(closed, d)
-
-    lagrange = 0.0
-    for _ in range(100):
-        T = _semisimple_sample(rng, 3)
-        for f in (np.conj, lambda z: z * z):
-            d = core.opnorm(calculus.apply_function(T, f) - calculus.lagrange_apply(T, f))
-            lagrange = max(lagrange, d / (1.0 + core.opnorm(T)))
+    closed = calculus.closed_form_defect(
+        rng, 100, [np.conj, lambda z: z * z, calculus.sqrt_shift])
+    lagrange = calculus.interpolation_defect(rng, 3, 100, [np.conj, lambda z: z * z])
 
     delta = 1e-8
     T = np.array([[1.0, delta ** 0.25], [0.0, 1.0 + delta]], dtype=complex)
@@ -270,12 +215,14 @@ def _crit_calculus(seed):
     witness_ok = blowup >= 10.0 and dist <= 1e-2 * (1.0 + 1e-9)
 
     return [
-        _result(7, "calculus-2x2-closed-form", claim, closed, 1e-10, {"triples": 100}),
-        _result(7, "calculus-interpolation-oracle", claim, lagrange, 1e-6, {"samples": 100}),
-        _result(7, "calculus-blowup-witness", claim, None, None,
-                {"norm": blowup, "distance_to_identity": dist,
-                 "required_norm": 10.0, "delta": delta},
-                passed=witness_ok),
+        CheckResult.of(7, "calculus-2x2-closed-form", claim, closed, calculus.CLOSED_FORM_TOL,
+                       {"triples": 100}),
+        CheckResult.of(7, "calculus-interpolation-oracle", claim, lagrange,
+                       calculus.INTERPOLATION_TOL, {"samples": 100}),
+        CheckResult.of(7, "calculus-blowup-witness", claim, None, None,
+                       {"norm": blowup, "distance_to_identity": dist,
+                        "required_norm": 10.0, "delta": delta},
+                       passed=witness_ok),
     ]
 
 
@@ -299,13 +246,13 @@ def _crit_dichotomy(seed):
     witness_ok = dev >= 1.0 and step_norm <= 1e-4
 
     return [
-        _result(8, "dichotomy-simple-spectrum-decay", claim, None, None,
-                {"deviations": devs, "ratios": ratios, "required_ratio": 5.0},
-                passed=simple_ok),
-        _result(8, "dichotomy-repeated-spectrum-witness", claim, None, None,
-                {"deviation": dev, "perturbation_norm": step_norm,
-                 "required_deviation": 1.0, "scale": 1e-4},
-                passed=witness_ok),
+        CheckResult.of(8, "dichotomy-simple-spectrum-decay", claim, None, None,
+                       {"deviations": devs, "ratios": ratios, "required_ratio": 5.0},
+                       passed=simple_ok),
+        CheckResult.of(8, "dichotomy-repeated-spectrum-witness", claim, None, None,
+                       {"deviation": dev, "perturbation_norm": step_norm,
+                        "required_deviation": 1.0, "scale": 1e-4},
+                       passed=witness_ok),
     ]
 
 
@@ -313,91 +260,18 @@ def _crit_dichotomy(seed):
 # Criterion 9: the involution
 # ---------------------------------------------------------------------------
 
-def _positive_definite(rng, n, lo=0.5, hi=2.0):
-    q = spaces.haar_unitary(rng, n)
-    s = np.exp(rng.uniform(np.log(lo), np.log(hi), size=n))
-    return (q * s) @ q.conj().T, float(s.max() / s.min())
-
-
-def _normal_pair(rng, n):
-    q = spaces.haar_unitary(rng, n)
-
-    def lam():
-        while True:
-            v = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
-            mods = np.abs(v)
-            d = np.abs(v[:, None] - v[None, :])
-            np.fill_diagonal(d, np.inf)
-            if mods.min() > 0.3 and mods.max() < 3.0 and d.min() > 0.1:
-                return v
-
-    return q @ np.diag(lam()) @ q.conj().T, q @ np.diag(lam()) @ q.conj().T
-
-
 def _crit_theta(seed):
     claim = ("the conjugation-swap involution is involutory, spectral, "
              "normal-fixing, well defined and acts as inverse-square "
              "conjugation on unitary orbits")
     rng = np.random.default_rng(seed)
-    defects = {k: 0.0 for k in
-               ("involution", "spectrum", "normal-fixing", "putnam-fuglede",
-                "commutativity", "inverse-square", "calculus-route")}
-    pf_all = True
-    comm_all = True
-    ads_all = True
-    for trial in range(100):
-        n = (2, 3, 4)[trial % 3]
-        S, condS = _positive_definite(rng, n)
-        N, N2 = _normal_pair(rng, n)
-        X = S @ N @ np.linalg.inv(S)
-        scale = (1.0 + core.opnorm(X)) * condS ** 2
-
-        TX = theta.theta(X)
-        defects["involution"] = max(
-            defects["involution"], core.opnorm(theta.theta(TX) - X) / scale)
-        defects["spectrum"] = max(
-            defects["spectrum"],
-            core.spectrum_match_distance(core.spectrum(TX), core.spectrum(X)))
-        defects["normal-fixing"] = max(
-            defects["normal-fixing"],
-            core.opnorm(theta.theta(N) - N) / (1.0 + core.opnorm(N)))
-
-        dec = theta.theta_decompose(X)
-        pf_all = pf_all and theta.check_putnam_fuglede(S, dec.s, N, dec.normal)
-        swapped = np.linalg.solve(S, N @ S)
-        defects["putnam-fuglede"] = max(
-            defects["putnam-fuglede"], core.opnorm(TX - swapped) / scale)
-
-        Y = S @ N2 @ np.linalg.inv(S)
-        comm_all = comm_all and theta.theta_commutativity_check(X, Y)
-        TY = theta.theta(Y)
-        defects["commutativity"] = max(
-            defects["commutativity"],
-            core.opnorm(TX @ TY - TY @ TX)
-            / ((1.0 + core.opnorm(TX) * core.opnorm(TY)) * condS ** 2))
-
-        U = spaces.haar_unitary(rng, n)
-        ads_all = ads_all and theta.theta_ads_identity(S, U, tol=1e-6 * condS ** 2)
-        XU = S @ U @ np.linalg.inv(S)
-        S2 = S @ S
-        defects["inverse-square"] = max(
-            defects["inverse-square"],
-            core.opnorm(theta.theta(XU) - np.linalg.solve(S2, XU @ S2)) / scale)
-
-        defects["calculus-route"] = max(
-            defects["calculus-route"],
-            core.opnorm(TX - theta.theta_via_calculus(S, N)) / scale)
-
+    defects, confirmed = theta.identity_defects(rng, 100, (2, 3, 4))
     out = []
     for name, d in defects.items():
         extra = {"trials": 100}
-        if name == "putnam-fuglede":
-            extra["all_confirmed"] = pf_all
-        if name == "commutativity":
-            extra["all_confirmed"] = comm_all
-        if name == "inverse-square":
-            extra["all_confirmed"] = ads_all
-        out.append(_result(9, f"theta-{name}", claim, d, 1e-6, extra))
+        if name in confirmed:
+            extra["all_confirmed"] = confirmed[name]
+        out.append(CheckResult.of(9, f"theta-{name}", claim, d, theta.IDENTITY_TOL, extra))
     return out
 
 
@@ -462,18 +336,18 @@ def _crit_reconstruct(seed):
         theta_residual = float(exc.residual or 0.0)
 
     return [
-        _result(10, "reconstruct-roundtrip", claim, worst_proj, 1e-5,
-                {"pairs": 25, "spaces": list(spaces_under_test),
-                 "mode_failures": mode_failures},
-                passed=(worst_proj <= 1e-5 and mode_failures == 0)),
-        _result(10, "reconstruct-subspace-map", claim, inclusion, 1e-6,
-                {"subspace_pairs": 100, "dimension_failures": dim_failures},
-                passed=(inclusion <= 1e-6 and dim_failures == 0)),
-        _result(10, "reconstruct-lattice-compat", claim,
-                0.0 if lattice_ok else 1.0, 0.5, {}, passed=lattice_ok),
-        _result(10, "reconstruct-rejects-involution", claim, None, None,
-                {"rejected": theta_rejected, "residual": theta_residual},
-                passed=theta_rejected),
+        CheckResult.of(10, "reconstruct-roundtrip", claim, worst_proj, 1e-5,
+                       {"pairs": 25, "spaces": list(spaces_under_test),
+                        "mode_failures": mode_failures},
+                       passed=(worst_proj <= 1e-5 and mode_failures == 0)),
+        CheckResult.of(10, "reconstruct-subspace-map", claim, inclusion, 1e-6,
+                       {"subspace_pairs": 100, "dimension_failures": dim_failures},
+                       passed=(inclusion <= 1e-6 and dim_failures == 0)),
+        CheckResult.of(10, "reconstruct-lattice-compat", claim,
+                       0.0 if lattice_ok else 1.0, 0.5, {}, passed=lattice_ok),
+        CheckResult.of(10, "reconstruct-rejects-involution", claim, None, None,
+                       {"rejected": theta_rejected, "residual": theta_residual},
+                       passed=theta_rejected),
     ]
 
 

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import core
+from . import core, spaces
 from .errors import (
     AmbiguousClustering,
     EqualEigenvalues,
@@ -27,6 +27,11 @@ from .errors import (
 )
 
 DEFAULT_GROUPING_TOL = 1e-6
+
+#: Pinned thresholds of the cross-checks below.
+CLOSED_FORM_TOL = 1e-10
+INTERPOLATION_TOL = 1e-6
+INVARIANCE_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,6 +169,52 @@ def continuity_probe(T, f: Callable[[complex], complex], scale: float,
             continue
         produced += 1
         worst = max(worst, core.opnorm(val - base))
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# Cross-checks over seeded samples
+# ---------------------------------------------------------------------------
+
+def closed_form_defect(rng, samples: int, fns) -> float:
+    """Worst ``||calc_2x2_closed_form - apply_function||`` on random upper
+    triangular 2x2 matrices with eigenvalues more than 0.2 apart."""
+    worst = 0.0
+    for _ in range(samples):
+        l1, l2 = spaces.separated_pair(rng)
+        alpha = complex(rng.standard_normal() + 1j * rng.standard_normal())
+        T = np.array([[l1, alpha], [0.0, l2]])
+        for f in fns:
+            worst = max(worst, core.opnorm(calc_2x2_closed_form(l1, l2, alpha, f)
+                                           - apply_function(T, f)))
+    return worst
+
+
+def interpolation_defect(rng, n: int, samples: int, fns) -> float:
+    """Worst ``||apply_function - lagrange_apply|| / (1 + ||T||)`` on random
+    semisimple n x n matrices."""
+    worst = 0.0
+    for _ in range(samples):
+        T = spaces.semisimple_sample(rng, n)
+        for f in fns:
+            d = core.opnorm(apply_function(T, f) - lagrange_apply(T, f))
+            worst = max(worst, d / (1.0 + core.opnorm(T)))
+    return worst
+
+
+def conjugation_invariance_defect(rng, n: int, samples: int, fns) -> float:
+    """Worst ``||f(S X S^-1) - S f(X) S^-1|| / ((1 + ||X||) cond(S)^2)`` on
+    random semisimple X and bounded-condition S."""
+    worst = 0.0
+    for _ in range(samples):
+        X = spaces.semisimple_sample(rng, n)
+        S = spaces.bounded_conjugator(rng, n)
+        Sinv = np.linalg.inv(S)
+        scale = (1.0 + core.opnorm(X)) * float(np.linalg.cond(S, 2)) ** 2
+        for f in fns:
+            lhs = apply_function(S @ X @ Sinv, f)
+            rhs = S @ apply_function(X, f) @ Sinv
+            worst = max(worst, core.opnorm(lhs - rhs) / scale)
     return worst
 
 

@@ -4,7 +4,12 @@ Machine-readable first: every subcommand prints one JSON report to
 standard output (schema version, seed, the fully resolved configuration
 including defaulted values, per-check results) and keeps diagnostics on
 standard error.  Exit codes: 0 when every requested check passed, 1 on a
-check failure (the report is still emitted), 2 on usage errors.
+check failure, 2 on a usage error; the report is emitted in every case
+but argparse's own argument errors.
+
+Each subcommand calls the same claim functions as the acceptance suite
+and only picks their parameters; results are
+:class:`acceptance.CheckResult` records without a criterion number.
 """
 
 from __future__ import annotations
@@ -15,9 +20,9 @@ import sys
 import time
 
 import numpy as np
-import scipy.linalg
 
 from . import acceptance, calculus, configspace, core, reconstruct, selectors, shrinkers, spaces, theta
+from .acceptance import CheckResult
 from .errors import SpecshrinkError
 
 SCHEMA_VERSION = 1
@@ -41,25 +46,14 @@ def _jsonable(obj):
     return obj
 
 
-def _check(name, claim, passed, defect=None, threshold=None, **details):
-    return {
-        "name": name,
-        "claim": claim,
-        "passed": bool(passed),
-        "defect": None if defect is None else float(defect),
-        "threshold": None if threshold is None else float(threshold),
-        "details": _jsonable(details),
-    }
-
-
 def _emit(command, seed, config, results, started) -> int:
-    passed = all(r["passed"] for r in results)
+    passed = all(r.passed for r in results)
     report = {
         "schema": SCHEMA_VERSION,
         "command": command,
         "seed": seed,
         "config": _jsonable(config),
-        "results": results,
+        "results": [_jsonable(r.to_dict()) for r in results],
         "passed": passed,
         "wall_time": time.perf_counter() - started,
     }
@@ -77,18 +71,16 @@ def _cmd_verify(args, started):
     p, q = (int(v) for v in args.pq.split(","))
     config = dict(space=space.value, n=args.n, m=args.m, pq=[p, q],
                   samples=args.samples, seed=args.seed, shrinker=args.shrinker,
-                  conjugator=args.conjugator, workers=args.workers,
-                  inclusion_threshold=1e-8, powerlaw_threshold=1e-7)
+                  conjugator=args.conjugator,
+                  inclusion_threshold=shrinkers.INCLUSION_TOL,
+                  powerlaw_threshold=shrinkers.POWERLAW_TOL)
 
     if args.shrinker == "canonical":
         if args.m != (p + q) * args.n:
-            raise SystemExit(2)
-        if args.conjugator == "random":
-            rng = np.random.default_rng(args.seed)
-            g = rng.standard_normal((args.m, args.m)) + 1j * rng.standard_normal((args.m, args.m))
-            S0 = np.eye(args.m) + 0.25 * g / core.opnorm(g)
-        else:
-            S0 = None
+            raise ValueError(f"the canonical shrinker needs m = (p + q) n, "
+                             f"here {(p + q) * args.n}")
+        S0 = (shrinkers.fixed_conjugator(np.random.default_rng(args.seed), args.m)
+              if args.conjugator == "random" else None)
 
         def phi(X):
             return shrinkers.canonical_shrinker(X, p, q, S0)
@@ -100,25 +92,25 @@ def _cmd_verify(args, started):
             return shrinkers.degenerate_shrinker_sun(X, args.m)
 
     report = shrinkers.verify_shrinker(phi, space, args.n, args.m,
-                                       samples=args.samples, seed=args.seed,
-                                       workers=args.workers)
+                                       samples=args.samples, seed=args.seed)
     config["report"] = report.to_dict()
-    results = [_check(
-        "shrinking-inclusion",
+    results = [CheckResult.of(
+        None, "shrinking-inclusion",
         "image spectrum is contained in the source spectrum",
-        report.inclusion_defect <= 1e-8, report.inclusion_defect, 1e-8,
+        report.inclusion_defect, shrinkers.INCLUSION_TOL,
     )]
     if report.divisible:
-        results.append(_check(
-            "powerlaw",
+        results.append(CheckResult.of(
+            None, "powerlaw",
             "image characteristic polynomial is the m/n power of the source",
-            report.powerlaw_defect <= 1e-7, report.powerlaw_defect, 1e-7,
+            report.powerlaw_defect, shrinkers.POWERLAW_TOL,
         ))
     else:
-        results.append(_check(
-            "divisibility",
+        results.append(CheckResult.of(
+            None, "divisibility",
             "n does not divide m; only degenerate shrinkers can exist here",
-            args.shrinker != "canonical", divisible=False, n=args.n, m=args.m,
+            None, None, dict(divisible=False, n=args.n, m=args.m),
+            passed=args.shrinker != "canonical",
         ))
     return _emit("verify", args.seed, config, results, started)
 
@@ -131,29 +123,14 @@ def _cmd_select(args, started):
     rng = np.random.default_rng(args.seed)
     n, steps, step = args.n, args.steps, args.step
     config = dict(selector=args.selector, n=n, steps=steps, step=step,
-                  seed=args.seed, jump_threshold=0.05)
+                  seed=args.seed, jump_threshold=selectors.JUMP_TOL)
     results = []
 
     if args.selector == "su":
-        U = spaces.special_unitary(rng, n)
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        A = 0.5 * (g - g.conj().T)
-        A -= (np.trace(A) / n) * np.eye(n)
-        A /= core.opnorm(A)
-        E = scipy.linalg.expm(step * A)
-        mats = []
-        for _ in range(steps + 1):
-            mats.append(U)
-            U = E @ U
-        path = selectors.selector_path(selectors.su_select, mats,
-                                       np.arange(steps + 1) * step)
-        spectral = max(
-            float(np.min(np.abs(np.linalg.eigvals(M) - v)))
-            for M, v in zip(mats, path.values)
-        )
-        results.append(_check("selector-spectral",
-                              "the selected value is always an eigenvalue",
-                              spectral <= 1e-8, spectral, 1e-8))
+        path = selectors.su_path(rng, n, steps, step)
+        results.append(CheckResult.of(None, "selector-spectral",
+                                      "the selected value is always an eigenvalue",
+                                      path.spectral_defect(), selectors.SPECTRAL_TOL))
     elif args.selector == "hn":
         X0 = spaces.sample(spaces.SpaceId.HN, n, rng)
         H1 = spaces.sample(spaces.SpaceId.HN, n, rng)
@@ -179,9 +156,9 @@ def _cmd_select(args, started):
             lambda M: selectors.un_lambda_select(M, lam), mats,
             np.arange(steps + 1) * step)
 
-    results.append(_check("selector-continuity",
-                          "the selection varies continuously along the path",
-                          path.max_jump <= 0.05, path.max_jump, 0.05))
+    results.append(CheckResult.of(None, "selector-continuity",
+                                  "the selection varies continuously along the path",
+                                  path.max_jump, selectors.JUMP_TOL))
     config["path"] = path.to_dict()
     return _emit("select", args.seed, config, results, started)
 
@@ -192,17 +169,16 @@ def _cmd_select(args, started):
 
 def _cmd_monodromy(args, started):
     config = dict(n=args.n, r=args.r, steps=args.steps, seed=args.seed,
-                  ratio_threshold=1e-6)
+                  ratio_threshold=selectors.MONODROMY_RATIO_TOL)
     res = selectors.monodromy_xz(args.n, args.r, args.steps)
-    target = np.exp(2j * np.pi / args.n)
-    ratio_defect = float(np.max(np.abs(res.ratios() - target)))
     results = [
-        _check("monodromy-cycle",
-               "the loop induces a single n-cycle on the eigenvalues",
-               res.is_single_cycle(), permutation=list(res.permutation)),
-        _check("monodromy-ratio",
-               "each tracked root is multiplied by a primitive n-th root of unity",
-               ratio_defect <= 1e-6, ratio_defect, 1e-6),
+        CheckResult.of(None, "monodromy-cycle",
+                       "the loop induces a single n-cycle on the eigenvalues",
+                       None, None, dict(permutation=list(res.permutation)),
+                       passed=res.is_single_cycle()),
+        CheckResult.of(None, "monodromy-ratio",
+                       "each tracked root is multiplied by a primitive n-th root of unity",
+                       res.ratio_defect(), selectors.MONODROMY_RATIO_TOL),
     ]
     config["paths"] = [
         selectors.EigenPath(res.parameters, res.values[:, j]).to_dict()
@@ -217,45 +193,22 @@ def _cmd_monodromy(args, started):
 
 def _cmd_configspace(args, started):
     n = args.n
-    rng = np.random.default_rng(args.seed)
     config = dict(n=n, seed=args.seed, trials=args.trials)
-    results = []
-
-    def draw():
-        while True:
-            z = np.exp(2j * np.pi * rng.uniform(size=n))
-            d = np.abs(z[:, None] - z[None, :])
-            np.fill_diagonal(d, np.inf)
-            if d.min() > 0.1:
-                return configspace.CirclePoints(z)
-
-    eq_fail = 0
-    iso_fail = 0
-    exhaustive = n <= 6
-    for _ in range(args.trials):
-        pts = draw()
-        base = configspace.classify_component(pts)
-        sigmas = (configspace.all_permutations(n) if exhaustive
-                  else [tuple(rng.permutation(n)) for _ in range(200)])
-        for sigma in sigmas:
-            lhs = configspace.classify_component(configspace.act(sigma, pts))
-            if lhs != base.left_multiply(sigma):
-                eq_fail += 1
-        if exhaustive:
-            if configspace.isotropy_of_component(pts) != configspace.expected_isotropy(base):
-                iso_fail += 1
-    results.append(_check("equivariance",
-                          "classification intertwines the permutation actions",
-                          eq_fail == 0, float(eq_fail), 0.5, exhaustive=exhaustive))
-    if exhaustive:
-        results.append(_check("isotropy",
-                              "component stabilizers are conjugate cyclic groups of order n",
-                              iso_fail == 0, float(iso_fail), 0.5))
+    eq_fail, iso_fail = configspace.classification_failures(
+        np.random.default_rng(args.seed), n, args.trials)
+    tol = configspace.FAILURE_TOL
+    results = [CheckResult.of(
+        None, "equivariance", "classification intertwines the permutation actions",
+        float(eq_fail), tol, dict(exhaustive=n <= configspace.EXHAUSTIVE_MAX_N))]
+    if iso_fail is not None:
+        results.append(CheckResult.of(
+            None, "isotropy", "component stabilizers are conjugate cyclic groups of order n",
+            float(iso_fail), tol))
     if 2 <= n <= 8:
-        ok = configspace.verify_cycle_decomposition(n)
-        results.append(_check("cycle-decomposition",
-                              "every transposition factors through a conjugated cyclic shift",
-                              ok))
+        results.append(CheckResult.of(
+            None, "cycle-decomposition",
+            "every transposition factors through a conjugated cyclic shift",
+            None, None, passed=configspace.verify_cycle_decomposition(n)))
     return _emit("configspace", args.seed, config, results, started)
 
 
@@ -264,48 +217,26 @@ def _cmd_configspace(args, started):
 # ---------------------------------------------------------------------------
 
 def _cmd_calculus(args, started):
-    f = calculus.named_function(args.f)
+    fns = [calculus.named_function(args.f)]
     rng = np.random.default_rng(args.seed)
-    n = args.n
-    config = dict(f=args.f, n=n, samples=args.samples, seed=args.seed,
-                  closed_form_threshold=1e-10, interpolation_threshold=1e-6,
-                  invariance_threshold=1e-6)
-    closed = 0.0
-    for _ in range(args.samples):
-        while True:
-            l1, l2 = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) / np.sqrt(2)
-            if abs(l1 - l2) > 0.2:
-                break
-        alpha = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        T = np.array([[l1, alpha], [0.0, l2]])
-        closed = max(closed, core.opnorm(
-            calculus.calc_2x2_closed_form(l1, l2, alpha, f)
-            - calculus.apply_function(T, f)))
-
-    interp = 0.0
-    invariance = 0.0
-    for _ in range(args.samples):
-        X = spaces.sample(spaces.SpaceId.MN_SS, n, rng)
-        interp = max(interp, core.opnorm(
-            calculus.apply_function(X, f) - calculus.lagrange_apply(X, f))
-            / (1.0 + core.opnorm(X)))
-        S = spaces.bounded_conjugator(rng, n)
-        cond = float(np.linalg.cond(S, 2))
-        lhs = calculus.apply_function(S @ X @ np.linalg.inv(S), f)
-        rhs = S @ calculus.apply_function(X, f) @ np.linalg.inv(S)
-        invariance = max(invariance, core.opnorm(lhs - rhs)
-                         / ((1.0 + core.opnorm(X)) * cond ** 2))
-
+    n, samples = args.n, args.samples
+    config = dict(f=args.f, n=n, samples=samples, seed=args.seed,
+                  closed_form_threshold=calculus.CLOSED_FORM_TOL,
+                  interpolation_threshold=calculus.INTERPOLATION_TOL,
+                  invariance_threshold=calculus.INVARIANCE_TOL)
     results = [
-        _check("closed-form-2x2",
-               "the triangular closed form matches the idempotent sum",
-               closed <= 1e-10, closed, 1e-10),
-        _check("interpolation-oracle",
-               "interpolating the function on the spectrum reproduces the calculus",
-               interp <= 1e-6, interp, 1e-6),
-        _check("conjugation-invariance",
-               "the calculus commutes with similarity transformations",
-               invariance <= 1e-6, invariance, 1e-6),
+        CheckResult.of(None, "closed-form-2x2",
+                       "the triangular closed form matches the idempotent sum",
+                       calculus.closed_form_defect(rng, samples, fns),
+                       calculus.CLOSED_FORM_TOL),
+        CheckResult.of(None, "interpolation-oracle",
+                       "interpolating the function on the spectrum reproduces the calculus",
+                       calculus.interpolation_defect(rng, n, samples, fns),
+                       calculus.INTERPOLATION_TOL),
+        CheckResult.of(None, "conjugation-invariance",
+                       "the calculus commutes with similarity transformations",
+                       calculus.conjugation_invariance_defect(rng, n, samples, fns),
+                       calculus.INVARIANCE_TOL),
     ]
     return _emit("calculus", args.seed, config, results, started)
 
@@ -314,70 +245,38 @@ def _cmd_calculus(args, started):
 # theta
 # ---------------------------------------------------------------------------
 
+# --check name -> (identity in theta.identity_defects, claim)
+_THETA_CHECKS = {
+    "involution": ("involution", "applying the involution twice returns the input"),
+    "pf": ("putnam-fuglede", "independent factorizations give the same swapped conjugation"),
+    "commute": ("commutativity", "commuting inputs keep commuting images"),
+    "ads": ("inverse-square",
+            "on a conjugated unitary orbit the map is inverse-square conjugation"),
+}
+
+
 def _cmd_theta(args, started):
-    rng = np.random.default_rng(args.seed)
     n = args.n
     config = dict(check=args.check, n=n, samples=args.samples, seed=args.seed,
-                  scale=args.scale, threshold=1e-6)
+                  scale=args.scale, threshold=theta.IDENTITY_TOL)
+    if args.check == "probe":
+        X0 = np.diag(np.concatenate([[1.0, 1.0], 2.0 + np.arange(n - 2)])).astype(complex)
+        rep = theta.theta_continuity_probe(X0, args.scale,
+                                           samples=args.samples, seed=args.seed)
+        results = [CheckResult.of(
+            None, "probe", "empirical oscillation near a repeated spectrum (report only)",
+            None, None, dict(oscillation=rep.max_oscillation, scale=rep.scale,
+                             rejected=rep.rejected),
+            passed=True)]
+        return _emit("theta", args.seed, config, results, started)
+
+    defects, _ = theta.identity_defects(np.random.default_rng(args.seed), args.samples, (n,))
+    checks = list(_THETA_CHECKS) if args.check == "all" else [args.check]
     results = []
-
-    def draw():
-        q = spaces.haar_unitary(rng, n)
-        s = np.exp(rng.uniform(np.log(0.5), np.log(2.0), size=n))
-        S = (q * s) @ q.conj().T
-        cond = float(s.max() / s.min())
-        N = spaces.sample(spaces.SpaceId.NN, n, rng)
-        vals = np.linalg.eigvals(N)
-        if np.min(np.abs(vals)) < 0.2:
-            N = N + 0.5 * np.eye(n)
-        return S, cond, N
-
-    checks = ([args.check] if args.check != "all"
-              else ["involution", "pf", "commute", "ads"])
-
     for kind in checks:
-        if kind == "probe":
-            X0 = np.diag(np.concatenate([[1.0, 1.0], 2.0 + np.arange(n - 2)])).astype(complex)
-            rep = theta.theta_continuity_probe(X0, args.scale,
-                                               samples=args.samples, seed=args.seed)
-            results.append(_check("probe",
-                                  "empirical oscillation near a repeated spectrum (report only)",
-                                  True, oscillation=rep.max_oscillation,
-                                  scale=rep.scale, rejected=rep.rejected))
-            continue
-        defect = 0.0
-        for _ in range(args.samples):
-            S, cond, N = draw()
-            X = S @ N @ np.linalg.inv(S)
-            scale = (1.0 + core.opnorm(X)) * cond ** 2
-            if kind == "involution":
-                defect = max(defect, core.opnorm(theta.theta(theta.theta(X)) - X) / scale)
-            elif kind == "pf":
-                dec = theta.theta_decompose(X)
-                theta.check_putnam_fuglede(S, dec.s, N, dec.normal)
-                defect = max(defect, core.opnorm(
-                    theta.theta(X) - np.linalg.solve(S, N @ S)) / scale)
-            elif kind == "commute":
-                q = np.linalg.eig(N)[1]
-                lam2 = np.linalg.eigvals(spaces.sample(spaces.SpaceId.NN, n, rng)) + 0.5
-                N2 = q @ np.diag(lam2) @ np.linalg.inv(q)
-                Y = S @ N2 @ np.linalg.inv(S)
-                TX, TY = theta.theta(X), theta.theta(Y)
-                defect = max(defect, core.opnorm(TX @ TY - TY @ TX)
-                             / ((1.0 + core.opnorm(TX) * core.opnorm(TY)) * cond ** 2))
-            elif kind == "ads":
-                U = spaces.haar_unitary(rng, n)
-                XU = S @ U @ np.linalg.inv(S)
-                S2 = S @ S
-                defect = max(defect, core.opnorm(
-                    theta.theta(XU) - np.linalg.solve(S2, XU @ S2)) / scale)
-        labels = {
-            "involution": "applying the involution twice returns the input",
-            "pf": "independent factorizations give the same swapped conjugation",
-            "commute": "commuting inputs keep commuting images",
-            "ads": "on a conjugated unitary orbit the map is inverse-square conjugation",
-        }
-        results.append(_check(kind, labels[kind], defect <= 1e-6, defect, 1e-6))
+        identity, claim = _THETA_CHECKS[kind]
+        results.append(CheckResult.of(None, kind, claim, defects[identity],
+                                      theta.IDENTITY_TOL))
     return _emit("theta", args.seed, config, results, started)
 
 
@@ -388,34 +287,28 @@ def _cmd_theta(args, started):
 def _cmd_reconstruct(args, started):
     config = dict(oracle=args.oracle, space=args.space, n=args.n,
                   samples=args.samples, seed=args.seed, residual_threshold=1e-6)
-    if args.oracle == "id":
-        phi = reconstruct.make_oracle("identity")
-    elif args.oracle == "transpose":
-        phi = reconstruct.make_oracle("transpose")
-    elif args.oracle == "theta":
-        phi = reconstruct.make_oracle("theta")
-    elif args.oracle.startswith("conj:"):
+    if args.oracle.startswith("conj:"):
         T0 = core.load_matrix(args.oracle.split(":", 1)[1])
         phi = reconstruct.make_oracle("conjugation", T0)
+    elif args.oracle in ("id", "transpose", "theta"):
+        phi = reconstruct.make_oracle(args.oracle)
     else:
-        raise SystemExit(2)
+        raise ValueError(f"unknown oracle {args.oracle!r}")
 
+    claim = "the oracle is conjugation or transpose-conjugation by the reported matrix"
     try:
         cls = reconstruct.classify_preserver(
             phi, args.space, args.n,
             validation_samples=args.samples, seed=args.seed)
-        results = [_check(
-            "classification",
-            "the oracle is conjugation or transpose-conjugation by the reported matrix",
-            True, cls.residual, 1e-6,
-            mode=cls.mode, matrix=cls.to_dict()["matrix"])]
+        results = [CheckResult.of(None, "classification", claim, cls.residual, 1e-6,
+                                  dict(mode=cls.mode, matrix=cls.to_dict()["matrix"]),
+                                  passed=True)]
     except SpecshrinkError as exc:
         print(f"classification failed: {exc}", file=sys.stderr)
-        results = [_check(
-            "classification",
-            "the oracle is conjugation or transpose-conjugation by the reported matrix",
-            False, error=type(exc).__name__, message=str(exc),
-            residual=getattr(exc, "residual", None))]
+        results = [CheckResult.of(None, "classification", claim, None, None,
+                                  dict(error=type(exc).__name__, message=str(exc),
+                                       residual=getattr(exc, "residual", None)),
+                                  passed=False)]
     return _emit("reconstruct", args.seed, config, results, started)
 
 
@@ -424,16 +317,10 @@ def _cmd_reconstruct(args, started):
 # ---------------------------------------------------------------------------
 
 def _cmd_all(args, started):
-    config = dict(seed=args.seed)
     outcome = acceptance.run_acceptance(seed=args.seed)
     for line in acceptance.criterion_summary(outcome):
         print(line, file=sys.stderr)
-    results = [
-        _check(r.name, r.claim, r.passed, r.defect, r.threshold,
-               criterion=r.criterion, **r.details)
-        for r in outcome
-    ]
-    return _emit("all", args.seed, config, results, started)
+    return _emit("all", args.seed, dict(seed=args.seed), outcome, started)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conjugator", choices=["identity", "random"], default="random")
     p.add_argument("--shrinker", choices=["canonical", "hn-max", "su-scalar"],
                    default="canonical")
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("select", help="continuity sweep of an eigenvalue selector")
     p.add_argument("--selector", choices=["su", "hn", "unlambda"], default="su")
@@ -526,24 +412,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args, started)
-    except SystemExit:
-        raise
-    except SpecshrinkError as exc:
+    except (SpecshrinkError, ValueError, OSError, ZeroDivisionError) as exc:
+        # a library failure exits 1; a bad argument surfaces as one of the
+        # builtin errors and exits 2
         print(f"error: {exc}", file=sys.stderr)
-        report = {
-            "schema": SCHEMA_VERSION,
-            "command": args.command,
-            "seed": getattr(args, "seed", None),
-            "config": {},
-            "results": [{"name": "run", "claim": "", "passed": False,
-                         "defect": None, "threshold": None,
-                         "details": {"error": type(exc).__name__, "message": str(exc)}}],
-            "passed": False,
-            "wall_time": time.perf_counter() - started,
-        }
-        json.dump(report, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-        return 1
+        error = CheckResult.of(None, "run", "", None, None,
+                               dict(error=type(exc).__name__, message=str(exc)), passed=False)
+        _emit(args.command, getattr(args, "seed", None), {}, [error], started)
+        return 1 if isinstance(exc, SpecshrinkError) else 2
 
 
 if __name__ == "__main__":

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
+from . import spaces
 from .errors import DegeneratePoints
 
 Perm = tuple
@@ -142,6 +144,42 @@ def expected_isotropy(coset: PermCoset) -> set:
         out.add(compose(g, compose(cur, ginv)))
         cur = compose(cur, eta)
     return out
+
+
+#: Largest n whose checks run over all of S_n; above it equivariance is
+#: tested on random permutations and isotropy is not tested.
+EXHAUSTIVE_MAX_N = 6
+RANDOM_PERMUTATIONS = 200
+
+#: Failure counts are reported as defects against this threshold, so a
+#: single failure fails the check.
+FAILURE_TOL = 0.5
+
+
+def classification_failures(rng, n: int, trials: int) -> tuple[int, Optional[int]]:
+    """Equivariance and isotropy failures over random configurations.
+
+    Each trial draws n circle points 0.15 apart and counts the
+    permutations sigma with ``classify(sigma . pts) != sigma . classify(pts)``
+    and whether the isotropy of the component differs from the conjugated
+    cyclic group of order n.  For n above ``EXHAUSTIVE_MAX_N`` equivariance
+    is tested on random permutations and the isotropy count is None.
+    """
+    exhaustive = n <= EXHAUSTIVE_MAX_N
+    equivariance = isotropy = 0
+    for _ in range(trials):
+        pts = CirclePoints(spaces.circle_points(rng, n, 0.15))
+        base = classify_component(pts)
+        sigmas = (all_permutations(n) if exhaustive
+                  else [tuple(rng.permutation(n)) for _ in range(RANDOM_PERMUTATIONS)])
+        for sigma in sigmas:
+            if classify_component(act(sigma, pts)) != base.left_multiply(sigma):
+                equivariance += 1
+        if exhaustive:
+            iso = isotropy_of_component(pts)
+            if iso != expected_isotropy(base) or len(iso) != n:
+                isotropy += 1
+    return equivariance, (isotropy if exhaustive else None)
 
 
 def verify_cycle_decomposition(n: int) -> bool:

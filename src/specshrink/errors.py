@@ -54,10 +54,6 @@ class OracleFailure(SpecshrinkError):
     """A user-supplied map raised while being evaluated on a sample."""
 
 
-class DivisibilityViolation(SpecshrinkError):
-    """A power-law check was demanded for dimensions n, m with n not dividing m."""
-
-
 class NotHermitian(SpecshrinkError):
     """Input is not Hermitian within tolerance."""
 

@@ -68,7 +68,7 @@ class PreserverClassification:
         A = core.as_matrix(X)
         if self.mode == MODE_TRANSPOSE:
             A = A.T
-        return _right_divide(T @ A, T)
+        return core.right_divide(T @ A, T)
 
     def to_dict(self) -> dict:
         return {
@@ -76,10 +76,6 @@ class PreserverClassification:
             "mode": self.mode,
             "residual": self.residual,
         }
-
-
-def _right_divide(A, S):
-    return np.linalg.solve(S.T, A.T).T
 
 
 def _call_oracle(phi, X):
@@ -263,18 +259,9 @@ def torus_conjugator(phi, S, samples: int = 20, seed: int = 0,
     rng = np.random.default_rng(seed)
     Sinv = np.linalg.inv(S)
 
-    def torus_element(min_gap):
-        for _ in range(200):
-            u = np.exp(2j * np.pi * rng.uniform(size=n))
-            d = np.abs(u[:, None] - u[None, :])
-            np.fill_diagonal(d, np.inf)
-            if d.min() > min_gap:
-                return u
-        raise EigenvalueCollision("could not draw separated torus eigenvalues")
-
     T_G = None
     for _ in range(max_attempts):
-        u = torus_element(min_gap=0.5 / n)
+        u = spaces.circle_points(rng, n, 0.5 / n)
         X = S @ np.diag(u) @ Sinv
         Y = _call_oracle(phi, X)
         w, V = np.linalg.eig(Y)
@@ -291,10 +278,10 @@ def torus_conjugator(phi, S, samples: int = 20, seed: int = 0,
 
     residual = 0.0
     for _ in range(samples):
-        u = torus_element(min_gap=0.1 / n)
+        u = spaces.circle_points(rng, n, 0.1 / n)
         X = S @ np.diag(u) @ Sinv
         lhs = _call_oracle(phi, X)
-        rhs = _right_divide(T_G @ X, T_G)
+        rhs = core.right_divide(T_G @ X, T_G)
         residual = max(residual, core.opnorm(lhs - rhs) / max(core.opnorm(X), 1e-300))
     if residual > residual_tol:
         raise ResidualTooLarge(
@@ -406,10 +393,10 @@ def make_oracle(kind: str, T0=None):
         return lambda X: core.as_matrix(X).T
     if tag == "conjugation":
         T = core.as_matrix(T0)
-        return lambda X: _right_divide(T @ core.as_matrix(X), T)
+        return lambda X: core.right_divide(T @ core.as_matrix(X), T)
     if tag == "transpose_conjugation":
         T = core.as_matrix(T0)
-        return lambda X: _right_divide(T @ core.as_matrix(X).T, T)
+        return lambda X: core.right_divide(T @ core.as_matrix(X).T, T)
     if tag == "theta":
         return theta_mod.theta
     raise ValueError(f"unknown oracle kind {kind!r}")

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.linalg
 
-from . import core
+from . import core, spaces
 from .errors import (
     AmbiguousContinuation,
     AmbiguousSelection,
@@ -36,6 +37,13 @@ from .errors import (
 )
 
 TWO_PI = 2.0 * np.pi
+
+#: Pinned thresholds: how far a selected value may sit from the spectrum,
+#: the largest step a selection may take along a path of step 1e-3, and how
+#: far a monodromy root ratio may sit from exp(2 pi i / n).
+SPECTRAL_TOL = 1e-8
+JUMP_TOL = 0.05
+MONODROMY_RATIO_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,6 +81,11 @@ class EigenPath:
     def max_jump(self) -> float:
         j = self.jumps
         return float(j.max()) if j.size else 0.0
+
+    def spectral_defect(self) -> float:
+        """Worst distance from a selected value to the spectrum of its matrix."""
+        return max(float(np.min(np.abs(np.linalg.eigvals(M) - v)))
+                   for M, v in zip(self.matrices, self.values))
 
     def to_dict(self) -> dict:
         return {
@@ -273,6 +286,10 @@ class MonodromyResult:
         """end / start per tracked eigenvalue."""
         return self.end / self.start
 
+    def ratio_defect(self) -> float:
+        """Worst distance of a root ratio from the primitive root exp(2 pi i / n)."""
+        return float(np.max(np.abs(self.ratios() - np.exp(2j * np.pi / self.n))))
+
 
 def corner_matrix(n: int, z: complex) -> np.ndarray:
     """Superdiagonal of ones with z in the bottom-left corner.
@@ -337,4 +354,27 @@ def selector_path(select, mats, parameters=None) -> EigenPath:
     vals = np.array([select(M) for M in mats], dtype=complex)
     if parameters is None:
         parameters = np.arange(len(mats), dtype=float)
-    return EigenPath(parameters=np.asarray(parameters, dtype=float), values=vals)
+    return EigenPath(parameters=np.asarray(parameters, dtype=float), values=vals,
+                     matrices=mats)
+
+
+def _skew_traceless(rng, n):
+    g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    a = 0.5 * (g - g.conj().T)
+    a -= (np.trace(a) / n) * np.eye(n)
+    return a / core.opnorm(a)
+
+
+def su_path(rng, n: int, steps: int, step: float) -> EigenPath:
+    """The special unitary selector along a random one-parameter orbit.
+
+    Draws a Haar special unitary U and a unit-norm traceless skew-Hermitian
+    A, and selects on ``E^k U`` for k = 0..steps with ``E = exp(step A)``.
+    """
+    U = spaces.special_unitary(rng, n)
+    E = scipy.linalg.expm(step * _skew_traceless(rng, n))
+    mats = []
+    for _ in range(steps + 1):
+        mats.append(U)
+        U = E @ U
+    return selector_path(su_select, mats, np.arange(steps + 1) * step)

@@ -14,7 +14,6 @@ caller's contract, probed only pathwise elsewhere.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
@@ -22,16 +21,15 @@ import numpy as np
 import scipy.linalg
 
 from . import core, selectors, spaces
-from .errors import (
-    DimensionMismatch,
-    DivisibilityViolation,
-    NotHermitian,
-    OracleFailure,
-    SingularConjugator,
-)
+from .errors import DimensionMismatch, OracleFailure, SingularConjugator
 
 DEFAULT_SAMPLES = 100
 DEFAULT_SEED = 0
+
+#: Pinned thresholds of the batch check: the worst inclusion defect and the
+#: worst power-law coefficient defect a shrinker may show.
+INCLUSION_TOL = 1e-8
+POWERLAW_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -61,6 +59,13 @@ class ShrinkReport:
 # ---------------------------------------------------------------------------
 # Constructions
 # ---------------------------------------------------------------------------
+
+def fixed_conjugator(rng, m: int) -> np.ndarray:
+    """``I + 0.25 G / ||G||`` for a complex Gaussian G: an m x m conjugator
+    with condition number at most 5/3, constant in X and so continuous."""
+    g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    return np.eye(m) + 0.25 * g / core.opnorm(g)
+
 
 def canonical_shrinker(X, p: int, q: int, conjugator=None) -> np.ndarray:
     """``S(X) . blockdiag(X (x) I_p, X^t (x) I_q) . S(X)^{-1}``.
@@ -97,11 +102,7 @@ def degenerate_shrinker_hn(X, m: int, tol: float = 1e-8) -> np.ndarray:
     Shrinks spectra for every m, witnessing that the divisibility
     constraint fails on the Hermitian space.
     """
-    A = core.as_matrix(X)
-    if core.opnorm(A - A.conj().T) > tol * (1.0 + core.opnorm(A)):
-        raise NotHermitian("degenerate Hermitian shrinker needs a Hermitian input")
-    lam = float(np.max(np.linalg.eigvalsh(A)))
-    return lam * np.eye(m, dtype=complex)
+    return selectors.hn_select(X, tol=tol) * np.eye(m, dtype=complex)
 
 
 def degenerate_shrinker_sun(U, m: int, tol: float = 1e-8) -> np.ndarray:
@@ -111,42 +112,40 @@ def degenerate_shrinker_sun(U, m: int, tol: float = 1e-8) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Checks
+# The batch check
 # ---------------------------------------------------------------------------
 
-def _evaluate_oracle(phi: Callable, xs, m: int, workers: int = 1):
-    def call(X):
-        try:
-            Y = phi(X)
-        except Exception as exc:
-            raise OracleFailure(f"oracle raised on a sample: {exc!r}") from exc
-        Y = core.as_matrix(Y)
-        if Y.shape != (m, m):
-            raise DimensionMismatch(
-                f"oracle output is {Y.shape}, expected ({m}, {m})"
-            )
-        return Y
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(call, xs))
-    return [call(X) for X in xs]
+def _evaluate_oracle(phi: Callable, X, m: int) -> np.ndarray:
+    try:
+        Y = phi(X)
+    except Exception as exc:
+        raise OracleFailure(f"oracle raised on a sample: {exc!r}") from exc
+    Y = core.as_matrix(Y)
+    if Y.shape != (m, m):
+        raise DimensionMismatch(f"oracle output is {Y.shape}, expected ({m}, {m})")
+    return Y
 
 
-def _run_batch(phi, space, n, m, samples, seed, want_inclusion, want_powerlaw, workers):
+def verify_shrinker(phi, space, n: int, m: int, samples: int = DEFAULT_SAMPLES,
+                    seed: int = DEFAULT_SEED) -> ShrinkReport:
+    """Inclusion and (when n | m) power-law defects in one seeded pass.
+
+    When n does not divide m only degenerate shrinkers can exist; the
+    report then has ``divisible=False`` and no power-law defect.
+    """
+    if n < 1 or m < 1:
+        raise ValueError(f"dimensions must be positive, got n = {n}, m = {m}")
     sid = spaces.SpaceId.parse(space)
     rng = np.random.default_rng(seed)
     xs = [spaces.sample(sid, n, rng) for _ in range(samples)]
-    ys = _evaluate_oracle(phi, xs, m, workers)
+    ys = [_evaluate_oracle(phi, X, m) for X in xs]
 
-    inclusion = None
+    inclusion = 0.0
+    for X, Y in zip(xs, ys):
+        d = core.spectrum_inclusion_defect(core.spectrum(Y), core.spectrum(X))
+        inclusion = max(inclusion, d)
     powerlaw = None
-    if want_inclusion:
-        inclusion = 0.0
-        for X, Y in zip(xs, ys):
-            d = core.spectrum_inclusion_defect(core.spectrum(Y), core.spectrum(X))
-            inclusion = max(inclusion, d)
-    if want_powerlaw:
+    if m % n == 0:
         k = m // n
         powerlaw = 0.0
         for X, Y in zip(xs, ys):
@@ -162,35 +161,3 @@ def _run_batch(phi, space, n, m, samples, seed, want_inclusion, want_powerlaw, w
         powerlaw_defect=powerlaw,
         divisible=(m % n == 0),
     )
-
-
-def check_shrinking(phi, space, n: int, m: int, samples: int = DEFAULT_SAMPLES,
-                    seed: int = DEFAULT_SEED, workers: int = 1) -> ShrinkReport:
-    """Worst-case spectral inclusion defect of ``phi`` over seeded samples."""
-    return _run_batch(phi, space, n, m, samples, seed,
-                      want_inclusion=True, want_powerlaw=False, workers=workers)
-
-
-def check_powerlaw(phi, space, n: int, m: int, samples: int = DEFAULT_SAMPLES,
-                   seed: int = DEFAULT_SEED, workers: int = 1,
-                   require_divisible: bool = True) -> ShrinkReport:
-    """Worst-case defect of ``k_phi(X) = k_X^(m/n)`` over seeded samples.
-
-    With ``require_divisible`` (the default) a dimension pair with n not
-    dividing m raises :class:`DivisibilityViolation`; otherwise the report
-    comes back flagged ``divisible=False`` with no power-law defect.
-    """
-    if m % n != 0:
-        if require_divisible:
-            raise DivisibilityViolation(f"{n} does not divide {m}")
-        return _run_batch(phi, space, n, m, samples, seed,
-                          want_inclusion=True, want_powerlaw=False, workers=workers)
-    return _run_batch(phi, space, n, m, samples, seed,
-                      want_inclusion=False, want_powerlaw=True, workers=workers)
-
-
-def verify_shrinker(phi, space, n: int, m: int, samples: int = DEFAULT_SAMPLES,
-                    seed: int = DEFAULT_SEED, workers: int = 1) -> ShrinkReport:
-    """Inclusion and (when n | m) power-law defects in one seeded pass."""
-    return _run_batch(phi, space, n, m, samples, seed,
-                      want_inclusion=True, want_powerlaw=(m % n == 0), workers=workers)

@@ -15,6 +15,11 @@ its defining equations.  Distribution choices, all documented per sampler:
   in rounding noise.
 * ``gln_star``  ``gln`` conditioned on det staying away from -1.
 
+The draws the claim checks share (separated circle points and eigenvalue
+pairs, bounded semisimple, positive definite and commuting normal
+matrices) live here too.  Every rejection loop here gives up after
+``MAX_TRIES`` draws with :class:`UnsupportedDimension`.
+
 Samplers take a ``numpy.random.Generator`` (or a seed) and are pure given
 it; membership tests are pure.
 """
@@ -34,6 +39,9 @@ from .errors import SingularConjugator, UnsupportedDimension
 #: is requested (the classification arguments work densely with distinct
 #: eigenvalues; the tests need them explicitly).
 SIMPLE_GAP = 1e-4
+
+#: Draws a rejection sampler makes before it gives up.
+MAX_TRIES = 1000
 
 
 class SpaceId(str, Enum):
@@ -116,15 +124,16 @@ def bounded_conjugator(rng, n: int, spread: float = 0.22) -> np.ndarray:
     return (haar_unitary(g, n) * s) @ haar_unitary(g, n).conj().T
 
 
-def _simple_complex_tuple(rng, n, modulus_band=None, unit_product=False, max_tries=1000):
-    """Complex Gaussian n-tuple with pairwise gaps above SIMPLE_GAP.
+def _simple_complex_tuple(rng, n, modulus_band=None, unit_product=False,
+                          min_gap=SIMPLE_GAP):
+    """Complex Gaussian n-tuple with pairwise gaps above ``min_gap``.
 
     ``modulus_band=(lo, hi)`` rejects entries outside the band; with
     ``unit_product`` the last entry is solved from the others to force
     product 1 and participates in every rejection test.
     """
     g = _rng(rng)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         lam = (g.standard_normal(n) + 1j * g.standard_normal(n)) / np.sqrt(2)
         if unit_product:
             head = lam[: n - 1]
@@ -137,7 +146,7 @@ def _simple_complex_tuple(rng, n, modulus_band=None, unit_product=False, max_tri
             mods = np.abs(lam)
             if np.any(mods < lo) or np.any(mods > hi):
                 continue
-        if n == 1 or _min_gap(lam) > SIMPLE_GAP:
+        if n == 1 or _min_gap(lam) > min_gap:
             return lam
     raise UnsupportedDimension("could not draw a simple-spectrum tuple")
 
@@ -156,6 +165,61 @@ def _conjugated_diagonal(rng, lam) -> np.ndarray:
     n = len(lam)
     c = bounded_conjugator(g, n)
     return c @ np.diag(lam) @ np.linalg.inv(c)
+
+
+# ---------------------------------------------------------------------------
+# Draws shared by the claim checks
+# ---------------------------------------------------------------------------
+
+def circle_points(rng, n: int, min_gap: float) -> np.ndarray:
+    """n uniform points on the unit circle, pairwise more than ``min_gap`` apart.
+
+    Raises :class:`UnsupportedDimension` when ``MAX_TRIES`` draws all
+    fail, as they must when n points at that gap do not fit on the circle.
+    """
+    if n < 1:
+        raise ValueError(f"need at least one circle point, got n = {n}")
+    g = _rng(rng)
+    for _ in range(MAX_TRIES):
+        z = np.exp(2j * np.pi * g.uniform(size=n))
+        if _min_gap(z) > min_gap:
+            return z
+    raise UnsupportedDimension(f"could not draw {n} circle points {min_gap} apart")
+
+
+def separated_pair(rng) -> np.ndarray:
+    """Two complex Gaussian eigenvalues more than 0.2 apart."""
+    return _simple_complex_tuple(rng, 2, min_gap=0.2)
+
+
+def semisimple_sample(rng, n: int) -> np.ndarray:
+    """Conjugated diagonal whose eigenvalues are more than 0.05 apart and of
+    modulus at most 2.5, with a bounded-condition conjugator."""
+    g = _rng(rng)
+    lam = _simple_complex_tuple(g, n, modulus_band=(0.0, 2.5), min_gap=0.05)
+    return _conjugated_diagonal(g, lam)
+
+
+def positive_definite(rng, n: int) -> tuple[np.ndarray, float]:
+    """Haar-rotated positive definite matrix with eigenvalues log-uniform in
+    [0.5, 2], and its condition number."""
+    g = _rng(rng)
+    q = haar_unitary(g, n)
+    s = np.exp(g.uniform(np.log(0.5), np.log(2.0), size=n))
+    return (q * s) @ q.conj().T, float(s.max() / s.min())
+
+
+def normal_pair(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two commuting normal matrices sharing a Haar eigenbasis, each with
+    eigenvalues 0.1 apart and of modulus in [0.3, 3]."""
+    g = _rng(rng)
+    q = haar_unitary(g, n)
+
+    def normal():
+        lam = _simple_complex_tuple(g, n, modulus_band=(0.3, 3.0), min_gap=0.1)
+        return q @ np.diag(lam) @ q.conj().T
+
+    return normal(), normal()
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +242,7 @@ def sample(space, n: int, rng=None) -> np.ndarray:
     if sid is SpaceId.MN_SS:
         return core.as_matrix(_conjugated_diagonal(g, _simple_complex_tuple(g, n)))
     if sid is SpaceId.GLN:
-        for _ in range(1000):
+        for _ in range(MAX_TRIES):
             x = ginibre(g, n)
             s = np.linalg.svd(x, compute_uv=False)
             if s[-1] > 1e-3 * max(1.0, s[0]):
@@ -206,7 +270,7 @@ def sample(space, n: int, rng=None) -> np.ndarray:
         a = ginibre(g, n)
         return core.as_matrix(0.5 * (a + a.conj().T))
     if sid is SpaceId.GLN_STAR:
-        for _ in range(1000):
+        for _ in range(MAX_TRIES):
             x = sample(SpaceId.GLN, n, g)
             if abs(np.linalg.det(x) + 1.0) > 1e-6:
                 return x

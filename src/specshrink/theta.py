@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core
+from . import core, spaces
 from .calculus import apply_function
 from .errors import (
     NotSemisimple,
@@ -33,6 +33,9 @@ from .errors import (
 #: rejected rather than decomposed into garbage.
 DEFAULT_COND_CAP = 1e6
 
+#: Pinned threshold of every conditioning-scaled identity defect.
+IDENTITY_TOL = 1e-6
+
 
 @dataclass(frozen=True, eq=False)
 class ThetaDecomposition:
@@ -41,11 +44,6 @@ class ThetaDecomposition:
     s: np.ndarray
     normal: np.ndarray
     residual: float
-
-
-def _right_divide(A, S):
-    """A S^{-1} without forming the inverse."""
-    return np.linalg.solve(S.T, A.T).T
 
 
 def theta_decompose(X, tol: float = 1e-8, cond_cap: float = DEFAULT_COND_CAP) -> ThetaDecomposition:
@@ -69,7 +67,7 @@ def theta_decompose(X, tol: float = 1e-8, cond_cap: float = DEFAULT_COND_CAP) ->
         )
     S, V = core.polar_decompose(ed.vectors)
     N = V @ np.diag(ed.eigenvalues) @ V.conj().T
-    recon = _right_divide(S @ N, S)
+    recon = core.right_divide(S @ N, S)
     residual = core.opnorm(recon - A) / max(core.opnorm(A), 1e-300)
     return ThetaDecomposition(s=S, normal=N, residual=residual)
 
@@ -92,7 +90,7 @@ def theta_via_calculus(S, N) -> np.ndarray:
     """
     S = core.as_matrix(S)
     N = core.as_matrix(N)
-    X = _right_divide(S @ N, S)
+    X = core.right_divide(S @ N, S)
     return apply_function(X, np.conj).conj().T
 
 
@@ -106,8 +104,8 @@ def check_putnam_fuglede(S, T, N, M, tol: float = 1e-8) -> bool:
     """
     S, T = core.as_matrix(S), core.as_matrix(T)
     N, M = core.as_matrix(N), core.as_matrix(M)
-    left = _right_divide(S @ N, S)
-    right = _right_divide(T @ M, T)
+    left = core.right_divide(S @ N, S)
+    right = core.right_divide(T @ M, T)
     scale = max(core.opnorm(left), 1.0)
     if core.opnorm(left - right) > tol * scale:
         raise PreconditionViolated(
@@ -137,11 +135,75 @@ def theta_ads_identity(S, U, tol: float = 1e-7) -> bool:
     """
     S = core.as_matrix(S)
     U = core.as_matrix(U)
-    X = _right_divide(S @ U, S)
+    X = core.right_divide(S @ U, S)
     lhs = theta(X)
     S2 = S @ S
     rhs = np.linalg.solve(S2, X @ S2)
     return core.opnorm(lhs - rhs) <= tol * (1.0 + core.opnorm(rhs))
+
+
+def identity_defects(rng, trials: int, dims) -> tuple[dict, dict]:
+    """Worst defects of the involution's identities on random inputs.
+
+    Trial k draws ``X = S N S^-1`` and a commuting ``Y = S N2 S^-1`` of
+    size ``dims[k % len(dims)]`` (S positive definite, N, N2 normal) and a
+    Haar unitary U.  Returns the worst defect of each identity, scaled by
+    conditioning: involution, spectrum, normal-fixing, putnam-fuglede,
+    commutativity, inverse-square and calculus-route; and, for the three
+    identities with a boolean witness function, whether every trial
+    confirmed it.
+    """
+    defects = {k: 0.0 for k in
+               ("involution", "spectrum", "normal-fixing", "putnam-fuglede",
+                "commutativity", "inverse-square", "calculus-route")}
+    pf_all = True
+    comm_all = True
+    ads_all = True
+    for trial in range(trials):
+        n = dims[trial % len(dims)]
+        S, condS = spaces.positive_definite(rng, n)
+        N, N2 = spaces.normal_pair(rng, n)
+        X = S @ N @ np.linalg.inv(S)
+        scale = (1.0 + core.opnorm(X)) * condS ** 2
+
+        TX = theta(X)
+        defects["involution"] = max(
+            defects["involution"], core.opnorm(theta(TX) - X) / scale)
+        defects["spectrum"] = max(
+            defects["spectrum"],
+            core.spectrum_match_distance(core.spectrum(TX), core.spectrum(X)))
+        defects["normal-fixing"] = max(
+            defects["normal-fixing"],
+            core.opnorm(theta(N) - N) / (1.0 + core.opnorm(N)))
+
+        dec = theta_decompose(X)
+        pf_all = pf_all and check_putnam_fuglede(S, dec.s, N, dec.normal)
+        swapped = np.linalg.solve(S, N @ S)
+        defects["putnam-fuglede"] = max(
+            defects["putnam-fuglede"], core.opnorm(TX - swapped) / scale)
+
+        Y = S @ N2 @ np.linalg.inv(S)
+        comm_all = comm_all and theta_commutativity_check(X, Y)
+        TY = theta(Y)
+        defects["commutativity"] = max(
+            defects["commutativity"],
+            core.opnorm(TX @ TY - TY @ TX)
+            / ((1.0 + core.opnorm(TX) * core.opnorm(TY)) * condS ** 2))
+
+        U = spaces.haar_unitary(rng, n)
+        ads_all = ads_all and theta_ads_identity(S, U, tol=IDENTITY_TOL * condS ** 2)
+        XU = S @ U @ np.linalg.inv(S)
+        S2 = S @ S
+        defects["inverse-square"] = max(
+            defects["inverse-square"],
+            core.opnorm(theta(XU) - np.linalg.solve(S2, XU @ S2)) / scale)
+
+        defects["calculus-route"] = max(
+            defects["calculus-route"],
+            core.opnorm(TX - theta_via_calculus(S, N)) / scale)
+    confirmed = {"putnam-fuglede": pf_all, "commutativity": comm_all,
+                 "inverse-square": ads_all}
+    return defects, confirmed
 
 
 @dataclass(frozen=True)

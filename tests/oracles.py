@@ -4,7 +4,8 @@ Each function here deliberately computes its answer by a different route
 than the library code it checks: root expansion instead of the trace
 recurrence, matrix square roots instead of SVD, exhaustive integer-shift
 enumeration instead of the sort-based construction, closed-form roots
-instead of eigenvalue continuation.
+instead of eigenvalue continuation, every bijection instead of bisection
+over perfect matchings.
 """
 
 import itertools
@@ -92,3 +93,19 @@ def lagrange_matrix_function(T, f):
     for c in coeffs[::-1]:
         out = out @ T + c * np.eye(n)
     return out
+
+
+def bottleneck_by_enumeration(a, b):
+    """min over bijections sigma of max |a_i - b_sigma(i)|, by trying every
+    bijection (with early exit once a partial maximum reaches the best)."""
+    D = np.abs(np.subtract.outer(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)))
+    best = np.inf
+    for perm in itertools.permutations(range(len(D))):
+        worst = 0.0
+        for i, j in enumerate(perm):
+            worst = max(worst, D[i, j])
+            if worst >= best:
+                break
+        else:
+            best = worst
+    return float(best)

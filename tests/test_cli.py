@@ -55,9 +55,33 @@ def test_verify_degenerate_hermitian(capsys):
 
 
 def test_verify_usage_error_on_inconsistent_m(capsys):
-    with pytest.raises(SystemExit) as info:
-        cli.main(["verify", "--space", "gl", "--n", "3", "--m", "7", "--pq", "1,1"])
-    assert info.value.code == 2
+    code, report = run_cli(capsys, [
+        "verify", "--space", "gl", "--n", "3", "--m", "7", "--pq", "1,1"])
+    assert code == 2
+    check_schema(report, "verify")
+    assert report["results"][0]["details"]["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--space", "foo", "--n", "3", "--m", "6"],
+    ["verify", "--space", "gl", "--n", "3", "--m", "6", "--pq", "1"],
+    ["verify", "--space", "gl", "--n", "0", "--m", "0"],
+    ["calculus", "--f", "bogus"],
+    ["monodromy", "--n", "3", "--steps", "10"],
+    ["reconstruct", "--oracle", "conj:no-such-dir/T0.json", "--n", "3"],
+    ["reconstruct", "--oracle", "bogus", "--n", "3"],
+    ["select", "--n", "0"],
+    ["select", "--selector", "unlambda", "--cut", "1"],
+    ["theta", "--n", "0"],
+    ["configspace", "--n", "0"],
+])
+def test_usage_errors_exit_2_with_a_report(capsys, argv):
+    code, report = run_cli(capsys, argv)
+    assert code == 2
+    check_schema(report, argv[0])
+    assert not report["passed"]
+    [result] = report["results"]
+    assert result["name"] == "run" and result["details"]["error"]
 
 
 def test_monodromy(capsys):

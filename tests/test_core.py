@@ -148,15 +148,13 @@ def test_match_distance_pseudometric(seed):
 
 
 @settings(max_examples=15, deadline=None)
-@given(seeds)
-def test_match_distance_dual_route(seed):
-    # exhaustive search vs threshold-bisection assignment on the same input
+@given(seeds, st.integers(min_value=1, max_value=8))
+def test_match_distance_dual_route(seed, n):
+    # threshold-bisection assignment vs exhaustive search over bijections
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-    b = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-    ex = core.spectrum_match_distance(a, b)
-    D = np.abs(a[:, None] - b[None, :])
-    assert ex == pytest.approx(core._bottleneck_assignment(D), abs=1e-12)
+    a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    assert core.spectrum_match_distance(a, b) == oracles.bottleneck_by_enumeration(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ import oracles
 from specshrink import core, shrinkers, spaces
 from specshrink.errors import (
     DimensionMismatch,
-    DivisibilityViolation,
     NotHermitian,
     NotSpecialUnitary,
     OracleFailure,
@@ -69,24 +68,23 @@ def test_powerlaw_exponent_additivity():
 
 
 def test_check_shrinking_identity_and_zero():
-    rep = shrinkers.check_shrinking(lambda X: X, "gln", 3, 3, samples=20, seed=0)
+    rep = shrinkers.verify_shrinker(lambda X: X, "gln", 3, 3, samples=20, seed=0)
     assert rep.inclusion_defect <= 1e-10
-    bad = shrinkers.check_shrinking(lambda X: np.zeros((3, 3)), "gln", 3, 3,
+    bad = shrinkers.verify_shrinker(lambda X: np.zeros((3, 3)), "gln", 3, 3,
                                     samples=20, seed=0)
     assert bad.inclusion_defect > 0.1
 
 
 def test_check_powerlaw_identity():
-    rep = shrinkers.check_powerlaw(lambda X: X, "gln", 3, 3, samples=20, seed=0)
+    rep = shrinkers.verify_shrinker(lambda X: X, "gln", 3, 3, samples=20, seed=0)
     assert rep.powerlaw_defect <= 1e-12
 
 
 def test_check_powerlaw_divisibility():
-    with pytest.raises(DivisibilityViolation):
-        shrinkers.check_powerlaw(lambda X: np.zeros((4, 4)), "gln", 3, 4, samples=1)
-    rep = shrinkers.check_powerlaw(
+    # n not dividing m: the report is flagged and no power law is measured
+    rep = shrinkers.verify_shrinker(
         lambda X: shrinkers.degenerate_shrinker_hn(X, 4), "hn", 3, 4,
-        samples=5, seed=0, require_divisible=False)
+        samples=5, seed=0)
     assert not rep.divisible
     assert rep.powerlaw_defect is None
     assert rep.inclusion_defect <= 1e-8
@@ -97,17 +95,9 @@ def test_oracle_failure_and_dimension_mismatch():
         raise RuntimeError("boom")
 
     with pytest.raises(OracleFailure):
-        shrinkers.check_shrinking(broken, "gln", 3, 3, samples=1)
+        shrinkers.verify_shrinker(broken, "gln", 3, 3, samples=1)
     with pytest.raises(DimensionMismatch):
-        shrinkers.check_shrinking(lambda X: np.eye(2), "gln", 3, 3, samples=1)
-
-
-def test_worker_pool_matches_serial():
-    phi = lambda X: shrinkers.canonical_shrinker(X, 1, 1)
-    serial = shrinkers.verify_shrinker(phi, "un", 3, 6, samples=20, seed=7)
-    pooled = shrinkers.verify_shrinker(phi, "un", 3, 6, samples=20, seed=7, workers=4)
-    assert serial.inclusion_defect == pooled.inclusion_defect
-    assert serial.powerlaw_defect == pooled.powerlaw_defect
+        shrinkers.verify_shrinker(lambda X: np.eye(2), "gln", 3, 3, samples=1)
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +148,11 @@ def test_sun_shrinker_continuity_along_path():
 
 def test_degenerate_shrinkers_beat_divisibility():
     # inclusion passes although n does not divide m
-    hn_rep = shrinkers.check_shrinking(
+    hn_rep = shrinkers.verify_shrinker(
         lambda X: shrinkers.degenerate_shrinker_hn(X, 5), "hn", 2, 5,
         samples=30, seed=0)
     assert hn_rep.inclusion_defect <= 1e-8 and not hn_rep.divisible
-    su_rep = shrinkers.check_shrinking(
+    su_rep = shrinkers.verify_shrinker(
         lambda U: shrinkers.degenerate_shrinker_sun(U, 4), "sun", 3, 4,
         samples=30, seed=0)
     assert su_rep.inclusion_defect <= 1e-8 and not su_rep.divisible

@@ -40,6 +40,12 @@ def test_zero_dimension_rejected():
         spaces.sample("mn", 0)
 
 
+def test_circle_point_budget_runs_out():
+    # 50 gaps above 0.15 would need a circumference above 7.5 > 2 pi
+    with pytest.raises(UnsupportedDimension):
+        spaces.circle_points(np.random.default_rng(0), 50, 0.15)
+
+
 def test_space_tag_aliases():
     assert spaces.SpaceId.parse("gl") is spaces.SpaceId.GLN
     assert spaces.SpaceId.parse("sl_ss") is spaces.SpaceId.SLN_SS
