@@ -28,6 +28,9 @@ from .errors import (
 
 DEFAULT_GROUPING_TOL = 1e-6
 
+#: Smallest eigenvalue gap, relative to ``1 + ||T||``, of :func:`lagrange_apply`.
+LAGRANGE_GAP_TOL = 1e-8
+
 #: Pinned thresholds of the cross-checks below.
 CLOSED_FORM_TOL = 1e-10
 INTERPOLATION_TOL = 1e-6
@@ -112,7 +115,7 @@ def calc_2x2_closed_form(lambda1: complex, lambda2: complex, alpha: complex,
     return np.array([[complex(f(l1)), off], [0.0, complex(f(l2))]], dtype=complex)
 
 
-def lagrange_apply(T, f: Callable[[complex], complex], gap_tol: float = 1e-8) -> np.ndarray:
+def lagrange_apply(T, f: Callable[[complex], complex]) -> np.ndarray:
     """f(T) through the Lagrange product formula; eigenvector-free oracle.
 
     ``f(T) = sum_i f(l_i) prod_{j != i} (T - l_j I) / (l_i - l_j)`` for
@@ -125,7 +128,7 @@ def lagrange_apply(T, f: Callable[[complex], complex], gap_tol: float = 1e-8) ->
     scale = 1.0 + core.opnorm(A)
     d = np.abs(vals[:, None] - vals[None, :])
     np.fill_diagonal(d, np.inf)
-    if n > 1 and d.min() <= gap_tol * scale:
+    if n > 1 and d.min() <= LAGRANGE_GAP_TOL * scale:
         raise AmbiguousClustering("interpolation oracle requires simple spectrum")
     eye = np.eye(n, dtype=complex)
     out = np.zeros((n, n), dtype=complex)
@@ -138,10 +141,36 @@ def lagrange_apply(T, f: Callable[[complex], complex], gap_tol: float = 1e-8) ->
     return out
 
 
+def perturbation_probe(F, X0, scale: float, samples: int, rng,
+                       rejections) -> tuple[float, int]:
+    """Max ``||F(X0 + D) - F(X0)||`` over complex Gaussian D of operator norm
+    ``scale``, and the number of draws skipped because F raised one of
+    ``rejections``; gives up with :class:`NotSemisimple` at
+    ``spaces.MAX_TRIES`` skipped draws."""
+    A = core.as_matrix(X0)
+    n = A.shape[0]
+    g = np.random.default_rng(rng)
+    base = F(A)
+    worst = 0.0
+    produced = 0
+    rejected = 0
+    while produced < samples:
+        D = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
+        D *= scale / core.opnorm(D)
+        try:
+            val = F(A + D)
+        except rejections:
+            rejected += 1
+            if rejected == spaces.MAX_TRIES:
+                raise NotSemisimple("perturbation resampling budget exhausted")
+            continue
+        produced += 1
+        worst = max(worst, core.opnorm(val - base))
+    return worst, rejected
+
+
 def continuity_probe(T, f: Callable[[complex], complex], scale: float,
-                     samples: int = 50, rng=None,
-                     grouping_tol: float = DEFAULT_GROUPING_TOL,
-                     max_resample: int = 200) -> float:
+                     samples: int = 50, rng=None) -> float:
     """Max ``||f(T + D) - f(T)||`` over random semisimple perturbations.
 
     Perturbations have operator norm exactly ``scale``; draws landing on a
@@ -150,25 +179,8 @@ def continuity_probe(T, f: Callable[[complex], complex], scale: float,
     scale; at repeated eigenvalues adversarial directions (constructed in
     the tests, not sampled here) make it blow up.
     """
-    A = core.as_matrix(T)
-    n = A.shape[0]
-    g = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    base = apply_function(A, f, grouping_tol)
-    worst = 0.0
-    produced = 0
-    attempts = 0
-    while produced < samples:
-        if attempts > max_resample + samples:
-            raise NotSemisimple("perturbation resampling budget exhausted")
-        attempts += 1
-        D = (g.standard_normal((n, n)) + 1j * g.standard_normal((n, n)))
-        D *= scale / core.opnorm(D)
-        try:
-            val = apply_function(A + D, f, grouping_tol)
-        except (NotSemisimple, AmbiguousClustering):
-            continue
-        produced += 1
-        worst = max(worst, core.opnorm(val - base))
+    worst, _ = perturbation_probe(lambda A: apply_function(A, f), T, scale, samples,
+                                  rng, (NotSemisimple, AmbiguousClustering))
     return worst
 
 

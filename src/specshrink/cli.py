@@ -23,7 +23,7 @@ import numpy as np
 
 from . import acceptance, calculus, configspace, core, reconstruct, selectors, shrinkers, spaces, theta
 from .acceptance import CheckResult
-from .errors import SpecshrinkError
+from .errors import SpecshrinkError, UnsupportedDimension
 
 SCHEMA_VERSION = 1
 
@@ -260,6 +260,8 @@ def _cmd_theta(args, started):
     config = dict(check=args.check, n=n, samples=args.samples, seed=args.seed,
                   scale=args.scale, threshold=theta.IDENTITY_TOL)
     if args.check == "probe":
+        if n < 2:
+            raise UnsupportedDimension("the probe needs n >= 2 for a repeated eigenvalue")
         X0 = np.diag(np.concatenate([[1.0, 1.0], 2.0 + np.arange(n - 2)])).astype(complex)
         rep = theta.theta_continuity_probe(X0, args.scale,
                                            samples=args.samples, seed=args.seed)
@@ -270,7 +272,7 @@ def _cmd_theta(args, started):
             passed=True)]
         return _emit("theta", args.seed, config, results, started)
 
-    defects, _ = theta.identity_defects(np.random.default_rng(args.seed), args.samples, (n,))
+    defects = theta.identity_defects(np.random.default_rng(args.seed), args.samples, (n,))
     checks = list(_THETA_CHECKS) if args.check == "all" else [args.check]
     results = []
     for kind in checks:
@@ -286,7 +288,8 @@ def _cmd_theta(args, started):
 
 def _cmd_reconstruct(args, started):
     config = dict(oracle=args.oracle, space=args.space, n=args.n,
-                  samples=args.samples, seed=args.seed, residual_threshold=1e-6)
+                  samples=args.samples, seed=args.seed,
+                  residual_threshold=reconstruct.RESIDUAL_TOL)
     if args.oracle.startswith("conj:"):
         T0 = core.load_matrix(args.oracle.split(":", 1)[1])
         phi = reconstruct.make_oracle("conjugation", T0)
@@ -300,9 +303,12 @@ def _cmd_reconstruct(args, started):
         cls = reconstruct.classify_preserver(
             phi, args.space, args.n,
             validation_samples=args.samples, seed=args.seed)
-        results = [CheckResult.of(None, "classification", claim, cls.residual, 1e-6,
+        results = [CheckResult.of(None, "classification", claim, cls.residual,
+                                  reconstruct.RESIDUAL_TOL,
                                   dict(mode=cls.mode, matrix=cls.to_dict()["matrix"]),
                                   passed=True)]
+    except UnsupportedDimension:
+        raise
     except SpecshrinkError as exc:
         print(f"classification failed: {exc}", file=sys.stderr)
         results = [CheckResult.of(None, "classification", claim, None, None,
@@ -414,12 +420,13 @@ def main(argv=None) -> int:
         return _DISPATCH[args.command](args, started)
     except (SpecshrinkError, ValueError, OSError, ZeroDivisionError) as exc:
         # a library failure exits 1; a bad argument surfaces as one of the
-        # builtin errors and exits 2
+        # builtin errors or as an unsupported dimension, and exits 2
         print(f"error: {exc}", file=sys.stderr)
         error = CheckResult.of(None, "run", "", None, None,
                                dict(error=type(exc).__name__, message=str(exc)), passed=False)
         _emit(args.command, getattr(args, "seed", None), {}, [error], started)
-        return 1 if isinstance(exc, SpecshrinkError) else 2
+        failed = isinstance(exc, SpecshrinkError) and not isinstance(exc, UnsupportedDimension)
+        return 1 if failed else 2
 
 
 if __name__ == "__main__":

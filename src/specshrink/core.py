@@ -33,8 +33,15 @@ from .errors import (
 
 #: Condition-number cap used as the numerical surrogate for semisimplicity.
 #: A matrix counts as semisimple when some computed eigenvector matrix has
-#: condition number at most ``1 / tol`` for the decomposition tolerance.
+#: condition number at most ``1 / DEFAULT_EIG_TOL``.
 DEFAULT_EIG_TOL = 1e-8
+
+#: Relative singular-value cuts of :func:`polar_decompose` (singularity) and
+#: :meth:`Subspace.from_span` (rank); the commutator bound of
+#: :func:`projections_commute`.
+SINGULAR_TOL = 1e-12
+RANK_TOL = 1e-10
+COMMUTE_TOL = 1e-8
 
 
 def as_matrix(X) -> np.ndarray:
@@ -117,7 +124,7 @@ class EigDecomposition:
 
     ``eigenvalues`` are canonically ordered and ``vectors`` columns are
     matched to them.  ``semisimple`` is the numerical surrogate: true iff
-    the eigenvector matrix has condition number below the configured cap.
+    the eigenvector matrix has condition number at most 1 / DEFAULT_EIG_TOL.
     """
 
     eigenvalues: np.ndarray
@@ -131,7 +138,7 @@ class EigDecomposition:
         return P @ np.diag(self.eigenvalues) @ np.linalg.inv(P)
 
 
-def eig_decompose(X, tol: float = DEFAULT_EIG_TOL) -> EigDecomposition:
+def eig_decompose(X) -> EigDecomposition:
     """Eigendecomposition with cluster-aware eigenvector bases.
 
     For a repeated eigenvalue the raw solver may return nearly parallel
@@ -139,7 +146,7 @@ def eig_decompose(X, tol: float = DEFAULT_EIG_TOL) -> EigDecomposition:
     cluster we therefore re-extract an orthonormal basis of the numerical
     eigenspace before judging conditioning.  The matrix counts as
     semisimple when the resulting eigenvector matrix has condition number
-    at most ``1 / tol``.
+    at most ``1 / DEFAULT_EIG_TOL``.
     """
     A = as_matrix(X)
     n = A.shape[0]
@@ -150,7 +157,7 @@ def eig_decompose(X, tol: float = DEFAULT_EIG_TOL) -> EigDecomposition:
     P = P.astype(complex, copy=True)
     scale = 1.0 + opnorm(A)
 
-    for idx in cluster_points(w, tol * scale):
+    for idx in cluster_points(w, DEFAULT_EIG_TOL * scale):
         if len(idx) < 2:
             continue
         mu = w[idx].mean()
@@ -160,7 +167,7 @@ def eig_decompose(X, tol: float = DEFAULT_EIG_TOL) -> EigDecomposition:
             _, s, vh = np.linalg.svd(M)
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise NumericalFailure("SVD did not converge") from exc
-        thr = 10.0 * (width + tol * scale)
+        thr = 10.0 * (width + DEFAULT_EIG_TOL * scale)
         dim = int(np.sum(s <= thr))
         if dim == len(idx):
             P[:, idx] = vh[n - dim:].conj().T
@@ -177,7 +184,7 @@ def eig_decompose(X, tol: float = DEFAULT_EIG_TOL) -> EigDecomposition:
     return EigDecomposition(
         eigenvalues=w[order],
         vectors=P[:, order],
-        semisimple=bool(cond <= 1.0 / tol),
+        semisimple=bool(cond <= 1.0 / DEFAULT_EIG_TOL),
         condition=cond,
     )
 
@@ -315,19 +322,19 @@ def spectrum_match_distance(A, B) -> float:
 # Polar decomposition
 # ---------------------------------------------------------------------------
 
-def polar_decompose(S, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def polar_decompose(S) -> tuple[np.ndarray, np.ndarray]:
     """Left polar decomposition ``S = P V``.
 
     ``P = (S S^H)^{1/2}`` is Hermitian positive definite and ``V`` unitary.
-    Raises :class:`Singular` when the smallest singular value is below
-    ``tol * max(1, ||S||)``.
+    Raises :class:`Singular` when the smallest singular value is at most
+    ``SINGULAR_TOL * max(1, ||S||)``.
     """
     A = as_matrix(S)
     try:
         u, s, vh = np.linalg.svd(A)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("SVD did not converge") from exc
-    if s.size == 0 or s[-1] <= tol * max(1.0, s[0]):
+    if s.size == 0 or s[-1] <= SINGULAR_TOL * max(1.0, s[0]):
         raise Singular("matrix is numerically singular; no polar decomposition")
     P = (u * s) @ u.conj().T
     P = 0.5 * (P + P.conj().T)
@@ -370,7 +377,7 @@ class Subspace:
         return self.basis.shape[1]
 
     @classmethod
-    def from_span(cls, vectors, rank_tol: float = 1e-10) -> "Subspace":
+    def from_span(cls, vectors) -> "Subspace":
         """Orthonormalize arbitrary spanning vectors (columns) into a Subspace."""
         V = np.asarray(vectors, dtype=complex)
         if V.ndim == 1:
@@ -380,7 +387,7 @@ class Subspace:
         u, s, _ = np.linalg.svd(V, full_matrices=False)
         if s.size == 0 or s[0] == 0:
             return cls(np.zeros((V.shape[0], 0), dtype=complex))
-        r = int(np.sum(s > rank_tol * s[0]))
+        r = int(np.sum(s > RANK_TOL * s[0]))
         return cls(u[:, :r])
 
 
@@ -402,11 +409,11 @@ def _check_same_ambient(W: Subspace, Wp: Subspace):
         )
 
 
-def projections_commute(W: Subspace, Wp: Subspace, tol: float = 1e-8) -> bool:
-    """True iff the orthogonal projections onto W and W' commute within tol."""
+def projections_commute(W: Subspace, Wp: Subspace) -> bool:
+    """True iff the orthogonal projections onto W and W' commute within COMMUTE_TOL."""
     _check_same_ambient(W, Wp)
     P, Q = projection(W), projection(Wp)
-    return opnorm(P @ Q - Q @ P) <= tol
+    return opnorm(P @ Q - Q @ P) <= COMMUTE_TOL
 
 
 def kernel(X, tol: float = 1e-8, atol: float = 0.0) -> Subspace:

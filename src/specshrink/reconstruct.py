@@ -47,6 +47,30 @@ CLASSIFIABLE_SPACES = (
     spaces.SpaceId.SLN_SS,
 )
 
+#: Pinned tolerances: the largest validation residual
+#: ``||phi(X) - T X° T^{-1}|| / ||X||``; the kernel cut of ``I - phi(U_W)``
+#: (relative and absolute, as ``||U_W|| = 1``); the gap distance within which
+#: the witness line singles out a branch; and the largest gap between
+#: ``Psi(W + W')`` and ``Psi(W) + Psi(W')``.
+RESIDUAL_TOL = 1e-6
+KERNEL_TOL = 1e-6
+BRANCH_TOL = 1e-3
+LATTICE_TOL = 1e-6
+
+#: Held-out samples per validation stage; torus elements tried before the
+#: eigenvalue matching counts as ambiguous.
+VALIDATION_SAMPLES = 20
+TORUS_ATTEMPTS = 20
+
+
+def conjugate(T, X, mode: str = MODE_CONJUGATION) -> np.ndarray:
+    """``T X° T^{-1}`` with ``X° = X`` (conjugation) or ``X^t``
+    (transpose_conjugation)."""
+    A = core.as_matrix(X)
+    if mode == MODE_TRANSPOSE:
+        A = A.T
+    return core.right_divide(T @ A, T)
+
 
 @dataclass(frozen=True, eq=False)
 class PreserverClassification:
@@ -64,11 +88,7 @@ class PreserverClassification:
 
     def apply(self, X) -> np.ndarray:
         """Evaluate the classified form on a matrix."""
-        T = self.matrix
-        A = core.as_matrix(X)
-        if self.mode == MODE_TRANSPOSE:
-            A = A.T
-        return core.right_divide(T @ A, T)
+        return conjugate(self.matrix, X, self.mode)
 
     def to_dict(self) -> dict:
         return {
@@ -83,6 +103,15 @@ def _call_oracle(phi, X):
         return core.as_matrix(phi(X))
     except Exception as exc:
         raise OracleFailure(f"oracle raised on an input: {exc!r}") from exc
+
+
+def _worst_residual(phi, form, draws, worst: float = 0.0) -> float:
+    """Worst ``||phi(X) - form(X)|| / ||X||`` over the matrices ``draws``,
+    starting from ``worst``."""
+    for X in draws:
+        lhs = _call_oracle(phi, X)
+        worst = max(worst, core.opnorm(lhs - form(X)) / max(core.opnorm(X), 1e-300))
+    return worst
 
 
 def projective_distance(A, B) -> float:
@@ -103,21 +132,15 @@ def involution_for_subspace(W: core.Subspace) -> np.ndarray:
     return 2.0 * core.projection(W) - np.eye(W.ambient_dim)
 
 
-def psi(phi, W: core.Subspace, kernel_tol: float = 1e-6, phase: complex = 1.0) -> core.Subspace:
-    """``Psi(W) = ker(phase I - phi(phase U_W))``.
+def psi(phi, W: core.Subspace) -> core.Subspace:
+    """``Psi(W) = ker(I - phi(U_W))``.
 
-    ``phase`` (modulus 1) rescales the involution; any pair (lambda, U)
-    with ``ker(lambda I - U) = W`` computes the same subspace, and a
-    non-real phase keeps the determinant off the real axis when the
-    oracle's domain demands it.  A dimension change means the oracle
-    violates its hypotheses and raises :class:`DimensionDrift`.
+    A dimension change means the oracle violates its hypotheses and raises
+    :class:`DimensionDrift`.
     """
-    U = complex(phase) * involution_for_subspace(W)
-    Y = _call_oracle(phi, U)
-    # the operator scale here is ||U|| = 1, so kernel_tol doubles as the
-    # absolute floor (the matrix is numerically zero when W is everything)
-    K = core.kernel(complex(phase) * np.eye(W.ambient_dim) - Y, kernel_tol,
-                    atol=kernel_tol)
+    Y = _call_oracle(phi, involution_for_subspace(W))
+    # the absolute floor keeps the whole space when W is everything
+    K = core.kernel(np.eye(W.ambient_dim) - Y, KERNEL_TOL, atol=KERNEL_TOL)
     if K.dim != W.dim:
         raise DimensionDrift(
             f"subspace map changed dimension {W.dim} -> {K.dim}"
@@ -125,8 +148,7 @@ def psi(phi, W: core.Subspace, kernel_tol: float = 1e-6, phase: complex = 1.0) -
     return K
 
 
-def lattice_compat_check(phi, n: int, trials: int = 20, seed: int = 0,
-                         tol: float = 1e-6) -> bool:
+def lattice_compat_check(phi, n: int, trials: int = 20, seed: int = 0) -> bool:
     """Psi respects sums of subspaces with commuting projections.
 
     Pairs are drawn with a shared orthonormal eigenbasis (columns of one
@@ -148,7 +170,7 @@ def lattice_compat_check(phi, n: int, trials: int = 20, seed: int = 0,
             # an oracle that breaks the subspace map certainly does not
             # respect lattice operations
             return False
-        if core.subspace_distance(lhs, rhs) > tol:
+        if core.subspace_distance(lhs, rhs) > LATTICE_TOL:
             return False
     return True
 
@@ -157,21 +179,15 @@ def lattice_compat_check(phi, n: int, trials: int = 20, seed: int = 0,
 # Reconstruction on the unitary group
 # ---------------------------------------------------------------------------
 
-def _line(vec) -> core.Subspace:
-    return core.Subspace.from_span(np.asarray(vec, dtype=complex)[:, None])
-
-
-def reconstruct(phi, n: int, validation_samples: int = 20, seed: int = 0,
-                residual_tol: float = 1e-6, branch_tol: float = 1e-3,
-                kernel_tol: float = 1e-6, phase: complex = 1.0,
-                validation_sampler=None) -> PreserverClassification:
+def reconstruct(phi, n: int, validation_samples: int = VALIDATION_SAMPLES, seed: int = 0,
+                validation_sampler=spaces.haar_unitary) -> PreserverClassification:
     """Recover the implementing matrix of a preserver oracle on unitaries.
 
     Probes the subspace map on coordinate lines (columns up to scale), sum
     lines (relative scales) and the line span(e_1 + i e_2) (the minimal
     witness separating the linear from the conjugate-linear branch), then
     validates the assembled classification on held-out samples drawn by
-    ``validation_sampler`` (Haar unitaries by default).
+    ``validation_sampler(rng, n)`` (Haar unitaries by default).
     """
     if n < 3:
         raise UnsupportedDimension("reconstruction requires n >= 3")
@@ -180,12 +196,12 @@ def reconstruct(phi, n: int, validation_samples: int = 20, seed: int = 0,
 
     images = []
     for i in range(n):
-        K = psi(phi, _line(eye[:, i]), kernel_tol, phase)
+        K = psi(phi, core.span(eye[:, i]))
         images.append(K.basis[:, 0])
 
     cols = [images[0]]
     for i in range(1, n):
-        K = psi(phi, _line(eye[:, 0] + eye[:, i]), kernel_tol, phase)
+        K = psi(phi, core.span(eye[:, 0] + eye[:, i]))
         w = K.basis[:, 0]
         M = np.column_stack([images[0], images[i]])
         c, *_ = np.linalg.lstsq(M, w, rcond=None)
@@ -199,11 +215,11 @@ def reconstruct(phi, n: int, validation_samples: int = 20, seed: int = 0,
         cols.append((b / a) * images[i])
     T = np.column_stack(cols)
 
-    probe = psi(phi, _line(eye[:, 0] + 1j * eye[:, 1]), kernel_tol, phase)
-    d_lin = core.subspace_distance(probe, _line(T[:, 0] + 1j * T[:, 1]))
-    d_conj = core.subspace_distance(probe, _line(T[:, 0] - 1j * T[:, 1]))
+    probe = psi(phi, core.span(eye[:, 0] + 1j * eye[:, 1]))
+    d_lin = core.subspace_distance(probe, core.span(T[:, 0] + 1j * T[:, 1]))
+    d_conj = core.subspace_distance(probe, core.span(T[:, 0] - 1j * T[:, 1]))
     lo, hi = sorted([d_lin, d_conj])
-    if lo > branch_tol or hi <= branch_tol:
+    if lo > BRANCH_TOL or hi <= BRANCH_TOL:
         raise BranchAmbiguous(
             f"probe line distances {d_lin:.3e} (linear) / {d_conj:.3e} "
             "(conjugate-linear) do not single out a branch"
@@ -212,19 +228,12 @@ def reconstruct(phi, n: int, validation_samples: int = 20, seed: int = 0,
 
     T = T / T.flat[int(np.argmax(np.abs(T)))]
 
-    if validation_sampler is None:
-        def validation_sampler(g):
-            return spaces.haar_unitary(g, n)
-    cls = PreserverClassification(matrix=T, mode=mode, residual=0.0)
-    residual = 0.0
-    for _ in range(validation_samples):
-        U = core.as_matrix(validation_sampler(rng))
-        lhs = _call_oracle(phi, U)
-        rhs = cls.apply(U)
-        residual = max(residual, core.opnorm(lhs - rhs) / max(core.opnorm(U), 1e-300))
-    if residual > residual_tol:
+    residual = _worst_residual(
+        phi, lambda X: conjugate(T, X, mode),
+        (core.as_matrix(validation_sampler(rng, n)) for _ in range(validation_samples)))
+    if residual > RESIDUAL_TOL:
         raise ResidualTooLarge(
-            f"validation residual {residual:.3e} exceeds {residual_tol:.1e}; "
+            f"validation residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}; "
             "the oracle is not a conjugation or transpose-conjugation",
             residual=residual,
         )
@@ -235,8 +244,7 @@ def reconstruct(phi, n: int, validation_samples: int = 20, seed: int = 0,
 # Torus conjugator recovery
 # ---------------------------------------------------------------------------
 
-def torus_conjugator(phi, S, samples: int = 20, seed: int = 0,
-                     residual_tol: float = 1e-6, max_attempts: int = 20) -> np.ndarray:
+def torus_conjugator(phi, S, seed: int = 0) -> np.ndarray:
     """Recover a matrix conjugating the torus ``{S diag(u) S^{-1}}`` onto
     its image under the oracle.
 
@@ -260,7 +268,7 @@ def torus_conjugator(phi, S, samples: int = 20, seed: int = 0,
     Sinv = np.linalg.inv(S)
 
     T_G = None
-    for _ in range(max_attempts):
+    for _ in range(TORUS_ATTEMPTS):
         u = spaces.circle_points(rng, n, 0.5 / n)
         X = S @ np.diag(u) @ Sinv
         Y = _call_oracle(phi, X)
@@ -276,16 +284,13 @@ def torus_conjugator(phi, S, samples: int = 20, seed: int = 0,
     if T_G is None:
         raise EigenvalueCollision("eigenvalue matching stayed ambiguous")
 
-    residual = 0.0
-    for _ in range(samples):
-        u = spaces.circle_points(rng, n, 0.1 / n)
-        X = S @ np.diag(u) @ Sinv
-        lhs = _call_oracle(phi, X)
-        rhs = core.right_divide(T_G @ X, T_G)
-        residual = max(residual, core.opnorm(lhs - rhs) / max(core.opnorm(X), 1e-300))
-    if residual > residual_tol:
+    residual = _worst_residual(
+        phi, lambda X: conjugate(T_G, X),
+        (S @ np.diag(spaces.circle_points(rng, n, 0.1 / n)) @ Sinv
+         for _ in range(VALIDATION_SAMPLES)))
+    if residual > RESIDUAL_TOL:
         raise ResidualTooLarge(
-            f"torus validation residual {residual:.3e} exceeds {residual_tol:.1e}",
+            f"torus validation residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}",
             residual=residual,
         )
     return T_G
@@ -303,8 +308,8 @@ def _nearest_strict(value, candidates):
 # Full-space classification
 # ---------------------------------------------------------------------------
 
-def classify_preserver(phi, space, n: int, validation_samples: int = 20,
-                       seed: int = 0, residual_tol: float = 1e-6) -> PreserverClassification:
+def classify_preserver(phi, space, n: int, validation_samples: int = VALIDATION_SAMPLES,
+                       seed: int = 0) -> PreserverClassification:
     """Classify a preserver oracle on a named space.
 
     Reconstruction runs on the unitary part (unitaries generate each
@@ -322,43 +327,32 @@ def classify_preserver(phi, space, n: int, validation_samples: int = 20,
     if n < 3:
         raise UnsupportedDimension("classification requires n >= 3")
 
-    if sid is spaces.SpaceId.SLN_SS:
-        if n % 2 == 0:
-            raise UnsupportedDimension(
-                "determinant-1 classification via unitary involutions needs odd n"
-            )
-
-        def stage_sampler(g):
-            return spaces.special_unitary(g, n)
-    else:
-        def stage_sampler(g):
-            return spaces.haar_unitary(g, n)
-
-    cls = reconstruct(
-        phi, n, validation_samples=validation_samples, seed=seed,
-        residual_tol=residual_tol, validation_sampler=stage_sampler,
-    )
+    if sid is spaces.SpaceId.SLN_SS and n % 2 == 0:
+        raise UnsupportedDimension(
+            "determinant-1 classification via unitary involutions needs odd n"
+        )
+    stage_sampler = (spaces.special_unitary if sid is spaces.SpaceId.SLN_SS
+                     else spaces.haar_unitary)
+    cls = reconstruct(phi, n, validation_samples=validation_samples, seed=seed,
+                      validation_sampler=stage_sampler)
 
     rng = np.random.default_rng(seed + 1)
-    residual = cls.residual
-    for _ in range(validation_samples):
-        X = spaces.sample(sid, n, rng)
-        lhs = _call_oracle(phi, X)
-        rhs = cls.apply(X)
-        residual = max(residual, core.opnorm(lhs - rhs) / max(core.opnorm(X), 1e-300))
+    residual = _worst_residual(
+        phi, cls.apply, (spaces.sample(sid, n, rng) for _ in range(validation_samples)),
+        cls.residual)
 
     if sid is spaces.SpaceId.SLN_SS:
-        for _ in range(validation_samples):
-            X = _gl_star_ss_sample(rng, n)
-            det = np.linalg.det(X)
-            c = det ** (1.0 / n)
-            lhs = c * _call_oracle(phi, X / c)
-            rhs = cls.apply(X)
-            residual = max(residual, core.opnorm(lhs - rhs) / max(core.opnorm(X), 1e-300))
+        def root_extension(X):
+            c = np.linalg.det(X) ** (1.0 / n)
+            return c * core.as_matrix(phi(X / c))
 
-    if residual > residual_tol:
+        residual = _worst_residual(
+            root_extension, cls.apply,
+            (_gl_star_ss_sample(rng, n) for _ in range(validation_samples)), residual)
+
+    if residual > RESIDUAL_TOL:
         raise ResidualTooLarge(
-            f"full-space validation residual {residual:.3e} exceeds {residual_tol:.1e}; "
+            f"full-space validation residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}; "
             "the oracle is not of the conjugation form on this space",
             residual=residual,
         )
@@ -391,12 +385,9 @@ def make_oracle(kind: str, T0=None):
         return lambda X: core.as_matrix(X)
     if tag == "transpose":
         return lambda X: core.as_matrix(X).T
-    if tag == "conjugation":
+    if tag in (MODE_CONJUGATION, MODE_TRANSPOSE):
         T = core.as_matrix(T0)
-        return lambda X: core.right_divide(T @ core.as_matrix(X), T)
-    if tag == "transpose_conjugation":
-        T = core.as_matrix(T0)
-        return lambda X: core.right_divide(T @ core.as_matrix(X).T, T)
+        return lambda X: conjugate(T, X, tag)
     if tag == "theta":
         return theta_mod.theta
     raise ValueError(f"unknown oracle kind {kind!r}")

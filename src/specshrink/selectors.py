@@ -45,6 +45,12 @@ SPECTRAL_TOL = 1e-8
 JUMP_TOL = 0.05
 MONODROMY_RATIO_TOL = 1e-6
 
+#: How far an input may sit from a selector's domain (unitary, determinant 1,
+#: Hermitian, branch point off the spectrum), and the slack of nearest-match
+#: eigenvalue tracking.
+DOMAIN_TOL = 1e-8
+TRACKING_TOL = 1e-8
+
 
 @dataclass(frozen=True, eq=False)
 class AnglePoint:
@@ -99,24 +105,24 @@ class EigenPath:
 # Special unitary selector
 # ---------------------------------------------------------------------------
 
-def _check_unitary(U, tol, exc=NotUnitary, what="unitary"):
+def _check_unitary(U, exc=NotUnitary, what="unitary"):
     A = core.as_matrix(U)
     n = A.shape[0]
-    if core.opnorm(A.conj().T @ A - np.eye(n)) > tol * (1.0 + n):
-        raise exc(f"input is not {what} within tolerance {tol}")
+    if core.opnorm(A.conj().T @ A - np.eye(n)) > DOMAIN_TOL * (1.0 + n):
+        raise exc(f"input is not {what} within tolerance {DOMAIN_TOL}")
     return A
 
 
-def su_representative(U, tol: float = 1e-8) -> AnglePoint:
+def su_representative(U) -> AnglePoint:
     """Fundamental-domain representative of the conjugacy class of U.
 
     Eigenvalue angles theta_j in [0, 1) sum to an integer s for det = 1;
     the representative shifts the s largest sorted angles down by one turn
     and rotates them to the front, which lands in F with sum zero.
     """
-    A = _check_unitary(U, tol, NotSpecialUnitary, "unitary")
+    A = _check_unitary(U, NotSpecialUnitary, "unitary")
     n = A.shape[0]
-    if abs(np.linalg.det(A) - 1.0) > tol * n:
+    if abs(np.linalg.det(A) - 1.0) > DOMAIN_TOL * n:
         raise NotSpecialUnitary("determinant is not 1 within tolerance")
     lam = np.linalg.eigvals(A)
     theta = np.sort(np.mod(np.angle(lam) / TWO_PI, 1.0))
@@ -129,18 +135,16 @@ def su_representative(U, tol: float = 1e-8) -> AnglePoint:
     s = min(max(s, 0), n)
     x = np.concatenate([theta[n - s:] - 1.0, theta[: n - s]])
     x = x - x.sum() / n  # flush accumulated rounding so the sum is exactly ~0
-    if np.any(np.diff(x) < -1e-9) or (n > 1 and x[-1] > x[0] + 1.0 + 1e-9):
-        raise RepresentativeNotFound("constructed point violates the domain bounds")
     return AnglePoint(x)
 
 
-def su_select(U, tol: float = 1e-8) -> complex:
+def su_select(U) -> complex:
     """Continuous eigenvalue selection on the special unitary group.
 
     Returns ``exp(2 pi i x_1)`` for the fundamental-domain representative;
     the value is always an eigenvalue of U and is conjugation invariant.
     """
-    point = su_representative(U, tol=tol)
+    point = su_representative(U)
     return complex(np.exp(2j * np.pi * point.x[0]))
 
 
@@ -148,17 +152,17 @@ def su_select(U, tol: float = 1e-8) -> complex:
 # Largest-argument selector on unitaries avoiding a ray
 # ---------------------------------------------------------------------------
 
-def un_lambda_select(U, lam: complex, tol: float = 1e-8) -> complex:
+def un_lambda_select(U, lam: complex) -> complex:
     """Eigenvalue of U maximizing the argument branch cut along the ray of lam.
 
     Defined on unitaries whose spectrum avoids the modulus-1 point ``lam``;
     any continuous branch on the cut plane differs by a constant, so the
     maximizer does not depend on the branch convention.
     """
-    A = _check_unitary(U, tol)
+    A = _check_unitary(U)
     vals = np.linalg.eigvals(A)
     lam = complex(lam)
-    if np.min(np.abs(vals - lam)) <= tol:
+    if np.min(np.abs(vals - lam)) <= DOMAIN_TOL:
         raise LambdaInSpectrum("the branch point is in the spectrum")
     base = np.angle(lam)
     branch = np.mod(np.angle(vals) - base, TWO_PI)
@@ -215,21 +219,21 @@ def local_select(X, lambda0: complex, radius: float, Y) -> complex:
 # Nearest-match continuation and monodromy
 # ---------------------------------------------------------------------------
 
-def _nearest_unambiguous(value, candidates, tol):
+def _nearest_unambiguous(value, candidates):
     """Index of the candidate nearest to value; ties are an error, not a guess."""
     d = np.abs(candidates - value)
     order = np.argsort(d)
     i = int(order[0])
     if d.size > 1:
         d1, d2 = float(d[order[0]]), float(d[order[1]])
-        if d2 < max(2.0 * d1, d1 + 10.0 * tol):
+        if d2 < max(2.0 * d1, d1 + 10.0 * TRACKING_TOL):
             raise AmbiguousContinuation(
                 f"nearest match is ambiguous: distances {d1:.3e} and {d2:.3e}"
             )
     return i
 
 
-def track_eigenvalue(path: Sequence, start: complex, tol: float = 1e-8) -> EigenPath:
+def track_eigenvalue(path: Sequence, start: complex) -> EigenPath:
     """Continue one eigenvalue along a matrix path by nearest matching.
 
     ``start`` must lie on the spectrum of the first matrix; each step must
@@ -241,19 +245,19 @@ def track_eigenvalue(path: Sequence, start: complex, tol: float = 1e-8) -> Eigen
     scale = 1.0 + core.opnorm(mats[0])
     w0 = np.linalg.eigvals(mats[0])
     d0 = np.abs(w0 - start)
-    if d0.min() > tol * scale:
+    if d0.min() > TRACKING_TOL * scale:
         raise BadStart("start value is not an eigenvalue of path[0]")
     values = np.empty(len(mats), dtype=complex)
     values[0] = w0[int(np.argmin(d0))]
     for k in range(1, len(mats)):
         w = np.linalg.eigvals(mats[k])
-        values[k] = w[_nearest_unambiguous(values[k - 1], w, tol)]
+        values[k] = w[_nearest_unambiguous(values[k - 1], w)]
     return EigenPath(parameters=np.arange(len(mats), dtype=float), values=values)
 
 
-def _continue_all(prev: np.ndarray, new_vals: np.ndarray, tol: float) -> np.ndarray:
+def _continue_all(prev: np.ndarray, new_vals: np.ndarray) -> np.ndarray:
     """Match every tracked value to the new spectrum; must be a bijection."""
-    chosen = [ _nearest_unambiguous(p, new_vals, tol) for p in prev ]
+    chosen = [ _nearest_unambiguous(p, new_vals) for p in prev ]
     if len(set(chosen)) != len(chosen):
         raise AmbiguousContinuation("two tracked eigenvalues claimed the same target")
     return new_vals[chosen]
@@ -302,7 +306,7 @@ def corner_matrix(n: int, z: complex) -> np.ndarray:
     return X
 
 
-def monodromy_xz(n: int, r: float, steps: int, tol: float = 1e-8) -> MonodromyResult:
+def monodromy_xz(n: int, r: float, steps: int) -> MonodromyResult:
     """Track all eigenvalues of the corner matrix around the loop |z| = r.
 
     The loop is z = r exp(2 pi i t), t from 0 to 1.  The induced
@@ -323,11 +327,11 @@ def monodromy_xz(n: int, r: float, steps: int, tol: float = 1e-8) -> MonodromyRe
     for k in range(1, steps + 1):
         z = r * np.exp(2j * np.pi * ts[k])
         w = np.linalg.eigvals(corner_matrix(n, z))
-        values[k] = _continue_all(values[k - 1], w, tol)
+        values[k] = _continue_all(values[k - 1], w)
     end = values[-1]
     perm = []
     for i in range(n):
-        perm.append(_nearest_unambiguous(end[i], start, tol))
+        perm.append(_nearest_unambiguous(end[i], start))
     if len(set(perm)) != n:
         raise AmbiguousContinuation("loop endpoints do not biject onto the start spectrum")
     return MonodromyResult(
@@ -340,10 +344,10 @@ def monodromy_xz(n: int, r: float, steps: int, tol: float = 1e-8) -> MonodromyRe
 # Hermitian selector
 # ---------------------------------------------------------------------------
 
-def hn_select(X, tol: float = 1e-8) -> float:
+def hn_select(X) -> float:
     """Largest eigenvalue of a Hermitian matrix; 1-Lipschitz in X."""
     A = core.as_matrix(X)
-    if core.opnorm(A - A.conj().T) > tol * (1.0 + core.opnorm(A)):
+    if core.opnorm(A - A.conj().T) > DOMAIN_TOL * (1.0 + core.opnorm(A)):
         raise NotHermitian("input is not Hermitian within tolerance")
     return float(np.max(np.linalg.eigvalsh(A)))
 
@@ -371,6 +375,8 @@ def su_path(rng, n: int, steps: int, step: float) -> EigenPath:
     Draws a Haar special unitary U and a unit-norm traceless skew-Hermitian
     A, and selects on ``E^k U`` for k = 0..steps with ``E = exp(step A)``.
     """
+    if n < 2:
+        raise UnsupportedDimension("a special unitary path needs n >= 2")
     U = spaces.special_unitary(rng, n)
     E = scipy.linalg.expm(step * _skew_traceless(rng, n))
     mats = []

@@ -96,18 +96,18 @@ def canonical_shrinker(X, p: int, q: int, conjugator=None) -> np.ndarray:
     return S @ B @ np.linalg.inv(S)
 
 
-def degenerate_shrinker_hn(X, m: int, tol: float = 1e-8) -> np.ndarray:
+def degenerate_shrinker_hn(X, m: int) -> np.ndarray:
     """``lambda_max(X) . I_m`` for Hermitian X.
 
     Shrinks spectra for every m, witnessing that the divisibility
     constraint fails on the Hermitian space.
     """
-    return selectors.hn_select(X, tol=tol) * np.eye(m, dtype=complex)
+    return selectors.hn_select(X) * np.eye(m, dtype=complex)
 
 
-def degenerate_shrinker_sun(U, m: int, tol: float = 1e-8) -> np.ndarray:
+def degenerate_shrinker_sun(U, m: int) -> np.ndarray:
     """``s(U) . I_m`` with s the continuous special-unitary selector."""
-    val = selectors.su_select(U, tol=tol)
+    val = selectors.su_select(U)
     return val * np.eye(m, dtype=complex)
 
 

@@ -43,6 +43,11 @@ SIMPLE_GAP = 1e-4
 #: Draws a rejection sampler makes before it gives up.
 MAX_TRIES = 1000
 
+#: Log-spread of the singular values of :func:`bounded_conjugator` (about
+#: [0.8, 1.25]) and the tolerance of :func:`membership`.
+CONJUGATOR_SPREAD = 0.22
+MEMBERSHIP_TOL = 1e-8
+
 
 class SpaceId(str, Enum):
     """Closed enumeration of the supported matrix spaces."""
@@ -78,19 +83,13 @@ class SpaceId(str, Enum):
             raise ValueError(f"unknown space tag {tag!r}") from None
 
 
-def _rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 # ---------------------------------------------------------------------------
 # Building-block samplers
 # ---------------------------------------------------------------------------
 
 def ginibre(rng, n: int) -> np.ndarray:
     """iid standard complex Gaussian entries, variance 1."""
-    g = _rng(rng)
+    g = np.random.default_rng(rng)
     return (g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))) / np.sqrt(2)
 
 
@@ -100,7 +99,7 @@ def haar_unitary(rng, n: int) -> np.ndarray:
     The diagonal of R is divided out by its phases; without this fix QR
     output is not Haar.
     """
-    g = _rng(rng)
+    g = np.random.default_rng(rng)
     q, r = np.linalg.qr(ginibre(g, n))
     d = np.diagonal(r)
     ph = d / np.abs(d)
@@ -114,13 +113,13 @@ def special_unitary(rng, n: int) -> np.ndarray:
     return u / det ** (1.0 / n)
 
 
-def bounded_conjugator(rng, n: int, spread: float = 0.22) -> np.ndarray:
-    """Random invertible matrix with condition number at most e^(2*spread).
+def bounded_conjugator(rng, n: int) -> np.ndarray:
+    """Random invertible matrix with condition number at most e^(2 CONJUGATOR_SPREAD).
 
     Built as U diag(s) V^H with Haar U, V and log-uniform singular values.
     """
-    g = _rng(rng)
-    s = np.exp(g.uniform(-spread, spread, size=n))
+    g = np.random.default_rng(rng)
+    s = np.exp(g.uniform(-CONJUGATOR_SPREAD, CONJUGATOR_SPREAD, size=n))
     return (haar_unitary(g, n) * s) @ haar_unitary(g, n).conj().T
 
 
@@ -132,7 +131,7 @@ def _simple_complex_tuple(rng, n, modulus_band=None, unit_product=False,
     ``unit_product`` the last entry is solved from the others to force
     product 1 and participates in every rejection test.
     """
-    g = _rng(rng)
+    g = np.random.default_rng(rng)
     for _ in range(MAX_TRIES):
         lam = (g.standard_normal(n) + 1j * g.standard_normal(n)) / np.sqrt(2)
         if unit_product:
@@ -161,7 +160,7 @@ def _min_gap(vals) -> float:
 
 
 def _conjugated_diagonal(rng, lam) -> np.ndarray:
-    g = _rng(rng)
+    g = np.random.default_rng(rng)
     n = len(lam)
     c = bounded_conjugator(g, n)
     return c @ np.diag(lam) @ np.linalg.inv(c)
@@ -179,7 +178,7 @@ def circle_points(rng, n: int, min_gap: float) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"need at least one circle point, got n = {n}")
-    g = _rng(rng)
+    g = np.random.default_rng(rng)
     for _ in range(MAX_TRIES):
         z = np.exp(2j * np.pi * g.uniform(size=n))
         if _min_gap(z) > min_gap:
@@ -195,7 +194,7 @@ def separated_pair(rng) -> np.ndarray:
 def semisimple_sample(rng, n: int) -> np.ndarray:
     """Conjugated diagonal whose eigenvalues are more than 0.05 apart and of
     modulus at most 2.5, with a bounded-condition conjugator."""
-    g = _rng(rng)
+    g = np.random.default_rng(rng)
     lam = _simple_complex_tuple(g, n, modulus_band=(0.0, 2.5), min_gap=0.05)
     return _conjugated_diagonal(g, lam)
 
@@ -203,7 +202,7 @@ def semisimple_sample(rng, n: int) -> np.ndarray:
 def positive_definite(rng, n: int) -> tuple[np.ndarray, float]:
     """Haar-rotated positive definite matrix with eigenvalues log-uniform in
     [0.5, 2], and its condition number."""
-    g = _rng(rng)
+    g = np.random.default_rng(rng)
     q = haar_unitary(g, n)
     s = np.exp(g.uniform(np.log(0.5), np.log(2.0), size=n))
     return (q * s) @ q.conj().T, float(s.max() / s.min())
@@ -212,7 +211,7 @@ def positive_definite(rng, n: int) -> tuple[np.ndarray, float]:
 def normal_pair(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Two commuting normal matrices sharing a Haar eigenbasis, each with
     eigenvalues 0.1 apart and of modulus in [0.3, 3]."""
-    g = _rng(rng)
+    g = np.random.default_rng(rng)
     q = haar_unitary(g, n)
 
     def normal():
@@ -229,13 +228,13 @@ def normal_pair(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
 def sample(space, n: int, rng=None) -> np.ndarray:
     """Draw one matrix from the named space.
 
-    Output passes ``membership(space, ., 1e-8)``.  See the module docstring
+    Output passes ``membership(space, .)``.  See the module docstring
     for the distribution behind each tag.
     """
     if n < 1:
         raise UnsupportedDimension(f"dimension must be >= 1, got {n}")
     sid = SpaceId.parse(space)
-    g = _rng(rng)
+    g = np.random.default_rng(rng)
 
     if sid is SpaceId.MN:
         return core.as_matrix(ginibre(g, n))
@@ -282,8 +281,8 @@ def sample(space, n: int, rng=None) -> np.ndarray:
 # Membership
 # ---------------------------------------------------------------------------
 
-def membership(space, X, tol: float = 1e-8) -> bool:
-    """Check the defining equations of the space within ``tol``.
+def membership(space, X) -> bool:
+    """Check the defining equations of the space within ``tol = MEMBERSHIP_TOL``.
 
     Scale conventions: linear conditions use ``tol * (1 + ||X||)``, the
     normality commutator uses ``tol * (1 + ||X||)^2``, semisimplicity uses
@@ -296,10 +295,10 @@ def membership(space, X, tol: float = 1e-8) -> bool:
 
     def invertible():
         s = np.linalg.svd(A, compute_uv=False)
-        return s[-1] > tol * scale
+        return s[-1] > MEMBERSHIP_TOL * scale
 
     def unitary():
-        return core.opnorm(A.conj().T @ A - np.eye(n)) <= tol * scale
+        return core.opnorm(A.conj().T @ A - np.eye(n)) <= MEMBERSHIP_TOL * scale
 
     def semisimple():
         return core.eig_decompose(A).semisimple
@@ -313,19 +312,19 @@ def membership(space, X, tol: float = 1e-8) -> bool:
     if sid is SpaceId.GLN_SS:
         return invertible() and semisimple()
     if sid is SpaceId.SLN:
-        return invertible() and abs(np.linalg.det(A) - 1.0) <= tol * scale ** n
+        return invertible() and abs(np.linalg.det(A) - 1.0) <= MEMBERSHIP_TOL * scale ** n
     if sid is SpaceId.SLN_SS:
-        return membership(SpaceId.SLN, A, tol) and semisimple()
+        return membership(SpaceId.SLN, A) and semisimple()
     if sid is SpaceId.UN:
         return unitary()
     if sid is SpaceId.SUN:
-        return unitary() and abs(np.linalg.det(A) - 1.0) <= tol * n
+        return unitary() and abs(np.linalg.det(A) - 1.0) <= MEMBERSHIP_TOL * n
     if sid is SpaceId.NN:
-        return core.opnorm(A @ A.conj().T - A.conj().T @ A) <= tol * scale ** 2
+        return core.opnorm(A @ A.conj().T - A.conj().T @ A) <= MEMBERSHIP_TOL * scale ** 2
     if sid is SpaceId.HN:
-        return core.opnorm(A - A.conj().T) <= tol * scale
+        return core.opnorm(A - A.conj().T) <= MEMBERSHIP_TOL * scale
     if sid is SpaceId.GLN_STAR:
-        return invertible() and abs(np.linalg.det(A) + 1.0) > tol * scale ** n
+        return invertible() and abs(np.linalg.det(A) + 1.0) > MEMBERSHIP_TOL * scale ** n
     raise ValueError(f"unhandled space {sid}")  # pragma: no cover
 
 
@@ -366,7 +365,7 @@ def sample_general(spec: GeneralSpaceSpec, rng=None) -> np.ndarray:
     The spectrum of the output equals the drawn ``lambda`` tuple up to
     conditioning-scaled rounding.
     """
-    g = _rng(rng)
+    g = np.random.default_rng(rng)
     lam = np.asarray(spec.l_sampler(g), dtype=complex).ravel()
     if lam.size != spec.n:
         raise UnsupportedDimension(

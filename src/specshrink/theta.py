@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, spaces
-from .calculus import apply_function
+from .calculus import apply_function, perturbation_probe
 from .errors import (
     NotSemisimple,
     PreconditionViolated,
@@ -36,6 +36,11 @@ DEFAULT_COND_CAP = 1e6
 #: Pinned threshold of every conditioning-scaled identity defect.
 IDENTITY_TOL = 1e-6
 
+#: Tolerances of the boolean witnesses: the Putnam-Fuglede and commutativity
+#: preconditions (verdicts at 100x), and the inverse-square identity.
+WITNESS_TOL = 1e-8
+INVERSE_SQUARE_TOL = 1e-7
+
 
 @dataclass(frozen=True, eq=False)
 class ThetaDecomposition:
@@ -46,24 +51,24 @@ class ThetaDecomposition:
     residual: float
 
 
-def theta_decompose(X, tol: float = 1e-8, cond_cap: float = DEFAULT_COND_CAP) -> ThetaDecomposition:
+def theta_decompose(X) -> ThetaDecomposition:
     """Factor a semisimple invertible X as ``S N S^{-1}``.
 
     Writes ``X = P D P^{-1}``, polar-decomposes ``P = S V``, and sets
     ``N = V D V^H`` which is normal by construction.
     """
     A = core.as_matrix(X)
-    ed = core.eig_decompose(A, tol)
+    ed = core.eig_decompose(A)
     if not ed.semisimple:
         raise NotSemisimple(
             f"eigenvector condition {ed.condition:.3e} exceeds the semisimplicity cap"
         )
     scale = 1.0 + core.opnorm(A)
-    if np.min(np.abs(ed.eigenvalues)) <= tol * scale:
+    if np.min(np.abs(ed.eigenvalues)) <= core.DEFAULT_EIG_TOL * scale:
         raise Singular("matrix is numerically singular")
-    if ed.condition > cond_cap:
+    if ed.condition > DEFAULT_COND_CAP:
         raise WellDefinednessDegraded(
-            f"eigenvector condition {ed.condition:.3e} exceeds cap {cond_cap:.1e}"
+            f"eigenvector condition {ed.condition:.3e} exceeds cap {DEFAULT_COND_CAP:.1e}"
         )
     S, V = core.polar_decompose(ed.vectors)
     N = V @ np.diag(ed.eigenvalues) @ V.conj().T
@@ -72,12 +77,12 @@ def theta_decompose(X, tol: float = 1e-8, cond_cap: float = DEFAULT_COND_CAP) ->
     return ThetaDecomposition(s=S, normal=N, residual=residual)
 
 
-def theta(X, tol: float = 1e-8, cond_cap: float = DEFAULT_COND_CAP) -> np.ndarray:
+def theta(X) -> np.ndarray:
     """``theta(S N S^{-1}) = S^{-1} N S`` for the canonical factorization.
 
     Involutory, spectrum preserving, the identity on normal matrices.
     """
-    dec = theta_decompose(X, tol, cond_cap)
+    dec = theta_decompose(X)
     return np.linalg.solve(dec.s, dec.normal @ dec.s)
 
 
@@ -94,40 +99,40 @@ def theta_via_calculus(S, N) -> np.ndarray:
     return apply_function(X, np.conj).conj().T
 
 
-def check_putnam_fuglede(S, T, N, M, tol: float = 1e-8) -> bool:
+def check_putnam_fuglede(S, T, N, M) -> bool:
     """Numerical witness that the involution is well defined.
 
     Given two factorizations ``S N S^{-1} = T M T^{-1}`` of one matrix
     (validated as a precondition), checks that the swapped conjugations
-    agree: ``S^{-1} N S = T^{-1} M T`` within ``100 tol`` at the input
-    scale.
+    agree: ``S^{-1} N S = T^{-1} M T`` within ``100 WITNESS_TOL`` at the
+    input scale.
     """
     S, T = core.as_matrix(S), core.as_matrix(T)
     N, M = core.as_matrix(N), core.as_matrix(M)
     left = core.right_divide(S @ N, S)
     right = core.right_divide(T @ M, T)
     scale = max(core.opnorm(left), 1.0)
-    if core.opnorm(left - right) > tol * scale:
+    if core.opnorm(left - right) > WITNESS_TOL * scale:
         raise PreconditionViolated(
             "the two factorizations do not represent the same matrix"
         )
     swapped_left = np.linalg.solve(S, N @ S)
     swapped_right = np.linalg.solve(T, M @ T)
-    return core.opnorm(swapped_left - swapped_right) <= 100.0 * tol * scale
+    return core.opnorm(swapped_left - swapped_right) <= 100.0 * WITNESS_TOL * scale
 
 
-def theta_commutativity_check(X, Y, tol: float = 1e-8) -> bool:
+def theta_commutativity_check(X, Y) -> bool:
     """Commuting inputs must have commuting images."""
     A, B = core.as_matrix(X), core.as_matrix(Y)
     scale_in = max(core.opnorm(A) * core.opnorm(B), 1e-300)
-    if core.opnorm(A @ B - B @ A) > tol * scale_in:
+    if core.opnorm(A @ B - B @ A) > WITNESS_TOL * scale_in:
         raise PreconditionViolated("inputs do not commute within tolerance")
     TA, TB = theta(A), theta(B)
     scale_out = 1.0 + core.opnorm(TA) * core.opnorm(TB)
-    return core.opnorm(TA @ TB - TB @ TA) <= 100.0 * tol * scale_out
+    return core.opnorm(TA @ TB - TB @ TA) <= 100.0 * WITNESS_TOL * scale_out
 
 
-def theta_ads_identity(S, U, tol: float = 1e-7) -> bool:
+def theta_ads_identity(S, U) -> bool:
     """On a conjugated unitary orbit the involution is conjugation by S^{-2}.
 
     ``theta(S U S^{-1}) = S^{-1} U S = S^{-2} (S U S^{-1}) S^2``; the
@@ -139,26 +144,21 @@ def theta_ads_identity(S, U, tol: float = 1e-7) -> bool:
     lhs = theta(X)
     S2 = S @ S
     rhs = np.linalg.solve(S2, X @ S2)
-    return core.opnorm(lhs - rhs) <= tol * (1.0 + core.opnorm(rhs))
+    return core.opnorm(lhs - rhs) <= INVERSE_SQUARE_TOL * (1.0 + core.opnorm(rhs))
 
 
-def identity_defects(rng, trials: int, dims) -> tuple[dict, dict]:
+def identity_defects(rng, trials: int, dims) -> dict:
     """Worst defects of the involution's identities on random inputs.
 
     Trial k draws ``X = S N S^-1`` and a commuting ``Y = S N2 S^-1`` of
     size ``dims[k % len(dims)]`` (S positive definite, N, N2 normal) and a
     Haar unitary U.  Returns the worst defect of each identity, scaled by
     conditioning: involution, spectrum, normal-fixing, putnam-fuglede,
-    commutativity, inverse-square and calculus-route; and, for the three
-    identities with a boolean witness function, whether every trial
-    confirmed it.
+    commutativity, inverse-square and calculus-route.
     """
     defects = {k: 0.0 for k in
                ("involution", "spectrum", "normal-fixing", "putnam-fuglede",
                 "commutativity", "inverse-square", "calculus-route")}
-    pf_all = True
-    comm_all = True
-    ads_all = True
     for trial in range(trials):
         n = dims[trial % len(dims)]
         S, condS = spaces.positive_definite(rng, n)
@@ -176,14 +176,11 @@ def identity_defects(rng, trials: int, dims) -> tuple[dict, dict]:
             defects["normal-fixing"],
             core.opnorm(theta(N) - N) / (1.0 + core.opnorm(N)))
 
-        dec = theta_decompose(X)
-        pf_all = pf_all and check_putnam_fuglede(S, dec.s, N, dec.normal)
         swapped = np.linalg.solve(S, N @ S)
         defects["putnam-fuglede"] = max(
             defects["putnam-fuglede"], core.opnorm(TX - swapped) / scale)
 
         Y = S @ N2 @ np.linalg.inv(S)
-        comm_all = comm_all and theta_commutativity_check(X, Y)
         TY = theta(Y)
         defects["commutativity"] = max(
             defects["commutativity"],
@@ -191,7 +188,6 @@ def identity_defects(rng, trials: int, dims) -> tuple[dict, dict]:
             / ((1.0 + core.opnorm(TX) * core.opnorm(TY)) * condS ** 2))
 
         U = spaces.haar_unitary(rng, n)
-        ads_all = ads_all and theta_ads_identity(S, U, tol=IDENTITY_TOL * condS ** 2)
         XU = S @ U @ np.linalg.inv(S)
         S2 = S @ S
         defects["inverse-square"] = max(
@@ -201,9 +197,7 @@ def identity_defects(rng, trials: int, dims) -> tuple[dict, dict]:
         defects["calculus-route"] = max(
             defects["calculus-route"],
             core.opnorm(TX - theta_via_calculus(S, N)) / scale)
-    confirmed = {"putnam-fuglede": pf_all, "commutativity": comm_all,
-                 "inverse-square": ads_all}
-    return defects, confirmed
+    return defects
 
 
 @dataclass(frozen=True)
@@ -217,33 +211,16 @@ class ThetaProbeReport:
     rejected: int
 
 
-def theta_continuity_probe(X0, scale: float, samples: int = 50, seed: int = 0,
-                           cond_cap: float = DEFAULT_COND_CAP) -> ThetaProbeReport:
+def theta_continuity_probe(X0, scale: float, samples: int = 50, seed: int = 0) -> ThetaProbeReport:
     """Max ``||theta(X) - theta(X0)||`` over perturbations of norm ``scale``.
 
     Draws are resampled until semisimple and invertible.  Report only; the
     discontinuity at repeated spectra has no accepted quantitative
     threshold, so none is enforced here.
     """
-    A = core.as_matrix(X0)
-    n = A.shape[0]
-    g = np.random.default_rng(seed)
-    base = theta(A, cond_cap=cond_cap)
-    worst = 0.0
-    produced = 0
-    rejected = 0
-    while produced < samples:
-        if rejected > 50 * samples:
-            raise NotSemisimple("perturbation resampling budget exhausted")
-        D = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
-        D *= scale / core.opnorm(D)
-        try:
-            val = theta(A + D, cond_cap=cond_cap)
-        except (NotSemisimple, Singular, WellDefinednessDegraded):
-            rejected += 1
-            continue
-        produced += 1
-        worst = max(worst, core.opnorm(val - base))
+    worst, rejected = perturbation_probe(
+        theta, X0, scale, samples, seed,
+        (NotSemisimple, Singular, WellDefinednessDegraded))
     return ThetaProbeReport(
         scale=float(scale), samples=samples, seed=seed,
         max_oscillation=worst, rejected=rejected,

@@ -163,6 +163,29 @@ def test_probe_decays_at_simple_spectrum():
     assert devs[1] / devs[2] >= 5
 
 
+def test_perturbation_probe_skips_rejected_draws_within_budget():
+    draws = []
+
+    def every_other(A):
+        draws.append(A)
+        if len(draws) % 2 == 0:
+            raise NotSemisimple("rejected")
+        return A
+
+    worst, rejected = calculus.perturbation_probe(every_other, np.eye(2), 1e-3, 5, 0,
+                                                  (NotSemisimple,))
+    assert rejected == 5 and len(draws) == 11  # the base point plus 10 draws
+    assert worst == pytest.approx(1e-3)
+
+    def never(A):
+        if A[0, 1] != 0:
+            raise AmbiguousClustering("rejected")
+        return A
+
+    with pytest.raises(NotSemisimple):
+        calculus.perturbation_probe(never, np.eye(2), 1e-3, 1, 0, (AmbiguousClustering,))
+
+
 def test_blowup_witness():
     delta = 1e-8
     T = triangular(1.0, 1.0 + delta, delta ** 0.25)

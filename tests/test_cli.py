@@ -74,6 +74,13 @@ def test_verify_usage_error_on_inconsistent_m(capsys):
     ["select", "--selector", "unlambda", "--cut", "1"],
     ["theta", "--n", "0"],
     ["configspace", "--n", "0"],
+    ["monodromy", "--n", "1"],
+    ["select", "--selector", "hn", "--n", "0"],
+    ["select", "--n", "1"],
+    ["reconstruct", "--oracle", "id", "--n", "2"],
+    ["reconstruct", "--oracle", "id", "--space", "sln_ss", "--n", "4"],
+    ["configspace", "--n", "50"],
+    ["theta", "--check", "probe", "--n", "1"],
 ])
 def test_usage_errors_exit_2_with_a_report(capsys, argv):
     code, report = run_cli(capsys, argv)
