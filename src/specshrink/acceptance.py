@@ -119,13 +119,19 @@ def _crit_su_selector(seed):
     spectral = 0.0
     invariance = 0.0
     for n in (2, 3, 4):
+        Us, conjs = [], []
         for _ in range(60):
             U = spaces.special_unitary(rng, n)
-            val = selectors.su_select(U)
-            spectral = max(spectral, float(np.min(np.abs(np.linalg.eigvals(U) - val))))
             V = spaces.haar_unitary(rng, n)
-            conj = V @ U @ V.conj().T
-            invariance = max(invariance, abs(selectors.su_select(conj) - val))
+            Us.append(U)
+            conjs.append(V @ U @ V.conj().T)
+        Us = np.stack(Us)
+        vals = selectors.su_select_stack(Us)
+        gaps = np.min(np.abs(np.linalg.eigvals(Us) - vals[:, None]), axis=1)
+        spectral = max(spectral, float(gaps.max()))
+        # the distance is Python's complex abs (libm hypot), not numpy's
+        moved = (selectors.su_select_stack(np.stack(conjs)) - vals).tolist()
+        invariance = max(invariance, max(map(abs, moved)))
 
     step = 1e-3
     nsteps = 500

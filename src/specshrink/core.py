@@ -17,7 +17,7 @@ All functions are pure; nothing here owns mutable state.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -37,10 +37,11 @@ from .errors import (
 DEFAULT_EIG_TOL = 1e-8
 
 #: Relative singular-value cuts of :func:`polar_decompose` (singularity) and
-#: :meth:`Subspace.from_span` (rank); the commutator bound of
-#: :func:`projections_commute`.
+#: :meth:`Subspace.from_span` (rank); the orthonormality bound of a
+#: :class:`Subspace` basis; the commutator bound of :func:`projections_commute`.
 SINGULAR_TOL = 1e-12
 RANK_TOL = 1e-10
+ORTHONORMAL_TOL = 1e-8
 COMMUTE_TOL = 1e-8
 
 
@@ -355,7 +356,6 @@ class Subspace:
     """
 
     basis: np.ndarray
-    _tol: float = field(default=1e-8, repr=False)
 
     def __post_init__(self):
         B = np.asarray(self.basis, dtype=complex)
@@ -365,7 +365,7 @@ class Subspace:
         d = B.shape[1]
         if d:
             gram = B.conj().T @ B
-            if opnorm(gram - np.eye(d)) > self._tol:
+            if opnorm(gram - np.eye(d)) > ORTHONORMAL_TOL:
                 raise DimensionMismatch("basis columns are not orthonormal")
 
     @property

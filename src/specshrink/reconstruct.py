@@ -362,12 +362,12 @@ def classify_preserver(phi, space, n: int, validation_samples: int = VALIDATION_
 def _gl_star_ss_sample(rng, n):
     """Semisimple invertible sample with det away from -1 and the
     nonpositive real axis, where the principal root extension is defined."""
-    for _ in range(200):
+    for _ in range(spaces.MAX_TRIES):
         X = spaces.sample(spaces.SpaceId.GLN_SS, n, rng)
         det = np.linalg.det(X)
         if abs(det + 1.0) > 1e-3 and abs(np.angle(det)) < np.pi - 0.2:
             return X
-    raise Singular("could not draw a determinant-safe sample")  # pragma: no cover
+    raise UnsupportedDimension("could not draw a determinant-safe sample")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ largest angles down one turn and rotating them to the front, and the
 first coordinate is exponentiated.  This closed form produces exactly the
 representative an exhaustive integer-shift search would find (the tests
 carry that enumeration as an oracle); it is used directly because path
-sweeps call the selector hundreds of thousands of times.
+sweeps call the selector hundreds of thousands of times, and it runs on
+whole ``(k, n, n)`` stacks so that each step is one numpy call per path.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .errors import (
     AmbiguousContinuation,
     AmbiguousSelection,
     BadStart,
+    DimensionMismatch,
     LambdaInSpectrum,
     NoSimpleEigenvalue,
     NotHermitian,
@@ -54,21 +56,13 @@ TRACKING_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class AnglePoint:
-    """A point of the fundamental domain F, in units of full turns."""
+    """A point of the fundamental domain F, in units of full turns.
+
+    Built by :func:`su_representative`, whose kernel checks the domain
+    bounds (sum zero, nondecreasing, spread at most one turn) to 1e-12.
+    """
 
     x: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.x, dtype=float).ravel()
-        object.__setattr__(self, "x", v)
-        n = v.size
-        if abs(v.sum()) > 1e-12 * max(1, n):
-            raise RepresentativeNotFound("coordinates must sum to zero")
-        if n > 1:
-            if np.any(np.diff(v) < -1e-12):
-                raise RepresentativeNotFound("coordinates must be nondecreasing")
-            if v[-1] > v[0] + 1.0 + 1e-12:
-                raise RepresentativeNotFound("last coordinate exceeds first + 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,8 +84,8 @@ class EigenPath:
 
     def spectral_defect(self) -> float:
         """Worst distance from a selected value to the spectrum of its matrix."""
-        return max(float(np.min(np.abs(np.linalg.eigvals(M) - v)))
-                   for M, v in zip(self.matrices, self.values))
+        W = np.linalg.eigvals(np.stack(self.matrices))
+        return float(np.max(np.min(np.abs(W - self.values[:, None]), axis=1)))
 
     def to_dict(self) -> dict:
         return {
@@ -105,37 +99,78 @@ class EigenPath:
 # Special unitary selector
 # ---------------------------------------------------------------------------
 
-def _check_unitary(U, exc=NotUnitary, what="unitary"):
+def _check_unitary(U):
     A = core.as_matrix(U)
     n = A.shape[0]
     if core.opnorm(A.conj().T @ A - np.eye(n)) > DOMAIN_TOL * (1.0 + n):
-        raise exc(f"input is not {what} within tolerance {DOMAIN_TOL}")
+        raise NotUnitary(f"input is not unitary within tolerance {DOMAIN_TOL}")
     return A
 
 
-def su_representative(U) -> AnglePoint:
-    """Fundamental-domain representative of the conjugacy class of U.
+def _su_points(Us) -> np.ndarray:
+    """Fundamental-domain representatives of a ``(k, n, n)`` stack, one row each.
 
     Eigenvalue angles theta_j in [0, 1) sum to an integer s for det = 1;
     the representative shifts the s largest sorted angles down by one turn
-    and rotates them to the front, which lands in F with sum zero.
+    and rotates them to the front, which lands in F with sum zero.  Every
+    step runs once on the whole stack; a matrix outside the domain raises
+    the error its first failed check names, for the first such matrix.
     """
-    A = _check_unitary(U, NotSpecialUnitary, "unitary")
-    n = A.shape[0]
-    if abs(np.linalg.det(A) - 1.0) > DOMAIN_TOL * n:
-        raise NotSpecialUnitary("determinant is not 1 within tolerance")
-    lam = np.linalg.eigvals(A)
-    theta = np.sort(np.mod(np.angle(lam) / TWO_PI, 1.0))
-    total = theta.sum()
-    s = int(round(total))
-    if abs(total - s) > 1e-6:
-        raise RepresentativeNotFound(
-            f"angle sum {total} is not near an integer; determinant drifted"
-        )
-    s = min(max(s, 0), n)
-    x = np.concatenate([theta[n - s:] - 1.0, theta[: n - s]])
-    x = x - x.sum() / n  # flush accumulated rounding so the sum is exactly ~0
-    return AnglePoint(x)
+    A = np.asarray(Us, dtype=complex)
+    if A.ndim != 3 or A.shape[1] != A.shape[2] or A.shape[1] == 0:
+        raise DimensionMismatch(f"expected a stack of square matrices, got shape {A.shape}")
+    k, n = A.shape[0], A.shape[1]
+    finite = np.isfinite(A).all(axis=(1, 2))
+    if not finite.all():
+        A = np.where(finite[:, None, None], A, np.eye(n))  # keep LAPACK off non-finite
+    gram = np.conj(np.swapaxes(A, 1, 2)) @ A - np.eye(n)
+    not_unitary = np.linalg.svd(gram, compute_uv=False)[:, 0] > DOMAIN_TOL * (1.0 + n)
+    det_off = np.abs(np.linalg.det(A) - 1.0) > DOMAIN_TOL * n
+    theta = np.sort(np.mod(np.angle(np.linalg.eigvals(A)) / TWO_PI, 1.0), axis=1)
+    total = theta.sum(axis=1)
+    s = np.rint(total)
+    off_integer = np.abs(total - s) > 1e-6
+    s = s.astype(int)  # in [0, n]: each angle is in [0, 1]
+    cols = np.arange(n)
+    shifted = np.take_along_axis(theta, (cols + (n - s)[:, None]) % n, axis=1)
+    x = shifted - (cols < s[:, None])
+    x = x - x.sum(axis=1, keepdims=True) / n  # flush rounding so the sum is ~0
+    checks = (
+        (~finite, DimensionMismatch, "matrix entries must be finite"),
+        (not_unitary, NotSpecialUnitary, f"input is not unitary within tolerance {DOMAIN_TOL}"),
+        (det_off, NotSpecialUnitary, "determinant is not 1 within tolerance"),
+        (off_integer, RepresentativeNotFound,
+         "angle sum {total} is not near an integer; determinant drifted"),
+        (np.abs(x.sum(axis=1)) > 1e-12 * n, RepresentativeNotFound,
+         "coordinates must sum to zero"),
+        ((np.diff(x, axis=1) < -1e-12).any(axis=1), RepresentativeNotFound,
+         "coordinates must be nondecreasing"),
+        (x[:, -1] > x[:, 0] + 1.0 + 1e-12, RepresentativeNotFound,
+         "last coordinate exceeds first + 1"),
+    )
+    bad = np.zeros(k, dtype=bool)
+    for failed, _, _ in checks:
+        bad |= failed
+    if bad.any():
+        i = int(np.argmax(bad))
+        _, exc, text = next(c for c in checks if c[0][i])
+        text = text.format(total=total[i])
+        raise exc(text if k == 1 else f"matrix {i} of the stack: {text}")
+    return x
+
+
+def su_select_stack(Us) -> np.ndarray:
+    """:func:`su_select` on every matrix of a ``(k, n, n)`` stack at once.
+
+    Bit for bit the per-matrix values; one LAPACK call per step for the
+    whole stack instead of one per matrix.
+    """
+    return np.exp(2j * np.pi * _su_points(Us)[:, 0])
+
+
+def su_representative(U) -> AnglePoint:
+    """Fundamental-domain representative of the conjugacy class of U."""
+    return AnglePoint(_su_points(core.as_matrix(U)[None])[0])
 
 
 def su_select(U) -> complex:
@@ -144,8 +179,7 @@ def su_select(U) -> complex:
     Returns ``exp(2 pi i x_1)`` for the fundamental-domain representative;
     the value is always an eigenvalue of U and is conjugation invariant.
     """
-    point = su_representative(U)
-    return complex(np.exp(2j * np.pi * point.x[0]))
+    return complex(su_select_stack(core.as_matrix(U)[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +355,14 @@ def monodromy_xz(n: int, r: float, steps: int) -> MonodromyResult:
     if r <= 0:
         raise ValueError("loop radius must be positive")
     ts = np.linspace(0.0, 1.0, steps + 1)
-    start = core.canonical_spectrum(np.linalg.eigvals(corner_matrix(n, r)))
+    corners = [corner_matrix(n, r)]
+    corners += [corner_matrix(n, r * np.exp(2j * np.pi * ts[k])) for k in range(1, steps + 1)]
+    spectra = np.linalg.eigvals(np.stack(corners))
+    start = core.canonical_spectrum(spectra[0])
     values = np.empty((steps + 1, n), dtype=complex)
     values[0] = start
     for k in range(1, steps + 1):
-        z = r * np.exp(2j * np.pi * ts[k])
-        w = np.linalg.eigvals(corner_matrix(n, z))
-        values[k] = _continue_all(values[k - 1], w)
+        values[k] = _continue_all(values[k - 1], spectra[k])
     end = values[-1]
     perm = []
     for i in range(n):
@@ -383,4 +418,5 @@ def su_path(rng, n: int, steps: int, step: float) -> EigenPath:
     for _ in range(steps + 1):
         mats.append(U)
         U = E @ U
-    return selector_path(su_select, mats, np.arange(steps + 1) * step)
+    return EigenPath(parameters=np.arange(steps + 1) * step,
+                     values=su_select_stack(np.stack(mats)), matrices=mats)

@@ -16,6 +16,7 @@ double-decomposition checks rather than assumed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,13 @@ class ThetaDecomposition:
 
     s: np.ndarray
     normal: np.ndarray
-    residual: float
+    matrix: np.ndarray
+
+    @functools.cached_property
+    def residual(self) -> float:
+        """Relative operator-norm error of ``S N S^{-1}`` against the input."""
+        recon = core.right_divide(self.s @ self.normal, self.s)
+        return core.opnorm(recon - self.matrix) / max(core.opnorm(self.matrix), 1e-300)
 
 
 def theta_decompose(X) -> ThetaDecomposition:
@@ -72,9 +79,7 @@ def theta_decompose(X) -> ThetaDecomposition:
         )
     S, V = core.polar_decompose(ed.vectors)
     N = V @ np.diag(ed.eigenvalues) @ V.conj().T
-    recon = core.right_divide(S @ N, S)
-    residual = core.opnorm(recon - A) / max(core.opnorm(A), 1e-300)
-    return ThetaDecomposition(s=S, normal=N, residual=residual)
+    return ThetaDecomposition(s=S, normal=N, matrix=A)
 
 
 def theta(X) -> np.ndarray:

@@ -5,7 +5,7 @@ than the library code it checks: root expansion instead of the trace
 recurrence, matrix square roots instead of SVD, exhaustive integer-shift
 enumeration instead of the sort-based construction, closed-form roots
 instead of eigenvalue continuation, every bijection instead of bisection
-over perfect matchings.
+over perfect matchings, one matrix at a time instead of a stacked kernel.
 """
 
 import itertools
@@ -109,3 +109,29 @@ def bottleneck_by_enumeration(a, b):
         else:
             best = worst
     return float(best)
+
+
+def su_select_by_loop(U):
+    """The special unitary selector one matrix at a time, as first written:
+    validate, sort the eigenvalue angles, rotate the integer excess to the
+    front, flush the sum, exponentiate the first coordinate.  Bad inputs
+    raise the library's exceptions; only the domain checks are skipped."""
+    from specshrink import core, selectors
+    from specshrink.errors import NotSpecialUnitary, RepresentativeNotFound
+
+    A = core.as_matrix(U)
+    n = A.shape[0]
+    tol = selectors.DOMAIN_TOL
+    if core.opnorm(A.conj().T @ A - np.eye(n)) > tol * (1.0 + n):
+        raise NotSpecialUnitary("not unitary")
+    if abs(np.linalg.det(A) - 1.0) > tol * n:
+        raise NotSpecialUnitary("determinant is not 1")
+    theta = np.sort(np.mod(np.angle(np.linalg.eigvals(A)) / (2.0 * np.pi), 1.0))
+    total = theta.sum()
+    s = int(round(total))
+    if abs(total - s) > 1e-6:
+        raise RepresentativeNotFound("angle sum is not near an integer")
+    s = min(max(s, 0), n)
+    x = np.concatenate([theta[n - s:] - 1.0, theta[: n - s]])
+    x = x - x.sum() / n
+    return complex(np.exp(2j * np.pi * x[0]))

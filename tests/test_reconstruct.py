@@ -254,6 +254,20 @@ def test_classify_guards():
         reconstruct.classify_preserver(lambda X: X, "sln_ss", 4)
 
 
+def test_determinant_safe_draws_share_the_budget(monkeypatch):
+    # -I_3 has determinant -1, where the principal root extension is undefined
+    calls = []
+
+    def bad_sample(space, n, rng):
+        calls.append(space)
+        return -np.eye(n, dtype=complex)
+
+    monkeypatch.setattr(spaces, "sample", bad_sample)
+    with pytest.raises(UnsupportedDimension):
+        reconstruct._gl_star_ss_sample(np.random.default_rng(0), 3)
+    assert len(calls) == spaces.MAX_TRIES
+
+
 def test_classification_apply():
     rng = np.random.default_rng(213)
     T0 = conjugator(rng, 3)

@@ -9,10 +9,12 @@ from specshrink.errors import (
     AmbiguousContinuation,
     AmbiguousSelection,
     BadStart,
+    DimensionMismatch,
     LambdaInSpectrum,
     NoSimpleEigenvalue,
     NotHermitian,
     NotSpecialUnitary,
+    SpecshrinkError,
 )
 
 seeds = st.integers(0, 2**32 - 1)
@@ -89,6 +91,51 @@ def test_su_select_rejects_bad_inputs():
         selectors.su_select(2 * np.eye(2))
     with pytest.raises(NotSpecialUnitary):
         selectors.su_select(np.diag([1.0, -1.0]))  # unitary, det -1
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.integers(2, 8), st.integers(1, 64), st.booleans())
+def test_su_select_stack_bitwise_equals_loop(seed, n, k, path):
+    # the stack kernel and the per-matrix algorithm agree bit for bit, on a
+    # path recurrence as su_path builds it or on independent Haar draws,
+    # with an exactly degenerate scalar matrix at a random place
+    rng = np.random.default_rng(seed)
+    if path:
+        Us = selectors.su_path(rng, n, k - 1, 1e-3).matrices
+    else:
+        Us = [spaces.special_unitary(rng, n) for _ in range(k)]
+    Us[int(rng.integers(k))] = np.exp(2j * np.pi * int(rng.integers(n)) / n) * np.eye(n)
+    got = selectors.su_select_stack(np.stack(Us))
+    want = np.array([oracles.su_select_by_loop(U) for U in Us])
+    assert got.shape == (k,)
+    assert np.array_equal(got, want)
+    assert selectors.su_select(Us[-1]) == want[-1]
+
+
+@pytest.mark.parametrize("bad", [
+    np.diag([1.0, -1.0, 1.0]),          # unitary, det -1
+    2 * np.eye(3),                      # not unitary
+    np.diag([1.0, np.nan, 1.0]),        # not finite
+    np.diag([1.0, np.inf, 1.0]),
+])
+@pytest.mark.parametrize("where", [0, 4, 9])
+def test_su_select_stack_names_first_bad_matrix(bad, where):
+    with pytest.raises(SpecshrinkError) as single:
+        selectors.su_select(bad)
+    rng = np.random.default_rng(54)
+    Us = np.stack([spaces.special_unitary(rng, 3) for _ in range(10)])
+    Us[where] = bad
+    if where < 9:
+        Us[9] = np.diag([1.0, -1.0, 1.0])  # a later bad matrix is not the one named
+    with pytest.raises(type(single.value), match=f"matrix {where} of the stack"):
+        selectors.su_select_stack(Us)
+
+
+def test_su_select_stack_rejects_bad_shapes():
+    with pytest.raises(DimensionMismatch):
+        selectors.su_select_stack(np.eye(3))
+    with pytest.raises(DimensionMismatch):
+        selectors.su_select_stack(np.zeros((2, 3, 4)))
 
 
 # ---------------------------------------------------------------------------
