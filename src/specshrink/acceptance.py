@@ -137,8 +137,8 @@ def _crit_su_selector(seed):
     nsteps = 500
     max_jump = 0.0
     for n in (2, 3, 4):
-        for _ in range(50):
-            max_jump = max(max_jump, selectors.su_path(rng, n, nsteps, step).max_jump)
+        for path in selectors.su_paths(rng, n, 50, nsteps, step):
+            max_jump = max(max_jump, path.max_jump)
 
     return [
         CheckResult.of(4, "su-selector-spectral", claim, spectral, selectors.SPECTRAL_TOL,
@@ -301,8 +301,7 @@ def _crit_reconstruct(seed):
         T0 = _seeded_conjugator(rng, n)
         mode = reconstruct.MODE_CONJUGATION if k % 2 == 0 else reconstruct.MODE_TRANSPOSE
         phi = reconstruct.make_oracle(mode, T0)
-        for space in spaces_under_test:
-            cls = reconstruct.classify_preserver(phi, space, n, seed=seed + k)
+        for cls in reconstruct.classify_spaces(phi, spaces_under_test, n, seed=seed + k):
             if cls.mode != mode:
                 mode_failures += 1
             worst_proj = max(worst_proj, reconstruct.projective_distance(cls.matrix, T0))

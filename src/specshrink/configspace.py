@@ -12,6 +12,7 @@ traversal start is arbitrary, which is exactly that quotient).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -192,23 +193,33 @@ def verify_cycle_decomposition(n: int) -> bool:
     theta<eta>, so distinct conjugates enumerate all of S_n without
     redundancy.  ``sigma' = c^s sigma`` fixes a iff ``c^s(b) = a`` and
     fixes b iff ``c^s(a) = b``, for sigma = (a b).
+
+    Runs on all of S_n at once, one int8 row per permutation: conjugates
+    by indexing, deduplicated through one base-n integer key per row, then
+    a table ``hit[c, x, y]`` of whether some power ``c^s`` (s = 1..n-1)
+    sends y to x.
     """
     if not 2 <= n <= 8:
         raise ValueError("exhaustive range is 2 <= n <= 8")
     eta = eta_cycle(n)
-    seen = set()
-    transpositions = list(itertools.combinations(range(n), 2))
-    for theta in all_permutations(n):
-        c = compose(compose(theta, eta), inverse(theta))
-        if c in seen:
-            continue
-        seen.add(c)
-        powers = []
-        cur = c
-        for _ in range(n - 1):
-            powers.append(cur)
-            cur = compose(c, cur)
-        for a, b in transpositions:
-            if not any(p[b] == a or p[a] == b for p in powers):
-                return False
-    return True
+    count = math.factorial(n)
+    thetas = np.fromiter(itertools.chain.from_iterable(all_permutations(n)),
+                         dtype=np.int8, count=count * n).reshape(count, n)
+    # c(theta(j)) = theta(eta(j)), written column by column
+    c = np.empty_like(thetas)
+    rows = np.arange(len(thetas))
+    for j in range(n):
+        c[rows, thetas[:, j]] = thetas[:, eta[j]]
+    key = np.zeros(len(c), dtype=np.int32)  # n^n <= 8^8 fits
+    for j in range(n):
+        key = key * n + c[:, j]
+    c = c[np.unique(key, return_index=True)[1]]
+    rows = np.arange(len(c))[:, None]
+    cols = np.arange(n)[None, :]
+    hit = np.zeros((len(c), n, n), dtype=bool)
+    power = c
+    for _ in range(n - 1):
+        hit[rows, power, cols] = True
+        power = np.take_along_axis(c, power, axis=1)
+    a, b = np.triu_indices(n, 1)
+    return bool((hit[:, a, b] | hit[:, b, a]).all())

@@ -65,10 +65,10 @@ TORUS_ATTEMPTS = 20
 
 def conjugate(T, X, mode: str = MODE_CONJUGATION) -> np.ndarray:
     """``T X° T^{-1}`` with ``X° = X`` (conjugation) or ``X^t``
-    (transpose_conjugation)."""
-    A = core.as_matrix(X)
+    (transpose_conjugation); ``X`` may be a ``(k, n, n)`` stack."""
+    A = np.asarray(X, dtype=complex) if np.ndim(X) == 3 else core.as_matrix(X)
     if mode == MODE_TRANSPOSE:
-        A = A.T
+        A = np.swapaxes(A, -1, -2)
     return core.right_divide(T @ A, T)
 
 
@@ -107,10 +107,22 @@ def _call_oracle(phi, X):
 
 def _worst_residual(phi, form, draws, worst: float = 0.0) -> float:
     """Worst ``||phi(X) - form(X)|| / ||X||`` over the matrices ``draws``,
-    starting from ``worst``."""
+    starting from ``worst``.
+
+    The oracle sees one matrix at a time, as it is drawn; ``form`` and both
+    norms then run once on the ``(k, n, n)`` stack.
+    """
+    inputs, images = [], []
     for X in draws:
-        lhs = _call_oracle(phi, X)
-        worst = max(worst, core.opnorm(lhs - form(X)) / max(core.opnorm(X), 1e-300))
+        inputs.append(X)
+        images.append(_call_oracle(phi, X))
+    if not inputs:
+        return worst
+    X = np.asarray(inputs, dtype=complex)  # as core.opnorm norms a real draw
+    deviation = np.linalg.svd(np.stack(images) - form(X), compute_uv=False)[:, 0]
+    size = np.linalg.svd(X, compute_uv=False)[:, 0]
+    for r in (deviation / np.maximum(size, 1e-300)).tolist():
+        worst = max(worst, r)
     return worst
 
 
@@ -308,9 +320,9 @@ def _nearest_strict(value, candidates):
 # Full-space classification
 # ---------------------------------------------------------------------------
 
-def classify_preserver(phi, space, n: int, validation_samples: int = VALIDATION_SAMPLES,
-                       seed: int = 0) -> PreserverClassification:
-    """Classify a preserver oracle on a named space.
+def classify_spaces(phi, space_names, n: int, validation_samples: int = VALIDATION_SAMPLES,
+                    seed: int = 0) -> list[PreserverClassification]:
+    """Classify a preserver oracle on each named space, in order.
 
     Reconstruction runs on the unitary part (unitaries generate each
     supported space through commuting linear combinations); the resulting
@@ -320,43 +332,61 @@ def classify_preserver(phi, space, n: int, validation_samples: int = VALIDATION_
     classification is additionally validated through the determinant-root
     extension on invertible samples whose determinant avoids the branch
     cut.
+
+    The reconstruction depends only on the oracle, the seed and its stage
+    sampler (special unitaries for ``sln_ss``, Haar unitaries otherwise),
+    so it runs once per sampler; each space is validated on its own
+    ``rng(seed + 1)``.  Every result, and the first error raised, is the
+    one a separate :func:`classify_preserver` call per space would give.
     """
-    sid = spaces.SpaceId.parse(space)
-    if sid not in CLASSIFIABLE_SPACES:
-        raise ValueError(f"classification supports {[s.value for s in CLASSIFIABLE_SPACES]}")
-    if n < 3:
-        raise UnsupportedDimension("classification requires n >= 3")
+    stages = {}
+    out = []
+    for space in space_names:
+        sid = spaces.SpaceId.parse(space)
+        if sid not in CLASSIFIABLE_SPACES:
+            raise ValueError(f"classification supports {[s.value for s in CLASSIFIABLE_SPACES]}")
+        if n < 3:
+            raise UnsupportedDimension("classification requires n >= 3")
+        if sid is spaces.SpaceId.SLN_SS and n % 2 == 0:
+            raise UnsupportedDimension(
+                "determinant-1 classification via unitary involutions needs odd n"
+            )
+        stage_sampler = (spaces.special_unitary if sid is spaces.SpaceId.SLN_SS
+                         else spaces.haar_unitary)
+        if stage_sampler not in stages:
+            stages[stage_sampler] = reconstruct(
+                phi, n, validation_samples=validation_samples, seed=seed,
+                validation_sampler=stage_sampler)
+        cls = stages[stage_sampler]
 
-    if sid is spaces.SpaceId.SLN_SS and n % 2 == 0:
-        raise UnsupportedDimension(
-            "determinant-1 classification via unitary involutions needs odd n"
-        )
-    stage_sampler = (spaces.special_unitary if sid is spaces.SpaceId.SLN_SS
-                     else spaces.haar_unitary)
-    cls = reconstruct(phi, n, validation_samples=validation_samples, seed=seed,
-                      validation_sampler=stage_sampler)
-
-    rng = np.random.default_rng(seed + 1)
-    residual = _worst_residual(
-        phi, cls.apply, (spaces.sample(sid, n, rng) for _ in range(validation_samples)),
-        cls.residual)
-
-    if sid is spaces.SpaceId.SLN_SS:
-        def root_extension(X):
-            c = np.linalg.det(X) ** (1.0 / n)
-            return c * core.as_matrix(phi(X / c))
-
+        rng = np.random.default_rng(seed + 1)
         residual = _worst_residual(
-            root_extension, cls.apply,
-            (_gl_star_ss_sample(rng, n) for _ in range(validation_samples)), residual)
+            phi, cls.apply, (spaces.sample(sid, n, rng) for _ in range(validation_samples)),
+            cls.residual)
 
-    if residual > RESIDUAL_TOL:
-        raise ResidualTooLarge(
-            f"full-space validation residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}; "
-            "the oracle is not of the conjugation form on this space",
-            residual=residual,
-        )
-    return PreserverClassification(matrix=cls.matrix, mode=cls.mode, residual=residual)
+        if sid is spaces.SpaceId.SLN_SS:
+            def root_extension(X):
+                c = np.linalg.det(X) ** (1.0 / n)
+                return c * core.as_matrix(phi(X / c))
+
+            residual = _worst_residual(
+                root_extension, cls.apply,
+                (_gl_star_ss_sample(rng, n) for _ in range(validation_samples)), residual)
+
+        if residual > RESIDUAL_TOL:
+            raise ResidualTooLarge(
+                f"full-space validation residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}; "
+                "the oracle is not of the conjugation form on this space",
+                residual=residual,
+            )
+        out.append(PreserverClassification(matrix=cls.matrix, mode=cls.mode, residual=residual))
+    return out
+
+
+def classify_preserver(phi, space, n: int, validation_samples: int = VALIDATION_SAMPLES,
+                       seed: int = 0) -> PreserverClassification:
+    """Classify a preserver oracle on one named space (see :func:`classify_spaces`)."""
+    return classify_spaces(phi, [space], n, validation_samples, seed)[0]
 
 
 def _gl_star_ss_sample(rng, n):

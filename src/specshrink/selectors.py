@@ -84,6 +84,8 @@ class EigenPath:
 
     def spectral_defect(self) -> float:
         """Worst distance from a selected value to the spectrum of its matrix."""
+        if not self.matrices:
+            raise ValueError("the path keeps no matrices to measure a spectral defect on")
         W = np.linalg.eigvals(np.stack(self.matrices))
         return float(np.max(np.min(np.abs(W - self.values[:, None]), axis=1)))
 
@@ -124,7 +126,13 @@ def _su_points(Us) -> np.ndarray:
     if not finite.all():
         A = np.where(finite[:, None, None], A, np.eye(n))  # keep LAPACK off non-finite
     gram = np.conj(np.swapaxes(A, 1, 2)) @ A - np.eye(n)
-    not_unitary = np.linalg.svd(gram, compute_uv=False)[:, 0] > DOMAIN_TOL * (1.0 + n)
+    # the Frobenius norm bounds the operator norm from above, so only rows
+    # whose Frobenius norm reaches the bound (less a rounding margin) need the SVD
+    bound = DOMAIN_TOL * (1.0 + n)
+    suspect = np.linalg.norm(gram, axis=(1, 2)) > bound * (1.0 - 1e-6)
+    not_unitary = np.zeros(k, dtype=bool)
+    if suspect.any():
+        not_unitary[suspect] = np.linalg.svd(gram[suspect], compute_uv=False)[:, 0] > bound
     det_off = np.abs(np.linalg.det(A) - 1.0) > DOMAIN_TOL * n
     theta = np.sort(np.mod(np.angle(np.linalg.eigvals(A)) / TWO_PI, 1.0), axis=1)
     total = theta.sum(axis=1)
@@ -253,18 +261,24 @@ def local_select(X, lambda0: complex, radius: float, Y) -> complex:
 # Nearest-match continuation and monodromy
 # ---------------------------------------------------------------------------
 
-def _nearest_unambiguous(value, candidates):
-    """Index of the candidate nearest to value; ties are an error, not a guess."""
-    d = np.abs(candidates - value)
-    order = np.argsort(d)
-    i = int(order[0])
-    if d.size > 1:
-        d1, d2 = float(d[order[0]]), float(d[order[1]])
-        if d2 < max(2.0 * d1, d1 + 10.0 * TRACKING_TOL):
+def _nearest_unambiguous(values, candidates) -> np.ndarray:
+    """Index of the candidate nearest to each value; ties are an error, not a guess.
+
+    One distance matrix and one row-wise sort for all values; the first
+    ambiguous value (in order) names the error.  A tie is always ambiguous,
+    so the first minimum is the nearest candidate.
+    """
+    d = np.abs(candidates[None, :] - values[:, None])
+    if candidates.size > 1:
+        nearest = np.sort(d, axis=1)
+        d1, d2 = nearest[:, 0], nearest[:, 1]
+        ambiguous = d2 < np.maximum(2.0 * d1, d1 + 10.0 * TRACKING_TOL)
+        if ambiguous.any():
+            i = int(np.argmax(ambiguous))
             raise AmbiguousContinuation(
-                f"nearest match is ambiguous: distances {d1:.3e} and {d2:.3e}"
+                f"nearest match is ambiguous: distances {d1[i]:.3e} and {d2[i]:.3e}"
             )
-    return i
+    return np.argmin(d, axis=1)
 
 
 def track_eigenvalue(path: Sequence, start: complex) -> EigenPath:
@@ -285,14 +299,14 @@ def track_eigenvalue(path: Sequence, start: complex) -> EigenPath:
     values[0] = w0[int(np.argmin(d0))]
     for k in range(1, len(mats)):
         w = np.linalg.eigvals(mats[k])
-        values[k] = w[_nearest_unambiguous(values[k - 1], w)]
+        values[k] = w[_nearest_unambiguous(values[k - 1:k], w)[0]]
     return EigenPath(parameters=np.arange(len(mats), dtype=float), values=values)
 
 
 def _continue_all(prev: np.ndarray, new_vals: np.ndarray) -> np.ndarray:
     """Match every tracked value to the new spectrum; must be a bijection."""
-    chosen = [ _nearest_unambiguous(p, new_vals) for p in prev ]
-    if len(set(chosen)) != len(chosen):
+    chosen = _nearest_unambiguous(prev, new_vals)
+    if len(set(chosen.tolist())) != chosen.size:
         raise AmbiguousContinuation("two tracked eigenvalues claimed the same target")
     return new_vals[chosen]
 
@@ -364,13 +378,11 @@ def monodromy_xz(n: int, r: float, steps: int) -> MonodromyResult:
     for k in range(1, steps + 1):
         values[k] = _continue_all(values[k - 1], spectra[k])
     end = values[-1]
-    perm = []
-    for i in range(n):
-        perm.append(_nearest_unambiguous(end[i], start))
+    perm = tuple(_nearest_unambiguous(end, start).tolist())
     if len(set(perm)) != n:
         raise AmbiguousContinuation("loop endpoints do not biject onto the start spectrum")
     return MonodromyResult(
-        n=n, r=float(r), steps=steps, permutation=tuple(perm),
+        n=n, r=float(r), steps=steps, permutation=perm,
         start=start, end=end, parameters=ts, values=values,
     )
 
@@ -404,19 +416,50 @@ def _skew_traceless(rng, n):
     return a / core.opnorm(a)
 
 
-def su_path(rng, n: int, steps: int, step: float) -> EigenPath:
-    """The special unitary selector along a random one-parameter orbit.
+#: Most matrices handed to one stacked selection along paths.  Selecting
+#: all 25k matrices of criterion 4's 50-path sweeps at once took about 20 MB
+#: more peak memory than selecting one path at a time; blocks of this size
+#: take about 1 MB more.
+SELECT_BLOCK = 1024
 
-    Draws a Haar special unitary U and a unit-norm traceless skew-Hermitian
-    A, and selects on ``E^k U`` for k = 0..steps with ``E = exp(step A)``.
+
+def su_paths(rng, n: int, count: int, steps: int, step: float,
+             keep_matrices: bool = False) -> list[EigenPath]:
+    """The special unitary selector along ``count`` random one-parameter orbits.
+
+    Each orbit draws a Haar special unitary U and a unit-norm traceless
+    skew-Hermitian A, in the order of ``count`` separate draws, and selects
+    on ``E^k U`` for k = 0..steps with ``E = exp(step A)``.  All orbits
+    advance together, one stacked product per step, and are selected on
+    blocks of at most ``SELECT_BLOCK`` matrices.
     """
     if n < 2:
         raise UnsupportedDimension("a special unitary path needs n >= 2")
-    U = spaces.special_unitary(rng, n)
-    E = scipy.linalg.expm(step * _skew_traceless(rng, n))
-    mats = []
-    for _ in range(steps + 1):
-        mats.append(U)
-        U = E @ U
-    return EigenPath(parameters=np.arange(steps + 1) * step,
-                     values=su_select_stack(np.stack(mats)), matrices=mats)
+    U = np.empty((count, n, n), dtype=complex)
+    E = np.empty((count, n, n), dtype=complex)
+    for i in range(count):
+        U[i] = spaces.special_unitary(rng, n)
+        E[i] = scipy.linalg.expm(step * _skew_traceless(rng, n))
+    values = np.empty((count, steps + 1), dtype=complex)
+    matrices = [[] for _ in range(count)] if keep_matrices else None
+    block = max(1, SELECT_BLOCK // max(count, 1))
+    for k0 in range(0, steps + 1, block):
+        width = min(block, steps + 1 - k0)
+        stack = np.empty((count, width, n, n), dtype=complex)
+        for j in range(width):
+            stack[:, j] = U
+            U = E @ U
+        values[:, k0:k0 + width] = su_select_stack(
+            stack.reshape(count * width, n, n)).reshape(count, width)
+        if keep_matrices:
+            for i in range(count):
+                matrices[i].extend(stack[i])
+    parameters = np.arange(steps + 1) * step
+    return [EigenPath(parameters=parameters, values=values[i],
+                      matrices=matrices[i] if keep_matrices else None)
+            for i in range(count)]
+
+
+def su_path(rng, n: int, steps: int, step: float) -> EigenPath:
+    """:func:`su_paths` for one orbit, keeping its matrices."""
+    return su_paths(rng, n, 1, steps, step, keep_matrices=True)[0]

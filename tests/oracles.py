@@ -5,7 +5,8 @@ than the library code it checks: root expansion instead of the trace
 recurrence, matrix square roots instead of SVD, exhaustive integer-shift
 enumeration instead of the sort-based construction, closed-form roots
 instead of eigenvalue continuation, every bijection instead of bisection
-over perfect matchings, one matrix at a time instead of a stacked kernel.
+over perfect matchings, one matrix, value, path or permutation at a time
+instead of a stacked kernel.
 """
 
 import itertools
@@ -135,3 +136,81 @@ def su_select_by_loop(U):
     x = np.concatenate([theta[n - s:] - 1.0, theta[: n - s]])
     x = x - x.sum() / n
     return complex(np.exp(2j * np.pi * x[0]))
+
+
+def su_paths_by_loop(rng, n, count, steps, step):
+    """``count`` special unitary paths one after another, as first written:
+    draw U and E = expm(step A), then ``E @ U`` one matrix at a time.
+    Returns each path's matrices and selected values."""
+    from specshrink import selectors, spaces
+
+    out = []
+    for _ in range(count):
+        U = spaces.special_unitary(rng, n)
+        E = scipy.linalg.expm(step * selectors._skew_traceless(rng, n))
+        mats = []
+        for _ in range(steps + 1):
+            mats.append(U)
+            U = E @ U
+        out.append((mats, selectors.su_select_stack(np.stack(mats))))
+    return out
+
+
+def nearest_unambiguous_by_value(value, candidates):
+    """Nearest candidate to one value by a full argsort; a near tie raises."""
+    from specshrink import selectors
+    from specshrink.errors import AmbiguousContinuation
+
+    d = np.abs(candidates - value)
+    order = np.argsort(d)
+    if d.size > 1:
+        d1, d2 = float(d[order[0]]), float(d[order[1]])
+        if d2 < max(2.0 * d1, d1 + 10.0 * selectors.TRACKING_TOL):
+            raise AmbiguousContinuation(
+                f"nearest match is ambiguous: distances {d1:.3e} and {d2:.3e}"
+            )
+    return int(order[0])
+
+
+def continue_all_by_loop(prev, new_vals):
+    """Match each tracked value on its own; the matches must be a bijection."""
+    from specshrink.errors import AmbiguousContinuation
+
+    chosen = [nearest_unambiguous_by_value(p, new_vals) for p in prev]
+    if len(set(chosen)) != len(chosen):
+        raise AmbiguousContinuation("two tracked eigenvalues claimed the same target")
+    return new_vals[chosen]
+
+
+def worst_residual_by_loop(phi, form, draws, worst=0.0):
+    """Worst ``||phi(X) - form(X)|| / ||X||`` one matrix at a time."""
+    from specshrink import core
+
+    for X in draws:
+        lhs = core.as_matrix(phi(X))
+        worst = max(worst, core.opnorm(lhs - form(X)) / max(core.opnorm(X), 1e-300))
+    return worst
+
+
+def cycle_decomposition_by_enumeration(n):
+    """The shift-transposition factorization over every permutation tuple:
+    for each distinct conjugate c of eta and each transposition (a b), some
+    power c^s (s = 1..n-1) has c^s(b) = a or c^s(a) = b."""
+    from specshrink import configspace
+
+    eta = configspace.eta_cycle(n)
+    seen = set()
+    for theta in itertools.permutations(range(n)):
+        c = configspace.compose(configspace.compose(theta, eta), configspace.inverse(theta))
+        if c in seen:
+            continue
+        seen.add(c)
+        powers = []
+        cur = c
+        for _ in range(n - 1):
+            powers.append(cur)
+            cur = configspace.compose(c, cur)
+        for a, b in itertools.combinations(range(n), 2):
+            if not any(p[b] == a or p[a] == b for p in powers):
+                return False
+    return True

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from specshrink import configspace as cs
 from specshrink.errors import DegeneratePoints
 
@@ -123,9 +124,19 @@ def test_coset_equality_semantics():
         cs.PermCoset.of(n, tau).contains(cs.compose(eta, tau))
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", range(2, 9))
 def test_cycle_decomposition(n):
-    assert cs.verify_cycle_decomposition(n)
+    assert cs.verify_cycle_decomposition(n) is True
+    assert oracles.cycle_decomposition_by_enumeration(n) is True
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_cycle_decomposition_rejects_a_non_full_cycle(monkeypatch, n):
+    # with eta = (0 1) the powers of each conjugate are one transposition and
+    # the identity, which join only the pair that transposition swaps
+    monkeypatch.setattr(cs, "eta_cycle", lambda n: (1, 0) + tuple(range(2, n)))
+    assert cs.verify_cycle_decomposition(n) is False
+    assert oracles.cycle_decomposition_by_enumeration(n) is False
 
 
 def test_cycle_decomposition_range_guard():

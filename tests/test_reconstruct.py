@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from specshrink import core, reconstruct, spaces, theta
 from specshrink.errors import (
     DimensionDrift,
@@ -252,6 +253,59 @@ def test_classify_guards():
         reconstruct.classify_preserver(lambda X: X, "un", 2)
     with pytest.raises(UnsupportedDimension):
         reconstruct.classify_preserver(lambda X: X, "sln_ss", 4)
+
+
+def test_classify_spaces_equals_one_call_per_space(monkeypatch):
+    rng = np.random.default_rng(214)
+    T0 = conjugator(rng, 3)
+    names = ["un", "nn", "gln_ss", "sln_ss"]
+    for mode in (reconstruct.MODE_CONJUGATION, reconstruct.MODE_TRANSPOSE):
+        phi = reconstruct.make_oracle(mode, T0)
+        want = [reconstruct.classify_preserver(phi, space, 3, seed=5) for space in names]
+        stages = []
+        reconstruct_once = reconstruct.reconstruct
+
+        def counting_reconstruct(*args, **kwargs):
+            stages.append(kwargs["validation_sampler"])
+            return reconstruct_once(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(reconstruct, "reconstruct", counting_reconstruct)
+            got = reconstruct.classify_spaces(phi, names, 3, seed=5)
+        assert stages == [spaces.haar_unitary, spaces.special_unitary]
+        for g, w in zip(got, want):
+            assert np.array_equal(g.matrix, w.matrix)
+            assert g.mode == w.mode == mode
+            assert g.residual == w.residual
+
+
+def test_classify_spaces_raises_as_the_first_failing_space():
+    with pytest.raises(ResidualTooLarge) as got:
+        reconstruct.classify_spaces(theta.theta, ["gln_ss", "un"], 3, seed=0)
+    with pytest.raises(ResidualTooLarge) as want:
+        reconstruct.classify_preserver(theta.theta, "gln_ss", 3, seed=0)
+    assert str(got.value) == str(want.value)
+    assert got.value.residual == want.value.residual
+    with pytest.raises(UnsupportedDimension):
+        reconstruct.classify_spaces(lambda X: X, ["un", "sln_ss"], 4)
+
+
+def test_worst_residual_and_conjugate_on_stacks_equal_the_loop():
+    rng = np.random.default_rng(216)
+    T0 = conjugator(rng, 4)
+    # complex and real draws: a real input is normed as a complex matrix
+    draws = [spaces.sample(spaces.SpaceId.GLN_SS, 4, rng) for _ in range(6)]
+    draws.append(rng.standard_normal((4, 4)))
+    for mode in (reconstruct.MODE_CONJUGATION, reconstruct.MODE_TRANSPOSE):
+        stacked = reconstruct.conjugate(T0, np.stack(draws), mode)
+        assert np.array_equal(stacked, [reconstruct.conjugate(T0, X, mode) for X in draws])
+        phi = reconstruct.make_oracle(mode, T0)
+        for form, worst in ((lambda X: reconstruct.conjugate(T0, X), 0.0),
+                            (lambda X: reconstruct.conjugate(T0, X, mode), 0.0),
+                            (lambda X: reconstruct.conjugate(T0, X, mode), 1.0)):
+            got = reconstruct._worst_residual(phi, form, iter(draws), worst)
+            assert got == oracles.worst_residual_by_loop(phi, form, draws, worst)
+    assert reconstruct._worst_residual(phi, form, iter([]), 0.5) == 0.5
 
 
 def test_determinant_safe_draws_share_the_budget(monkeypatch):

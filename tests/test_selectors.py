@@ -138,6 +138,69 @@ def test_su_select_stack_rejects_bad_shapes():
         selectors.su_select_stack(np.zeros((2, 3, 4)))
 
 
+def test_unitarity_screen_keeps_the_svd_verdict(monkeypatch):
+    # D = diag(1 + e, 1 / (1 + e), 1) keeps det 1 and puts ||D^2 - I|| at
+    # 2e + e^2; the Frobenius norm is about 1.4 times that, so a row just
+    # inside the bound reaches the SVD and rows well inside it skip it
+    n = 3
+    bound = selectors.DOMAIN_TOL * (1 + n)
+    rng = np.random.default_rng(55)
+
+    def scaled(target):
+        e = np.sqrt(1.0 + target) - 1.0
+        return spaces.special_unitary(rng, n) @ np.diag([1.0 + e, 1.0 / (1.0 + e), 1.0])
+
+    inside = [scaled(t * bound) for t in (1e-6, 0.5, 1.0 - 1e-4)]
+    outside = scaled((1.0 + 1e-4) * bound)
+    svd_rows = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        svd_rows.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    got = selectors.su_select_stack(np.stack(inside))
+    assert svd_rows == [1]
+    assert np.array_equal(got, [oracles.su_select_by_loop(U) for U in inside])
+    with pytest.raises(NotSpecialUnitary):
+        oracles.su_select_by_loop(outside)
+    with pytest.raises(NotSpecialUnitary, match="matrix 2 of the stack: input is not unitary"):
+        selectors.su_select_stack(np.stack(inside[:2] + [outside] + inside[2:]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seeds, st.integers(2, 6), st.integers(1, 8), st.integers(0, 200))
+def test_su_paths_equal_sequential_paths(seed, n, count, steps):
+    # orbits advanced together and selected in blocks match orbits drawn
+    # and advanced one at a time, bit for bit
+    paths = selectors.su_paths(np.random.default_rng(seed), n, count, steps, 1e-3)
+    want = oracles.su_paths_by_loop(np.random.default_rng(seed), n, count, steps, 1e-3)
+    assert len(paths) == count
+    for path, (_, values) in zip(paths, want):
+        assert np.array_equal(path.values, values)
+        assert path.matrices is None
+    single = selectors.su_path(np.random.default_rng(seed), n, steps, 1e-3)
+    assert np.array_equal(single.values, want[0][1])
+    assert len(single.matrices) == steps + 1
+    assert all(np.array_equal(a, b) for a, b in zip(single.matrices, want[0][0]))
+
+
+def test_su_paths_blocks_cover_every_step(monkeypatch):
+    monkeypatch.setattr(selectors, "SELECT_BLOCK", 7)  # blocks of 2 steps for 3 paths
+    paths = selectors.su_paths(np.random.default_rng(56), 3, 3, 10, 1e-2)
+    want = oracles.su_paths_by_loop(np.random.default_rng(56), 3, 3, 10, 1e-2)
+    for path, (_, values) in zip(paths, want):
+        assert np.array_equal(path.values, values)
+    np.testing.assert_array_equal(paths[0].parameters, np.arange(11) * 1e-2)
+
+
+def test_spectral_defect_needs_matrices():
+    path = selectors.track_eigenvalue([np.diag([0.0, 1.0])] * 3, 1.0)
+    with pytest.raises(ValueError, match="no matrices"):
+        path.spectral_defect()
+
+
 # ---------------------------------------------------------------------------
 # cut-plane selector on unitaries
 # ---------------------------------------------------------------------------
@@ -247,6 +310,34 @@ def test_track_around_corner_loop_changes_eigenvalue():
 # ---------------------------------------------------------------------------
 # monodromy
 # ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.integers(1, 8), st.sampled_from([1e-9, 1e-3, 0.3]), st.booleans())
+def test_continue_all_equals_per_value_matching(seed, n, noise, tie):
+    # one distance matrix per step against one nearest match per value:
+    # the same targets, or the same error with the same message
+    rng = np.random.default_rng(seed)
+    prev = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    new = rng.permutation(prev + noise * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+    if tie and n > 1:
+        new[1] = new[0]
+    try:
+        want = oracles.continue_all_by_loop(prev, new)
+    except AmbiguousContinuation as exc:
+        with pytest.raises(AmbiguousContinuation) as got:
+            selectors._continue_all(prev, new)
+        assert str(got.value) == str(exc)
+    else:
+        assert np.array_equal(selectors._continue_all(prev, new), want)
+
+
+def test_continue_all_rejects_a_shared_target():
+    prev = np.array([0.0, 1.0], dtype=complex)
+    new = np.array([0.4, 10.0], dtype=complex)  # both values clearly nearest 0.4
+    for continue_all in (selectors._continue_all, oracles.continue_all_by_loop):
+        with pytest.raises(AmbiguousContinuation, match="same target"):
+            continue_all(prev, new)
+
 
 def test_corner_matrix_sign_pinned_by_trace_recurrence():
     # char poly of the corner matrix is x^n - z (not x^n + z)
