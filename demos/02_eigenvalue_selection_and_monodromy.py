@@ -27,7 +27,7 @@ print()
 print("the fundamental-domain representative at work:")
 V = np.diag([1j, 1j, -1.0])
 rep = selectors.su_representative(V)
-print(f"  diag(i, i, -1) has angle point {np.round(rep.x, 6)} "
+print(f"  diag(i, i, -1) has angle point {np.round(rep, 6)} "
       f"and selector value {np.round(selectors.su_select(V), 6)}")
 
 print()

@@ -30,13 +30,14 @@ print(f"  spectrum match distance sp(theta(X)) vs sp(X) = "
 print(f"  normal matrices are fixed: ||theta(N) - N|| = "
       f"{core.opnorm(theta.theta(N) - N):.3e}")
 
-dec = theta.theta_decompose(X)
-print(f"  double-factorization agreement (constructed vs recovered): "
-      f"{theta.check_putnam_fuglede(S, dec.s, N, dec.normal)}")
+print(f"  double-factorization defect (constructed S^-1 N S vs theta(X)) = "
+      f"{core.opnorm(TX - np.linalg.solve(S, N @ S)):.3e}")
 
 U = spaces.haar_unitary(rng, 3)
-print(f"  inverse-square identity on the unitary orbit of S: "
-      f"{theta.theta_ads_identity(S, U)}")
+XU = S @ U @ np.linalg.inv(S)
+S2 = S @ S
+print(f"  inverse-square defect on the unitary orbit of S = "
+      f"{core.opnorm(theta.theta(XU) - np.linalg.solve(S2, XU @ S2)):.3e}")
 
 print(f"  functional-calculus route agrees: "
       f"{core.opnorm(TX - theta.theta_via_calculus(S, N)):.3e}")
@@ -51,7 +52,7 @@ print()
 print("oscillation near a repeated spectrum (no threshold; report only)")
 X0 = np.diag([1.0, 1.0, 2.0]).astype(complex)
 for scale in (1e-2, 1e-3, 1e-4):
-    rep = theta.theta_continuity_probe(X0, scale, samples=30, seed=0)
-    print(f"  scale {scale:.0e}: max oscillation {rep.max_oscillation:.3e}")
+    oscillation, _ = theta.theta_continuity_probe(X0, scale, samples=30, seed=0)
+    print(f"  scale {scale:.0e}: max oscillation {oscillation:.3e}")
 print("  random sampling rarely finds the discontinuity; the classification")
 print("  residual in the next demo corners it instead")

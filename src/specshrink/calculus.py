@@ -147,6 +147,10 @@ def perturbation_probe(F, X0, scale: float, samples: int, rng,
     ``scale``, and the number of draws skipped because F raised one of
     ``rejections``; gives up with :class:`NotSemisimple` at
     ``spaces.MAX_TRIES`` skipped draws."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if not (np.isfinite(scale) and scale > 0):
+        raise ValueError(f"the perturbation scale must be finite and positive, got {scale}")
     A = core.as_matrix(X0)
     n = A.shape[0]
     g = np.random.default_rng(rng)
@@ -191,6 +195,8 @@ def continuity_probe(T, f: Callable[[complex], complex], scale: float,
 def closed_form_defect(rng, samples: int, fns) -> float:
     """Worst ``||calc_2x2_closed_form - apply_function||`` on random upper
     triangular 2x2 matrices with eigenvalues more than 0.2 apart."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     worst = 0.0
     for _ in range(samples):
         l1, l2 = spaces.separated_pair(rng)
@@ -205,6 +211,8 @@ def closed_form_defect(rng, samples: int, fns) -> float:
 def interpolation_defect(rng, n: int, samples: int, fns) -> float:
     """Worst ``||apply_function - lagrange_apply|| / (1 + ||T||)`` on random
     semisimple n x n matrices."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     worst = 0.0
     for _ in range(samples):
         T = spaces.semisimple_sample(rng, n)
@@ -217,6 +225,8 @@ def interpolation_defect(rng, n: int, samples: int, fns) -> float:
 def conjugation_invariance_defect(rng, n: int, samples: int, fns) -> float:
     """Worst ``||f(S X S^-1) - S f(X) S^-1|| / ((1 + ||X||) cond(S)^2)`` on
     random semisimple X and bounded-condition S."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     worst = 0.0
     for _ in range(samples):
         X = spaces.semisimple_sample(rng, n)

@@ -166,6 +166,8 @@ def classification_failures(rng, n: int, trials: int) -> tuple[int, Optional[int
     cyclic group of order n.  For n above ``EXHAUSTIVE_MAX_N`` equivariance
     is tested on random permutations and the isotropy count is None.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     exhaustive = n <= EXHAUSTIVE_MAX_N
     equivariance = isotropy = 0
     for _ in range(trials):

@@ -38,11 +38,10 @@ DEFAULT_EIG_TOL = 1e-8
 
 #: Relative singular-value cuts of :func:`polar_decompose` (singularity) and
 #: :meth:`Subspace.from_span` (rank); the orthonormality bound of a
-#: :class:`Subspace` basis; the commutator bound of :func:`projections_commute`.
+#: :class:`Subspace` basis.
 SINGULAR_TOL = 1e-12
 RANK_TOL = 1e-10
 ORTHONORMAL_TOL = 1e-8
-COMMUTE_TOL = 1e-8
 
 
 def as_matrix(X) -> np.ndarray:
@@ -413,13 +412,6 @@ def _check_same_ambient(W: Subspace, Wp: Subspace):
         raise DimensionMismatch(
             f"ambient dimensions differ: {W.ambient_dim} vs {Wp.ambient_dim}"
         )
-
-
-def projections_commute(W: Subspace, Wp: Subspace) -> bool:
-    """True iff the orthogonal projections onto W and W' commute within COMMUTE_TOL."""
-    _check_same_ambient(W, Wp)
-    P, Q = projection(W), projection(Wp)
-    return opnorm(P @ Q - Q @ P) <= COMMUTE_TOL
 
 
 def kernel(X, tol: float = 1e-8, atol: float = 0.0) -> Subspace:

@@ -82,20 +82,8 @@ class LambdaInSpectrum(SpecshrinkError):
     """The branch point lies in (or too close to) the spectrum."""
 
 
-class NoSimpleEigenvalue(SpecshrinkError):
-    """Local selection requires at least one simple eigenvalue."""
-
-
-class AmbiguousSelection(SpecshrinkError):
-    """The selection disk does not contain exactly one eigenvalue."""
-
-
 class AmbiguousContinuation(SpecshrinkError):
     """Nearest-eigenvalue continuation hit a tie; refusing to guess."""
-
-
-class BadStart(SpecshrinkError):
-    """The starting value is not an eigenvalue of the first path matrix."""
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +113,6 @@ class EqualEigenvalues(SpecshrinkError):
 # ---------------------------------------------------------------------------
 # theta map
 # ---------------------------------------------------------------------------
-
-class PreconditionViolated(SpecshrinkError):
-    """Caller-supplied inputs do not satisfy a documented precondition."""
-
 
 class WellDefinednessDegraded(SpecshrinkError):
     """Eigenvector conditioning is too poor for a trustworthy decomposition."""

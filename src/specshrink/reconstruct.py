@@ -203,6 +203,8 @@ def reconstruct(phi, n: int, validation_samples: int = VALIDATION_SAMPLES, seed:
     """
     if n < 3:
         raise UnsupportedDimension("reconstruction requires n >= 3")
+    if validation_samples < 1:
+        raise ValueError(f"validation_samples must be >= 1, got {validation_samples}")
     rng = np.random.default_rng(seed)
     eye = np.eye(n, dtype=complex)
 

@@ -18,7 +18,7 @@ whole ``(k, n, n)`` stacks so that each step is one numpy call per path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -26,11 +26,8 @@ import scipy.linalg
 from . import core, spaces
 from .errors import (
     AmbiguousContinuation,
-    AmbiguousSelection,
-    BadStart,
     DimensionMismatch,
     LambdaInSpectrum,
-    NoSimpleEigenvalue,
     NotHermitian,
     NotSpecialUnitary,
     NotUnitary,
@@ -52,17 +49,6 @@ MONODROMY_RATIO_TOL = 1e-6
 #: eigenvalue tracking.
 DOMAIN_TOL = 1e-8
 TRACKING_TOL = 1e-8
-
-
-@dataclass(frozen=True, eq=False)
-class AnglePoint:
-    """A point of the fundamental domain F, in units of full turns.
-
-    Built by :func:`su_representative`, whose kernel checks the domain
-    bounds (sum zero, nondecreasing, spread at most one turn) to 1e-12.
-    """
-
-    x: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,9 +162,10 @@ def su_select_stack(Us) -> np.ndarray:
     return np.exp(2j * np.pi * _su_points(Us)[:, 0])
 
 
-def su_representative(U) -> AnglePoint:
-    """Fundamental-domain representative of the conjugacy class of U."""
-    return AnglePoint(_su_points(core.as_matrix(U)[None])[0])
+def su_representative(U) -> np.ndarray:
+    """Fundamental-domain representative of the conjugacy class of U: the
+    point of F, in full turns, whose domain bounds the kernel checks."""
+    return _su_points(core.as_matrix(U)[None])[0]
 
 
 def su_select(U) -> complex:
@@ -212,52 +199,6 @@ def un_lambda_select(U, lam: complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Local selection near a simple eigenvalue
-# ---------------------------------------------------------------------------
-
-def local_select(X, lambda0: complex, radius: float, Y) -> complex:
-    """The unique eigenvalue of Y in the isolation disk of a simple
-    eigenvalue ``lambda0`` of X.
-
-    The disk radius is half the gap from lambda0 to the rest of the
-    spectrum of X; the caller's perturbation must satisfy
-    ``||Y - X|| < radius <= gap / 4`` (a heuristic safety margin, since
-    non-normal eigenvalues are not Lipschitz).  The selection is validated
-    by counting eigenvalues of Y in the disk.
-    """
-    A = core.as_matrix(X)
-    B = core.as_matrix(Y)
-    if A.shape != B.shape:
-        raise UnsupportedDimension("X and Y must have equal shape")
-    scale = 1.0 + core.opnorm(A)
-    atol = 1e-8 * scale
-    wX = np.linalg.eigvals(A)
-    dists = np.sort(np.abs(wX - lambda0))
-    if dists[0] > atol:
-        raise NoSimpleEigenvalue(f"{lambda0} is not an eigenvalue of X")
-    if dists.size < 2:
-        gap = np.inf
-    else:
-        gap = float(dists[1])
-    if gap <= 10 * atol:
-        raise NoSimpleEigenvalue(f"{lambda0} is not a simple eigenvalue of X")
-    eps_disk = gap / 2.0
-    if radius > eps_disk / 2.0:
-        raise AmbiguousSelection(
-            f"radius {radius} too large for eigenvalue gap {gap}"
-        )
-    if core.opnorm(B - A) >= radius:
-        raise AmbiguousSelection("||Y - X|| is not below the declared radius")
-    wY = np.linalg.eigvals(B)
-    inside = wY[np.abs(wY - lambda0) < eps_disk]
-    if inside.size != 1:
-        raise AmbiguousSelection(
-            f"expected exactly 1 eigenvalue in the disk, found {inside.size}"
-        )
-    return complex(inside[0])
-
-
-# ---------------------------------------------------------------------------
 # Nearest-match continuation and monodromy
 # ---------------------------------------------------------------------------
 
@@ -279,28 +220,6 @@ def _nearest_unambiguous(values, candidates) -> np.ndarray:
                 f"nearest match is ambiguous: distances {d1[i]:.3e} and {d2[i]:.3e}"
             )
     return np.argmin(d, axis=1)
-
-
-def track_eigenvalue(path: Sequence, start: complex) -> EigenPath:
-    """Continue one eigenvalue along a matrix path by nearest matching.
-
-    ``start`` must lie on the spectrum of the first matrix; each step must
-    be unambiguous (clear nearest candidate) or the continuation aborts.
-    """
-    mats = [core.as_matrix(M) for M in path]
-    if not mats:
-        raise BadStart("path is empty")
-    scale = 1.0 + core.opnorm(mats[0])
-    w0 = np.linalg.eigvals(mats[0])
-    d0 = np.abs(w0 - start)
-    if d0.min() > TRACKING_TOL * scale:
-        raise BadStart("start value is not an eigenvalue of path[0]")
-    values = np.empty(len(mats), dtype=complex)
-    values[0] = w0[int(np.argmin(d0))]
-    for k in range(1, len(mats)):
-        w = np.linalg.eigvals(mats[k])
-        values[k] = w[_nearest_unambiguous(values[k - 1:k], w)[0]]
-    return EigenPath(parameters=np.arange(len(mats), dtype=float), values=values)
 
 
 def _continue_all(prev: np.ndarray, new_vals: np.ndarray) -> np.ndarray:
@@ -343,14 +262,17 @@ class MonodromyResult:
         return float(np.max(np.abs(self.ratios() - np.exp(2j * np.pi / self.n))))
 
 
-def corner_matrix(n: int, z: complex) -> np.ndarray:
-    """Superdiagonal of ones with z in the bottom-left corner.
+def corner_matrices(n: int, zs) -> np.ndarray:
+    """One n x n matrix per corner value z: a superdiagonal of ones with z
+    in the bottom-left corner, as a ``(len(zs), n, n)`` stack.
 
-    Its characteristic polynomial is x^n - z (the sign is pinned by the
+    Each characteristic polynomial is x^n - z (the sign is pinned by the
     trace-recurrence oracle in the tests, not assumed).
     """
-    X = np.diag(np.ones(n - 1, dtype=complex), 1)
-    X[n - 1, 0] = z
+    zs = np.asarray(zs, dtype=complex)
+    X = np.zeros((zs.size, n, n), dtype=complex)
+    X[:, np.arange(n - 1), np.arange(1, n)] = 1.0
+    X[:, n - 1, 0] = zs
     return X
 
 
@@ -369,9 +291,7 @@ def monodromy_xz(n: int, r: float, steps: int) -> MonodromyResult:
     if r <= 0:
         raise ValueError("loop radius must be positive")
     ts = np.linspace(0.0, 1.0, steps + 1)
-    corners = [corner_matrix(n, r)]
-    corners += [corner_matrix(n, r * np.exp(2j * np.pi * ts[k])) for k in range(1, steps + 1)]
-    spectra = np.linalg.eigvals(np.stack(corners))
+    spectra = np.linalg.eigvals(corner_matrices(n, r * np.exp(2j * np.pi * ts)))
     start = core.canonical_spectrum(spectra[0])
     values = np.empty((steps + 1, n), dtype=complex)
     values[0] = start
@@ -402,11 +322,14 @@ def hn_select(X) -> float:
 def selector_path(select, mats, parameters=None) -> EigenPath:
     """Apply a scalar selector along a matrix path and record the values."""
     mats = list(mats)
+    if len(mats) < 2:
+        raise ValueError(f"a path needs at least one step, got {len(mats)} matrices")
+    parameters = np.asarray(np.arange(len(mats)) if parameters is None else parameters,
+                            dtype=float)
+    if not np.isfinite(parameters).all():
+        raise ValueError("path parameters must be finite")
     vals = np.array([select(M) for M in mats], dtype=complex)
-    if parameters is None:
-        parameters = np.arange(len(mats), dtype=float)
-    return EigenPath(parameters=np.asarray(parameters, dtype=float), values=vals,
-                     matrices=mats)
+    return EigenPath(parameters=parameters, values=vals, matrices=mats)
 
 
 def _skew_traceless(rng, n):
@@ -435,6 +358,11 @@ def su_paths(rng, n: int, count: int, steps: int, step: float,
     """
     if n < 2:
         raise UnsupportedDimension("a special unitary path needs n >= 2")
+    if count < 1 or steps < 1:
+        raise ValueError(f"need at least one path of one step, got {count} paths "
+                         f"of {steps} steps")
+    if not np.isfinite(step):
+        raise ValueError(f"the step must be finite, got {step}")
     U = np.empty((count, n, n), dtype=complex)
     E = np.empty((count, n, n), dtype=complex)
     for i in range(count):

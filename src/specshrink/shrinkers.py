@@ -18,7 +18,6 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import core, selectors, spaces
 from .errors import DimensionMismatch, OracleFailure, SingularConjugator
@@ -68,26 +67,22 @@ def fixed_conjugator(rng, m: int) -> np.ndarray:
 
 
 def canonical_shrinker(X, p: int, q: int, conjugator=None) -> np.ndarray:
-    """``S(X) . blockdiag(X (x) I_p, X^t (x) I_q) . S(X)^{-1}``.
+    """``S . blockdiag(X (x) I_p, X^t (x) I_q) . S^{-1}``.
 
-    ``conjugator`` may be None (identity), a fixed (p+q)n x (p+q)n matrix,
-    or a callable X -> matrix.  Each eigenvalue's multiplicity is scaled
-    by p + q.
+    ``conjugator`` is None (identity) or a fixed (p+q)n x (p+q)n matrix S.
+    Each eigenvalue's multiplicity is scaled by p + q.
     """
     A = core.as_matrix(X)
     if p < 0 or q < 0 or p + q < 1:
         raise ValueError("need p, q >= 0 with p + q >= 1")
-    blocks = []
-    if p:
-        blocks.append(np.kron(A, np.eye(p)))
-    if q:
-        blocks.append(np.kron(A.T, np.eye(q)))
-    B = scipy.linalg.block_diag(*blocks)
+    k = p * A.shape[0]
+    m = (p + q) * A.shape[0]
+    B = np.zeros((m, m), dtype=complex)
+    B[:k, :k] = np.kron(A, np.eye(p))
+    B[k:, k:] = np.kron(A.T, np.eye(q))
     if conjugator is None:
         return B
-    S = conjugator(A) if callable(conjugator) else conjugator
-    S = core.as_matrix(S)
-    m = (p + q) * A.shape[0]
+    S = core.as_matrix(conjugator)
     if S.shape[0] != m:
         raise DimensionMismatch(f"conjugator must be {m}x{m}, got {S.shape}")
     sv = np.linalg.svd(S, compute_uv=False)
@@ -135,6 +130,8 @@ def verify_shrinker(phi, space, n: int, m: int, samples: int = DEFAULT_SAMPLES,
     """
     if n < 1 or m < 1:
         raise ValueError(f"dimensions must be positive, got n = {n}, m = {m}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     sid = spaces.SpaceId.parse(space)
     rng = np.random.default_rng(seed)
     xs = [spaces.sample(sid, n, rng) for _ in range(samples)]

@@ -194,6 +194,8 @@ def separated_pair(rng) -> np.ndarray:
 def semisimple_sample(rng, n: int) -> np.ndarray:
     """Conjugated diagonal whose eigenvalues are more than 0.05 apart and of
     modulus at most 2.5, with a bounded-condition conjugator."""
+    if n < 1:
+        raise UnsupportedDimension(f"dimension must be >= 1, got {n}")
     g = np.random.default_rng(rng)
     lam = _simple_complex_tuple(g, n, modulus_band=(0.0, 2.5), min_gap=0.05)
     return _conjugated_diagonal(g, lam)

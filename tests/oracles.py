@@ -33,6 +33,22 @@ def poly_power_coeffs(coeffs_asc, k):
     return out[:-1]
 
 
+def canonical_shrinker_by_block_diag(X, p, q, conjugator=None):
+    """The canonical shrinker as first written, with ``scipy.linalg.block_diag``
+    assembling ``X (x) I_p`` and ``X^t (x) I_q``."""
+    X = np.asarray(X, dtype=complex)
+    blocks = []
+    if p:
+        blocks.append(np.kron(X, np.eye(p)))
+    if q:
+        blocks.append(np.kron(X.T, np.eye(q)))
+    B = scipy.linalg.block_diag(*blocks)
+    if conjugator is None:
+        return B
+    S = np.asarray(conjugator, dtype=complex)
+    return S @ B @ np.linalg.inv(S)
+
+
 def polar_via_sqrtm(S):
     """Left polar factors through the matrix square root of S S^H."""
     P = scipy.linalg.sqrtm(S @ S.conj().T)
@@ -68,6 +84,18 @@ def corner_roots(n, z):
     """Closed-form roots of x^n - z (the corner matrix's spectrum)."""
     base = complex(z) ** (1.0 / n)
     return base * np.exp(2j * np.pi * np.arange(n) / n)
+
+
+def corner_matrices_by_loop(n, r, steps):
+    """The corner matrices of the loop |z| = r one step at a time, as first
+    written: z = r at t = 0, then one scalar exp per step."""
+    ts = np.linspace(0.0, 1.0, steps + 1)
+    mats = []
+    for k in range(steps + 1):
+        X = np.diag(np.ones(n - 1, dtype=complex), 1)
+        X[n - 1, 0] = r if k == 0 else r * np.exp(2j * np.pi * ts[k])
+        mats.append(X)
+    return np.stack(mats)
 
 
 def corner_root_path(n, r, ts, branch):

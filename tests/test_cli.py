@@ -81,6 +81,18 @@ def test_verify_usage_error_on_inconsistent_m(capsys):
     ["reconstruct", "--oracle", "id", "--space", "sln_ss", "--n", "4"],
     ["configspace", "--n", "50"],
     ["theta", "--check", "probe", "--n", "1"],
+    ["reconstruct", "--oracle", "theta", "--space", "gln_ss", "--n", "3", "--samples", "0"],
+    ["verify", "--space", "gl", "--n", "3", "--m", "6", "--shrinker", "su-scalar",
+     "--samples", "0"],
+    ["select", "--selector", "hn", "--steps", "-2"],
+    ["configspace", "--n", "3", "--trials", "-1"],
+    ["calculus", "--samples", "-1"],
+    ["theta", "--samples", "0"],
+    ["theta", "--check", "probe", "--scale", "-1"],
+    ["calculus", "--n", "0"],
+    ["select", "--step", "nan"],
+    ["select", "--selector", "hn", "--step", "inf"],
+    ["select", "--selector", "unlambda", "--step", "nan"],
 ])
 def test_usage_errors_exit_2_with_a_report(capsys, argv):
     code, report = run_cli(capsys, argv)

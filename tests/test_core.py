@@ -216,20 +216,6 @@ def test_projection_identities():
     assert np.trace(P).real == pytest.approx(2.0, abs=1e-12)
 
 
-def test_projections_commute_examples():
-    e1 = core.span([1.0, 0.0])
-    e2 = core.span([0.0, 1.0])
-    diag = core.span([1.0, 1.0])
-    assert core.projections_commute(e1, e2)
-    assert not core.projections_commute(e1, diag)
-    # nested subspaces always commute
-    rng = np.random.default_rng(31)
-    q, _ = np.linalg.qr(rand_complex(rng, 4))
-    inner = core.Subspace(q[:, :1])
-    outer = core.Subspace(q[:, :3])
-    assert core.projections_commute(inner, outer)
-
-
 def test_commuting_projections_share_eigenbasis():
     # pairs built from one unitary's columns commute; simultaneous
     # diagonalization by that unitary is the witness
@@ -237,7 +223,8 @@ def test_commuting_projections_share_eigenbasis():
     q, _ = np.linalg.qr(rand_complex(rng, 5))
     W = core.Subspace(q[:, [0, 2]])
     Wp = core.Subspace(q[:, [2, 3, 4]])
-    assert core.projections_commute(W, Wp)
+    P, Q = core.projection(W), core.projection(Wp)
+    assert core.opnorm(P @ Q - Q @ P) <= 1e-12
     for sub in (W, Wp):
         D = q.conj().T @ core.projection(sub) @ q
         assert core.opnorm(D - np.diag(np.diagonal(D))) <= 1e-12

@@ -253,6 +253,9 @@ def test_classify_guards():
         reconstruct.classify_preserver(lambda X: X, "un", 2)
     with pytest.raises(UnsupportedDimension):
         reconstruct.classify_preserver(lambda X: X, "sln_ss", 4)
+    # no validation sample would pass the exotic involution unchecked
+    with pytest.raises(ValueError):
+        reconstruct.classify_preserver(theta.theta, "gln_ss", 3, validation_samples=0)
 
 
 def test_classify_spaces_equals_one_call_per_space(monkeypatch):

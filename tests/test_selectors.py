@@ -7,11 +7,8 @@ import oracles
 from specshrink import core, selectors, spaces
 from specshrink.errors import (
     AmbiguousContinuation,
-    AmbiguousSelection,
-    BadStart,
     DimensionMismatch,
     LambdaInSpectrum,
-    NoSimpleEigenvalue,
     NotHermitian,
     NotSpecialUnitary,
     SpecshrinkError,
@@ -32,16 +29,16 @@ def test_su_select_worked_example():
     # angles (1/4, 1/4, 1/2) shift to (-1/2, 1/4, 1/4); output is -1
     U = np.diag([1j, 1j, -1.0])
     rep = selectors.su_representative(U)
-    assert np.allclose(rep.x, [-0.5, 0.25, 0.25])
+    assert np.allclose(rep, [-0.5, 0.25, 0.25])
     assert selectors.su_select(U) == pytest.approx(-1.0)
-    assert np.allclose(rep.x, oracles.su_representative_by_enumeration(U))
+    assert np.allclose(rep, oracles.su_representative_by_enumeration(U))
 
 
 def test_su_select_scalar_case_via_enumeration():
     w = np.exp(-2j * np.pi / 3)
     U = w * np.eye(3)
     rep = oracles.su_representative_by_enumeration(U)
-    assert np.allclose(selectors.su_representative(U).x, rep)
+    assert np.allclose(selectors.su_representative(U), rep)
     assert selectors.su_select(U) == pytest.approx(w)
 
 
@@ -51,7 +48,7 @@ def test_su_select_matches_enumeration_and_spectrum(seed, n):
     rng = np.random.default_rng(seed)
     U = spaces.special_unitary(rng, n)
     rep = selectors.su_representative(U)
-    assert np.allclose(rep.x, oracles.su_representative_by_enumeration(U), atol=1e-8)
+    assert np.allclose(rep, oracles.su_representative_by_enumeration(U), atol=1e-8)
     val = selectors.su_select(U)
     assert np.min(np.abs(np.linalg.eigvals(U) - val)) <= 1e-8
 
@@ -101,7 +98,7 @@ def test_su_select_stack_bitwise_equals_loop(seed, n, k, path):
     # with an exactly degenerate scalar matrix at a random place
     rng = np.random.default_rng(seed)
     if path:
-        Us = selectors.su_path(rng, n, k - 1, 1e-3).matrices
+        Us = selectors.su_path(rng, n, k, 1e-3).matrices[:k]
     else:
         Us = [spaces.special_unitary(rng, n) for _ in range(k)]
     Us[int(rng.integers(k))] = np.exp(2j * np.pi * int(rng.integers(n)) / n) * np.eye(n)
@@ -170,7 +167,7 @@ def test_unitarity_screen_keeps_the_svd_verdict(monkeypatch):
 
 
 @settings(max_examples=25, deadline=None)
-@given(seeds, st.integers(2, 6), st.integers(1, 8), st.integers(0, 200))
+@given(seeds, st.integers(2, 6), st.integers(1, 8), st.integers(1, 200))
 def test_su_paths_equal_sequential_paths(seed, n, count, steps):
     # orbits advanced together and selected in blocks match orbits drawn
     # and advanced one at a time, bit for bit
@@ -196,9 +193,24 @@ def test_su_paths_blocks_cover_every_step(monkeypatch):
 
 
 def test_spectral_defect_needs_matrices():
-    path = selectors.track_eigenvalue([np.diag([0.0, 1.0])] * 3, 1.0)
+    [path] = selectors.su_paths(np.random.default_rng(57), 3, 1, 2, 1e-3)
     with pytest.raises(ValueError, match="no matrices"):
         path.spectral_defect()
+
+
+@pytest.mark.parametrize("count, steps, step", [
+    (0, 10, 1e-3), (2, 0, 1e-3), (2, -2, 1e-3), (2, 10, np.nan), (2, 10, np.inf)])
+def test_su_paths_reject_empty_paths_and_bad_steps(count, steps, step):
+    with pytest.raises(ValueError):
+        selectors.su_paths(np.random.default_rng(58), 3, count, steps, step)
+
+
+def test_selector_path_needs_a_finite_step():
+    for mats in ([], [np.eye(2)]):
+        with pytest.raises(ValueError, match="at least one step"):
+            selectors.selector_path(selectors.hn_select, mats)
+    with pytest.raises(ValueError, match="finite"):
+        selectors.selector_path(selectors.hn_select, [np.eye(2)] * 3, [0.0, np.nan, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -232,79 +244,6 @@ def test_un_lambda_jumps_across_cut():
         U = np.diag([np.exp(1j * th), np.exp(0.2j)])
         vals.append(selectors.un_lambda_select(U, -1.0))
     assert np.max(np.abs(np.diff(vals))) > 0.5
-
-
-# ---------------------------------------------------------------------------
-# local selection
-# ---------------------------------------------------------------------------
-
-def test_local_select_identity_case():
-    X = np.diag([0.0, 0.0, 5.0])
-    assert selectors.local_select(X, 5.0, 0.5, X) == pytest.approx(5.0)
-
-
-def test_local_select_perturbation():
-    rng = np.random.default_rng(53)
-    X = np.diag([0.0, 0.0, 5.0])
-    E = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    E /= core.opnorm(E)
-    val = selectors.local_select(X, 5.0, 0.5, X + 1e-3 * E)
-    assert abs(val - 5.0) <= 1e-2
-
-
-def test_local_select_requires_simple_eigenvalue():
-    with pytest.raises(NoSimpleEigenvalue):
-        selectors.local_select(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0, 0.1,
-                               np.zeros((2, 2)))
-    with pytest.raises(NoSimpleEigenvalue):
-        selectors.local_select(np.diag([0.0, 0.0, 5.0]), 0.0, 0.1,
-                               np.diag([0.0, 0.0, 5.0]))
-
-
-def test_local_select_radius_guard():
-    X = np.diag([0.0, 1.0])
-    with pytest.raises(AmbiguousSelection):
-        selectors.local_select(X, 1.0, 0.49, X)  # gap 1, disk 0.5, cap 0.25
-
-
-# ---------------------------------------------------------------------------
-# tracking
-# ---------------------------------------------------------------------------
-
-def test_track_constant_path():
-    path = [np.diag([0.0, 1.0, 2.0])] * 5
-    ep = selectors.track_eigenvalue(path, 1.0)
-    assert np.allclose(ep.values, 1.0)
-    assert ep.max_jump == 0
-
-
-def test_track_moving_diagonal():
-    ts = np.linspace(0, 1, 50)
-    path = [np.diag([t, 5.0]) for t in ts]
-    ep = selectors.track_eigenvalue(path, 0.0)
-    assert np.allclose(ep.values, ts, atol=1e-12)
-
-
-def test_track_bad_start():
-    with pytest.raises(BadStart):
-        selectors.track_eigenvalue([np.diag([0.0, 1.0])], 0.5)
-
-
-def test_track_ambiguous_collision():
-    ts = np.linspace(0, 1, 101)
-    path = [np.diag([t, 1.0 - t]) for t in ts]
-    with pytest.raises(AmbiguousContinuation):
-        selectors.track_eigenvalue(path, 0.0)
-
-
-def test_track_around_corner_loop_changes_eigenvalue():
-    steps = 256
-    ts = np.linspace(0, 1, steps + 1)
-    path = [selectors.corner_matrix(3, np.exp(2j * np.pi * t)) for t in ts]
-    start = complex(oracles.corner_roots(3, 1.0)[0])
-    ep = selectors.track_eigenvalue(path, start)
-    assert abs(ep.values[-1] - start) > 0.5
-    assert np.min(np.abs(oracles.corner_roots(3, 1.0) - ep.values[-1])) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +282,29 @@ def test_corner_matrix_sign_pinned_by_trace_recurrence():
     # char poly of the corner matrix is x^n - z (not x^n + z)
     for n in (2, 3, 4, 5):
         z = 0.7 - 1.3j
-        coeffs = core.char_poly(selectors.corner_matrix(n, z)).coeffs
+        [X] = selectors.corner_matrices(n, [z])
+        coeffs = core.char_poly(X).coeffs
         expected = np.zeros(n, dtype=complex)
         expected[0] = -z
         assert np.allclose(coeffs, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+def test_monodromy_corners_equal_per_step_builds(monkeypatch, n, r):
+    # the corner stack monodromy_xz builds from one vector exp equals the
+    # per-step matrices built from one scalar exp each, bit for bit
+    corner_matrices = selectors.corner_matrices
+    built = []
+
+    def spy(size, zs):
+        built.append(corner_matrices(size, zs))
+        return built[-1]
+
+    monkeypatch.setattr(selectors, "corner_matrices", spy)
+    steps = 64 * n
+    selectors.monodromy_xz(n, r, steps)
+    assert np.array_equal(built[0], oracles.corner_matrices_by_loop(n, r, steps))
 
 
 def test_monodromy_two_cycle():

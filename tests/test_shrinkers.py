@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from specshrink import core, shrinkers, spaces
@@ -35,10 +36,22 @@ def test_cubing_with_random_conjugator():
     assert np.max(np.abs(core.char_poly(out).coeffs - cubed)) <= 1e-7
 
 
-def test_callable_conjugator_and_errors():
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5),
+       st.sampled_from([(p, q) for p in range(4) for q in range(4) if 1 <= p + q <= 3]),
+       st.booleans())
+def test_slice_assembly_equals_block_diag(seed, n, pq, conjugated):
+    # zeros and two slice assignments build the same bits as block_diag
+    p, q = pq
+    rng = np.random.default_rng(seed)
+    X = spaces.sample("mn", n, rng)
+    S = shrinkers.fixed_conjugator(rng, (p + q) * n) if conjugated else None
+    got = shrinkers.canonical_shrinker(X, p, q, S)
+    assert np.array_equal(got, oracles.canonical_shrinker_by_block_diag(X, p, q, S))
+
+
+def test_conjugator_errors():
     X = np.diag([1.0, 2.0])
-    out = shrinkers.canonical_shrinker(X, 1, 1, lambda A: np.eye(4))
-    assert out.shape == (4, 4)
     with pytest.raises(DimensionMismatch):
         shrinkers.canonical_shrinker(X, 1, 1, np.eye(3))
     with pytest.raises(ValueError):

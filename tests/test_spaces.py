@@ -38,6 +38,8 @@ def test_sample_defining_properties():
 def test_zero_dimension_rejected():
     with pytest.raises(UnsupportedDimension):
         spaces.sample("mn", 0)
+    with pytest.raises(UnsupportedDimension):
+        spaces.semisimple_sample(np.random.default_rng(0), 0)
 
 
 def test_circle_point_budget_runs_out():

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from specshrink import core, spaces, theta
-from specshrink.errors import (
-    NotSemisimple,
-    PreconditionViolated,
-    Singular,
-    WellDefinednessDegraded,
-)
+from specshrink.errors import NotSemisimple, Singular, WellDefinednessDegraded
 
 
 def positive_definite(rng, n, lo=0.5, hi=2.0):
@@ -116,22 +111,13 @@ def test_theta_normal_perturbations_stay_small():
 # ---------------------------------------------------------------------------
 
 def test_putnam_fuglede_trivial_and_double_decomposition():
+    # theta swaps its own recovered factorization; the constructed one
+    # swaps to the same matrix: theta(S N S^-1) = S^-1 N S
     rng = np.random.default_rng(85)
     S = positive_definite(rng, 3)
     N = invertible_normal(rng, 3)
-    assert theta.check_putnam_fuglede(S, S, N, N)
-    X = S @ N @ np.linalg.inv(S)
-    dec = theta.theta_decompose(X)
-    assert theta.check_putnam_fuglede(S, dec.s, N, dec.normal)
-
-
-def test_putnam_fuglede_guard():
-    rng = np.random.default_rng(86)
-    S = positive_definite(rng, 3)
-    N = invertible_normal(rng, 3)
-    M = invertible_normal(rng, 3)
-    with pytest.raises(PreconditionViolated):
-        theta.check_putnam_fuglede(S, S, N, M)
+    TX = theta.theta(S @ N @ np.linalg.inv(S))
+    assert core.opnorm(TX - np.linalg.solve(S, N @ S)) <= 1e-6 * max(core.opnorm(TX), 1.0)
 
 
 def test_theta_commutativity():
@@ -144,20 +130,23 @@ def test_theta_commutativity():
     N2 = q @ np.diag(lam2) @ q.conj().T
     Sinv = np.linalg.inv(S)
     X, Y = S @ N1 @ Sinv, S @ N2 @ Sinv
-    assert theta.theta_commutativity_check(X, Y)
-    # polynomial images commute too
-    assert theta.theta_commutativity_check(X, X @ X)
-    with pytest.raises(PreconditionViolated):
-        theta.theta_commutativity_check(X, X + np.triu(np.ones((3, 3)), 1))
+    # commuting inputs, polynomial images included, keep commuting images
+    for A, B in ((X, Y), (X, X @ X)):
+        TA, TB = theta.theta(A), theta.theta(B)
+        assert core.opnorm(TA @ TB - TB @ TA) \
+            <= 1e-6 * (1.0 + core.opnorm(TA) * core.opnorm(TB))
 
 
 def test_ads_identity():
+    # on the orbit S U S^-1 the involution is conjugation by S^-2
     rng = np.random.default_rng(88)
     U = spaces.haar_unitary(rng, 3)
-    assert theta.theta_ads_identity(np.eye(3), U)
-    assert theta.theta_ads_identity(np.diag([2.0, 1.0, 1.0]), U)
-    S = positive_definite(rng, 3)
-    assert theta.theta_ads_identity(S, spaces.haar_unitary(rng, 3))
+    for S, V in ((np.eye(3), U), (np.diag([2.0, 1.0, 1.0]), U),
+                 (positive_definite(rng, 3), spaces.haar_unitary(rng, 3))):
+        X = S @ V @ np.linalg.inv(S)
+        S2 = S @ S
+        rhs = np.linalg.solve(S2, X @ S2)
+        assert core.opnorm(theta.theta(X) - rhs) <= 1e-7 * (1.0 + core.opnorm(rhs))
 
 
 def test_theta_via_calculus_routes_agree():
@@ -179,14 +168,13 @@ def test_continuity_probe_scales():
     S = positive_definite(rng, 3)
     N = invertible_normal(rng, 3)
     X0 = S @ N @ np.linalg.inv(S)
-    small = theta.theta_continuity_probe(X0, 1e-4, samples=20, seed=0)
-    large = theta.theta_continuity_probe(X0, 1e-2, samples=20, seed=0)
-    assert small.max_oscillation < large.max_oscillation
-    assert small.max_oscillation <= 1e-2  # simple spectrum: locally Lipschitz-ish
+    small, _ = theta.theta_continuity_probe(X0, 1e-4, samples=20, seed=0)
+    large, _ = theta.theta_continuity_probe(X0, 1e-2, samples=20, seed=0)
+    assert small < large
+    assert small <= 1e-2  # simple spectrum: locally Lipschitz-ish
 
 
 def test_continuity_probe_repeated_spectrum_reports():
-    rep = theta.theta_continuity_probe(np.diag([1.0, 1.0, 2.0]).astype(complex),
-                                       1e-3, samples=20, seed=1)
-    assert rep.samples == 20
-    assert rep.max_oscillation >= 0.0
+    oscillation, rejected = theta.theta_continuity_probe(
+        np.diag([1.0, 1.0, 2.0]).astype(complex), 1e-3, samples=20, seed=1)
+    assert oscillation >= 0.0 and rejected >= 0
