@@ -50,6 +50,6 @@ X = np.diag([1.0, 2.0])
 out = shrinkers.canonical_shrinker(X, 1, 1)
 print("  source spectrum:", np.round(core.spectrum(X), 6))
 print("  image spectrum: ", np.round(core.spectrum(out), 6))
-print("  k_image coefficients:", np.round(core.char_poly(out).coeffs, 10))
+print("  k_image coefficients:", np.round(core.char_poly(out), 10))
 print("  k_source^2 coefficients:",
-      np.round(core.char_poly(X).pow(2).coeffs, 10))
+      np.round(core.poly_power(core.char_poly(X), 2), 10))

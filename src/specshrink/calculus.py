@@ -14,7 +14,6 @@ empirically and the tests construct the explicit 2x2 blow-up witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -37,28 +36,10 @@ INTERPOLATION_TOL = 1e-6
 INVARIANCE_TOL = 1e-6
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralDecomposition:
-    """Pairs (lambda, E_lambda) of a semisimple matrix, one per eigenvalue
-    cluster at the stored grouping tolerance."""
-
-    pairs: list
-    grouping_tol: float
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([lam for lam, _ in self.pairs])
-
-    def assemble(self, f: Callable[[complex], complex]) -> np.ndarray:
-        n = self.pairs[0][1].shape[0]
-        out = np.zeros((n, n), dtype=complex)
-        for lam, E in self.pairs:
-            out += complex(f(lam)) * E
-        return out
-
-
-def spectral_idempotents(T, grouping_tol: float = DEFAULT_GROUPING_TOL) -> SpectralDecomposition:
-    """Spectral idempotents of a semisimple matrix.
+def spectral_idempotents(T, grouping_tol: float = DEFAULT_GROUPING_TOL
+                         ) -> list[tuple[complex, np.ndarray]]:
+    """Spectral idempotents of a semisimple matrix: the pairs
+    ``(lambda, E_lambda)``, one per eigenvalue cluster.
 
     Eigenvalues within ``grouping_tol`` of each other (single linkage)
     become one cluster with the summed idempotent; clusters must stay
@@ -86,7 +67,7 @@ def spectral_idempotents(T, grouping_tol: float = DEFAULT_GROUPING_TOL) -> Spect
         mask[idx] = 1.0
         E = (P * mask) @ Pinv
         pairs.append((rep, E))
-    return SpectralDecomposition(pairs=pairs, grouping_tol=grouping_tol)
+    return pairs
 
 
 def apply_function(T, f: Callable[[complex], complex],
@@ -97,7 +78,11 @@ def apply_function(T, f: Callable[[complex], complex],
     ``apply_function(S T S^-1, f) = S apply_function(T, f) S^-1`` up to
     conditioning-scaled rounding.
     """
-    return spectral_idempotents(T, grouping_tol).assemble(f)
+    pairs = spectral_idempotents(T, grouping_tol)
+    out = np.zeros_like(pairs[0][1])
+    for lam, E in pairs:
+        out += complex(f(lam)) * E
+    return out
 
 
 def calc_2x2_closed_form(lambda1: complex, lambda2: complex, alpha: complex,

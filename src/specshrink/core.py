@@ -27,6 +27,7 @@ from .errors import (
     DimensionMismatch,
     EmptySpectrum,
     NumericalFailure,
+    OracleFailure,
     Singular,
     SizeMismatch,
 )
@@ -38,10 +39,12 @@ DEFAULT_EIG_TOL = 1e-8
 
 #: Relative singular-value cuts of :func:`polar_decompose` (singularity) and
 #: :meth:`Subspace.from_span` (rank); the orthonormality bound of a
-#: :class:`Subspace` basis.
+#: :class:`Subspace` basis; the relative and absolute null-space cut of
+#: :func:`kernel`.
 SINGULAR_TOL = 1e-12
 RANK_TOL = 1e-10
 ORTHONORMAL_TOL = 1e-8
+KERNEL_TOL = 1e-6
 
 
 def as_matrix(X) -> np.ndarray:
@@ -52,6 +55,16 @@ def as_matrix(X) -> np.ndarray:
     if A.size and not np.all(np.isfinite(A)):
         raise DimensionMismatch("matrix entries must be finite")
     return A
+
+
+def call_oracle(phi, X) -> np.ndarray:
+    """``phi(X)`` as a validated matrix; any exception the black-box map
+    raises, or an output that is not a finite square matrix, becomes
+    :class:`OracleFailure`."""
+    try:
+        return as_matrix(phi(X))
+    except Exception as exc:
+        raise OracleFailure(f"oracle raised on an input: {exc!r}") from exc
 
 
 def right_divide(A, S) -> np.ndarray:
@@ -193,61 +206,11 @@ def eig_decompose(X) -> EigDecomposition:
 # Characteristic polynomials
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class MonicPolynomial:
-    """Monic polynomial ``x^n + c_{n-1} x^{n-1} + ... + c_0``.
-
-    ``coeffs`` stores ``c_0 .. c_{n-1}`` (ascending); the leading 1 is
-    implicit.
-    """
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex).ravel())
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.size
-
-    @property
-    def full(self) -> np.ndarray:
-        """All coefficients ascending, including the leading 1."""
-        return np.concatenate([self.coeffs, [1.0 + 0j]])
-
-    @classmethod
-    def from_roots(cls, roots) -> "MonicPolynomial":
-        desc = np.atleast_1d(np.poly(np.asarray(roots, dtype=complex)))
-        return cls(desc[::-1][:-1])
-
-    def __call__(self, x):
-        return np.polyval(self.full[::-1], x)
-
-    def __mul__(self, other: "MonicPolynomial") -> "MonicPolynomial":
-        prod = np.convolve(self.full, other.full)
-        return MonicPolynomial(prod[:-1])
-
-    def pow(self, k: int) -> "MonicPolynomial":
-        if k < 1:
-            raise ValueError("power must be a positive integer")
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-        return out
-
-    def max_coeff_distance(self, other: "MonicPolynomial") -> float:
-        """Max modulus of coefficient differences; degrees must agree."""
-        if self.degree != other.degree:
-            raise SizeMismatch(
-                f"polynomial degrees differ: {self.degree} vs {other.degree}"
-            )
-        if self.degree == 0:
-            return 0.0
-        return float(np.max(np.abs(self.coeffs - other.coeffs)))
-
-
-def char_poly(X) -> MonicPolynomial:
+def char_poly(X) -> np.ndarray:
     """Characteristic polynomial ``det(x I - X)`` by the trace recurrence.
+
+    Returns the ascending coefficients ``c_0 .. c_{n-1}`` of
+    ``x^n + c_{n-1} x^{n-1} + ... + c_0``; the leading 1 is implicit.
 
     Uses only matrix products and traces, so it is independent of the
     eigensolver and can serve as a cross-check oracle for it.  This
@@ -268,7 +231,20 @@ def char_poly(X) -> MonicPolynomial:
         M = A @ M + c * eye
         c = -np.trace(A @ M) / k
         asc[n - k] = c
-    return MonicPolynomial(asc)
+    return asc
+
+
+def poly_power(coeffs, k: int) -> np.ndarray:
+    """Ascending coefficients of the k-th power of the monic polynomial
+    with ascending non-leading coefficients ``coeffs``, by k - 1
+    convolutions; the leading 1 stays implicit in the result too."""
+    if k < 1:
+        raise ValueError("power must be a positive integer")
+    full = np.concatenate([coeffs, [1.0 + 0j]])
+    out = full
+    for _ in range(k - 1):
+        out = np.convolve(out, full)
+    return out[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -414,13 +390,13 @@ def _check_same_ambient(W: Subspace, Wp: Subspace):
         )
 
 
-def kernel(X, tol: float = 1e-8, atol: float = 0.0) -> Subspace:
+def kernel(X) -> Subspace:
     """Orthonormal basis of the numerical null space of ``X``.
 
     Singular directions are those with singular value at most
-    ``max(tol * sigma_max, atol)``; the zero matrix yields the full space.
-    The absolute floor matters when X is numerically zero at a known
-    external scale (a purely relative cut would then keep nothing).
+    ``KERNEL_TOL * max(sigma_max, 1)``; the zero matrix yields the full
+    space.  The absolute floor matters when X is numerically zero at a
+    known unit scale (a purely relative cut would then keep nothing).
     """
     A = as_matrix(X)
     try:
@@ -428,7 +404,7 @@ def kernel(X, tol: float = 1e-8, atol: float = 0.0) -> Subspace:
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("SVD did not converge") from exc
     smax = s[0] if s.size else 0.0
-    mask = s <= max(tol * smax, atol)
+    mask = s <= max(KERNEL_TOL * smax, KERNEL_TOL)
     dim = int(np.sum(mask))
     n = A.shape[0]
     if dim == 0:

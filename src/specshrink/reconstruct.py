@@ -48,12 +48,12 @@ CLASSIFIABLE_SPACES = (
 )
 
 #: Pinned tolerances: the largest validation residual
-#: ``||phi(X) - T X° T^{-1}|| / ||X||``; the kernel cut of ``I - phi(U_W)``
-#: (relative and absolute, as ``||U_W|| = 1``); the gap distance within which
+#: ``||phi(X) - T X° T^{-1}|| / ||X||``; the gap distance within which
 #: the witness line singles out a branch; and the largest gap between
-#: ``Psi(W + W')`` and ``Psi(W) + Psi(W')``.
+#: ``Psi(W + W')`` and ``Psi(W) + Psi(W')``.  The kernel cut of
+#: ``I - phi(U_W)`` is ``core.KERNEL_TOL``, relative and absolute, as
+#: ``||U_W|| = 1``.
 RESIDUAL_TOL = 1e-6
-KERNEL_TOL = 1e-6
 BRANCH_TOL = 1e-3
 LATTICE_TOL = 1e-6
 
@@ -98,13 +98,6 @@ class PreserverClassification:
         }
 
 
-def _call_oracle(phi, X):
-    try:
-        return core.as_matrix(phi(X))
-    except Exception as exc:
-        raise OracleFailure(f"oracle raised on an input: {exc!r}") from exc
-
-
 def _worst_residual(phi, form, draws, worst: float = 0.0) -> float:
     """Worst ``||phi(X) - form(X)|| / ||X||`` over the matrices ``draws``,
     starting from ``worst``.
@@ -115,7 +108,7 @@ def _worst_residual(phi, form, draws, worst: float = 0.0) -> float:
     inputs, images = [], []
     for X in draws:
         inputs.append(X)
-        images.append(_call_oracle(phi, X))
+        images.append(core.call_oracle(phi, X))
     if not inputs:
         return worst
     X = np.asarray(inputs, dtype=complex)  # as core.opnorm norms a real draw
@@ -150,9 +143,9 @@ def psi(phi, W: core.Subspace) -> core.Subspace:
     A dimension change means the oracle violates its hypotheses and raises
     :class:`DimensionDrift`.
     """
-    Y = _call_oracle(phi, involution_for_subspace(W))
+    Y = core.call_oracle(phi, involution_for_subspace(W))
     # the absolute floor keeps the whole space when W is everything
-    K = core.kernel(np.eye(W.ambient_dim) - Y, KERNEL_TOL, atol=KERNEL_TOL)
+    K = core.kernel(np.eye(W.ambient_dim) - Y)
     if K.dim != W.dim:
         raise DimensionDrift(
             f"subspace map changed dimension {W.dim} -> {K.dim}"
@@ -166,6 +159,8 @@ def lattice_compat_check(phi, n: int, trials: int = 20, seed: int = 0) -> bool:
     Pairs are drawn with a shared orthonormal eigenbasis (columns of one
     Haar unitary), which is exactly the commuting-projection condition.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         Q = spaces.haar_unitary(rng, n)
@@ -285,7 +280,7 @@ def torus_conjugator(phi, S, seed: int = 0) -> np.ndarray:
     for _ in range(TORUS_ATTEMPTS):
         u = spaces.circle_points(rng, n, 0.5 / n)
         X = S @ np.diag(u) @ Sinv
-        Y = _call_oracle(phi, X)
+        Y = core.call_oracle(phi, X)
         w, V = np.linalg.eig(Y)
         try:
             match = [_nearest_strict(u_i, w) for u_i in u]

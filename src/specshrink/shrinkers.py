@@ -15,12 +15,12 @@ caller's contract, probed only pathwise elsewhere.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import core, selectors, spaces
-from .errors import DimensionMismatch, OracleFailure, SingularConjugator
+from .errors import DimensionMismatch, SingularConjugator
 
 DEFAULT_SAMPLES = 100
 DEFAULT_SEED = 0
@@ -110,17 +110,6 @@ def degenerate_shrinker_sun(U, m: int) -> np.ndarray:
 # The batch check
 # ---------------------------------------------------------------------------
 
-def _evaluate_oracle(phi: Callable, X, m: int) -> np.ndarray:
-    try:
-        Y = phi(X)
-    except Exception as exc:
-        raise OracleFailure(f"oracle raised on a sample: {exc!r}") from exc
-    Y = core.as_matrix(Y)
-    if Y.shape != (m, m):
-        raise DimensionMismatch(f"oracle output is {Y.shape}, expected ({m}, {m})")
-    return Y
-
-
 def verify_shrinker(phi, space, n: int, m: int, samples: int = DEFAULT_SAMPLES,
                     seed: int = DEFAULT_SEED) -> ShrinkReport:
     """Inclusion and (when n | m) power-law defects in one seeded pass.
@@ -135,7 +124,12 @@ def verify_shrinker(phi, space, n: int, m: int, samples: int = DEFAULT_SAMPLES,
     sid = spaces.SpaceId.parse(space)
     rng = np.random.default_rng(seed)
     xs = [spaces.sample(sid, n, rng) for _ in range(samples)]
-    ys = [_evaluate_oracle(phi, X, m) for X in xs]
+    ys = []
+    for X in xs:
+        Y = core.call_oracle(phi, X)
+        if Y.shape != (m, m):
+            raise DimensionMismatch(f"oracle output is {Y.shape}, expected ({m}, {m})")
+        ys.append(Y)
 
     inclusion = 0.0
     for X, Y in zip(xs, ys):
@@ -146,7 +140,7 @@ def verify_shrinker(phi, space, n: int, m: int, samples: int = DEFAULT_SAMPLES,
         k = m // n
         powerlaw = 0.0
         for X, Y in zip(xs, ys):
-            d = core.char_poly(Y).max_coeff_distance(core.char_poly(X).pow(k))
+            d = float(np.max(np.abs(core.char_poly(Y) - core.poly_power(core.char_poly(X), k))))
             powerlaw = max(powerlaw, d)
     return ShrinkReport(
         space=sid.value,

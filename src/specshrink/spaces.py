@@ -26,14 +26,12 @@ it; membership tests are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
 
 import numpy as np
 
 from . import core
-from .errors import SingularConjugator, UnsupportedDimension
+from .errors import UnsupportedDimension
 
 #: Minimum pairwise eigenvalue gap enforced when a simple-spectrum sample
 #: is requested (the classification arguments work densely with distinct
@@ -328,108 +326,3 @@ def membership(space, X) -> bool:
     if sid is SpaceId.GLN_STAR:
         return invertible() and abs(np.linalg.det(A) + 1.0) > MEMBERSHIP_TOL * scale ** n
     raise ValueError(f"unhandled space {sid}")  # pragma: no cover
-
-
-# ---------------------------------------------------------------------------
-# The general conjugated-triangular framework
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GeneralSpaceSpec:
-    """Parameters for a conjugated upper-triangular family of matrices.
-
-    Elements are ``g (diag(lambda) + v) g^{-1}`` with ``lambda`` drawn by
-    ``l_sampler`` from a diagonal set, ``v`` a random combination of the
-    strictly upper-triangular ``v_basis``, and ``g`` drawn from a closed
-    connected subgroup by ``g_sampler``.
-
-    The transitivity hypothesis on isotropy groups of the diagonal set's
-    components cannot be checked by sampling; it is the caller's contract.
-    """
-
-    n: int
-    l_sampler: Callable[[np.random.Generator], np.ndarray]
-    v_basis: Sequence[np.ndarray]
-    g_sampler: Callable[[np.random.Generator], np.ndarray]
-
-    def __post_init__(self):
-        for V in self.v_basis:
-            B = core.as_matrix(V)
-            if B.shape[0] != self.n:
-                raise UnsupportedDimension("v_basis dimension mismatch")
-            if core.opnorm(np.tril(B)) > 1e-12:
-                raise ValueError("v_basis elements must be strictly upper triangular")
-
-
-def sample_general(spec: GeneralSpaceSpec, rng=None) -> np.ndarray:
-    """Draw ``g (diag(lambda) + v) g^{-1}`` from a general space spec.
-
-    The spectrum of the output equals the drawn ``lambda`` tuple up to
-    conditioning-scaled rounding.
-    """
-    g = np.random.default_rng(rng)
-    lam = np.asarray(spec.l_sampler(g), dtype=complex).ravel()
-    if lam.size != spec.n:
-        raise UnsupportedDimension(
-            f"l_sampler returned {lam.size} values, expected {spec.n}"
-        )
-    upper = np.zeros((spec.n, spec.n), dtype=complex)
-    for V in spec.v_basis:
-        c = (g.standard_normal() + 1j * g.standard_normal()) / np.sqrt(2)
-        upper = upper + c * np.asarray(V, dtype=complex)
-    conj = core.as_matrix(spec.g_sampler(g))
-    s = np.linalg.svd(conj, compute_uv=False)
-    if s[-1] <= 1e-10 * max(1.0, s[0]):
-        raise SingularConjugator("g_sampler produced a numerically singular matrix")
-    inner = np.diag(lam) + upper
-    return conj @ inner @ np.linalg.inv(conj)
-
-
-def _strict_upper_basis(n: int) -> list[np.ndarray]:
-    basis = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            E = np.zeros((n, n), dtype=complex)
-            E[i, j] = 1.0
-            basis.append(E)
-    return basis
-
-
-def standard_space_spec(space, n: int) -> GeneralSpaceSpec:
-    """The general-space parameters realizing a named space.
-
-    Supported: ``mn``, ``gln``, ``sln`` (full triangular part, invertible
-    conjugators) and ``un``, ``nn`` (diagonalizable by unitaries, no
-    triangular part).
-    """
-    sid = SpaceId.parse(space)
-
-    def gaussian_tuple(g):
-        return (g.standard_normal(n) + 1j * g.standard_normal(n)) / np.sqrt(2)
-
-    def nonzero_tuple(g):
-        return _simple_complex_tuple(g, n, modulus_band=(0.1, np.inf))
-
-    def unit_product_tuple(g):
-        return _simple_complex_tuple(g, n, modulus_band=(1.0 / 3.0, 3.0), unit_product=True)
-
-    def phase_tuple(g):
-        return np.exp(2j * np.pi * g.uniform(size=n))
-
-    def gl_sampler(g):
-        return sample(SpaceId.GLN, n, g)
-
-    def u_sampler(g):
-        return haar_unitary(g, n)
-
-    if sid is SpaceId.MN:
-        return GeneralSpaceSpec(n, gaussian_tuple, _strict_upper_basis(n), gl_sampler)
-    if sid is SpaceId.GLN:
-        return GeneralSpaceSpec(n, nonzero_tuple, _strict_upper_basis(n), gl_sampler)
-    if sid is SpaceId.SLN:
-        return GeneralSpaceSpec(n, unit_product_tuple, _strict_upper_basis(n), gl_sampler)
-    if sid is SpaceId.UN:
-        return GeneralSpaceSpec(n, phase_tuple, [], u_sampler)
-    if sid is SpaceId.NN:
-        return GeneralSpaceSpec(n, gaussian_tuple, [], u_sampler)
-    raise ValueError(f"no standard general-space parameters for {sid.value}")

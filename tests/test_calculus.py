@@ -15,16 +15,16 @@ def triangular(l1, l2, a):
 # ---------------------------------------------------------------------------
 
 def test_idempotents_diagonal_with_multiplicity():
-    dec = calculus.spectral_idempotents(np.diag([1.0, 1.0, 2.0]))
-    by_val = {round(l.real): E for l, E in dec.pairs}
+    pairs = calculus.spectral_idempotents(np.diag([1.0, 1.0, 2.0]))
+    by_val = {round(l.real): E for l, E in pairs}
     assert np.allclose(by_val[1], np.diag([1.0, 1.0, 0.0]), atol=1e-12)
     assert np.allclose(by_val[2], np.diag([0.0, 0.0, 1.0]), atol=1e-12)
 
 
 def test_idempotents_triangular_closed_form():
     l1, l2, a = 2.0, -1.0, 1.5
-    dec = calculus.spectral_idempotents(triangular(l1, l2, a))
-    by_val = {round(l.real): E for l, E in dec.pairs}
+    pairs = calculus.spectral_idempotents(triangular(l1, l2, a))
+    by_val = {round(l.real): E for l, E in pairs}
     expected = np.array([[1.0, a / (l1 - l2)], [0.0, 0.0]])
     assert np.allclose(by_val[2], expected, atol=1e-10)
     assert np.allclose(by_val[-1], np.eye(2) - expected, atol=1e-10)
@@ -34,9 +34,9 @@ def test_idempotents_conjugation_transport():
     rng = np.random.default_rng(70)
     P = spaces.bounded_conjugator(rng, 3)
     X = P @ np.diag([1.0, 2.0, 3.0]) @ np.linalg.inv(P)
-    dec = calculus.spectral_idempotents(X)
+    pairs = calculus.spectral_idempotents(X)
     cond = np.linalg.cond(P, 2)
-    for lam, E in dec.pairs:
+    for lam, E in pairs:
         i = int(round(lam.real)) - 1
         rank1 = np.zeros((3, 3))
         rank1[i, i] = 1.0
@@ -47,15 +47,15 @@ def test_idempotents_conjugation_transport():
 def test_idempotent_algebra():
     rng = np.random.default_rng(71)
     X = spaces.sample("mn_ss", 4, rng)
-    dec = calculus.spectral_idempotents(X)
+    pairs = calculus.spectral_idempotents(X)
     n = 4
-    total = sum(E for _, E in dec.pairs)
+    total = sum(E for _, E in pairs)
     assert core.opnorm(total - np.eye(n)) <= 1e-8
-    assemble = sum(l * E for l, E in dec.pairs)
+    assemble = sum(l * E for l, E in pairs)
     assert core.opnorm(assemble - X) <= 1e-8 * (1 + core.opnorm(X))
-    for i, (_, Ei) in enumerate(dec.pairs):
+    for i, (_, Ei) in enumerate(pairs):
         assert core.opnorm(Ei @ X - X @ Ei) <= 1e-7 * (1 + core.opnorm(X))
-        for j, (_, Ej) in enumerate(dec.pairs):
+        for j, (_, Ej) in enumerate(pairs):
             target = Ei if i == j else np.zeros((n, n))
             assert core.opnorm(Ei @ Ej - target) <= 1e-7
 

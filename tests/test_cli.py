@@ -93,6 +93,7 @@ def test_verify_usage_error_on_inconsistent_m(capsys):
     ["select", "--step", "nan"],
     ["select", "--selector", "hn", "--step", "inf"],
     ["select", "--selector", "unlambda", "--step", "nan"],
+    ["select", "--selector", "hn", "--step", "1e308"],
 ])
 def test_usage_errors_exit_2_with_a_report(capsys, argv):
     code, report = run_cli(capsys, argv)

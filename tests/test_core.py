@@ -86,13 +86,11 @@ def test_eig_repeated_eigenvalue_conjugated():
 # ---------------------------------------------------------------------------
 
 def test_char_poly_identity_2x2():
-    p = core.char_poly(np.eye(2))
-    assert np.allclose(p.coeffs, [1.0, -2.0])
+    assert np.allclose(core.char_poly(np.eye(2)), [1.0, -2.0])
 
 
 def test_char_poly_diag123():
-    p = core.char_poly(np.diag([1.0, 2.0, 3.0]))
-    assert np.allclose(p.coeffs, [-6.0, 11.0, -6.0])
+    assert np.allclose(core.char_poly(np.diag([1.0, 2.0, 3.0])), [-6.0, 11.0, -6.0])
 
 
 @settings(max_examples=25, deadline=None)
@@ -103,16 +101,22 @@ def test_char_poly_matches_root_expansion(seed):
     p = core.char_poly(X)
     q = oracles.charpoly_coeffs_from_roots(np.linalg.eigvals(X))
     tol = 1e-6 * (1 + core.opnorm(X)) ** 5
-    assert np.max(np.abs(p.coeffs - q)) <= tol
+    assert np.max(np.abs(p - q)) <= tol
 
 
-def test_poly_power_and_distance():
-    p = core.MonicPolynomial.from_roots([1.0, 2.0])
-    sq = p.pow(2)
-    expected = oracles.poly_power_coeffs(p.coeffs, 2)
-    assert np.allclose(sq.coeffs, expected)
-    with pytest.raises(SizeMismatch):
-        p.max_coeff_distance(sq)
+coefficients = st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(coefficients, min_size=1, max_size=8), st.integers(1, 4))
+def test_poly_power_matches_convolution_oracle(coeffs, k):
+    c = np.array(coeffs, dtype=complex)
+    assert np.array_equal(core.poly_power(c, k), oracles.poly_power_coeffs(c, k))
+
+
+def test_poly_power_rejects_nonpositive_powers():
+    with pytest.raises(ValueError):
+        core.poly_power(np.array([1.0 + 0j]), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,9 @@ def test_classify_guards():
     # no validation sample would pass the exotic involution unchecked
     with pytest.raises(ValueError):
         reconstruct.classify_preserver(theta.theta, "gln_ss", 3, validation_samples=0)
+    # no trial would pass a map that breaks the lattice operations unchecked
+    with pytest.raises(ValueError):
+        reconstruct.lattice_compat_check(lambda X: X * 0 + 1, 4, trials=0)
 
 
 def test_classify_spaces_equals_one_call_per_space(monkeypatch):

@@ -283,7 +283,7 @@ def test_corner_matrix_sign_pinned_by_trace_recurrence():
     for n in (2, 3, 4, 5):
         z = 0.7 - 1.3j
         [X] = selectors.corner_matrices(n, [z])
-        coeffs = core.char_poly(X).coeffs
+        coeffs = core.char_poly(X)
         expected = np.zeros(n, dtype=complex)
         expected[0] = -z
         assert np.allclose(coeffs, expected, atol=1e-12)

@@ -74,83 +74,3 @@ def test_haar_first_entry_square_is_uniform():
     vals = np.array([abs(spaces.haar_unitary(rng, 2)[0, 0]) ** 2 for _ in range(5000)])
     stat = scipy.stats.kstest(vals, "uniform").statistic
     assert stat < 0.05
-
-
-def test_sample_general_identity_case():
-    spec = spaces.GeneralSpaceSpec(
-        n=3,
-        l_sampler=lambda g: np.array([1.0, 2.0, 3.0]),
-        v_basis=[],
-        g_sampler=lambda g: np.eye(3),
-    )
-    X = spaces.sample_general(spec, 0)
-    assert np.allclose(X, np.diag([1.0, 2.0, 3.0]))
-
-
-def test_sample_general_spectrum_matches_drawn_tuple():
-    drawn = {}
-
-    def l_sampler(g):
-        lam = g.standard_normal(4) + 1j * g.standard_normal(4)
-        drawn["lam"] = lam
-        return lam
-
-    conj = {}
-
-    def g_sampler(g):
-        conj["g"] = spaces.bounded_conjugator(g, 4)
-        return conj["g"]
-
-    spec = spaces.GeneralSpaceSpec(
-        n=4,
-        l_sampler=l_sampler,
-        v_basis=spaces._strict_upper_basis(4),
-        g_sampler=g_sampler,
-    )
-    rng = np.random.default_rng(104)
-    for _ in range(10):
-        X = spaces.sample_general(spec, rng)
-        cond = np.linalg.cond(conj["g"], 2)
-        d = core.spectrum_match_distance(core.spectrum(X),
-                                         core.canonical_spectrum(drawn["lam"]))
-        assert d <= 1e-6 * cond
-
-
-def test_sample_general_simple_spectrum_is_semisimple():
-    # distinct diagonal entries force diagonalizability even with a
-    # nonzero strictly upper-triangular part; the gln tuple sampler
-    # enforces the eigenvalue gap
-    spec = spaces.standard_space_spec("gln", 3)
-    rng = np.random.default_rng(107)
-    for _ in range(10):
-        X = spaces.sample_general(spec, rng)
-        assert core.eig_decompose(X).semisimple
-
-
-def test_sample_general_unitary_parameters():
-    # phases on the diagonal, unitary conjugators, no triangular part
-    spec = spaces.standard_space_spec("un", 3)
-    rng = np.random.default_rng(105)
-    for _ in range(10):
-        X = spaces.sample_general(spec, rng)
-        assert spaces.membership("un", X)
-
-
-def test_sample_general_full_matrix_parameters():
-    spec = spaces.standard_space_spec("mn", 3)
-    rng = np.random.default_rng(106)
-    X = spaces.sample_general(spec, rng)
-    assert X.shape == (3, 3)
-    spec_sl = spaces.standard_space_spec("sln", 3)
-    Y = spaces.sample_general(spec_sl, rng)
-    assert abs(np.linalg.det(Y) - 1.0) <= 1e-6
-
-
-def test_v_basis_validation():
-    with pytest.raises(ValueError):
-        spaces.GeneralSpaceSpec(
-            n=2,
-            l_sampler=lambda g: np.zeros(2),
-            v_basis=[np.array([[0.0, 0.0], [1.0, 0.0]])],  # lower triangular
-            g_sampler=lambda g: np.eye(2),
-        )
