@@ -66,7 +66,7 @@ TORUS_ATTEMPTS = 20
 def conjugate(T, X, mode: str = MODE_CONJUGATION) -> np.ndarray:
     """``T X° T^{-1}`` with ``X° = X`` (conjugation) or ``X^t``
     (transpose_conjugation); ``X`` may be a ``(k, n, n)`` stack."""
-    A = np.asarray(X, dtype=complex) if np.ndim(X) == 3 else core.as_matrix(X)
+    A = core.as_matrix(X, stack=True)
     if mode == MODE_TRANSPOSE:
         A = np.swapaxes(A, -1, -2)
     return core.right_divide(T @ A, T)
@@ -102,8 +102,15 @@ def _worst_residual(phi, form, draws, worst: float = 0.0) -> float:
     """Worst ``||phi(X) - form(X)|| / ||X||`` over the matrices ``draws``,
     starting from ``worst``.
 
-    The oracle sees one matrix at a time, as it is drawn; ``form`` and both
-    norms then run once on the ``(k, n, n)`` stack.
+    The oracle sees one matrix at a time; ``form`` and both norms then run
+    once on the ``(k, n, n)`` stack.  ``draws`` is any iterable of
+    matrices.  The validation stages of :func:`reconstruct` and
+    :func:`classify_spaces` pass a whole stack from
+    :func:`spaces.sample_stack`, drawn before the oracle sees any of it, so
+    a sampler that runs out of budget raises :class:`UnsupportedDimension`
+    before any :class:`OracleFailure` of that stage;
+    :func:`torus_conjugator` passes a generator that draws each matrix as
+    the oracle asks for it.
     """
     inputs, images = [], []
     for X in draws:
@@ -187,14 +194,15 @@ def lattice_compat_check(phi, n: int, trials: int = 20, seed: int = 0) -> bool:
 # ---------------------------------------------------------------------------
 
 def reconstruct(phi, n: int, validation_samples: int = VALIDATION_SAMPLES, seed: int = 0,
-                validation_sampler=spaces.haar_unitary) -> PreserverClassification:
+                validation_space: str = "un") -> PreserverClassification:
     """Recover the implementing matrix of a preserver oracle on unitaries.
 
     Probes the subspace map on coordinate lines (columns up to scale), sum
     lines (relative scales) and the line span(e_1 + i e_2) (the minimal
     witness separating the linear from the conjugate-linear branch), then
-    validates the assembled classification on held-out samples drawn by
-    ``validation_sampler(rng, n)`` (Haar unitaries by default).
+    validates the assembled classification on held-out samples of
+    ``validation_space``: ``"un"`` (Haar unitaries, the default) or
+    ``"sun"`` (special unitaries).
     """
     if n < 3:
         raise UnsupportedDimension("reconstruction requires n >= 3")
@@ -239,7 +247,7 @@ def reconstruct(phi, n: int, validation_samples: int = VALIDATION_SAMPLES, seed:
 
     residual = _worst_residual(
         phi, lambda X: conjugate(T, X, mode),
-        (core.as_matrix(validation_sampler(rng, n)) for _ in range(validation_samples)))
+        spaces.sample_stack(validation_space, n, validation_samples, rng))
     if residual > RESIDUAL_TOL:
         raise ResidualTooLarge(
             f"validation residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}; "
@@ -331,10 +339,15 @@ def classify_spaces(phi, space_names, n: int, validation_samples: int = VALIDATI
     cut.
 
     The reconstruction depends only on the oracle, the seed and its stage
-    sampler (special unitaries for ``sln_ss``, Haar unitaries otherwise),
-    so it runs once per sampler; each space is validated on its own
-    ``rng(seed + 1)``.  Every result, and the first error raised, is the
-    one a separate :func:`classify_preserver` call per space would give.
+    space (``"sun"`` for ``sln_ss``, ``"un"`` otherwise), so it runs once
+    per stage; each space is validated on its own ``rng(seed + 1)``.
+    Every result, and the first error raised, is the one a separate
+    :func:`classify_preserver` call per space would give.
+
+    Each validation set is drawn as one stack before the oracle sees any
+    of it.  So when a sampler runs out of budget,
+    :class:`UnsupportedDimension` surfaces before any
+    :class:`OracleFailure` the oracle would raise in that stage.
     """
     stages = {}
     out = []
@@ -348,18 +361,16 @@ def classify_spaces(phi, space_names, n: int, validation_samples: int = VALIDATI
             raise UnsupportedDimension(
                 "determinant-1 classification via unitary involutions needs odd n"
             )
-        stage_sampler = (spaces.special_unitary if sid is spaces.SpaceId.SLN_SS
-                         else spaces.haar_unitary)
-        if stage_sampler not in stages:
-            stages[stage_sampler] = reconstruct(
+        stage = "sun" if sid is spaces.SpaceId.SLN_SS else "un"
+        if stage not in stages:
+            stages[stage] = reconstruct(
                 phi, n, validation_samples=validation_samples, seed=seed,
-                validation_sampler=stage_sampler)
-        cls = stages[stage_sampler]
+                validation_space=stage)
+        cls = stages[stage]
 
         rng = np.random.default_rng(seed + 1)
         residual = _worst_residual(
-            phi, cls.apply, (spaces.sample(sid, n, rng) for _ in range(validation_samples)),
-            cls.residual)
+            phi, cls.apply, spaces.sample_stack(sid, n, validation_samples, rng), cls.residual)
 
         if sid is spaces.SpaceId.SLN_SS:
             def root_extension(X):
@@ -367,8 +378,8 @@ def classify_spaces(phi, space_names, n: int, validation_samples: int = VALIDATI
                 return c * core.as_matrix(phi(X / c))
 
             residual = _worst_residual(
-                root_extension, cls.apply,
-                (_gl_star_ss_sample(rng, n) for _ in range(validation_samples)), residual)
+                root_extension, cls.apply, _gl_star_ss_sample(rng, n, validation_samples),
+                residual)
 
         if residual > RESIDUAL_TOL:
             raise ResidualTooLarge(
@@ -386,15 +397,18 @@ def classify_preserver(phi, space, n: int, validation_samples: int = VALIDATION_
     return classify_spaces(phi, [space], n, validation_samples, seed)[0]
 
 
-def _gl_star_ss_sample(rng, n):
-    """Semisimple invertible sample with det away from -1 and the
-    nonpositive real axis, where the principal root extension is defined."""
-    for _ in range(spaces.MAX_TRIES):
-        X = spaces.sample(spaces.SpaceId.GLN_SS, n, rng)
-        det = np.linalg.det(X)
-        if abs(det + 1.0) > 1e-3 and abs(np.angle(det)) < np.pi - 0.2:
-            return X
-    raise UnsupportedDimension("could not draw a determinant-safe sample")
+def _gl_star_ss_sample(rng, n, k):
+    """k semisimple invertible samples with det away from -1 and the
+    nonpositive real axis, where the principal root extension is defined.
+
+    The tests run on scalars, as numpy's array abs rounds differently
+    from its scalar abs.
+    """
+    return spaces.rejection_stack(
+        lambda m: spaces.sample_stack(spaces.SpaceId.GLN_SS, n, m, rng),
+        lambda x: [abs(det + 1.0) > 1e-3 and abs(np.angle(det)) < np.pi - 0.2
+                   for det in np.linalg.det(x)],
+        k, "could not draw a determinant-safe sample")
 
 
 # ---------------------------------------------------------------------------

@@ -116,31 +116,33 @@ def verify_shrinker(phi, space, n: int, m: int, samples: int = DEFAULT_SAMPLES,
 
     When n does not divide m only degenerate shrinkers can exist; the
     report then has ``divisible=False`` and no power-law defect.
+
+    The samples are drawn as one stack and the black-box map is called on
+    each in turn; spectra, inclusion defects and characteristic
+    polynomials then run once on the ``(samples, ., .)`` stacks.
     """
     if n < 1 or m < 1:
         raise ValueError(f"dimensions must be positive, got n = {n}, m = {m}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     sid = spaces.SpaceId.parse(space)
-    rng = np.random.default_rng(seed)
-    xs = [spaces.sample(sid, n, rng) for _ in range(samples)]
-    ys = []
-    for X in xs:
-        Y = core.call_oracle(phi, X)
-        if Y.shape != (m, m):
-            raise DimensionMismatch(f"oracle output is {Y.shape}, expected ({m}, {m})")
-        ys.append(Y)
+    X = spaces.sample_stack(sid, n, samples, np.random.default_rng(seed))
+    Y = np.empty((samples, m, m), dtype=complex)
+    for i, x in enumerate(X):
+        y = core.call_oracle(phi, x)
+        if y.shape != (m, m):
+            raise DimensionMismatch(f"oracle output is {y.shape}, expected ({m}, {m})")
+        Y[i] = y
 
     inclusion = 0.0
-    for X, Y in zip(xs, ys):
-        d = core.spectrum_inclusion_defect(core.spectrum(Y), core.spectrum(X))
+    for d in core.spectrum_inclusion_defect(core.spectrum(Y), core.spectrum(X)).tolist():
         inclusion = max(inclusion, d)
     powerlaw = None
     if m % n == 0:
         k = m // n
+        powers = np.array([core.poly_power(c, k) for c in core.char_poly(X)])
         powerlaw = 0.0
-        for X, Y in zip(xs, ys):
-            d = float(np.max(np.abs(core.char_poly(Y) - core.poly_power(core.char_poly(X), k))))
+        for d in np.max(np.abs(core.char_poly(Y) - powers), axis=1).tolist():
             powerlaw = max(powerlaw, d)
     return ShrinkReport(
         space=sid.value,

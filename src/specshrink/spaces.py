@@ -21,7 +21,9 @@ matrices) live here too.  Every rejection loop here gives up after
 ``MAX_TRIES`` draws with :class:`UnsupportedDimension`.
 
 Samplers take a ``numpy.random.Generator`` (or a seed) and are pure given
-it; membership tests are pure.
+it; membership tests are pure.  :func:`sample_stack` draws k matrices of a
+space as one ``(k, n, n)`` stack, bit for bit what k calls of
+:func:`sample` draw, and :func:`sample` is its k = 1 case.
 """
 
 from __future__ import annotations
@@ -84,11 +86,64 @@ class SpaceId(str, Enum):
 # ---------------------------------------------------------------------------
 # Building-block samplers
 # ---------------------------------------------------------------------------
+# Every sampler has a draw part, which takes the generator's numbers in the
+# order a one-matrix-at-a-time loop takes them, rejection loops included,
+# and a compute part, which runs once on the whole (k, n, n) stack.  The
+# compute parts below are bit for bit the per-matrix computations: stacked
+# QR, inverse, determinant and products run one LAPACK or BLAS call per
+# matrix, and everything else is elementwise.
 
-def ginibre(rng, n: int) -> np.ndarray:
-    """iid standard complex Gaussian entries, variance 1."""
-    g = np.random.default_rng(rng)
-    return (g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))) / np.sqrt(2)
+def _ginibre(z) -> np.ndarray:
+    """Ginibre entries (iid standard complex Gaussian, variance 1) from
+    ``(k, 2, ...)`` real Gaussians, real parts first, as ``(k, ...)``."""
+    return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2)
+
+
+def _haar(z) -> np.ndarray:
+    """Compute part of :func:`haar_unitary` on ``(k, 2, n, n)`` Gaussians."""
+    q, r = np.linalg.qr(_ginibre(z))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def _adjoint(a) -> np.ndarray:
+    return np.swapaxes(a.conj(), 1, 2)
+
+
+def _diagonals(lam) -> np.ndarray:
+    """The ``(k, n, n)`` stack of diagonal matrices with diagonals ``lam``.
+
+    Conjugating through an explicit diagonal keeps the bits of
+    ``c @ np.diag(lam) @ inv(c)``; scaling the columns of ``c`` instead
+    rounds differently.
+    """
+    k, n = lam.shape
+    D = np.zeros((k, n, n), dtype=complex)
+    D[:, np.arange(n), np.arange(n)] = lam
+    return D
+
+
+def _unit_determinant(x) -> np.ndarray:
+    """Compute part of the determinant-1 rescaling of a stack.
+
+    The roots are taken on scalars: the array power ``det ** 0.5`` at
+    n = 2 takes numpy's square-root path and can differ in the last bit.
+    """
+    n = x.shape[-1]
+    roots = np.array([det ** (1.0 / n) for det in np.linalg.det(x)])
+    return x / roots[:, None, None]
+
+
+def _conjugator_draw(g, n: int):
+    """Draw part of :func:`bounded_conjugator`: the log singular values,
+    then the Gaussians of its two Haar factors."""
+    return g.uniform(-CONJUGATOR_SPREAD, CONJUGATOR_SPREAD, size=n), g.standard_normal((2, 2, n, n))
+
+
+def _conjugator(s, z) -> np.ndarray:
+    """Compute part of :func:`bounded_conjugator` on ``(k, n)`` log singular
+    values and ``(k, 2, 2, n, n)`` Gaussians."""
+    return (_haar(z[:, 0]) * np.exp(s)[:, None, :]) @ _adjoint(_haar(z[:, 1]))
 
 
 def haar_unitary(rng, n: int) -> np.ndarray:
@@ -97,18 +152,12 @@ def haar_unitary(rng, n: int) -> np.ndarray:
     The diagonal of R is divided out by its phases; without this fix QR
     output is not Haar.
     """
-    g = np.random.default_rng(rng)
-    q, r = np.linalg.qr(ginibre(g, n))
-    d = np.diagonal(r)
-    ph = d / np.abs(d)
-    return q * ph
+    return _haar(np.random.default_rng(rng).standard_normal((1, 2, n, n)))[0]
 
 
 def special_unitary(rng, n: int) -> np.ndarray:
     """Haar unitary rescaled by a determinant root onto det = 1."""
-    u = haar_unitary(rng, n)
-    det = np.linalg.det(u)
-    return u / det ** (1.0 / n)
+    return _unit_determinant(_haar(np.random.default_rng(rng).standard_normal((1, 2, n, n))))[0]
 
 
 def bounded_conjugator(rng, n: int) -> np.ndarray:
@@ -116,9 +165,8 @@ def bounded_conjugator(rng, n: int) -> np.ndarray:
 
     Built as U diag(s) V^H with Haar U, V and log-uniform singular values.
     """
-    g = np.random.default_rng(rng)
-    s = np.exp(g.uniform(-CONJUGATOR_SPREAD, CONJUGATOR_SPREAD, size=n))
-    return (haar_unitary(g, n) * s) @ haar_unitary(g, n).conj().T
+    s, z = _conjugator_draw(np.random.default_rng(rng), n)
+    return _conjugator(s[None], z[None])[0]
 
 
 def _simple_complex_tuple(rng, n, modulus_band=None, unit_product=False,
@@ -157,11 +205,45 @@ def _min_gap(vals) -> float:
     return float(d.min())
 
 
-def _conjugated_diagonal(rng, lam) -> np.ndarray:
-    g = np.random.default_rng(rng)
-    n = len(lam)
-    c = bounded_conjugator(g, n)
-    return c @ np.diag(lam) @ np.linalg.inv(c)
+def _conjugated_diagonals(g, n: int, k: int, **tuple_options) -> np.ndarray:
+    """k conjugated diagonals ``c diag(lambda) c^-1``: per matrix a simple
+    tuple (see :func:`_simple_complex_tuple`), then a bounded conjugator."""
+    lams, s, z = [], [], []
+    for _ in range(k):
+        lams.append(_simple_complex_tuple(g, n, **tuple_options))
+        s_i, z_i = _conjugator_draw(g, n)
+        s.append(s_i)
+        z.append(z_i)
+    c = _conjugator(np.array(s), np.array(z))
+    return c @ _diagonals(np.array(lams)) @ np.linalg.inv(c)
+
+
+def rejection_stack(draw, accept, k: int, failure: str) -> np.ndarray:
+    """The first k candidates that pass ``accept``, as one stack.
+
+    ``draw(m)`` returns a stack of m fresh candidates and ``accept(stack)``
+    one verdict per candidate.  This is the stacked form of a loop that
+    draws one candidate at a time until it passes, ``MAX_TRIES`` times at
+    most per output matrix: each round draws only as many candidates as
+    the loop is sure to draw next (the matrices still missing, at most the
+    current slot's remaining budget), so the rng ends where the loop leaves
+    it, and every slot keeps its own budget.  Raises
+    :class:`UnsupportedDimension` with ``failure`` once one slot has seen
+    ``MAX_TRIES`` rejections.
+    """
+    kept = []
+    tries = 0
+    while len(kept) < k:
+        candidates = draw(min(k - len(kept), MAX_TRIES - tries))
+        for x, ok in zip(candidates, accept(candidates)):
+            if ok:
+                kept.append(x)
+                tries = 0
+            else:
+                tries += 1
+        if tries == MAX_TRIES:
+            raise UnsupportedDimension(failure)
+    return np.array(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +276,8 @@ def semisimple_sample(rng, n: int) -> np.ndarray:
     modulus at most 2.5, with a bounded-condition conjugator."""
     if n < 1:
         raise UnsupportedDimension(f"dimension must be >= 1, got {n}")
-    g = np.random.default_rng(rng)
-    lam = _simple_complex_tuple(g, n, modulus_band=(0.0, 2.5), min_gap=0.05)
-    return _conjugated_diagonal(g, lam)
+    return _conjugated_diagonals(np.random.default_rng(rng), n, 1,
+                                 modulus_band=(0.0, 2.5), min_gap=0.05)[0]
 
 
 def positive_definite(rng, n: int) -> tuple[np.ndarray, float]:
@@ -222,58 +303,69 @@ def normal_pair(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# The main sampler
+# The main samplers
 # ---------------------------------------------------------------------------
 
 def sample(space, n: int, rng=None) -> np.ndarray:
-    """Draw one matrix from the named space.
+    """Draw one matrix from the named space: the k = 1 case of :func:`sample_stack`.
 
     Output passes ``membership(space, .)``.  See the module docstring
     for the distribution behind each tag.
     """
+    return sample_stack(space, n, 1, rng)[0]
+
+
+def sample_stack(space, n: int, k: int, rng=None) -> np.ndarray:
+    """Draw k matrices from the named space as one ``(k, n, n)`` stack.
+
+    Bit for bit the k matrices that k calls of :func:`sample` on the same
+    generator would draw, one after another, and the generator ends in the
+    same state: the draws are taken in that order, and the work on them
+    runs once on the stack.
+    """
     if n < 1:
         raise UnsupportedDimension(f"dimension must be >= 1, got {n}")
+    if k < 1:
+        raise ValueError(f"need at least one sample, got k = {k}")
     sid = SpaceId.parse(space)
     g = np.random.default_rng(rng)
 
     if sid is SpaceId.MN:
-        return core.as_matrix(ginibre(g, n))
+        return _ginibre(g.standard_normal((k, 2, n, n)))
     if sid is SpaceId.MN_SS:
-        return core.as_matrix(_conjugated_diagonal(g, _simple_complex_tuple(g, n)))
+        return _conjugated_diagonals(g, n, k)
     if sid is SpaceId.GLN:
-        for _ in range(MAX_TRIES):
-            x = ginibre(g, n)
+        def well_conditioned(x):
             s = np.linalg.svd(x, compute_uv=False)
-            if s[-1] > 1e-3 * max(1.0, s[0]):
-                return core.as_matrix(x)
-        raise UnsupportedDimension("invertible rejection sampling failed")
+            return s[:, -1] > 1e-3 * np.maximum(1.0, s[:, 0])
+
+        return rejection_stack(lambda m: _ginibre(g.standard_normal((m, 2, n, n))),
+                               well_conditioned, k, "invertible rejection sampling failed")
     if sid is SpaceId.GLN_SS:
-        lam = _simple_complex_tuple(g, n, modulus_band=(0.1, np.inf))
-        return core.as_matrix(_conjugated_diagonal(g, lam))
+        return _conjugated_diagonals(g, n, k, modulus_band=(0.1, np.inf))
     if sid is SpaceId.SLN:
-        x = sample(SpaceId.GLN, n, g)
-        det = np.linalg.det(x)
-        return core.as_matrix(x / det ** (1.0 / n))
+        return _unit_determinant(sample_stack(SpaceId.GLN, n, k, g))
     if sid is SpaceId.SLN_SS:
-        lam = _simple_complex_tuple(g, n, modulus_band=(1.0 / 3.0, 3.0), unit_product=True)
-        return core.as_matrix(_conjugated_diagonal(g, lam))
+        return _conjugated_diagonals(g, n, k, modulus_band=(1.0 / 3.0, 3.0), unit_product=True)
     if sid is SpaceId.UN:
-        return core.as_matrix(haar_unitary(g, n))
+        return _haar(g.standard_normal((k, 2, n, n)))
     if sid is SpaceId.SUN:
-        return core.as_matrix(special_unitary(g, n))
+        return _unit_determinant(_haar(g.standard_normal((k, 2, n, n))))
     if sid is SpaceId.NN:
-        lam = (g.standard_normal(n) + 1j * g.standard_normal(n)) / np.sqrt(2)
-        q = haar_unitary(g, n)
-        return core.as_matrix(q @ np.diag(lam) @ q.conj().T)
+        # per matrix: the eigenvalues' Gaussians, then the eigenbasis'
+        z = g.standard_normal((k, 2 * n + 2 * n * n))
+        q = _haar(z[:, 2 * n:].reshape(k, 2, n, n))
+        return q @ _diagonals(_ginibre(z[:, :2 * n].reshape(k, 2, n))) @ _adjoint(q)
     if sid is SpaceId.HN:
-        a = ginibre(g, n)
-        return core.as_matrix(0.5 * (a + a.conj().T))
+        a = _ginibre(g.standard_normal((k, 2, n, n)))
+        return 0.5 * (a + _adjoint(a))
     if sid is SpaceId.GLN_STAR:
-        for _ in range(MAX_TRIES):
-            x = sample(SpaceId.GLN, n, g)
-            if abs(np.linalg.det(x) + 1.0) > 1e-6:
-                return x
-        raise UnsupportedDimension("det != -1 rejection sampling failed")
+        # the distance is taken on scalars, as numpy's array abs rounds
+        # differently from its scalar abs
+        return rejection_stack(
+            lambda m: sample_stack(SpaceId.GLN, n, m, g),
+            lambda x: [abs(det + 1.0) > 1e-6 for det in np.linalg.det(x)],
+            k, "det != -1 rejection sampling failed")
     raise ValueError(f"unhandled space {sid}")  # pragma: no cover
 
 

@@ -6,7 +6,7 @@ recurrence, matrix square roots instead of SVD, exhaustive integer-shift
 enumeration instead of the sort-based construction, closed-form roots
 instead of eigenvalue continuation, every bijection instead of bisection
 over perfect matchings, one matrix, value, path or permutation at a time
-instead of a stacked kernel.
+instead of a stacked kernel or a stacked draw.
 """
 
 import itertools
@@ -242,3 +242,118 @@ def cycle_decomposition_by_enumeration(n):
             if not any(p[b] == a or p[a] == b for p in powers):
                 return False
     return True
+
+
+def char_poly_by_loop(X):
+    """The trace recurrence on one matrix, as first written."""
+    A = np.asarray(X, dtype=complex)
+    n = A.shape[0]
+    eye = np.eye(n, dtype=complex)
+    asc = np.empty(n, dtype=complex)
+    M = np.zeros_like(A)
+    c = 1.0 + 0j
+    for k in range(1, n + 1):
+        M = A @ M + c * eye
+        c = -np.trace(A @ M) / k
+        asc[n - k] = c
+    return asc
+
+
+def spectrum_by_loop(X):
+    """Eigenvalues of one matrix sorted by (Re, Im), as first written."""
+    vals = np.linalg.eigvals(np.asarray(X, dtype=complex))
+    return vals[np.lexsort((vals.imag, vals.real))]
+
+
+def inclusion_defect_by_loop(a, b):
+    """Directed Hausdorff distance between two 1-d spectra, as first written."""
+    return float(np.max(np.min(np.abs(a[:, None] - b[None, :]), axis=1)))
+
+def _ginibre_by_loop(g, n):
+    return (g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))) / np.sqrt(2)
+
+
+def _haar_by_loop(g, n):
+    q, r = np.linalg.qr(_ginibre_by_loop(g, n))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def _conjugated_diagonal_by_loop(g, lam):
+    from specshrink import spaces
+
+    n = len(lam)
+    s = np.exp(g.uniform(-spaces.CONJUGATOR_SPREAD, spaces.CONJUGATOR_SPREAD, size=n))
+    c = (_haar_by_loop(g, n) * s) @ _haar_by_loop(g, n).conj().T
+    return c @ np.diag(lam) @ np.linalg.inv(c)
+
+
+def sample_by_loop(space, n, rng):
+    """One matrix of the named space, as first written: every draw and every
+    QR, product, determinant root and rejection test on one matrix at a time."""
+    from specshrink import spaces
+    from specshrink.errors import UnsupportedDimension
+
+    sid = spaces.SpaceId.parse(space)
+    g = np.random.default_rng(rng)
+    tuple_ = spaces._simple_complex_tuple
+    if sid is spaces.SpaceId.MN:
+        return _ginibre_by_loop(g, n)
+    if sid is spaces.SpaceId.MN_SS:
+        return _conjugated_diagonal_by_loop(g, tuple_(g, n))
+    if sid is spaces.SpaceId.GLN:
+        for _ in range(spaces.MAX_TRIES):
+            x = _ginibre_by_loop(g, n)
+            s = np.linalg.svd(x, compute_uv=False)
+            if s[-1] > 1e-3 * max(1.0, s[0]):
+                return x
+        raise UnsupportedDimension("invertible rejection sampling failed")
+    if sid is spaces.SpaceId.GLN_SS:
+        return _conjugated_diagonal_by_loop(g, tuple_(g, n, modulus_band=(0.1, np.inf)))
+    if sid is spaces.SpaceId.SLN:
+        x = sample_by_loop(spaces.SpaceId.GLN, n, g)
+        return x / np.linalg.det(x) ** (1.0 / n)
+    if sid is spaces.SpaceId.SLN_SS:
+        lam = tuple_(g, n, modulus_band=(1.0 / 3.0, 3.0), unit_product=True)
+        return _conjugated_diagonal_by_loop(g, lam)
+    if sid is spaces.SpaceId.UN:
+        return _haar_by_loop(g, n)
+    if sid is spaces.SpaceId.SUN:
+        u = _haar_by_loop(g, n)
+        return u / np.linalg.det(u) ** (1.0 / n)
+    if sid is spaces.SpaceId.NN:
+        lam = (g.standard_normal(n) + 1j * g.standard_normal(n)) / np.sqrt(2)
+        q = _haar_by_loop(g, n)
+        return q @ np.diag(lam) @ q.conj().T
+    if sid is spaces.SpaceId.HN:
+        a = _ginibre_by_loop(g, n)
+        return 0.5 * (a + a.conj().T)
+    if sid is spaces.SpaceId.GLN_STAR:
+        for _ in range(spaces.MAX_TRIES):
+            x = sample_by_loop(spaces.SpaceId.GLN, n, g)
+            if abs(np.linalg.det(x) + 1.0) > 1e-6:
+                return x
+        raise UnsupportedDimension("det != -1 rejection sampling failed")
+    raise ValueError(f"unhandled space {sid}")
+
+
+def verify_shrinker_defects_by_loop(phi, space, n, m, samples, seed):
+    """(inclusion, power-law) defects of the batch shrinker check, as first
+    written: draw every sample, then one spectrum, one characteristic
+    polynomial and one defect per matrix."""
+    from specshrink import core
+
+    rng = np.random.default_rng(seed)
+    xs = [sample_by_loop(space, n, rng) for _ in range(samples)]
+    ys = [np.asarray(phi(X), dtype=complex) for X in xs]
+    inclusion = 0.0
+    for X, Y in zip(xs, ys):
+        inclusion = max(inclusion, inclusion_defect_by_loop(spectrum_by_loop(Y),
+                                                            spectrum_by_loop(X)))
+    if m % n:
+        return inclusion, None
+    powerlaw = 0.0
+    for X, Y in zip(xs, ys):
+        target = core.poly_power(char_poly_by_loop(X), m // n)
+        powerlaw = max(powerlaw, float(np.max(np.abs(char_poly_by_loop(Y) - target))))
+    return inclusion, powerlaw

@@ -104,6 +104,25 @@ def test_char_poly_matches_root_expansion(seed):
     assert np.max(np.abs(p - q)) <= tol
 
 
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.integers(1, 8), st.integers(1, 12))
+def test_stacked_char_poly_and_spectrum_equal_the_loop(seed, n, k):
+    rng = np.random.default_rng(seed)
+    # entries over several orders of magnitude, and a repeated matrix
+    scale = 10.0 ** rng.integers(-3, 4, size=(k, 1, 1))
+    X = np.stack([rand_complex(rng, n) for _ in range(k)]) * scale
+    X[-1] = X[0]
+    want_poly = np.array([oracles.char_poly_by_loop(x) for x in X])
+    want_spec = np.array([oracles.spectrum_by_loop(x) for x in X])
+    assert np.array_equal(core.char_poly(X), want_poly)
+    assert np.array_equal(core.spectrum(X), want_spec)
+    assert np.array_equal(core.char_poly(X[0]), want_poly[0])
+    assert np.array_equal(core.spectrum(X[0]), want_spec[0])
+    Y = np.roll(want_spec, 1, axis=0)
+    assert np.array_equal(core.spectrum_inclusion_defect(Y, want_spec),
+                          [oracles.inclusion_defect_by_loop(y, x) for y, x in zip(Y, want_spec)])
+
 coefficients = st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False)
 
 

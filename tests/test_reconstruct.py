@@ -272,13 +272,13 @@ def test_classify_spaces_equals_one_call_per_space(monkeypatch):
         reconstruct_once = reconstruct.reconstruct
 
         def counting_reconstruct(*args, **kwargs):
-            stages.append(kwargs["validation_sampler"])
+            stages.append(kwargs["validation_space"])
             return reconstruct_once(*args, **kwargs)
 
         with monkeypatch.context() as m:
             m.setattr(reconstruct, "reconstruct", counting_reconstruct)
             got = reconstruct.classify_spaces(phi, names, 3, seed=5)
-        assert stages == [spaces.haar_unitary, spaces.special_unitary]
+        assert stages == ["un", "sun"]
         for g, w in zip(got, want):
             assert np.array_equal(g.matrix, w.matrix)
             assert g.mode == w.mode == mode
@@ -316,16 +316,25 @@ def test_worst_residual_and_conjugate_on_stacks_equal_the_loop():
 
 def test_determinant_safe_draws_share_the_budget(monkeypatch):
     # -I_3 has determinant -1, where the principal root extension is undefined
-    calls = []
+    script = iter(())
+    drawn = []
 
-    def bad_sample(space, n, rng):
-        calls.append(space)
-        return -np.eye(n, dtype=complex)
+    def scripted_sample_stack(space, n, k, rng):
+        assert space is spaces.SpaceId.GLN_SS
+        drawn.append(k)
+        return np.stack([np.eye(n) if next(script) else -np.eye(n) for _ in range(k)])
 
-    monkeypatch.setattr(spaces, "sample", bad_sample)
-    with pytest.raises(UnsupportedDimension):
-        reconstruct._gl_star_ss_sample(np.random.default_rng(0), 3)
-    assert len(calls) == spaces.MAX_TRIES
+    monkeypatch.setattr(spaces, "sample_stack", scripted_sample_stack)
+    for k in (1, 3, 7):
+        script, drawn = iter([False] * 2 * spaces.MAX_TRIES), []
+        with pytest.raises(UnsupportedDimension):
+            reconstruct._gl_star_ss_sample(np.random.default_rng(0), 3, k)
+        assert sum(drawn) == spaces.MAX_TRIES
+        # and each output slot has a budget of its own
+        script, drawn = iter(([False] * (spaces.MAX_TRIES - 1) + [True]) * k), []
+        got = reconstruct._gl_star_ss_sample(np.random.default_rng(0), 3, k)
+        assert np.array_equal(got, np.stack([np.eye(3)] * k))
+        assert sum(drawn) == k * spaces.MAX_TRIES
 
 
 def test_classification_apply():

@@ -103,6 +103,21 @@ def test_check_powerlaw_divisibility():
     assert rep.inclusion_defect <= 1e-8
 
 
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([s.value for s in spaces.SpaceId]),
+       st.integers(1, 4), st.integers(1, 3), st.integers(1, 30))
+def test_batched_check_equals_the_loop(seed, space, n, p, samples):
+    rng = np.random.default_rng(seed)
+    S = shrinkers.fixed_conjugator(rng, (p + 1) * n)
+
+    def phi(X):
+        return shrinkers.canonical_shrinker(X, p, 1, S)
+
+    rep = shrinkers.verify_shrinker(phi, space, n, (p + 1) * n, samples=samples, seed=seed)
+    want = oracles.verify_shrinker_defects_by_loop(phi, space, n, (p + 1) * n, samples, seed)
+    assert (rep.inclusion_defect, rep.powerlaw_defect) == want
+
 def test_oracle_failure_and_dimension_mismatch():
     def broken(X):
         raise RuntimeError("boom")

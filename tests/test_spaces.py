@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from specshrink import core, spaces
 from specshrink.errors import UnsupportedDimension
 
@@ -74,3 +76,87 @@ def test_haar_first_entry_square_is_uniform():
     vals = np.array([abs(spaces.haar_unitary(rng, 2)[0, 0]) ** 2 for _ in range(5000)])
     stat = scipy.stats.kstest(vals, "uniform").statistic
     assert stat < 0.05
+
+
+# ---------------------------------------------------------------------------
+# stacked draws
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(ALL_TAGS), st.integers(1, 8),
+       st.integers(1, 40))
+def test_sample_stack_equals_the_loop(seed, tag, n, k):
+    stacked_rng = np.random.default_rng(seed)
+    loop_rng = np.random.default_rng(seed)
+    got = spaces.sample_stack(tag, n, k, stacked_rng)
+    want = np.stack([oracles.sample_by_loop(tag, n, loop_rng) for _ in range(k)])
+    assert np.array_equal(got, want)
+    assert stacked_rng.bit_generator.state == loop_rng.bit_generator.state
+    assert all(spaces.membership(tag, X) for X in got)
+
+
+@pytest.mark.parametrize("tag", ["sun", "sln"])
+def test_determinant_roots_at_n_2_equal_the_loop(tag):
+    # at n = 2 the root is det ** 0.5: numpy's array power takes a square
+    # root path there that differs in the last bit from the scalar power
+    stacked_rng = np.random.default_rng(7)
+    loop_rng = np.random.default_rng(7)
+    got = spaces.sample_stack(tag, 2, 200, stacked_rng)
+    want = np.stack([oracles.sample_by_loop(tag, 2, loop_rng) for _ in range(200)])
+    assert np.array_equal(got, want)
+
+
+def test_sample_stack_rejects_empty_stacks():
+    with pytest.raises(ValueError):
+        spaces.sample_stack("un", 3, 0)
+    with pytest.raises(UnsupportedDimension):
+        spaces.sample_stack("un", 0, 3)
+
+
+class ScriptedGinibre(np.random.Generator):
+    """A generator whose Ginibre candidates follow a script of booleans:
+    each n x n candidate's Gaussians make the matrix ``good`` or ``bad``.
+    ``drawn`` counts the candidates handed out."""
+
+    def __init__(self, n, script, good, bad):
+        super().__init__(np.random.PCG64(0))
+        self.n = n
+        self.script = iter(script)
+        # real parts sqrt(2) M and zero imaginary parts give exactly M
+        self.blocks = {ok: np.concatenate([np.sqrt(2) * M.ravel(), np.zeros(n * n)])
+                       for ok, M in ((True, good), (False, bad))}
+        self.drawn = 0
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        count = int(np.prod(size)) // (2 * self.n * self.n)
+        self.drawn += count
+        blocks = [self.blocks[next(self.script)] for _ in range(count)]
+        return np.concatenate(blocks).reshape(size)
+
+
+# gln rejects singular candidates; gln_star also rejects det = -1
+REJECTION_CASES = {
+    "gln": (np.eye(3), np.zeros((3, 3))),
+    "gln_star": (np.eye(3), np.diag([-1.0, 1.0, 1.0])),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(REJECTION_CASES))
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_rejection_budget_runs_out_after_max_tries_candidates(tag, k):
+    good, bad = REJECTION_CASES[tag]
+    g = ScriptedGinibre(3, [False] * (2 * spaces.MAX_TRIES), good, bad)
+    with pytest.raises(UnsupportedDimension):
+        spaces.sample_stack(tag, 3, k, g)
+    assert g.drawn == spaces.MAX_TRIES
+
+
+@pytest.mark.parametrize("tag", sorted(REJECTION_CASES))
+@pytest.mark.parametrize("k", [1, 3])
+def test_each_stacked_slot_keeps_its_own_budget(tag, k):
+    good, bad = REJECTION_CASES[tag]
+    script = ([False] * (spaces.MAX_TRIES - 1) + [True]) * k
+    g = ScriptedGinibre(3, script, good, bad)
+    got = spaces.sample_stack(tag, 3, k, g)
+    assert np.array_equal(got, np.stack([good] * k))
+    assert g.drawn == k * spaces.MAX_TRIES
