@@ -112,6 +112,16 @@ def _crit_degenerate(seed):
 # Criterion 4: the special unitary selector
 # ---------------------------------------------------------------------------
 
+def _su_conjugation_pairs(rng, n: int, k: int):
+    """``k`` Haar special unitaries U and their conjugates ``V U V^H`` by Haar
+    unitaries V, from one Gaussian draw in the order of ``k`` alternating
+    ``special_unitary``/``haar_unitary`` calls."""
+    z = rng.standard_normal((k, 2, 2, n, n))
+    U = spaces._unit_determinant(spaces._haar(z[:, 0]))
+    V = spaces._haar(z[:, 1])
+    return U, V @ U @ spaces._adjoint(V)
+
+
 def _crit_su_selector(seed):
     claim = ("special unitary eigenvalue selection is spectral, conjugation "
              "invariant and continuous along paths")
@@ -119,18 +129,12 @@ def _crit_su_selector(seed):
     spectral = 0.0
     invariance = 0.0
     for n in (2, 3, 4):
-        Us, conjs = [], []
-        for _ in range(60):
-            U = spaces.special_unitary(rng, n)
-            V = spaces.haar_unitary(rng, n)
-            Us.append(U)
-            conjs.append(V @ U @ V.conj().T)
-        Us = np.stack(Us)
+        Us, conjs = _su_conjugation_pairs(rng, n, 60)
         vals = selectors.su_select_stack(Us)
         gaps = np.min(np.abs(np.linalg.eigvals(Us) - vals[:, None]), axis=1)
         spectral = max(spectral, float(gaps.max()))
         # the distance is Python's complex abs (libm hypot), not numpy's
-        moved = (selectors.su_select_stack(np.stack(conjs)) - vals).tolist()
+        moved = (selectors.su_select_stack(conjs) - vals).tolist()
         invariance = max(invariance, max(map(abs, moved)))
 
     step = 1e-3

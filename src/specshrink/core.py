@@ -20,11 +20,10 @@ All functions are pure; nothing here owns mutable state.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .errors import (
     DimensionMismatch,
@@ -279,16 +278,50 @@ def spectrum_inclusion_defect(A, B):
     return defects if defects.ndim else float(defects)
 
 
+def _has_perfect_matching(adj: list[list[int]]) -> bool:
+    """Whether the bipartite graph with row ``i`` joined to the columns
+    ``adj[i]`` matches every row to its own column.
+
+    Kuhn's augmenting paths, each found by a breadth-first search over
+    alternating paths, so no recursion: a row with no augmenting path
+    proves the maximum matching is short of perfect.
+    """
+    n = len(adj)
+    owner = [-1] * n     # row matched to each column
+    partner = [-1] * n   # column matched to each row
+    for root in range(n):
+        reached_from = [-1] * n  # row from which each column was reached
+        queue = [root]
+        free = -1
+        for row in queue:  # the queue grows while it is read
+            for col in adj[row]:
+                if reached_from[col] == -1:
+                    reached_from[col] = row
+                    if owner[col] == -1:
+                        free = col
+                        break
+                    queue.append(owner[col])
+            if free != -1:
+                break
+        if free == -1:
+            return False
+        col = free
+        while col != -1:  # flip the path; the root's old partner is -1
+            row = reached_from[col]
+            owner[col], partner[row], col = row, col, partner[row]
+    return True
+
+
 def _bottleneck_assignment(D: np.ndarray) -> float:
     """Smallest t such that the bipartite graph {d_ij <= t} has a perfect matching."""
-    n = D.shape[0]
     levels = np.unique(D)
+    rows = D.tolist()
     lo, hi = 0, levels.size - 1
 
     def feasible(t):
-        graph = scipy.sparse.csr_matrix((D <= t).astype(np.int8))
-        match = maximum_bipartite_matching(graph, perm_type="column")
-        return not np.any(match == -1)
+        t = float(t)
+        return _has_perfect_matching(
+            [[j for j, d in enumerate(row) if d <= t] for row in rows])
 
     while lo < hi:
         mid = (lo + hi) // 2
@@ -459,15 +492,25 @@ def matrix_to_dict(X) -> dict:
     }
 
 
+def _is_entry(z) -> bool:
+    return (isinstance(z, list) and len(z) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and math.isfinite(v) for v in z))
+
+
 def matrix_from_dict(data: dict) -> np.ndarray:
-    n = int(data["n"])
-    entries = data["entries"]
-    A = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            re, im = entries[i][j]
-            A[i, j] = complex(re, im)
-    return as_matrix(A)
+    """The matrix of a :func:`matrix_to_dict` record; a record that is not a
+    positive integer ``n`` with an ``n x n`` list of finite ``[re, im]``
+    pairs raises ``ValueError``."""
+    n = data.get("n") if isinstance(data, dict) else None
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError("a matrix record needs a positive integer 'n'")
+    entries = data.get("entries")
+    if not (isinstance(entries, list) and len(entries) == n
+            and all(isinstance(row, list) and len(row) == n and all(map(_is_entry, row))
+                    for row in entries)):
+        raise ValueError(f"'entries' must be {n} rows of {n} finite [re, im] pairs")
+    return np.array([[complex(re, im) for re, im in row] for row in entries], dtype=complex)
 
 
 def save_matrix(path, X):

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import core, spaces
 from .errors import (
@@ -354,8 +353,11 @@ def su_paths(rng, n: int, count: int, steps: int, step: float,
     skew-Hermitian A, in the order of ``count`` separate draws, and selects
     on ``E^k U`` for k = 0..steps with ``E = exp(step A)``.  All orbits
     advance together, one stacked product per step, and are selected on
-    blocks of at most ``SELECT_BLOCK`` matrices.
+    blocks of at most ``SELECT_BLOCK`` matrices.  scipy is imported here,
+    for ``expm`` only, so that importing the package does not load it.
     """
+    from scipy.linalg import expm
+
     if n < 2:
         raise UnsupportedDimension("a special unitary path needs n >= 2")
     if count < 1 or steps < 1:
@@ -367,7 +369,7 @@ def su_paths(rng, n: int, count: int, steps: int, step: float,
     E = np.empty((count, n, n), dtype=complex)
     for i in range(count):
         U[i] = spaces.special_unitary(rng, n)
-        E[i] = scipy.linalg.expm(step * _skew_traceless(rng, n))
+        E[i] = expm(step * _skew_traceless(rng, n))
     values = np.empty((count, steps + 1), dtype=complex)
     matrices = [[] for _ in range(count)] if keep_matrices else None
     block = max(1, SELECT_BLOCK // max(count, 1))

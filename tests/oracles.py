@@ -5,8 +5,9 @@ than the library code it checks: root expansion instead of the trace
 recurrence, matrix square roots instead of SVD, exhaustive integer-shift
 enumeration instead of the sort-based construction, closed-form roots
 instead of eigenvalue continuation, every bijection instead of bisection
-over perfect matchings, one matrix, value, path or permutation at a time
-instead of a stacked kernel or a stacked draw.
+over perfect matchings, scipy's matching instead of augmenting paths, one
+matrix, value, path or permutation at a time instead of a stacked kernel or
+a stacked draw.
 """
 
 import itertools
@@ -138,6 +139,40 @@ def bottleneck_by_enumeration(a, b):
         else:
             best = worst
     return float(best)
+
+
+def bottleneck_by_scipy_matching(a, b):
+    """The bottleneck matching distance as first written: bisection over the
+    distinct distances with scipy's ``maximum_bipartite_matching`` as the
+    perfect-matching test."""
+    import scipy.sparse
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    D = np.abs(np.subtract.outer(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)))
+    levels = np.unique(D)
+    lo, hi = 0, levels.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        graph = scipy.sparse.csr_matrix((D <= levels[mid]).astype(np.int8))
+        if np.any(maximum_bipartite_matching(graph, perm_type="column") == -1):
+            lo = mid + 1
+        else:
+            hi = mid
+    return float(levels[lo])
+
+
+def su_conjugation_pairs_by_loop(rng, n, k):
+    """Criterion 4's (U, V U V^H) pairs as first written: one
+    ``special_unitary`` and one ``haar_unitary`` call per pair."""
+    from specshrink import spaces
+
+    Us, conjs = [], []
+    for _ in range(k):
+        U = spaces.special_unitary(rng, n)
+        V = spaces.haar_unitary(rng, n)
+        Us.append(U)
+        conjs.append(V @ U @ V.conj().T)
+    return np.stack(Us), np.stack(conjs)
 
 
 def su_select_by_loop(U):

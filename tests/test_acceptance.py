@@ -8,6 +8,7 @@ line subcommand, so the reported defects are identical there.
 import numpy as np
 import pytest
 
+import oracles
 from specshrink import acceptance
 
 SEED = 0
@@ -16,6 +17,18 @@ SEED = 0
 @pytest.fixture(scope="module")
 def results():
     return acceptance.run_acceptance(seed=SEED)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_su_conjugation_pairs_equal_the_loop(n):
+    # criterion 4's stacked (U, V U V^H) draw against one pair at a time
+    stacked_rng = np.random.default_rng(n)
+    loop_rng = np.random.default_rng(n)
+    U, conj = acceptance._su_conjugation_pairs(stacked_rng, n, 60)
+    want_U, want_conj = oracles.su_conjugation_pairs_by_loop(loop_rng, n, 60)
+    assert np.array_equal(U, want_U)
+    assert np.array_equal(conj, want_conj)
+    assert stacked_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
 def _criterion(results, k):

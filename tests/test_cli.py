@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +66,14 @@ def test_verify_usage_error_on_inconsistent_m(capsys):
     assert report["results"][0]["details"]["error"] == "ValueError"
 
 
+#: Matrix files that are valid JSON but not a matrix record.
+MALFORMED_MATRIX_FILES = {
+    "no-n.json": {"foo": 1},
+    "list.json": [1, 2],
+    "3x3-entries-for-n-2.json": {"n": 2, "entries": [[[1.0, 0.0]] * 3] * 3},
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--space", "foo", "--n", "3", "--m", "6"],
     ["verify", "--space", "gl", "--n", "3", "--m", "6", "--pq", "1"],
@@ -94,14 +106,33 @@ def test_verify_usage_error_on_inconsistent_m(capsys):
     ["select", "--selector", "hn", "--step", "inf"],
     ["select", "--selector", "unlambda", "--step", "nan"],
     ["select", "--selector", "hn", "--step", "1e308"],
+    ["reconstruct", "--oracle", "conj:no-n.json", "--n", "3"],
+    ["reconstruct", "--oracle", "conj:list.json", "--n", "3"],
+    ["reconstruct", "--oracle", "conj:3x3-entries-for-n-2.json", "--n", "3"],
+    ["select", "--selector", "unlambda", "--cut", "nan,0"],
+    ["select", "--selector", "unlambda", "--cut=0,-inf"],
 ])
-def test_usage_errors_exit_2_with_a_report(capsys, argv):
+def test_usage_errors_exit_2_with_a_report(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    for name, record in MALFORMED_MATRIX_FILES.items():
+        (tmp_path / name).write_text(json.dumps(record))
     code, report = run_cli(capsys, argv)
     assert code == 2
     check_schema(report, argv[0])
     assert not report["passed"]
     [result] = report["results"]
     assert result["name"] == "run" and result["details"]["error"]
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported by selectors.su_paths alone, when it first runs
+    src = Path(cli.__file__).resolve().parent.parent
+    probe = ("import sys, specshrink, specshrink.cli; "
+             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_monodromy(capsys):

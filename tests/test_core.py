@@ -180,6 +180,31 @@ def test_match_distance_dual_route(seed, n):
     assert core.spectrum_match_distance(a, b) == oracles.bottleneck_by_enumeration(a, b)
 
 
+def _grid_spectrum(n):
+    # a coarse grid, so the distance matrix has many ties and repeated levels
+    return st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                    min_size=n, max_size=n).map(
+        lambda pts: np.array([0.5 * complex(re, im) for re, im in pts]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(_grid_spectrum(n), _grid_spectrum(n))))
+def test_match_distance_on_a_grid_equals_both_oracles(spectra):
+    # augmenting-path matching vs every bijection and vs scipy's matching
+    a, b = spectra
+    got = core.spectrum_match_distance(a, b)
+    assert got == oracles.bottleneck_by_enumeration(a, b)
+    assert got == oracles.bottleneck_by_scipy_matching(a, b)
+
+
+def test_match_distance_at_a_large_size():
+    # no recursion and no size cap: 200 points, each matched to its shift
+    a = np.arange(200.0)
+    b = np.random.default_rng(41).permutation(a) + 0.25
+    assert core.spectrum_match_distance(a, b) == 0.25
+    assert core.spectrum_match_distance(a, a[::-1]) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # polar decomposition
 # ---------------------------------------------------------------------------
@@ -315,3 +340,21 @@ def test_matrix_json_round_trip(tmp_path):
     core.save_matrix(path, X)
     Y = core.load_matrix(path)
     assert np.allclose(X, Y)
+
+
+@pytest.mark.parametrize("record", [
+    {"foo": 1},
+    [1, 2],
+    {"n": 2, "entries": [[[1, 0]] * 3] * 3},
+    {"n": 2, "entries": [[[1, 0]] * 3] * 2},
+    {"n": 2, "entries": [[[1, 0]] * 2] * 3},
+    {"n": 0, "entries": []},
+    {"n": True, "entries": [[[1, 0]]]},
+    {"n": 1},
+    {"n": 1, "entries": [[[1, 0, 0]]]},
+    {"n": 1, "entries": [[["1", 0]]]},
+    {"n": 1, "entries": [[[float("nan"), 0]]]},
+])
+def test_matrix_from_dict_rejects_malformed_records(record):
+    with pytest.raises(ValueError):
+        core.matrix_from_dict(record)
