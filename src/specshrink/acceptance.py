@@ -119,7 +119,7 @@ def _su_conjugation_pairs(rng, n: int, k: int):
     z = rng.standard_normal((k, 2, 2, n, n))
     U = spaces._unit_determinant(spaces._haar(z[:, 0]))
     V = spaces._haar(z[:, 1])
-    return U, V @ U @ spaces._adjoint(V)
+    return U, V @ U @ core.adjoint(V)
 
 
 def _crit_su_selector(seed):

@@ -36,6 +36,38 @@ INTERPOLATION_TOL = 1e-6
 INVARIANCE_TOL = 1e-6
 
 
+def _semisimple_eig(A) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvector matrices of a ``(k, n, n)`` stack of
+    semisimple matrices; a matrix that is not semisimple raises."""
+    w, P, cond, _ = core.eig_decompose_stack(A)
+    core.check_rows([(cond > 1.0 / core.DEFAULT_EIG_TOL, NotSemisimple,
+                      "eigenvector condition {cond:.3e} exceeds the semisimplicity cap")],
+                    cond=cond)
+    return w, P
+
+
+def _clusters(w, grouping_tol: float) -> list[tuple[complex, np.ndarray]]:
+    """The eigenvalue clusters of one matrix as ``(representative, indices)``
+    pairs; clusters closer than ``10 * grouping_tol`` are refused."""
+    clusters = core.cluster_points(w, grouping_tol)
+    reps = [complex(w[idx].mean()) for idx in clusters]
+    for i in range(len(reps)):
+        for j in range(i + 1, len(reps)):
+            if abs(reps[i] - reps[j]) <= 10.0 * grouping_tol:
+                raise AmbiguousClustering(
+                    "eigenvalue clusters are not separated by 10x the grouping tolerance"
+                )
+    return list(zip(reps, clusters))
+
+
+def _idempotent(P, Pinv, idx) -> np.ndarray:
+    """``P 1_idx P^{-1}``: the idempotent onto the eigenvector columns
+    ``idx``, for one matrix or for each matrix of a stack."""
+    mask = np.zeros(P.shape[-1])
+    mask[idx] = 1.0
+    return (P * mask) @ Pinv
+
+
 def spectral_idempotents(T, grouping_tol: float = DEFAULT_GROUPING_TOL
                          ) -> list[tuple[complex, np.ndarray]]:
     """Spectral idempotents of a semisimple matrix: the pairs
@@ -46,42 +78,55 @@ def spectral_idempotents(T, grouping_tol: float = DEFAULT_GROUPING_TOL
     separated by more than ``10 * grouping_tol`` or the grouping is
     ambiguous and refused.
     """
-    ed = core.eig_decompose(T)
-    if not ed.semisimple:
-        raise NotSemisimple(
-            f"eigenvector condition {ed.condition:.3e} exceeds the semisimplicity cap"
-        )
-    clusters = core.cluster_points(ed.eigenvalues, grouping_tol)
-    reps = [complex(ed.eigenvalues[idx].mean()) for idx in clusters]
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            if abs(reps[i] - reps[j]) <= 10.0 * grouping_tol:
-                raise AmbiguousClustering(
-                    "eigenvalue clusters are not separated by 10x the grouping tolerance"
-                )
-    P = ed.vectors
-    Pinv = np.linalg.inv(P)
-    pairs = []
-    for rep, idx in zip(reps, clusters):
-        mask = np.zeros(ed.eigenvalues.size)
-        mask[idx] = 1.0
-        E = (P * mask) @ Pinv
-        pairs.append((rep, E))
-    return pairs
+    w, P = _semisimple_eig(core.as_matrix(T)[None])
+    Pinv = np.linalg.inv(P[0])
+    return [(rep, _idempotent(P[0], Pinv, idx)) for rep, idx in _clusters(w[0], grouping_tol)]
 
 
 def apply_function(T, f: Callable[[complex], complex],
                    grouping_tol: float = DEFAULT_GROUPING_TOL) -> np.ndarray:
-    """``f(T) = sum f(lambda) E_lambda`` on a semisimple matrix.
+    """``f(T) = sum f(lambda) E_lambda`` on a semisimple matrix, or on every
+    matrix of a ``(k, n, n)`` stack at once.
 
     The construction is conjugation invariant:
     ``apply_function(S T S^-1, f) = S apply_function(T, f) S^-1`` up to
-    conditioning-scaled rounding.
+    conditioning-scaled rounding.  ``f`` is called once per eigenvalue
+    cluster, on a complex scalar, matrix by matrix.  A matrix whose
+    eigenvalues are all farther apart than the clustering could join is
+    computed on the stack, bit for bit the sum over
+    :func:`spectral_idempotents`; any other takes that sum itself.
     """
-    pairs = spectral_idempotents(T, grouping_tol)
-    out = np.zeros_like(pairs[0][1])
-    for lam, E in pairs:
-        out += complex(f(lam)) * E
+    A = core.as_matrix(T, stack=True)
+    As = A if A.ndim == 3 else A[None]
+    k = As.shape[0]
+    w, P = _semisimple_eig(As)
+    Pinv = np.linalg.inv(P)
+    # singletons that no clustering joins or calls ambiguous
+    simple = ~core.may_cluster(w, 10.0 * grouping_tol)
+    if simple.all():
+        out = _singleton_sum(w, P, Pinv, f)
+    else:
+        out = np.zeros_like(As)
+        rows = np.flatnonzero(simple)
+        if rows.size:
+            out[rows] = _singleton_sum(w[rows], P[rows], Pinv[rows], f)
+        for i in np.flatnonzero(~simple):
+            try:
+                pairs = _clusters(w[i], grouping_tol)
+            except AmbiguousClustering as exc:
+                raise AmbiguousClustering(core.stack_message(k, i, str(exc))) from None
+            for rep, idx in pairs:
+                out[i] += complex(f(rep)) * _idempotent(P[i], Pinv[i], idx)
+    return out if A.ndim == 3 else out[0]
+
+
+def _singleton_sum(w, P, Pinv, f) -> np.ndarray:
+    """``sum_j f(lambda_j) E_j`` over the one-eigenvalue idempotents of each
+    matrix of a stack, in the order and rounding of the cluster sum."""
+    fw = np.array([[complex(f(complex(lam))) for lam in row] for row in w])
+    out = np.zeros_like(P)
+    for j in range(P.shape[-1]):
+        out += fw[:, j, None, None] * _idempotent(P, Pinv, j)
     return out
 
 
@@ -105,25 +150,30 @@ def lagrange_apply(T, f: Callable[[complex], complex]) -> np.ndarray:
 
     ``f(T) = sum_i f(l_i) prod_{j != i} (T - l_j I) / (l_i - l_j)`` for
     simple spectrum.  Uses eigenvalues only, so it is independent of the
-    idempotent route.
+    idempotent route.  A ``(k, n, n)`` stack runs each product once on the
+    stack, bit for bit the one-matrix results.
     """
-    A = core.as_matrix(T)
-    n = A.shape[0]
-    vals = np.linalg.eigvals(A)
-    scale = 1.0 + core.opnorm(A)
-    d = np.abs(vals[:, None] - vals[None, :])
-    np.fill_diagonal(d, np.inf)
-    if n > 1 and d.min() <= LAGRANGE_GAP_TOL * scale:
-        raise AmbiguousClustering("interpolation oracle requires simple spectrum")
+    A = core.as_matrix(T, stack=True)
+    As = A if A.ndim == 3 else A[None]
+    n = As.shape[-1]
+    vals = np.linalg.eigvals(As)
+    scale = 1.0 + core.opnorm(As)
+    if n > 1:
+        d = np.abs(vals[:, :, None] - vals[:, None, :])
+        d[:, np.arange(n), np.arange(n)] = np.inf
+        core.check_rows([(d.min(axis=(1, 2)) <= LAGRANGE_GAP_TOL * scale, AmbiguousClustering,
+                          "interpolation oracle requires simple spectrum")])
+    fv = np.array([[complex(f(v)) for v in row] for row in vals])
     eye = np.eye(n, dtype=complex)
-    out = np.zeros((n, n), dtype=complex)
+    out = np.zeros_like(As)
     for i in range(n):
-        term = complex(f(vals[i])) * eye
+        term = fv[:, i, None, None] * eye
         for j in range(n):
             if j != i:
-                term = term @ (A - vals[j] * eye) / (vals[i] - vals[j])
+                term = (term @ (As - vals[:, j, None, None] * eye)
+                        / (vals[:, i] - vals[:, j])[:, None, None])
         out += term
-    return out
+    return out if A.ndim == 3 else out[0]
 
 
 def perturbation_probe(F, X0, scale: float, samples: int, rng,
@@ -177,20 +227,28 @@ def continuity_probe(T, f: Callable[[complex], complex], scale: float,
 # Cross-checks over seeded samples
 # ---------------------------------------------------------------------------
 
+# Each check draws every sample first, in sample order, taking the
+# generator's numbers as a one-sample-at-a-time loop takes them; then the
+# samples run as one stack, bit for bit the loop's defects.  So when several
+# samples would fail, the error raised can come from another sample than the
+# loop's first failure (a failed draw surfaces before any failed
+# computation), though a failing sample raises the class the loop raises.
+
 def closed_form_defect(rng, samples: int, fns) -> float:
     """Worst ``||calc_2x2_closed_form - apply_function||`` on random upper
     triangular 2x2 matrices with eigenvalues more than 0.2 apart."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    worst = 0.0
+    draws = []
     for _ in range(samples):
         l1, l2 = spaces.separated_pair(rng)
-        alpha = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        T = np.array([[l1, alpha], [0.0, l2]])
-        for f in fns:
-            worst = max(worst, core.opnorm(calc_2x2_closed_form(l1, l2, alpha, f)
-                                           - apply_function(T, f)))
-    return worst
+        draws.append((l1, l2, complex(rng.standard_normal() + 1j * rng.standard_normal())))
+    T = np.array([[[l1, alpha], [0.0, l2]] for l1, l2, alpha in draws])
+    defects = np.empty((samples, len(fns)))
+    for j, f in enumerate(fns):
+        closed = np.array([calc_2x2_closed_form(l1, l2, alpha, f) for l1, l2, alpha in draws])
+        defects[:, j] = core.opnorm(closed - apply_function(T, f))
+    return core.running_max(defects)
 
 
 def interpolation_defect(rng, n: int, samples: int, fns) -> float:
@@ -198,13 +256,13 @@ def interpolation_defect(rng, n: int, samples: int, fns) -> float:
     semisimple n x n matrices."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    worst = 0.0
-    for _ in range(samples):
-        T = spaces.semisimple_sample(rng, n)
-        for f in fns:
-            d = core.opnorm(apply_function(T, f) - lagrange_apply(T, f))
-            worst = max(worst, d / (1.0 + core.opnorm(T)))
-    return worst
+    T = spaces._conjugated_diagonal(*spaces._stack_draws(
+        [spaces._semisimple_draw(rng, n) for _ in range(samples)]))
+    scale = 1.0 + core.opnorm(T)
+    defects = np.empty((samples, len(fns)))
+    for j, f in enumerate(fns):
+        defects[:, j] = core.opnorm(apply_function(T, f) - lagrange_apply(T, f)) / scale
+    return core.running_max(defects)
 
 
 def conjugation_invariance_defect(rng, n: int, samples: int, fns) -> float:
@@ -212,17 +270,22 @@ def conjugation_invariance_defect(rng, n: int, samples: int, fns) -> float:
     random semisimple X and bounded-condition S."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    worst = 0.0
+    xs, ss = [], []
     for _ in range(samples):
-        X = spaces.semisimple_sample(rng, n)
-        S = spaces.bounded_conjugator(rng, n)
-        Sinv = np.linalg.inv(S)
-        scale = (1.0 + core.opnorm(X)) * float(np.linalg.cond(S, 2)) ** 2
-        for f in fns:
-            lhs = apply_function(S @ X @ Sinv, f)
-            rhs = S @ apply_function(X, f) @ Sinv
-            worst = max(worst, core.opnorm(lhs - rhs) / scale)
-    return worst
+        xs.append(spaces._semisimple_draw(rng, n))
+        ss.append(spaces._conjugator_draw(rng, n))
+    X = spaces._conjugated_diagonal(*spaces._stack_draws(xs))
+    S = spaces._conjugator(*spaces._stack_draws(ss))
+    Sinv = np.linalg.inv(S)
+    # the loop's scalar powers
+    cond2 = np.array([c ** 2 for c in np.linalg.cond(S, 2).tolist()])
+    scale = (1.0 + core.opnorm(X)) * cond2
+    defects = np.empty((samples, len(fns)))
+    for j, f in enumerate(fns):
+        lhs = apply_function(S @ X @ Sinv, f)
+        rhs = S @ apply_function(X, f) @ Sinv
+        defects[:, j] = core.opnorm(lhs - rhs) / scale
+    return core.running_max(defects)
 
 
 # ---------------------------------------------------------------------------

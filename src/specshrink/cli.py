@@ -300,6 +300,11 @@ def _cmd_reconstruct(args, started):
                   residual_threshold=reconstruct.RESIDUAL_TOL)
     if args.oracle.startswith("conj:"):
         T0 = core.load_matrix(args.oracle.split(":", 1)[1])
+        if T0.shape[0] != args.n:
+            raise ValueError(f"the conjugating matrix is {T0.shape[0]}x{T0.shape[0]}, "
+                             f"not {args.n}x{args.n} as --n asks")
+        if core.numerically_singular(np.linalg.svd(T0, compute_uv=False)):
+            raise ValueError("the conjugating matrix is numerically singular")
         phi = reconstruct.make_oracle("conjugation", T0)
     elif args.oracle in ("id", "transpose", "theta"):
         phi = reconstruct.make_oracle(args.oracle)

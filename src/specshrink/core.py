@@ -7,9 +7,12 @@ Conventions
   :func:`as_matrix` (square, finite entries).
 * Spectra are 1-d complex arrays in canonical order, lexicographic by
   (real part, imaginary part).  The order is a reproducibility device only.
-* :func:`spectrum`, :func:`char_poly` and :func:`spectrum_inclusion_defect`
-  also take a ``(k, n, n)`` stack (``(k, .)`` spectra) and answer row by
-  row, bit for bit as one call per matrix would.
+* :func:`opnorm`, :func:`spectrum`, :func:`char_poly`,
+  :func:`polar_decompose` and :func:`spectrum_inclusion_defect` also take a
+  ``(k, n, n)`` stack (``(k, .)`` spectra) and answer row by row, bit for
+  bit as one call per matrix would; :func:`eig_decompose_stack` is the
+  eigendecomposition on stacks.  A bad matrix in a stack raises the class
+  the one-matrix call raises, naming ``matrix i of the stack``.
 * ``||.||`` is the operator 2-norm unless a docstring says otherwise.
 * Tolerances are absolute-relative hybrids ``tol * (1 + ||X||)`` unless
   stated otherwise.
@@ -49,15 +52,64 @@ ORTHONORMAL_TOL = 1e-8
 KERNEL_TOL = 1e-6
 
 
+def stack_message(k: int, i: int, text: str) -> str:
+    """``text`` about matrix i of a stack of k; a stack of one keeps the
+    bare text, so its messages are the one-matrix call's."""
+    return text if k == 1 else f"matrix {i} of the stack: {text}"
+
+
+def check_rows(checks, **values):
+    """Raise for the first matrix of a stack that fails a check.
+
+    ``checks`` are ``(failed, exception class, message)`` triples with one
+    verdict per matrix, in the order a one-matrix call tests them.  The
+    first failing matrix raises the class and message of the first check
+    it fails; ``{name}`` fields in the message take ``values[name][i]``.
+    """
+    if not any(failed.any() for failed, _, _ in checks):
+        return
+    bad = np.logical_or.reduce([failed for failed, _, _ in checks])
+    i = int(np.argmax(bad))
+    _, exc, text = next(c for c in checks if c[0][i])
+    text = text.format(**{name: v[i] for name, v in values.items()})
+    raise exc(stack_message(len(bad), i, text))
+
+
 def as_matrix(X, stack: bool = False) -> np.ndarray:
     """Validate and return ``X`` as a square finite complex matrix; with
     ``stack``, a ``(k, n, n)`` stack of them passes too."""
     A = np.asarray(X, dtype=complex)
     if A.ndim not in ((2, 3) if stack else (2,)) or A.shape[-1] != A.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
-    if A.size and not np.all(np.isfinite(A)):
-        raise DimensionMismatch("matrix entries must be finite")
+    if A.size and not np.isfinite(A).all():
+        finite = np.isfinite(A).all(axis=(-2, -1)).reshape(-1)
+        check_rows([(~finite, DimensionMismatch, "matrix entries must be finite")])
     return A
+
+
+def adjoint(A) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return np.swapaxes(np.conj(A), -1, -2)
+
+
+def diagonals(lam) -> np.ndarray:
+    """The ``(k, n, n)`` stack of diagonal matrices with ``(k, n)``
+    diagonals ``lam``.
+
+    Conjugating through an explicit diagonal keeps the bits of
+    ``c @ np.diag(lam) @ inv(c)``; scaling the columns of ``c`` instead
+    rounds differently.
+    """
+    k, n = lam.shape
+    D = np.zeros((k, n, n), dtype=complex)
+    D[:, np.arange(n), np.arange(n)] = lam
+    return D
+
+
+def running_max(values) -> float:
+    """``max(0, v_1, v_2, ...)`` taken one value at a time, as a loop that
+    keeps a running worst from 0 takes it, over an array of any shape."""
+    return max([0.0, *np.asarray(values).ravel().tolist()])
 
 
 def call_oracle(phi, X) -> np.ndarray:
@@ -71,18 +123,22 @@ def call_oracle(phi, X) -> np.ndarray:
 
 
 def right_divide(A, S) -> np.ndarray:
-    """``A S^{-1}`` without forming the inverse; ``A`` may be a ``(k, n, n)`` stack."""
-    return np.swapaxes(np.linalg.solve(S.T, np.swapaxes(A, -1, -2)), -1, -2)
+    """``A S^{-1}`` without forming the inverse; ``A`` and ``S`` may be
+    ``(k, n, n)`` stacks."""
+    return np.swapaxes(np.linalg.solve(np.swapaxes(S, -1, -2), np.swapaxes(A, -1, -2)),
+                       -1, -2)
 
 
-def opnorm(X) -> float:
-    """Operator 2-norm (largest singular value)."""
+def opnorm(X):
+    """Operator 2-norm (largest singular value); the ``(k,)`` norms of a
+    ``(k, n, n)`` stack."""
     A = np.asarray(X, dtype=complex)
     if A.size == 0:
-        return 0.0
+        return np.zeros(A.shape[:-2]) if A.ndim == 3 else 0.0
     # the singular values come sorted, so this is np.linalg.norm(A, 2)
     # bit for bit, without its axis handling (half the cost at n <= 8)
-    return float(np.linalg.svd(A, compute_uv=False)[0])
+    norms = np.linalg.svd(A, compute_uv=False)[..., 0]
+    return norms if A.ndim == 3 else float(norms)
 
 
 def canonical_spectrum(values) -> np.ndarray:
@@ -159,24 +215,97 @@ class EigDecomposition:
 
 
 def eig_decompose(X) -> EigDecomposition:
-    """Eigendecomposition with cluster-aware eigenvector bases.
+    """Eigendecomposition with cluster-aware eigenvector bases: the k = 1
+    case of :func:`eig_decompose_stack`, as a record."""
+    w, P, cond, _ = eig_decompose_stack(as_matrix(X)[None])
+    condition = float(cond[0])
+    return EigDecomposition(eigenvalues=w[0], vectors=P[0],
+                            semisimple=condition <= 1.0 / DEFAULT_EIG_TOL,
+                            condition=condition)
+
+
+#: Margin of the cluster screens (:func:`eig_decompose_stack`, and the
+#: calculus' grouping).  numpy's array ``abs`` can round differently from
+#: the scalar ``abs`` that :func:`cluster_points` decides with, by an ulp or
+#: so; a matrix whose array distances all exceed this multiple of the link
+#: distance has no cluster either way.
+CLUSTER_SCREEN = 2.0
+
+
+def may_cluster(w, link) -> np.ndarray:
+    """The cluster screen: one verdict per row of the ``(k, n)`` values
+    ``w``, true when two of its values lie within ``CLUSTER_SCREEN`` times
+    ``link`` (a scalar, or one per row) by the array ``abs``.  A row it
+    clears has no pair within ``link`` by the scalar ``abs`` either."""
+    link = np.reshape(CLUSTER_SCREEN * np.asarray(link, dtype=float), (-1, 1, 1))
+    # the n diagonal distances are exactly 0, so any further one is a pair
+    return (np.abs(w[:, :, None] - w[:, None, :]) <= link).sum(axis=(1, 2)) > w.shape[1]
+
+
+def eig_decompose_stack(X) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Eigendecompositions of a ``(k, n, n)`` stack: the canonically
+    ordered ``(k, n)`` eigenvalues, the matching ``(k, n, n)`` eigenvector
+    matrices, the ``(k,)`` condition numbers of those matrices and the
+    ``(k,)`` operator norms of the inputs.
 
     For a repeated eigenvalue the raw solver may return nearly parallel
     columns even when the eigenspace is healthy; inside each eigenvalue
-    cluster we therefore re-extract an orthonormal basis of the numerical
-    eigenspace before judging conditioning.  The matrix counts as
-    semisimple when the resulting eigenvector matrix has condition number
-    at most ``1 / DEFAULT_EIG_TOL``.
+    cluster (single linkage at ``DEFAULT_EIG_TOL * (1 + ||X||)``) we
+    therefore re-extract an orthonormal basis of the numerical eigenspace
+    before judging conditioning.  A matrix counts as semisimple when its
+    condition number is at most ``1 / DEFAULT_EIG_TOL``.  The solver, the
+    norms, the conditioning and the sort run once on the stack, bit for bit
+    the one-matrix results; only matrices that may have a cluster take the
+    re-extraction, one at a time.
     """
-    A = as_matrix(X)
-    n = A.shape[0]
+    A = as_matrix(X, stack=True)
+    if A.ndim != 3:
+        raise DimensionMismatch(f"expected a (k, n, n) stack, got shape {A.shape}")
+    k, n = A.shape[0], A.shape[-1]
     try:
         w, P = np.linalg.eig(A)
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("eigendecomposition did not converge") from exc
-    P = P.astype(complex, copy=True)
-    scale = 1.0 + opnorm(A)
+        i = next((i for i, a in enumerate(A) if _eig_fails(a)), 0)
+        raise NumericalFailure(
+            stack_message(k, i, "eigendecomposition did not converge")) from exc
+    norm = opnorm(A)
+    scale = 1.0 + norm
+    near = may_cluster(w, DEFAULT_EIG_TOL * scale)
+    for i in np.flatnonzero(near) if near.any() else ():
+        _reextract_clusters(A[i], w[i], P[i], scale[i])
+    cond = _condition_numbers(P)
+    order = np.lexsort((w.imag, w.real), axis=-1)
+    rows = np.arange(k)[:, None]
+    vectors = P[rows[:, :, None], np.arange(n)[:, None], order[:, None, :]]
+    return w[rows, order], vectors, cond, norm
 
+
+def _condition_numbers(P) -> np.ndarray:
+    """``np.linalg.cond(P, 2)`` of each matrix of a stack bit for bit,
+    without its per-call overhead; a singular matrix, or one whose SVD does
+    not converge, is infinitely ill-conditioned."""
+    try:
+        s = np.linalg.svd(P, compute_uv=False)
+    except np.linalg.LinAlgError:  # pragma: no cover - SVD non-convergence
+        if len(P) == 1:
+            return np.full(1, np.inf)
+        return np.concatenate([_condition_numbers(p[None]) for p in P])
+    return np.divide(s[:, 0], s[:, -1], out=np.full(len(P), np.inf), where=s[:, -1] > 0)
+
+
+def _eig_fails(A) -> bool:
+    try:
+        np.linalg.eig(A)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+def _reextract_clusters(A, w, P, scale):
+    """Overwrite the columns of ``P`` in each eigenvalue cluster of one
+    matrix with an orthonormal basis of the cluster's numerical eigenspace,
+    where that eigenspace has the cluster's dimension."""
+    n = A.shape[0]
     for idx in cluster_points(w, DEFAULT_EIG_TOL * scale):
         if len(idx) < 2:
             continue
@@ -193,20 +322,6 @@ def eig_decompose(X) -> EigDecomposition:
             P[:, idx] = vh[n - dim:].conj().T
         # dim < len(idx): defective cluster; keep raw columns so the
         # conditioning estimate exposes it
-
-    try:
-        cond = float(np.linalg.cond(P, 2))
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    if not np.isfinite(cond):
-        cond = np.inf
-    order = np.lexsort((w.imag, w.real))
-    return EigDecomposition(
-        eigenvalues=w[order],
-        vectors=P[:, order],
-        semisimple=bool(cond <= 1.0 / DEFAULT_EIG_TOL),
-        condition=cond,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -352,24 +467,36 @@ def spectrum_match_distance(A, B) -> float:
 # Polar decomposition
 # ---------------------------------------------------------------------------
 
+def numerically_singular(s):
+    """Whether descending singular values mark a matrix numerically
+    singular: the smallest is at most ``SINGULAR_TOL * max(1, the largest)``,
+    or there are none.  A ``(k, n)`` array gives one verdict per row."""
+    s = np.asarray(s)
+    if not s.shape[-1]:
+        return np.ones(s.shape[:-1], dtype=bool)
+    return s[..., -1] <= SINGULAR_TOL * np.maximum(1.0, s[..., 0])
+
+
 def polar_decompose(S) -> tuple[np.ndarray, np.ndarray]:
-    """Left polar decomposition ``S = P V``.
+    """Left polar decomposition ``S = P V``; the stacked factors of a
+    ``(k, n, n)`` stack.
 
     ``P = (S S^H)^{1/2}`` is Hermitian positive definite and ``V`` unitary.
     Raises :class:`Singular` when the smallest singular value is at most
     ``SINGULAR_TOL * max(1, ||S||)``.
     """
-    A = as_matrix(S)
+    A = as_matrix(S, stack=True)
+    As = A if A.ndim == 3 else A[None]
     try:
-        u, s, vh = np.linalg.svd(A)
+        u, s, vh = np.linalg.svd(As)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("SVD did not converge") from exc
-    if s.size == 0 or s[-1] <= SINGULAR_TOL * max(1.0, s[0]):
-        raise Singular("matrix is numerically singular; no polar decomposition")
-    P = (u * s) @ u.conj().T
-    P = 0.5 * (P + P.conj().T)
+    check_rows([(numerically_singular(s), Singular,
+                 "matrix is numerically singular; no polar decomposition")])
+    P = (u * s[:, None, :]) @ adjoint(u)
+    P = 0.5 * (P + adjoint(P))
     V = u @ vh
-    return P, V
+    return (P, V) if A.ndim == 3 else (P[0], V[0])
 
 
 # ---------------------------------------------------------------------------

@@ -141,14 +141,7 @@ def _su_points(Us) -> np.ndarray:
         (x[:, -1] > x[:, 0] + 1.0 + 1e-12, RepresentativeNotFound,
          "last coordinate exceeds first + 1"),
     )
-    bad = np.zeros(k, dtype=bool)
-    for failed, _, _ in checks:
-        bad |= failed
-    if bad.any():
-        i = int(np.argmax(bad))
-        _, exc, text = next(c for c in checks if c[0][i])
-        text = text.format(total=total[i])
-        raise exc(text if k == 1 else f"matrix {i} of the stack: {text}")
+    core.check_rows(checks, total=total)
     return x
 
 
@@ -351,7 +344,8 @@ def su_paths(rng, n: int, count: int, steps: int, step: float,
 
     Each orbit draws a Haar special unitary U and a unit-norm traceless
     skew-Hermitian A, in the order of ``count`` separate draws, and selects
-    on ``E^k U`` for k = 0..steps with ``E = exp(step A)``.  All orbits
+    on ``E^k U`` for k = 0..steps with ``E = exp(step A)``.  The U of all
+    orbits come from one stacked QR and determinant rescaling; the orbits
     advance together, one stacked product per step, and are selected on
     blocks of at most ``SELECT_BLOCK`` matrices.  scipy is imported here,
     for ``expm`` only, so that importing the package does not load it.
@@ -365,11 +359,12 @@ def su_paths(rng, n: int, count: int, steps: int, step: float,
                          f"of {steps} steps")
     if not np.isfinite(step):
         raise ValueError(f"the step must be finite, got {step}")
-    U = np.empty((count, n, n), dtype=complex)
+    z = np.empty((count, 2, n, n))
     E = np.empty((count, n, n), dtype=complex)
     for i in range(count):
-        U[i] = spaces.special_unitary(rng, n)
+        z[i] = rng.standard_normal((2, n, n))  # special_unitary's Gaussians
         E[i] = expm(step * _skew_traceless(rng, n))
+    U = spaces._unit_determinant(spaces._haar(z))
     values = np.empty((count, steps + 1), dtype=complex)
     matrices = [[] for _ in range(count)] if keep_matrices else None
     block = max(1, SELECT_BLOCK // max(count, 1))

@@ -106,23 +106,6 @@ def _haar(z) -> np.ndarray:
     return q * (d / np.abs(d))[:, None, :]
 
 
-def _adjoint(a) -> np.ndarray:
-    return np.swapaxes(a.conj(), 1, 2)
-
-
-def _diagonals(lam) -> np.ndarray:
-    """The ``(k, n, n)`` stack of diagonal matrices with diagonals ``lam``.
-
-    Conjugating through an explicit diagonal keeps the bits of
-    ``c @ np.diag(lam) @ inv(c)``; scaling the columns of ``c`` instead
-    rounds differently.
-    """
-    k, n = lam.shape
-    D = np.zeros((k, n, n), dtype=complex)
-    D[:, np.arange(n), np.arange(n)] = lam
-    return D
-
-
 def _unit_determinant(x) -> np.ndarray:
     """Compute part of the determinant-1 rescaling of a stack.
 
@@ -143,7 +126,7 @@ def _conjugator_draw(g, n: int):
 def _conjugator(s, z) -> np.ndarray:
     """Compute part of :func:`bounded_conjugator` on ``(k, n)`` log singular
     values and ``(k, 2, 2, n, n)`` Gaussians."""
-    return (_haar(z[:, 0]) * np.exp(s)[:, None, :]) @ _adjoint(_haar(z[:, 1]))
+    return (_haar(z[:, 0]) * np.exp(s)[:, None, :]) @ core.adjoint(_haar(z[:, 1]))
 
 
 def haar_unitary(rng, n: int) -> np.ndarray:
@@ -205,17 +188,29 @@ def _min_gap(vals) -> float:
     return float(d.min())
 
 
+def _stack_draws(draws) -> tuple:
+    """Per-matrix draw tuples as one tuple of stacked arrays, ready for a
+    compute part."""
+    return tuple(np.array(part) for part in zip(*draws))
+
+
+def _conjugated_diagonal_draw(g, n: int, **tuple_options):
+    """Draw part of a conjugated diagonal: a simple tuple (see
+    :func:`_simple_complex_tuple`), then a bounded conjugator's draws."""
+    return _simple_complex_tuple(g, n, **tuple_options), *_conjugator_draw(g, n)
+
+
+def _conjugated_diagonal(lam, s, z) -> np.ndarray:
+    """Compute part of a conjugated diagonal ``c diag(lambda) c^-1`` on
+    ``(k, n)`` tuples and a ``(k, .)`` stack of conjugator draws."""
+    c = _conjugator(s, z)
+    return c @ core.diagonals(lam) @ np.linalg.inv(c)
+
+
 def _conjugated_diagonals(g, n: int, k: int, **tuple_options) -> np.ndarray:
-    """k conjugated diagonals ``c diag(lambda) c^-1``: per matrix a simple
-    tuple (see :func:`_simple_complex_tuple`), then a bounded conjugator."""
-    lams, s, z = [], [], []
-    for _ in range(k):
-        lams.append(_simple_complex_tuple(g, n, **tuple_options))
-        s_i, z_i = _conjugator_draw(g, n)
-        s.append(s_i)
-        z.append(z_i)
-    c = _conjugator(np.array(s), np.array(z))
-    return c @ _diagonals(np.array(lams)) @ np.linalg.inv(c)
+    """k conjugated diagonals, drawn one after another."""
+    return _conjugated_diagonal(*_stack_draws(
+        [_conjugated_diagonal_draw(g, n, **tuple_options) for _ in range(k)]))
 
 
 def rejection_stack(draw, accept, k: int, failure: str) -> np.ndarray:
@@ -271,35 +266,65 @@ def separated_pair(rng) -> np.ndarray:
     return _simple_complex_tuple(rng, 2, min_gap=0.2)
 
 
+def _semisimple_draw(g, n: int):
+    """Draw part of :func:`semisimple_sample`; its compute part is
+    :func:`_conjugated_diagonal`."""
+    if n < 1:
+        raise UnsupportedDimension(f"dimension must be >= 1, got {n}")
+    return _conjugated_diagonal_draw(g, n, modulus_band=(0.0, 2.5), min_gap=0.05)
+
+
 def semisimple_sample(rng, n: int) -> np.ndarray:
     """Conjugated diagonal whose eigenvalues are more than 0.05 apart and of
     modulus at most 2.5, with a bounded-condition conjugator."""
-    if n < 1:
-        raise UnsupportedDimension(f"dimension must be >= 1, got {n}")
-    return _conjugated_diagonals(np.random.default_rng(rng), n, 1,
-                                 modulus_band=(0.0, 2.5), min_gap=0.05)[0]
+    g = np.random.default_rng(rng)
+    return _conjugated_diagonal(*_stack_draws([_semisimple_draw(g, n)]))[0]
+
+
+def _positive_definite_draw(g, n: int):
+    """Draw part of :func:`positive_definite`: the Gaussians of its Haar
+    eigenbasis, then its log eigenvalues."""
+    return g.standard_normal((2, n, n)), g.uniform(np.log(0.5), np.log(2.0), size=n)
+
+
+def _positive_definite(z, u) -> tuple[np.ndarray, np.ndarray]:
+    """Compute part of :func:`positive_definite` on ``(k, 2, n, n)``
+    Gaussians and ``(k, n)`` log eigenvalues: the matrices and their
+    condition numbers."""
+    q = _haar(z)
+    s = np.exp(u)
+    return (q * s[:, None, :]) @ core.adjoint(q), s.max(axis=1) / s.min(axis=1)
 
 
 def positive_definite(rng, n: int) -> tuple[np.ndarray, float]:
     """Haar-rotated positive definite matrix with eigenvalues log-uniform in
     [0.5, 2], and its condition number."""
     g = np.random.default_rng(rng)
-    q = haar_unitary(g, n)
-    s = np.exp(g.uniform(np.log(0.5), np.log(2.0), size=n))
-    return (q * s) @ q.conj().T, float(s.max() / s.min())
+    S, cond = _positive_definite(*_stack_draws([_positive_definite_draw(g, n)]))
+    return S[0], float(cond[0])
+
+
+def _normal_pair_draw(g, n: int):
+    """Draw part of :func:`normal_pair`: the Gaussians of the shared
+    eigenbasis, then the two eigenvalue tuples."""
+    z = g.standard_normal((2, n, n))
+    return (z, *(_simple_complex_tuple(g, n, modulus_band=(0.3, 3.0), min_gap=0.1)
+                 for _ in range(2)))
+
+
+def _normal_pair(z, lam1, lam2) -> tuple[np.ndarray, np.ndarray]:
+    """Compute part of :func:`normal_pair` on ``(k, 2, n, n)`` Gaussians and
+    two ``(k, n)`` eigenvalue stacks."""
+    q = _haar(z)
+    return tuple(q @ core.diagonals(lam) @ core.adjoint(q) for lam in (lam1, lam2))
 
 
 def normal_pair(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Two commuting normal matrices sharing a Haar eigenbasis, each with
     eigenvalues 0.1 apart and of modulus in [0.3, 3]."""
     g = np.random.default_rng(rng)
-    q = haar_unitary(g, n)
-
-    def normal():
-        lam = _simple_complex_tuple(g, n, modulus_band=(0.3, 3.0), min_gap=0.1)
-        return q @ np.diag(lam) @ q.conj().T
-
-    return normal(), normal()
+    N1, N2 = _normal_pair(*_stack_draws([_normal_pair_draw(g, n)]))
+    return N1[0], N2[0]
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +380,10 @@ def sample_stack(space, n: int, k: int, rng=None) -> np.ndarray:
         # per matrix: the eigenvalues' Gaussians, then the eigenbasis'
         z = g.standard_normal((k, 2 * n + 2 * n * n))
         q = _haar(z[:, 2 * n:].reshape(k, 2, n, n))
-        return q @ _diagonals(_ginibre(z[:, :2 * n].reshape(k, 2, n))) @ _adjoint(q)
+        return q @ core.diagonals(_ginibre(z[:, :2 * n].reshape(k, 2, n))) @ core.adjoint(q)
     if sid is SpaceId.HN:
         a = _ginibre(g.standard_normal((k, 2, n, n)))
-        return 0.5 * (a + _adjoint(a))
+        return 0.5 * (a + core.adjoint(a))
     if sid is SpaceId.GLN_STAR:
         # the distance is taken on scalars, as numpy's array abs rounds
         # differently from its scalar abs

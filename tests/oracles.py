@@ -314,12 +314,15 @@ def _haar_by_loop(g, n):
     return q * (d / np.abs(d))
 
 
-def _conjugated_diagonal_by_loop(g, lam):
+def _conjugator_by_loop(g, n):
     from specshrink import spaces
 
-    n = len(lam)
     s = np.exp(g.uniform(-spaces.CONJUGATOR_SPREAD, spaces.CONJUGATOR_SPREAD, size=n))
-    c = (_haar_by_loop(g, n) * s) @ _haar_by_loop(g, n).conj().T
+    return (_haar_by_loop(g, n) * s) @ _haar_by_loop(g, n).conj().T
+
+
+def _conjugated_diagonal_by_loop(g, lam):
+    c = _conjugator_by_loop(g, len(lam))
     return c @ np.diag(lam) @ np.linalg.inv(c)
 
 
@@ -392,3 +395,215 @@ def verify_shrinker_defects_by_loop(phi, space, n, m, samples, seed):
         target = core.poly_power(char_poly_by_loop(X), m // n)
         powerlaw = max(powerlaw, float(np.max(np.abs(char_poly_by_loop(Y) - target))))
     return inclusion, powerlaw
+
+
+def eig_decompose_by_loop(X):
+    """(eigenvalues, vectors, condition) of one matrix as first written: the
+    cluster pass always runs, and ``np.linalg.cond`` judges the vectors."""
+    from specshrink import core
+
+    A = np.asarray(X, dtype=complex)
+    n = A.shape[0]
+    w, P = np.linalg.eig(A)
+    P = P.astype(complex, copy=True)
+    scale = 1.0 + _opnorm_by_loop(A)
+    for idx in core.cluster_points(w, core.DEFAULT_EIG_TOL * scale):
+        if len(idx) < 2:
+            continue
+        mu = w[idx].mean()
+        width = float(np.max(np.abs(w[idx] - mu)))
+        _, s, vh = np.linalg.svd(A - mu * np.eye(n))
+        dim = int(np.sum(s <= 10.0 * (width + core.DEFAULT_EIG_TOL * scale)))
+        if dim == len(idx):
+            P[:, idx] = vh[n - dim:].conj().T
+    cond = float(np.linalg.cond(P, 2))
+    if not np.isfinite(cond):
+        cond = np.inf
+    order = np.lexsort((w.imag, w.real))
+    return w[order], P[:, order], cond
+
+
+def theta_by_loop(X):
+    """theta on one matrix as first written: the loop eigendecomposition,
+    the singularity and conditioning checks, one polar decomposition."""
+    from specshrink import core, theta
+    from specshrink.errors import NotSemisimple, Singular, WellDefinednessDegraded
+
+    A = np.asarray(X, dtype=complex)
+    w, P, cond = eig_decompose_by_loop(A)
+    if not cond <= 1.0 / core.DEFAULT_EIG_TOL:
+        raise NotSemisimple("not semisimple")
+    if np.min(np.abs(w)) <= core.DEFAULT_EIG_TOL * (1.0 + _opnorm_by_loop(A)):
+        raise Singular("singular")
+    if cond > theta.DEFAULT_COND_CAP:
+        raise WellDefinednessDegraded("ill-conditioned")
+    u, s, vh = np.linalg.svd(P)
+    S = (u * s) @ u.conj().T
+    S = 0.5 * (S + S.conj().T)
+    V = u @ vh
+    N = V @ np.diag(w) @ V.conj().T
+    return np.linalg.solve(S, N @ S)
+
+
+def _opnorm_by_loop(X):
+    return float(np.linalg.norm(X, 2))
+
+
+def _positive_definite_by_loop(g, n):
+    q = _haar_by_loop(g, n)
+    s = np.exp(g.uniform(np.log(0.5), np.log(2.0), size=n))
+    return (q * s) @ q.conj().T, float(s.max() / s.min())
+
+
+def _normal_pair_by_loop(g, n):
+    from specshrink import spaces
+
+    q = _haar_by_loop(g, n)
+
+    def normal():
+        lam = spaces._simple_complex_tuple(g, n, modulus_band=(0.3, 3.0), min_gap=0.1)
+        return q @ np.diag(lam) @ q.conj().T
+
+    return normal(), normal()
+
+
+def _semisimple_by_loop(g, n):
+    from specshrink import spaces
+
+    lam = spaces._simple_complex_tuple(g, n, modulus_band=(0.0, 2.5), min_gap=0.05)
+    return _conjugated_diagonal_by_loop(g, lam)
+
+
+def apply_function_by_loop(T, f, grouping_tol=None):
+    """f(T) on one matrix as first written: the loop eigendecomposition,
+    the clustering and its ambiguity test, then the sum of f(cluster mean)
+    times the cluster's idempotent, one cluster after another."""
+    from specshrink import calculus, core
+    from specshrink.errors import AmbiguousClustering, NotSemisimple
+
+    tol = calculus.DEFAULT_GROUPING_TOL if grouping_tol is None else grouping_tol
+    w, P, cond = eig_decompose_by_loop(T)
+    if not cond <= 1.0 / core.DEFAULT_EIG_TOL:
+        raise NotSemisimple("not semisimple")
+    clusters = core.cluster_points(w, tol)
+    reps = [complex(w[idx].mean()) for idx in clusters]
+    for i, j in itertools.combinations(range(len(reps)), 2):
+        if abs(reps[i] - reps[j]) <= 10.0 * tol:
+            raise AmbiguousClustering("ambiguous")
+    Pinv = np.linalg.inv(P)
+    out = np.zeros_like(P)
+    for rep, idx in zip(reps, clusters):
+        mask = np.zeros(w.size)
+        mask[idx] = 1.0
+        out += complex(f(rep)) * ((P * mask) @ Pinv)
+    return out
+
+
+def lagrange_apply_by_loop(T, f):
+    """Lagrange interpolation on one matrix as first written."""
+    from specshrink import calculus
+    from specshrink.errors import AmbiguousClustering
+
+    A = np.asarray(T, dtype=complex)
+    n = A.shape[0]
+    vals = np.linalg.eigvals(A)
+    d = np.abs(vals[:, None] - vals[None, :])
+    np.fill_diagonal(d, np.inf)
+    if n > 1 and d.min() <= calculus.LAGRANGE_GAP_TOL * (1.0 + _opnorm_by_loop(A)):
+        raise AmbiguousClustering("interpolation oracle requires simple spectrum")
+    eye = np.eye(n, dtype=complex)
+    out = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        term = complex(f(vals[i])) * eye
+        for j in range(n):
+            if j != i:
+                term = term @ (A - vals[j] * eye) / (vals[i] - vals[j])
+        out += term
+    return out
+
+
+def identity_defects_by_loop(rng, trials, dims):
+    """theta's identity defects one trial at a time, as first written: draw
+    a trial, run it through the one-matrix loop theta and the loop
+    calculus, keep a running max."""
+    from specshrink import core, theta
+
+    defects = {k: 0.0 for k in theta.IDENTITIES}
+    for trial in range(trials):
+        n = dims[trial % len(dims)]
+        S, condS = _positive_definite_by_loop(rng, n)
+        N, N2 = _normal_pair_by_loop(rng, n)
+        X = S @ N @ np.linalg.inv(S)
+        scale = (1.0 + _opnorm_by_loop(X)) * condS ** 2
+        TX = theta_by_loop(X)
+        defects["involution"] = max(
+            defects["involution"], _opnorm_by_loop(theta_by_loop(TX) - X) / scale)
+        defects["spectrum"] = max(
+            defects["spectrum"],
+            core.spectrum_match_distance(spectrum_by_loop(TX), spectrum_by_loop(X)))
+        defects["normal-fixing"] = max(
+            defects["normal-fixing"],
+            _opnorm_by_loop(theta_by_loop(N) - N) / (1.0 + _opnorm_by_loop(N)))
+        swapped = np.linalg.solve(S, N @ S)
+        defects["putnam-fuglede"] = max(
+            defects["putnam-fuglede"], _opnorm_by_loop(TX - swapped) / scale)
+        Y = S @ N2 @ np.linalg.inv(S)
+        TY = theta_by_loop(Y)
+        defects["commutativity"] = max(
+            defects["commutativity"],
+            _opnorm_by_loop(TX @ TY - TY @ TX)
+            / ((1.0 + _opnorm_by_loop(TX) * _opnorm_by_loop(TY)) * condS ** 2))
+        U = _haar_by_loop(rng, n)
+        XU = S @ U @ np.linalg.inv(S)
+        S2 = S @ S
+        defects["inverse-square"] = max(
+            defects["inverse-square"],
+            _opnorm_by_loop(theta_by_loop(XU) - np.linalg.solve(S2, XU @ S2)) / scale)
+        # theta through the calculus: S N S^-1 by a solve, conjugation
+        # calculus, adjoint
+        X_solved = np.linalg.solve(S.T, (S @ N).T).T
+        via_calculus = apply_function_by_loop(X_solved, np.conj).conj().T
+        defects["calculus-route"] = max(
+            defects["calculus-route"], _opnorm_by_loop(TX - via_calculus) / scale)
+    return defects
+
+
+def closed_form_defect_by_loop(rng, samples, fns):
+    """The 2x2 closed-form check one sample at a time, as first written."""
+    from specshrink import calculus, spaces
+
+    worst = 0.0
+    for _ in range(samples):
+        l1, l2 = spaces.separated_pair(rng)
+        alpha = complex(rng.standard_normal() + 1j * rng.standard_normal())
+        T = np.array([[l1, alpha], [0.0, l2]])
+        for f in fns:
+            worst = max(worst, _opnorm_by_loop(calculus.calc_2x2_closed_form(l1, l2, alpha, f)
+                                               - apply_function_by_loop(T, f)))
+    return worst
+
+
+def interpolation_defect_by_loop(rng, n, samples, fns):
+    """The interpolation cross-check one sample at a time, as first written."""
+    worst = 0.0
+    for _ in range(samples):
+        T = _semisimple_by_loop(rng, n)
+        for f in fns:
+            d = _opnorm_by_loop(apply_function_by_loop(T, f) - lagrange_apply_by_loop(T, f))
+            worst = max(worst, d / (1.0 + _opnorm_by_loop(T)))
+    return worst
+
+
+def conjugation_invariance_defect_by_loop(rng, n, samples, fns):
+    """The conjugation-invariance check one sample at a time, as first written."""
+    worst = 0.0
+    for _ in range(samples):
+        X = _semisimple_by_loop(rng, n)
+        S = _conjugator_by_loop(rng, n)
+        Sinv = np.linalg.inv(S)
+        scale = (1.0 + _opnorm_by_loop(X)) * float(np.linalg.cond(S, 2)) ** 2
+        for f in fns:
+            lhs = apply_function_by_loop(S @ X @ Sinv, f)
+            rhs = S @ apply_function_by_loop(X, f) @ Sinv
+            worst = max(worst, _opnorm_by_loop(lhs - rhs) / scale)
+    return worst

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from specshrink import calculus, core, spaces
 from specshrink.errors import AmbiguousClustering, EqualEigenvalues, NotSemisimple
+
+seeds = st.integers(0, 2**32 - 1)
+#: every kind of tag calculus.named_function resolves
+function_tags = st.sampled_from(["conj", "identity", "square", "sqrt-shift", "poly:1,-2,0.5j"])
 
 
 def triangular(l1, l2, a):
@@ -217,3 +222,88 @@ def test_named_function_parser():
     assert p(2.0) == pytest.approx(9.0)
     with pytest.raises(ValueError):
         calculus.named_function("nope")
+
+
+# ---------------------------------------------------------------------------
+# stacks
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=25, deadline=None)
+@given(seeds, st.integers(1, 8), st.integers(1, 40), function_tags)
+def test_cross_checks_equal_the_loop(seed, n, samples, tag):
+    # every sample drawn first, then one stack: the same defects bit for
+    # bit, and the generator ends where the loop leaves it
+    fns = [calculus.named_function(tag)]
+    rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    closed = calculus.closed_form_defect(rng, samples, fns)
+    assert closed == oracles.closed_form_defect_by_loop(loop_rng, samples, fns)
+    interpolation = calculus.interpolation_defect(rng, n, samples, fns)
+    assert interpolation == oracles.interpolation_defect_by_loop(loop_rng, n, samples, fns)
+    invariance = calculus.conjugation_invariance_defect(rng, n, samples, fns)
+    assert invariance == oracles.conjugation_invariance_defect_by_loop(loop_rng, n, samples, fns)
+    assert rng.bit_generator.state == loop_rng.bit_generator.state
+    # the two routes also agree in value, at every size
+    assert closed <= calculus.CLOSED_FORM_TOL
+    assert interpolation <= calculus.INTERPOLATION_TOL
+    assert invariance <= calculus.INVARIANCE_TOL
+
+
+@settings(max_examples=25, deadline=None)
+@given(seeds, st.integers(1, 8), st.integers(1, 12), function_tags)
+def test_stacked_calculus_equals_each_matrix(seed, n, k, tag):
+    # simple spectra, a conjugated diag(1, 1, 2, ..) and a pair closer than
+    # the grouping tolerance: each row equals the one-matrix call and the
+    # sum over its spectral idempotents
+    rng = np.random.default_rng(seed)
+    f = calculus.named_function(tag)
+    T = spaces.sample_stack("mn_ss", n, k, rng)
+    if n >= 2:
+        P = spaces.bounded_conjugator(rng, n)
+        lam = np.arange(n, dtype=complex)
+        T[0] = P @ np.diag(np.where(lam == 0, 1.0, lam)) @ np.linalg.inv(P)
+        T[-1] = P @ np.diag(lam + np.where(lam == 1, 1e-7 - 1, 0.0)) @ np.linalg.inv(P)
+    got = calculus.apply_function(T, f)
+    for i in range(k):
+        assert np.array_equal(got[i], calculus.apply_function(T[i], f))
+        pairs = calculus.spectral_idempotents(T[i])
+        want = np.zeros((n, n), dtype=complex)
+        for lam, E in pairs:
+            want += complex(f(lam)) * E
+        assert np.array_equal(got[i], want)
+    simple = T[1:-1] if n >= 2 else T
+    if len(simple):
+        got = calculus.lagrange_apply(simple, f)
+        for i, X in enumerate(simple):
+            assert np.array_equal(got[i], calculus.lagrange_apply(X, f))
+
+
+def test_stacked_calculus_errors_name_the_matrix():
+    good = np.diag([1.0, 2.0]).astype(complex)
+    jordan = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(NotSemisimple, match="^matrix 2 of the stack: eigenvector condition"):
+        calculus.apply_function(np.stack([good, good, jordan]), np.conj)
+    with pytest.raises(AmbiguousClustering, match="^matrix 1 of the stack: eigenvalue clusters"):
+        calculus.apply_function(np.stack([good, np.diag([0.0, 5e-6])]), np.conj)
+    with pytest.raises(AmbiguousClustering, match="^matrix 1 of the stack: interpolation"):
+        calculus.lagrange_apply(np.stack([good, np.eye(2)]), np.conj)
+    with pytest.raises(NotSemisimple, match="^eigenvector condition"):
+        calculus.apply_function(jordan[None], np.conj)
+
+
+def test_failing_sample_raises_the_loops_class(monkeypatch):
+    # equal eigenvalues on the third draw: the closed form refuses them in
+    # the loop and in the stack alike
+    real = spaces.separated_pair
+    count = iter(range(10**6))
+
+    def patched(rng):
+        pair = real(rng)
+        return pair[[0, 0]] if next(count) == 2 else pair
+
+    fns = [np.conj]
+    monkeypatch.setattr(spaces, "separated_pair", patched)
+    with pytest.raises(EqualEigenvalues):
+        oracles.closed_form_defect_by_loop(np.random.default_rng(5), 6, fns)
+    count = iter(range(10**6))
+    with pytest.raises(EqualEigenvalues):
+        calculus.closed_form_defect(np.random.default_rng(5), 6, fns)

@@ -66,11 +66,14 @@ def test_verify_usage_error_on_inconsistent_m(capsys):
     assert report["results"][0]["details"]["error"] == "ValueError"
 
 
-#: Matrix files that are valid JSON but not a matrix record.
+#: Matrix files the conjugation oracle refuses: valid JSON but not a matrix
+#: record, or a record that cannot conjugate 3x3 matrices.
 MALFORMED_MATRIX_FILES = {
     "no-n.json": {"foo": 1},
     "list.json": [1, 2],
     "3x3-entries-for-n-2.json": {"n": 2, "entries": [[[1.0, 0.0]] * 3] * 3},
+    "2x2.json": {"n": 2, "entries": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+    "zero-3x3.json": {"n": 3, "entries": [[[0.0, 0.0]] * 3] * 3},
 }
 
 
@@ -111,6 +114,8 @@ MALFORMED_MATRIX_FILES = {
     ["reconstruct", "--oracle", "conj:3x3-entries-for-n-2.json", "--n", "3"],
     ["select", "--selector", "unlambda", "--cut", "nan,0"],
     ["select", "--selector", "unlambda", "--cut=0,-inf"],
+    ["reconstruct", "--oracle", "conj:2x2.json", "--n", "3"],
+    ["reconstruct", "--oracle", "conj:zero-3x3.json", "--n", "3"],
 ])
 def test_usage_errors_exit_2_with_a_report(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)

@@ -81,6 +81,65 @@ def test_eig_repeated_eigenvalue_conjugated():
     assert ed.condition < 10
 
 
+def _eig_rows(rng, n, kinds):
+    """One n x n matrix per kind: a simple spectrum, a conjugated
+    diag(1, 1, 2, .., n - 1) (semisimple, repeated), or the same with a
+    Jordan block on the eigenvalue 1 (defective)."""
+    rows = []
+    for kind in kinds:
+        g = rand_complex(rng, n)
+        S = np.eye(n) + 0.3 * g / core.opnorm(g)
+        if kind == "simple":
+            rows.append(rand_complex(rng, n))
+            continue
+        D = np.diag([1.0, 1.0] + list(range(2, n))).astype(complex)
+        if kind == "defective":
+            D[0, 1] = 1.0
+        rows.append(S @ D @ np.linalg.inv(S))
+    return np.array(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.integers(2, 8),
+       st.lists(st.sampled_from(["simple", "repeated", "defective"]), min_size=1, max_size=9))
+def test_stacked_eig_decompose_equals_each_row(seed, n, kinds):
+    X = _eig_rows(np.random.default_rng(seed), n, kinds)
+    w, P, cond, norm = core.eig_decompose_stack(X)
+    for i, kind in enumerate(kinds):
+        one = core.eig_decompose(X[i])
+        want_w, want_P, want_cond = oracles.eig_decompose_by_loop(X[i])
+        assert np.array_equal(w[i], one.eigenvalues) and np.array_equal(w[i], want_w)
+        assert np.array_equal(P[i], one.vectors) and np.array_equal(P[i], want_P)
+        assert cond[i] == one.condition == want_cond
+        assert norm[i] == core.opnorm(X[i])
+        if kind == "repeated":
+            assert one.semisimple  # the cluster pass found the healthy eigenspace
+        if kind == "defective":
+            assert one.condition > 1e6
+
+
+def test_eig_cluster_pass_runs_on_clustered_rows_only(monkeypatch):
+    # 1 and 1 + 1e-8 are one cluster at the link 1e-8 (1 + ||X||) = 4e-8
+    X = np.diag([1.0, 1.0 + 1e-8, 3.0]).astype(complex)
+    calls = []
+    real = core._reextract_clusters
+    monkeypatch.setattr(core, "_reextract_clusters", lambda *a: calls.append(1) or real(*a))
+    core.eig_decompose_stack(np.stack([np.diag([1.0, 2.0, 3.0]).astype(complex), X]))
+    assert calls == [1]
+
+
+def test_stacked_errors_name_the_matrix():
+    good = np.eye(2, dtype=complex)
+    with pytest.raises(DimensionMismatch, match="^matrix 1 of the stack: matrix entries"):
+        core.as_matrix(np.stack([good, np.full((2, 2), np.inf)]), stack=True)
+    with pytest.raises(DimensionMismatch, match="^matrix entries must be finite$"):
+        core.as_matrix(np.full((1, 2, 2), np.nan), stack=True)
+    with pytest.raises(Singular, match="^matrix 2 of the stack: matrix is numerically singular"):
+        core.polar_decompose(np.stack([good, good, np.diag([1.0, 0.0])]))
+    with pytest.raises(Singular, match="^matrix is numerically singular"):
+        core.polar_decompose(np.diag([1.0, 0.0])[None])
+
+
 # ---------------------------------------------------------------------------
 # characteristic polynomial
 # ---------------------------------------------------------------------------
@@ -237,6 +296,19 @@ def test_polar_round_trip_and_oracle(seed):
     assert np.min(np.linalg.eigvalsh(P)) > 0
     P0, V0 = oracles.polar_via_sqrtm(S)
     assert core.opnorm(P - P0) <= 1e-8 * core.opnorm(S)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seeds, st.integers(1, 8), st.integers(1, 12))
+def test_stacked_polar_and_opnorm_equal_each_matrix(seed, n, k):
+    rng = np.random.default_rng(seed)
+    S = np.stack([rand_complex(rng, n) + 2 * np.eye(n) for _ in range(k)])
+    P, V = core.polar_decompose(S)
+    norms = core.opnorm(S)
+    for i in range(k):
+        Pi, Vi = core.polar_decompose(S[i])
+        assert np.array_equal(P[i], Pi) and np.array_equal(V[i], Vi)
+        assert norms[i] == core.opnorm(S[i]) == np.linalg.norm(S[i], 2)
 
 
 def test_polar_singular_rejected():

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from specshrink import core, spaces, theta
 from specshrink.errors import NotSemisimple, Singular, WellDefinednessDegraded
+
+seeds = st.integers(0, 2**32 - 1)
+#: the acceptance suite's dimension cycle and each single dimension
+trial_dims = st.sampled_from([(2, 3, 4)] + [(n,) for n in range(1, 9)])
 
 
 def positive_definite(rng, n, lo=0.5, hi=2.0):
@@ -178,3 +184,69 @@ def test_continuity_probe_repeated_spectrum_reports():
     oscillation, rejected = theta.theta_continuity_probe(
         np.diag([1.0, 1.0, 2.0]).astype(complex), 1e-3, samples=20, seed=1)
     assert oscillation >= 0.0 and rejected >= 0
+
+
+# ---------------------------------------------------------------------------
+# stacks
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=25, deadline=None)
+@given(seeds, trial_dims, st.integers(1, 40))
+def test_identity_defects_equal_the_loop(seed, dims, trials):
+    # every trial drawn first, then one stack per dimension: the same
+    # defects bit for bit, and the generator ends where the loop leaves it
+    rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert theta.identity_defects(rng, trials, dims) \
+        == oracles.identity_defects_by_loop(loop_rng, trials, dims)
+    assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+@settings(max_examples=25, deadline=None)
+@given(seeds, st.integers(1, 8), st.integers(1, 12))
+def test_stacked_theta_equals_each_matrix(seed, n, k):
+    rng = np.random.default_rng(seed)
+    S = np.stack([positive_definite(rng, n) for _ in range(k)])
+    N = np.stack([invertible_normal(rng, n) for _ in range(k)])
+    X = S @ N @ np.linalg.inv(S)
+    got = theta.theta(X)
+    for i in range(k):
+        assert np.array_equal(got[i], theta.theta(X[i]))
+        assert np.array_equal(got[i], oracles.theta_by_loop(X[i]))
+
+
+def test_stacked_theta_errors_name_the_matrix():
+    good = np.diag([1.0, 2.0]).astype(complex)
+    with pytest.raises(Singular, match="^matrix 1 of the stack: matrix is numerically singular"):
+        theta.theta(np.stack([good, np.diag([1.0, 0.0]), good]))
+    # one failing matrix in a stack of one keeps the one-matrix message
+    with pytest.raises(NotSemisimple, match="^eigenvector condition"):
+        theta.theta(np.array([[[1.0, 1.0], [0.0, 1.0]]]))
+
+
+def _zero_eigenvalue_on_call(monkeypatch, calls):
+    """Make the tuples drawn by the given calls of the simple-tuple sampler
+    (counted from 0) contain an eigenvalue 0, drawing the same numbers."""
+    real = spaces._simple_complex_tuple
+    count = iter(range(10**6))
+
+    def patched(*args, **kwargs):
+        lam = real(*args, **kwargs)
+        if next(count) in calls:
+            lam = lam.copy()
+            lam[0] = 0.0
+        return lam
+
+    monkeypatch.setattr(spaces, "_simple_complex_tuple", patched)
+
+
+@pytest.mark.parametrize("calls", [{4}, {3, 9}])
+def test_failing_trial_raises_the_loops_class(monkeypatch, calls):
+    # normal_pair draws two tuples per trial; a zero eigenvalue in N makes
+    # X singular, which theta refuses in the loop and in the stack alike
+    _zero_eigenvalue_on_call(monkeypatch, calls)
+    with pytest.raises(Singular):
+        oracles.identity_defects_by_loop(np.random.default_rng(3), 8, (2, 3))
+    monkeypatch.undo()
+    _zero_eigenvalue_on_call(monkeypatch, calls)
+    with pytest.raises(Singular):
+        theta.identity_defects(np.random.default_rng(3), 8, (2, 3))
