@@ -73,10 +73,7 @@ def _crit_powerlaw(seed):
     out = []
     for space in POWERLAW_SPACES:
         S0 = shrinkers.fixed_conjugator(rng, 6)
-
-        def phi(X, S0=S0):
-            return shrinkers.canonical_shrinker(X, 1, 1, S0)
-
+        phi = shrinkers.make_shrinker("canonical", conjugator=S0)
         report = shrinkers.verify_shrinker(phi, space, 3, 6, samples=100, seed=seed)
         out.append(CheckResult.of(1, f"powerlaw-{space}", claim_pl,
                                   report.powerlaw_defect, shrinkers.POWERLAW_TOL,
@@ -91,12 +88,10 @@ def _crit_degenerate(seed):
     claim = ("scalar shrinkers onto a selected eigenvalue beat the divisibility "
              "constraint on Hermitian and special unitary inputs")
     out = []
-    cases = [
-        ("hn", 2, 5, lambda X: shrinkers.degenerate_shrinker_hn(X, 5)),
-        ("sun", 3, 4, lambda U: shrinkers.degenerate_shrinker_sun(U, 4)),
-    ]
-    for space, n, m, phi in cases:
-        report = shrinkers.verify_shrinker(phi, space, n, m, samples=100, seed=seed)
+    cases = [("hn", 2, 5, "hn-max"), ("sun", 3, 4, "su-scalar")]
+    for space, n, m, kind in cases:
+        report = shrinkers.verify_shrinker(shrinkers.make_shrinker(kind, m), space, n, m,
+                                           samples=100, seed=seed)
         divisibility_flagged = not report.divisible
         out.append(CheckResult.of(
             3, f"degenerate-{space}-{n}to{m}", claim,

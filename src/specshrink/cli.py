@@ -81,15 +81,9 @@ def _cmd_verify(args, started):
                              f"here {(p + q) * args.n}")
         S0 = (shrinkers.fixed_conjugator(np.random.default_rng(args.seed), args.m)
               if args.conjugator == "random" else None)
-
-        def phi(X):
-            return shrinkers.canonical_shrinker(X, p, q, S0)
-    elif args.shrinker == "hn-max":
-        def phi(X):
-            return shrinkers.degenerate_shrinker_hn(X, args.m)
-    else:  # su-scalar
-        def phi(X):
-            return shrinkers.degenerate_shrinker_sun(X, args.m)
+        phi = shrinkers.make_shrinker("canonical", p=p, q=q, conjugator=S0)
+    else:
+        phi = shrinkers.make_shrinker(args.shrinker, m=args.m)
 
     report = shrinkers.verify_shrinker(phi, space, args.n, args.m,
                                        samples=args.samples, seed=args.seed)
@@ -362,8 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--conjugator", choices=["identity", "random"], default="random")
-    p.add_argument("--shrinker", choices=["canonical", "hn-max", "su-scalar"],
-                   default="canonical")
+    p.add_argument("--shrinker", choices=shrinkers.SHRINKER_KINDS, default="canonical")
 
     p = sub.add_parser("select", help="continuity sweep of an eigenvalue selector")
     p.add_argument("--selector", choices=["su", "hn", "unlambda"], default="su")

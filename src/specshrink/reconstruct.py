@@ -99,27 +99,18 @@ class PreserverClassification:
 
 
 def _worst_residual(phi, form, draws, worst: float = 0.0) -> float:
-    """Worst ``||phi(X) - form(X)|| / ||X||`` over the matrices ``draws``,
-    starting from ``worst``.
+    """Worst ``||phi(X) - form(X)|| / ||X||`` over the ``(k, n, n)`` stack
+    ``draws``, starting from ``worst``.
 
-    The oracle sees one matrix at a time; ``form`` and both norms then run
-    once on the ``(k, n, n)`` stack.  ``draws`` is any iterable of
-    matrices.  The validation stages of :func:`reconstruct` and
-    :func:`classify_spaces` pass a whole stack from
-    :func:`spaces.sample_stack`, drawn before the oracle sees any of it, so
-    a sampler that runs out of budget raises :class:`UnsupportedDimension`
-    before any :class:`OracleFailure` of that stage;
-    :func:`torus_conjugator` passes a generator that draws each matrix as
-    the oracle asks for it.
+    Every validation stage draws its whole stack before the oracle sees
+    any of it, so a sampler that runs out of budget raises before any
+    :class:`OracleFailure` of that stage.  The stack goes to the oracle
+    through :func:`core.call_oracle_stack`, in one call for a map that opts
+    in; ``form`` and both norms then run once on the stack.
     """
-    inputs, images = [], []
-    for X in draws:
-        inputs.append(X)
-        images.append(core.call_oracle(phi, X))
-    if not inputs:
-        return worst
-    X = np.asarray(inputs, dtype=complex)  # as core.opnorm norms a real draw
-    deviation = np.linalg.svd(np.stack(images) - form(X), compute_uv=False)[:, 0]
+    X = np.asarray(draws, dtype=complex)  # as core.opnorm norms a real draw
+    images = core.call_oracle_stack(phi, X, X.shape[-1])
+    deviation = np.linalg.svd(images - form(X), compute_uv=False)[:, 0]
     size = np.linalg.svd(X, compute_uv=False)[:, 0]
     for r in (deviation / np.maximum(size, 1e-300)).tolist():
         worst = max(worst, r)
@@ -150,7 +141,11 @@ def psi(phi, W: core.Subspace) -> core.Subspace:
     A dimension change means the oracle violates its hypotheses and raises
     :class:`DimensionDrift`.
     """
-    Y = core.call_oracle(phi, involution_for_subspace(W))
+    return _fixed_space(W, core.call_oracle(phi, involution_for_subspace(W)))
+
+
+def _fixed_space(W: core.Subspace, Y) -> core.Subspace:
+    """``ker(I - Y)`` for the image ``Y`` of ``U_W``, of the dimension of W."""
     # the absolute floor keeps the whole space when W is everything
     K = core.kernel(np.eye(W.ambient_dim) - Y)
     if K.dim != W.dim:
@@ -158,6 +153,22 @@ def psi(phi, W: core.Subspace) -> core.Subspace:
             f"subspace map changed dimension {W.dim} -> {K.dim}"
         )
     return K
+
+
+def _psi_each(phi, subspaces):
+    """``Psi`` of each subspace in order, yielded one at a time.
+
+    The involutions are fixed before any oracle call, so a map that opts in
+    with ``stacked = True`` sees all of them in one
+    :func:`core.stacked_call` first.  Any other map, or a stacked map whose
+    stacked call fails, is called on each involution as its ``Psi`` is
+    taken, as :func:`psi` calls it, so the first probe that fails raises
+    first.
+    """
+    U = np.stack([involution_for_subspace(W) for W in subspaces])
+    Y = core.stacked_call(phi, U, U.shape[-1])
+    for i, W in enumerate(subspaces):
+        yield _fixed_space(W, core.call_oracle(phi, U[i]) if Y is None else Y[i])
 
 
 def lattice_compat_check(phi, n: int, trials: int = 20, seed: int = 0) -> bool:
@@ -211,15 +222,15 @@ def reconstruct(phi, n: int, validation_samples: int = VALIDATION_SAMPLES, seed:
     rng = np.random.default_rng(seed)
     eye = np.eye(n, dtype=complex)
 
-    images = []
-    for i in range(n):
-        K = psi(phi, core.span(eye[:, i]))
-        images.append(K.basis[:, 0])
+    # the 2n probe lines: coordinate lines, sum lines, the witness line
+    kernels = _psi_each(phi, [core.span(eye[:, i]) for i in range(n)]
+                        + [core.span(eye[:, 0] + eye[:, i]) for i in range(1, n)]
+                        + [core.span(eye[:, 0] + 1j * eye[:, 1])])
+    images = [next(kernels).basis[:, 0] for _ in range(n)]
 
     cols = [images[0]]
     for i in range(1, n):
-        K = psi(phi, core.span(eye[:, 0] + eye[:, i]))
-        w = K.basis[:, 0]
+        w = next(kernels).basis[:, 0]
         M = np.column_stack([images[0], images[i]])
         c, *_ = np.linalg.lstsq(M, w, rcond=None)
         if np.linalg.norm(M @ c - w) > 1e-6:
@@ -232,7 +243,7 @@ def reconstruct(phi, n: int, validation_samples: int = VALIDATION_SAMPLES, seed:
         cols.append((b / a) * images[i])
     T = np.column_stack(cols)
 
-    probe = psi(phi, core.span(eye[:, 0] + 1j * eye[:, 1]))
+    probe = next(kernels)
     d_lin = core.subspace_distance(probe, core.span(T[:, 0] + 1j * T[:, 1]))
     d_conj = core.subspace_distance(probe, core.span(T[:, 0] - 1j * T[:, 1]))
     lo, hi = sorted([d_lin, d_conj])
@@ -274,7 +285,9 @@ def torus_conjugator(phi, S, seed: int = 0) -> np.ndarray:
 
     For unitary S this is the maximal torus ``S diag(u) S^*``; a general
     invertible S is conjugated with its inverse so that spectra are
-    preserved.
+    preserved.  The search calls the oracle once per torus element it
+    tries; the validation samples are drawn as one stack first, so running
+    out of draw budget there raises before an oracle failure on them.
     """
     S = core.as_matrix(S)
     n = S.shape[0]
@@ -303,8 +316,8 @@ def torus_conjugator(phi, S, seed: int = 0) -> np.ndarray:
 
     residual = _worst_residual(
         phi, lambda X: conjugate(T_G, X),
-        (S @ np.diag(spaces.circle_points(rng, n, 0.1 / n)) @ Sinv
-         for _ in range(VALIDATION_SAMPLES)))
+        np.stack([S @ np.diag(spaces.circle_points(rng, n, 0.1 / n)) @ Sinv
+                  for _ in range(VALIDATION_SAMPLES)]))
     if residual > RESIDUAL_TOL:
         raise ResidualTooLarge(
             f"torus validation residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}",
@@ -374,9 +387,12 @@ def classify_spaces(phi, space_names, n: int, validation_samples: int = VALIDATI
 
         if sid is spaces.SpaceId.SLN_SS:
             def root_extension(X):
-                c = np.linalg.det(X) ** (1.0 / n)
-                return c * core.as_matrix(phi(X / c))
+                # the principal root of each determinant, taken on scalars
+                c = np.reshape([d ** (1.0 / n) for d in np.ravel(np.linalg.det(X))],
+                               X.shape[:-2] + (1, 1))
+                return c * core.as_matrix(phi(X / c), stack=True)
 
+            root_extension.stacked = getattr(phi, "stacked", False)
             residual = _worst_residual(
                 root_extension, cls.apply, _gl_star_ss_sample(rng, n, validation_samples),
                 residual)
@@ -419,16 +435,25 @@ def make_oracle(kind: str, T0=None):
     """Build one of the stock preserver oracles.
 
     ``identity``, ``transpose``, ``conjugation`` (needs T0),
-    ``transpose_conjugation`` (needs T0), ``theta``.
+    ``transpose_conjugation`` (needs T0), ``theta``.  Each takes a matrix
+    or a ``(k, n, n)`` stack and carries ``stacked = True``, so the
+    validation stages and the probe lines call it once per stack.
     """
     tag = kind.strip().lower()
     if tag in ("identity", "id"):
-        return lambda X: core.as_matrix(X)
-    if tag == "transpose":
-        return lambda X: core.as_matrix(X).T
-    if tag in (MODE_CONJUGATION, MODE_TRANSPOSE):
+        def phi(X):
+            return core.as_matrix(X, stack=True)
+    elif tag == "transpose":
+        def phi(X):
+            return np.swapaxes(core.as_matrix(X, stack=True), -1, -2)
+    elif tag in (MODE_CONJUGATION, MODE_TRANSPOSE):
         T = core.as_matrix(T0)
-        return lambda X: conjugate(T, X, tag)
-    if tag == "theta":
+
+        def phi(X):
+            return conjugate(T, X, tag)
+    elif tag == "theta":
         return theta_mod.theta
-    raise ValueError(f"unknown oracle kind {kind!r}")
+    else:
+        raise ValueError(f"unknown oracle kind {kind!r}")
+    phi.stacked = True
+    return phi

@@ -280,8 +280,8 @@ def monodromy_xz(n: int, r: float, steps: int) -> MonodromyResult:
         raise UnsupportedDimension("monodromy needs n >= 2")
     if steps < 64 * n:
         raise ValueError(f"steps must be >= 64 n = {64 * n} for unambiguous tracking")
-    if r <= 0:
-        raise ValueError("loop radius must be positive")
+    if not (np.isfinite(r) and r > 0):
+        raise ValueError(f"loop radius must be finite and positive, got {r}")
     ts = np.linspace(0.0, 1.0, steps + 1)
     spectra = np.linalg.eigvals(corner_matrices(n, r * np.exp(2j * np.pi * ts)))
     start = core.canonical_spectrum(spectra[0])
@@ -303,12 +303,21 @@ def monodromy_xz(n: int, r: float, steps: int) -> MonodromyResult:
 # Hermitian selector
 # ---------------------------------------------------------------------------
 
+def hn_select_stack(X) -> np.ndarray:
+    """Largest eigenvalue of every Hermitian matrix of a ``(k, n, n)``
+    stack, in one stacked ``eigvalsh``; the first matrix that is not
+    Hermitian raises."""
+    A = core.as_matrix(X, stack=True)
+    if A.ndim != 3:
+        raise DimensionMismatch(f"expected a (k, n, n) stack, got shape {A.shape}")
+    core.check_rows([(core.opnorm(A - core.adjoint(A)) > DOMAIN_TOL * (1.0 + core.opnorm(A)),
+                      NotHermitian, "input is not Hermitian within tolerance")])
+    return np.max(np.linalg.eigvalsh(A), axis=-1)
+
+
 def hn_select(X) -> float:
     """Largest eigenvalue of a Hermitian matrix; 1-Lipschitz in X."""
-    A = core.as_matrix(X)
-    if core.opnorm(A - A.conj().T) > DOMAIN_TOL * (1.0 + core.opnorm(A)):
-        raise NotHermitian("input is not Hermitian within tolerance")
-    return float(np.max(np.linalg.eigvalsh(A)))
+    return float(hn_select_stack(core.as_matrix(X)[None])[0])
 
 
 def selector_path(select, mats, parameters=None) -> EigenPath:

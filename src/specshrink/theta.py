@@ -23,7 +23,7 @@ import numpy as np
 
 from . import core, spaces
 from .calculus import apply_function, perturbation_probe
-from .errors import NotSemisimple, Singular, WellDefinednessDegraded
+from .errors import NotSemisimple, Singular, UnsupportedDimension, WellDefinednessDegraded
 
 #: Inputs whose eigenvector matrices are worse conditioned than this are
 #: rejected rather than decomposed into garbage.
@@ -86,6 +86,10 @@ def theta(X) -> np.ndarray:
     return np.linalg.solve(dec.s, dec.normal @ dec.s)
 
 
+# an oracle that takes stacks: the checks call it once per stack
+theta.stacked = True
+
+
 def theta_via_calculus(S, N) -> np.ndarray:
     """``theta`` through the functional-calculus identity; ``S`` and ``N``
     may be ``(k, n, n)`` stacks.
@@ -124,6 +128,9 @@ def identity_defects(rng, trials: int, dims) -> dict:
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    for n in dims:
+        if n < 1:
+            raise UnsupportedDimension(f"dimension must be >= 1, got {n}")
     draws = {}
     for trial in range(trials):
         n = dims[trial % len(dims)]

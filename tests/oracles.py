@@ -175,6 +175,18 @@ def su_conjugation_pairs_by_loop(rng, n, k):
     return np.stack(Us), np.stack(conjs)
 
 
+def hn_select_by_loop(X):
+    """The Hermitian selector on one matrix, as first written: check that X
+    is Hermitian, then take the largest ``eigvalsh`` value."""
+    from specshrink import core, selectors
+    from specshrink.errors import NotHermitian
+
+    A = core.as_matrix(X)
+    if core.opnorm(A - A.conj().T) > selectors.DOMAIN_TOL * (1.0 + core.opnorm(A)):
+        raise NotHermitian("input is not Hermitian within tolerance")
+    return float(np.max(np.linalg.eigvalsh(A)))
+
+
 def su_select_by_loop(U):
     """The special unitary selector one matrix at a time, as first written:
     validate, sort the eigenvalue angles, rotate the integer excess to the

@@ -248,3 +248,18 @@ def test_verify_determinism_to_twelve_digits(capsys):
     for a, b in zip(first["results"], second["results"]):
         if a["defect"] is not None:
             assert abs(a["defect"] - b["defect"]) <= 1e-12 * max(abs(a["defect"]), 1e-300)
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["monodromy", "--n", "3", "--r", "nan"], "ValueError"),
+    (["monodromy", "--n", "3", "--r", "inf"], "ValueError"),
+    (["monodromy", "--n", "3", "--r", "-1"], "ValueError"),
+    (["theta", "--check", "all", "--n", "0"], "UnsupportedDimension"),
+    (["theta", "--check", "pf", "--n", "-2"], "UnsupportedDimension"),
+])
+def test_bad_parameters_are_refused_before_any_numerics(capsys, argv, error):
+    # the library's own check names the problem, not LAPACK or a numpy reduction
+    code, report = run_cli(capsys, argv)
+    assert code == 2
+    [result] = report["results"]
+    assert result["details"]["error"] == error

@@ -430,3 +430,41 @@ def test_matrix_json_round_trip(tmp_path):
 def test_matrix_from_dict_rejects_malformed_records(record):
     with pytest.raises(ValueError):
         core.matrix_from_dict(record)
+
+
+def _near_permutation(n):
+    # b is a shuffle of a, each point moved by less than a grid step: the
+    # nearest-point screen settles most of these, ties and repeats aside
+    return _grid_spectrum(n).flatmap(lambda a: st.tuples(
+        st.just(a), st.permutations(list(range(n))),
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=n, max_size=n)
+    )).map(lambda t: (t[0], t[0][list(t[1])]
+                      + np.array([0.05 * complex(re, im) for re, im in t[2]])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 7).flatmap(_near_permutation))
+def test_match_distance_screen_equals_enumeration(spectra):
+    # repeated points and tied distances included: when the row argmins are a
+    # permutation the screen answers, else the bisection; both equal every
+    # bijection's answer bit for bit
+    a, b = spectra
+    assert core.spectrum_match_distance(a, b) == oracles.bottleneck_by_enumeration(a, b)
+    assert core.spectrum_match_distance(b, a) == oracles.bottleneck_by_enumeration(b, a)
+
+
+def test_match_distance_screen_skips_the_bisection(monkeypatch):
+    calls = []
+    bisection = core._bottleneck_assignment
+
+    def counting(D):
+        calls.append(D.shape)
+        return bisection(D)
+
+    monkeypatch.setattr(core, "_bottleneck_assignment", counting)
+    # distinct nearest points: the screen's answer, no bisection
+    assert core.spectrum_match_distance([0, 1, 3j], [1.25, 3j, 0.5]) == 0.5
+    assert calls == []
+    # both points nearest to 0: the bisection decides, and it is not 0.5
+    assert core.spectrum_match_distance([0, 0.5], [0.1, 3]) == 2.5
+    assert calls == [(2, 2)]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from specshrink import core, reconstruct, spaces, theta
@@ -309,9 +310,13 @@ def test_worst_residual_and_conjugate_on_stacks_equal_the_loop():
         for form, worst in ((lambda X: reconstruct.conjugate(T0, X), 0.0),
                             (lambda X: reconstruct.conjugate(T0, X, mode), 0.0),
                             (lambda X: reconstruct.conjugate(T0, X, mode), 1.0)):
-            got = reconstruct._worst_residual(phi, form, iter(draws), worst)
+            # the stacked oracle takes the stack in one call, any other map
+            # one matrix at a time; both give the loop's residual
+            got = reconstruct._worst_residual(phi, form, np.stack(draws), worst)
             assert got == oracles.worst_residual_by_loop(phi, form, draws, worst)
-    assert reconstruct._worst_residual(phi, form, iter([]), 0.5) == 0.5
+            plain = reconstruct._worst_residual(lambda X: phi(X), form, np.stack(draws), worst)
+            assert plain == got
+    assert reconstruct._worst_residual(phi, form, np.empty((0, 4, 4)), 0.5) == 0.5
 
 
 def test_determinant_safe_draws_share_the_budget(monkeypatch):
@@ -344,3 +349,83 @@ def test_classification_apply():
         reconstruct.make_oracle("conjugation", T0), "un", 3, seed=0)
     U = spaces.haar_unitary(rng, 3)
     assert core.opnorm(cls.apply(U) - T0 @ U @ np.linalg.inv(T0)) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# stacked oracles
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 5),
+       st.sampled_from(["identity", "transpose", reconstruct.MODE_CONJUGATION,
+                        reconstruct.MODE_TRANSPOSE, "theta"]))
+def test_stacked_oracles_equal_each_matrix(seed, n, k, kind):
+    rng = np.random.default_rng(seed)
+    modes = (reconstruct.MODE_CONJUGATION, reconstruct.MODE_TRANSPOSE)
+    T0 = conjugator(rng, n) if kind in modes else None
+    phi = reconstruct.make_oracle(kind, T0)
+    assert phi.stacked
+    X = spaces.sample_stack("gln_ss", n, k, rng)
+    assert np.array_equal(phi(X), np.stack([phi(x) for x in X]))
+
+
+def test_a_map_without_the_attribute_sees_one_matrix_per_call():
+    rng = np.random.default_rng(217)
+    stacked = reconstruct.make_oracle(reconstruct.MODE_TRANSPOSE, conjugator(rng, 3))
+    shapes = []
+
+    def plain(X):
+        shapes.append(np.shape(X))
+        return stacked(X)
+
+    names = ["un", "nn", "gln_ss", "sln_ss"]
+    want = reconstruct.classify_spaces(plain, names, 3, validation_samples=7, seed=4)
+    # 2n probe lines and 7 validation samples per stage (un, sun), then 7 per
+    # space and 7 more through the determinant-root extension
+    assert shapes == [(3, 3)] * (2 * (6 + 7) + 4 * 7 + 7)
+    got = reconstruct.classify_spaces(stacked, names, 3, validation_samples=7, seed=4)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.matrix, w.matrix)
+        assert (g.mode, g.residual) == (w.mode, w.residual)
+
+
+def test_stacked_rejection_equals_the_loop():
+    with pytest.raises(ResidualTooLarge) as got:
+        reconstruct.classify_preserver(theta.theta, "gln_ss", 3, seed=1)
+    with pytest.raises(ResidualTooLarge) as want:
+        reconstruct.classify_preserver(lambda X: theta.theta(X), "gln_ss", 3, seed=1)
+    assert str(got.value) == str(want.value)
+    assert got.value.residual == want.value.residual
+
+
+def test_probe_lines_raise_in_order():
+    # an oracle that drifts on the first probe line is reported as drifting,
+    # although it would raise on a later one
+    calls = []
+
+    def drifting(X):
+        calls.append(X)
+        if len(calls) > 1:
+            raise RuntimeError("later probe")
+        return np.eye(3)
+
+    with pytest.raises(DimensionDrift):
+        reconstruct.reconstruct(drifting, 3)
+    assert len(calls) == 1
+
+
+def test_probe_lines_of_a_stacked_map_raise_in_order():
+    # the stacked call on all 2n probe lines raises; the probes then go one
+    # at a time, so the drift on the first one is reported, as for any map
+    calls = []
+
+    def stacked(X):
+        calls.append(np.shape(X))
+        if np.ndim(X) == 3 or len(calls) > 2:
+            raise RuntimeError("later probe")
+        return np.eye(3)
+
+    stacked.stacked = True
+    with pytest.raises(DimensionDrift):
+        reconstruct.reconstruct(stacked, 3)
+    assert calls == [(6, 3, 3), (3, 3)]

@@ -346,6 +346,32 @@ def test_hn_select_examples():
         selectors.hn_select(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@settings(max_examples=30, deadline=None)
+@given(seeds, st.integers(1, 8), st.integers(1, 20))
+def test_hn_select_stack_bitwise_equals_loop(seed, n, k):
+    H = spaces.sample_stack("hn", n, k, np.random.default_rng(seed))
+    got = selectors.hn_select_stack(H)
+    want = np.array([oracles.hn_select_by_loop(h) for h in H])
+    assert got.shape == (k,)
+    assert np.array_equal(got, want)
+    assert selectors.hn_select(H[-1]) == want[-1]
+
+
+@pytest.mark.parametrize("where", [0, 4, 9])
+def test_hn_select_stack_names_first_bad_matrix(where):
+    bad = np.array([[0.0, 1.0], [0.0, 0.0]])
+    H = spaces.sample_stack("hn", 2, 10, np.random.default_rng(56))
+    H[where] = bad
+    if where < 9:
+        H[9] = bad  # a later bad matrix is not the one named
+    with pytest.raises(NotHermitian, match=f"matrix {where} of the stack: input is not"):
+        selectors.hn_select_stack(H)
+    with pytest.raises(NotHermitian, match="^input is not Hermitian within tolerance$"):
+        selectors.hn_select(bad)
+    with pytest.raises(DimensionMismatch):
+        selectors.hn_select_stack(np.eye(2))
+
+
 def test_hn_select_is_lipschitz_along_paths():
     rng = np.random.default_rng(54)
     X = spaces.sample("hn", 4, rng)

@@ -184,3 +184,125 @@ def test_degenerate_shrinkers_beat_divisibility():
         lambda U: shrinkers.degenerate_shrinker_sun(U, 4), "sun", 3, 4,
         samples=30, seed=0)
     assert su_rep.inclusion_defect <= 1e-8 and not su_rep.divisible
+
+
+# ---------------------------------------------------------------------------
+# stacked maps
+# ---------------------------------------------------------------------------
+
+def _stack_equals_each_matrix(phi, X):
+    got = phi(X)
+    assert np.array_equal(got, np.stack([phi(x) for x in X]))
+    return got
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 5),
+       st.sampled_from([(p, q) for p in range(3) for q in range(3) if p + q >= 1]),
+       st.booleans())
+def test_stacked_canonical_shrinker_equals_each_matrix(seed, n, k, pq, conjugated):
+    p, q = pq
+    rng = np.random.default_rng(seed)
+    X = spaces.sample_stack("mn", n, k, rng)
+    S = shrinkers.fixed_conjugator(rng, (p + q) * n) if conjugated else None
+    phi = shrinkers.make_shrinker("canonical", p=p, q=q, conjugator=S)
+    assert phi.stacked
+    got = _stack_equals_each_matrix(phi, X)
+    assert np.array_equal(got, [oracles.canonical_shrinker_by_block_diag(x, p, q, S)
+                                for x in X])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 5), st.integers(1, 7))
+def test_stacked_degenerate_shrinkers_equal_each_matrix(seed, n, k, m):
+    rng = np.random.default_rng(seed)
+    H = spaces.sample_stack("hn", n, k, rng)
+    got = _stack_equals_each_matrix(shrinkers.make_shrinker("hn-max", m), H)
+    assert np.array_equal(got, [oracles.hn_select_by_loop(h) * np.eye(m, dtype=complex)
+                                for h in H])
+    U = spaces.sample_stack("sun", n, k, rng)
+    got = _stack_equals_each_matrix(shrinkers.make_shrinker("su-scalar", m), U)
+    assert np.array_equal(got, [oracles.su_select_by_loop(u) * np.eye(m, dtype=complex)
+                                for u in U])
+
+
+def test_make_shrinker_rejects_unknown_kinds_and_unused_arguments():
+    with pytest.raises(ValueError, match="unknown shrinker"):
+        shrinkers.make_shrinker("bogus", 3)
+    with pytest.raises(ValueError, match="takes no m"):
+        shrinkers.make_shrinker("canonical", 6)
+    for kind in ("hn-max", "su-scalar"):
+        with pytest.raises(ValueError, match="needs the image size"):
+            shrinkers.make_shrinker(kind)
+        for extra in (dict(p=1), dict(q=2), dict(conjugator=np.eye(4))):
+            with pytest.raises(ValueError, match="takes no p, q or conjugator"):
+                shrinkers.make_shrinker(kind, 4, **extra)
+
+
+def test_a_map_without_the_attribute_is_called_once_per_sample():
+    shapes = []
+
+    def phi(X):
+        shapes.append(np.shape(X))
+        return shrinkers.canonical_shrinker(X, 1, 1)
+
+    rep = shrinkers.verify_shrinker(phi, "gln", 3, 6, samples=17, seed=2)
+    assert shapes == [(3, 3)] * 17
+    stacked = shrinkers.verify_shrinker(shrinkers.make_shrinker("canonical"), "gln", 3, 6,
+                                        samples=17, seed=2)
+    assert stacked == rep
+
+
+def _first_failure(phi, X, m):
+    with pytest.raises(Exception) as info:
+        core.call_oracle_stack(phi, X, m)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("bad", [0, 3, 6])
+def test_a_stacked_map_that_raises_fails_as_the_loop(bad):
+    # the stacked call raises on the whole stack; the loop then names the
+    # first failing matrix with the one-matrix message
+    rng = np.random.default_rng(5)
+    X = spaces.sample_stack("gln", 3, 7, rng)
+    X[bad:, 0, 0] = -5.0
+
+    def plain(A):
+        A = core.as_matrix(A, stack=True)
+        if (A[..., 0, 0].real < -4.0).any():
+            raise RuntimeError(f"corner {A[..., 0, 0]}")
+        return A
+
+    def stacked(A):
+        return plain(A)
+
+    stacked.stacked = True
+    want = _first_failure(plain, X, 3)
+    message = f"oracle raised on an input: RuntimeError('corner {X[bad, 0, 0]}')"
+    assert want == (OracleFailure, message)
+    assert _first_failure(stacked, X, 3) == want
+
+
+def test_a_stacked_map_of_the_wrong_size_fails_as_the_loop():
+    X = spaces.sample_stack("gln", 3, 4, np.random.default_rng(6))
+
+    def stacked(A):
+        return np.zeros(np.shape(A)[:-2] + (2, 2))
+
+    stacked.stacked = True
+    want = _first_failure(lambda A: stacked(A), X, 3)
+    assert want == (DimensionMismatch, "oracle output is (2, 2), expected (3, 3)")
+    assert _first_failure(stacked, X, 3) == want
+
+
+def test_stacked_degenerate_shrinker_errors_match_the_loop():
+    # verify_shrinker on a space the shrinker refuses: the report names the
+    # first sample, as the one-matrix calls did
+    for kind, n, m in (("hn-max", 2, 5), ("su-scalar", 3, 4)):
+        phi = shrinkers.make_shrinker(kind, m)
+        with pytest.raises(OracleFailure) as got:
+            shrinkers.verify_shrinker(phi, "gln", n, m, samples=5)
+        with pytest.raises(OracleFailure) as want:
+            shrinkers.verify_shrinker(lambda X: phi(X), "gln", n, m, samples=5)
+        assert str(got.value) == str(want.value)
+        assert "matrix" not in str(got.value)
