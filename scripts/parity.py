@@ -9,7 +9,10 @@ importing its own ``src/`` and ``perfbench/``:
 * ``acceptance.run_acceptance(s)`` as ``to_dict()`` records, seeds 0-2;
 * the report and exit code of every ``perfbench.workloads.cli_invocations``
   command on the inputs of the ``cli`` workload's passes 0-7 at seed 0,
-  plus verify runs whose shrinker refuses the space (error reports).
+  plus verify runs whose shrinker refuses the space (error reports) and the
+  ``hn`` and ``unlambda`` selectors, which that workload does not run;
+* the standard output of every ``demos/*.py`` script, which alone run
+  ``reconstruct.torus_conjugator`` and ``lattice_compat_check`` at n = 3.
 
 ``wall_time`` is masked, and so is each run's temporary directory in
 paths.  The gate prints the first field that differs and exits 1 on any
@@ -21,8 +24,11 @@ part of the test suite: it takes about half a minute.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
+import runpy
 import shutil
 import subprocess
 import sys
@@ -33,13 +39,15 @@ ROOT = Path(__file__).resolve().parent.parent
 BUILD = ROOT / ".bench_build" / "parity"
 ACCEPTANCE_SEEDS = (0, 1, 2)
 CLI_PASSES = range(8)
-#: Verify runs whose shrinker raises on the space: the error report names
-#: the first failing sample.
+#: Verify runs whose shrinker raises on the space (the error report names
+#: the first failing sample), and the selectors the workload leaves out.
 EXTRA_INVOCATIONS = (
     ("verify-su-scalar-on-gl", ["verify", "--space", "gl", "--n", "3", "--m", "6",
                                 "--shrinker", "su-scalar"]),
     ("verify-hn-max-on-gl", ["verify", "--space", "gl", "--n", "2", "--m", "5",
                              "--shrinker", "hn-max"]),
+    ("select-hn", ["select", "--selector", "hn"]),
+    ("select-unlambda", ["select", "--selector", "unlambda"]),
 )
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -71,7 +79,14 @@ def emit(tree: Path) -> dict:
                 record["cli"][f"{label}@{k}"] = {"code": code, "error": error,
                                                  "report": report}
         text = json.dumps(record).replace(tmp, "<tmp>")
-    return json.loads(text)
+    record = json.loads(text)
+    record["demos"] = {}
+    for demo in sorted((tree / "demos").glob("*.py")):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            runpy.run_path(str(demo), run_name="__main__")
+        record["demos"][demo.name] = out.getvalue()
+    return record
 
 
 def run_tree(tree: Path) -> dict:
@@ -141,6 +156,7 @@ def main(argv=None) -> int:
     codes = sorted({v["code"] for v in change["cli"].values()})
     print(f"{len(change['cli'])} CLI reports identical apart from wall_time "
           f"(exit codes {codes})")
+    print(f"{len(change['demos'])} demo outputs identical")
     return 0
 
 

@@ -12,7 +12,7 @@ a fixed seed is itself the final criterion, checked by comparing two runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -48,15 +48,7 @@ class CheckResult:
                    details or {})
 
     def to_dict(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "name": self.name,
-            "claim": self.claim,
-            "passed": self.passed,
-            "defect": self.defect,
-            "threshold": self.threshold,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +118,7 @@ def _crit_su_selector(seed):
     for n in (2, 3, 4):
         Us, conjs = _su_conjugation_pairs(rng, n, 60)
         vals = selectors.su_select_stack(Us)
-        gaps = np.min(np.abs(np.linalg.eigvals(Us) - vals[:, None]), axis=1)
+        gaps = core.spectrum_inclusion_defect(vals[:, None], np.linalg.eigvals(Us))
         spectral = max(spectral, float(gaps.max()))
         # the distance is Python's complex abs (libm hypot), not numpy's
         moved = (selectors.su_select_stack(conjs) - vals).tolist()
@@ -316,8 +308,7 @@ def _crit_reconstruct(seed):
         W = core.Subspace(q[:, :d1])
         Wp = core.Subspace(q[:, :d2])
         try:
-            im1 = reconstruct.psi(phi, W)
-            im2 = reconstruct.psi(phi, Wp)
+            im1, im2 = reconstruct.psi(phi, [W, Wp])
         except Exception:
             dim_failures += 1
             continue

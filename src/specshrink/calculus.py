@@ -68,19 +68,19 @@ def _idempotent(P, Pinv, idx) -> np.ndarray:
     return (P * mask) @ Pinv
 
 
-def spectral_idempotents(T, grouping_tol: float = DEFAULT_GROUPING_TOL
-                         ) -> list[tuple[complex, np.ndarray]]:
+def spectral_idempotents(T) -> list[tuple[complex, np.ndarray]]:
     """Spectral idempotents of a semisimple matrix: the pairs
     ``(lambda, E_lambda)``, one per eigenvalue cluster.
 
-    Eigenvalues within ``grouping_tol`` of each other (single linkage)
-    become one cluster with the summed idempotent; clusters must stay
-    separated by more than ``10 * grouping_tol`` or the grouping is
-    ambiguous and refused.
+    Eigenvalues within ``DEFAULT_GROUPING_TOL`` of each other (single
+    linkage) become one cluster with the summed idempotent; clusters must
+    stay separated by more than ``10 * DEFAULT_GROUPING_TOL`` or the
+    grouping is ambiguous and refused.
     """
     w, P = _semisimple_eig(core.as_matrix(T)[None])
     Pinv = np.linalg.inv(P[0])
-    return [(rep, _idempotent(P[0], Pinv, idx)) for rep, idx in _clusters(w[0], grouping_tol)]
+    return [(rep, _idempotent(P[0], Pinv, idx))
+            for rep, idx in _clusters(w[0], DEFAULT_GROUPING_TOL)]
 
 
 def apply_function(T, f: Callable[[complex], complex],
@@ -278,7 +278,7 @@ def conjugation_invariance_defect(rng, n: int, samples: int, fns) -> float:
     S = spaces._conjugator(*spaces._stack_draws(ss))
     Sinv = np.linalg.inv(S)
     # the loop's scalar powers
-    cond2 = np.array([c ** 2 for c in np.linalg.cond(S, 2).tolist()])
+    cond2 = np.array([c ** 2 for c in core.condition_numbers(S).tolist()])
     scale = (1.0 + core.opnorm(X)) * cond2
     defects = np.empty((samples, len(fns)))
     for j, f in enumerate(fns):
@@ -314,5 +314,7 @@ def named_function(name: str) -> Callable[[complex], complex]:
         return sqrt_shift
     if tag.startswith("poly:"):
         coeffs = [complex(c) for c in tag.split(":", 1)[1].split(",")]
+        if not np.isfinite(coeffs).all():
+            raise ValueError(f"polynomial coefficients must be finite, got {name!r}")
         return lambda z: sum(c * z ** k for k, c in enumerate(coeffs))
     raise ValueError(f"unknown function tag {name!r}")

@@ -144,9 +144,9 @@ def _cmd_select(args, started):
         path = selectors.selector_path(lambda M: selectors.hn_select(M), mats, ts)
     else:  # unlambda
         lam_re, lam_im = (float(v) for v in args.cut.split(","))
-        if not (np.isfinite(lam_re) and np.isfinite(lam_im)):
-            raise ValueError(f"the cut must be finite, got {args.cut!r}")
         lam = complex(lam_re, lam_im)
+        if not (np.isfinite(lam) and lam != 0):
+            raise ValueError(f"the cut must be finite and nonzero, got {args.cut!r}")
         lam /= abs(lam)
         config["cut"] = [lam.real, lam.imag]
         Q = spaces.haar_unitary(rng, n)

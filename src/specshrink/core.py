@@ -10,8 +10,8 @@ Conventions
 * :func:`opnorm`, :func:`spectrum`, :func:`char_poly`,
   :func:`polar_decompose` and :func:`spectrum_inclusion_defect` also take a
   ``(k, n, n)`` stack (``(k, .)`` spectra) and answer row by row, bit for
-  bit as one call per matrix would; :func:`eig_decompose_stack` is the
-  eigendecomposition on stacks.  A bad matrix in a stack raises the class
+  bit as one call per matrix would; :func:`eig_decompose_stack` is the one
+  eigendecomposition, on stacks.  A bad matrix in a stack raises the class
   the one-matrix call raises, naming ``matrix i of the stack``.
 * ``||.||`` is the operator 2-norm unless a docstring says otherwise.
 * Tolerances are absolute-relative hybrids ``tol * (1 + ||X||)`` unless
@@ -237,36 +237,6 @@ def cluster_points(values, tol: float) -> list[np.ndarray]:
 # Eigendecomposition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class EigDecomposition:
-    """Eigendecomposition ``X = P D P^{-1}`` with a semisimplicity verdict.
-
-    ``eigenvalues`` are canonically ordered and ``vectors`` columns are
-    matched to them.  ``semisimple`` is the numerical surrogate: true iff
-    the eigenvector matrix has condition number at most 1 / DEFAULT_EIG_TOL.
-    """
-
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
-    semisimple: bool
-    condition: float
-
-    def reconstruction(self) -> np.ndarray:
-        """``P D P^{-1}`` from the stored factors."""
-        P = self.vectors
-        return P @ np.diag(self.eigenvalues) @ np.linalg.inv(P)
-
-
-def eig_decompose(X) -> EigDecomposition:
-    """Eigendecomposition with cluster-aware eigenvector bases: the k = 1
-    case of :func:`eig_decompose_stack`, as a record."""
-    w, P, cond, _ = eig_decompose_stack(as_matrix(X)[None])
-    condition = float(cond[0])
-    return EigDecomposition(eigenvalues=w[0], vectors=P[0],
-                            semisimple=condition <= 1.0 / DEFAULT_EIG_TOL,
-                            condition=condition)
-
-
 #: Margin of the cluster screens (:func:`eig_decompose_stack`, and the
 #: calculus' grouping).  numpy's array ``abs`` can round differently from
 #: the scalar ``abs`` that :func:`cluster_points` decides with, by an ulp or
@@ -316,14 +286,14 @@ def eig_decompose_stack(X) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     near = may_cluster(w, DEFAULT_EIG_TOL * scale)
     for i in np.flatnonzero(near) if near.any() else ():
         _reextract_clusters(A[i], w[i], P[i], scale[i])
-    cond = _condition_numbers(P)
+    cond = condition_numbers(P)
     order = np.lexsort((w.imag, w.real), axis=-1)
     rows = np.arange(k)[:, None]
     vectors = P[rows[:, :, None], np.arange(n)[:, None], order[:, None, :]]
     return w[rows, order], vectors, cond, norm
 
 
-def _condition_numbers(P) -> np.ndarray:
+def condition_numbers(P) -> np.ndarray:
     """``np.linalg.cond(P, 2)`` of each matrix of a stack bit for bit,
     without its per-call overhead; a singular matrix, or one whose SVD does
     not converge, is infinitely ill-conditioned."""
@@ -332,7 +302,7 @@ def _condition_numbers(P) -> np.ndarray:
     except np.linalg.LinAlgError:  # pragma: no cover - SVD non-convergence
         if len(P) == 1:
             return np.full(1, np.inf)
-        return np.concatenate([_condition_numbers(p[None]) for p in P])
+        return np.concatenate([condition_numbers(p[None]) for p in P])
     return np.divide(s[:, 0], s[:, -1], out=np.full(len(P), np.inf), where=s[:, -1] > 0)
 
 

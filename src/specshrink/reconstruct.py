@@ -110,11 +110,8 @@ def _worst_residual(phi, form, draws, worst: float = 0.0) -> float:
     """
     X = np.asarray(draws, dtype=complex)  # as core.opnorm norms a real draw
     images = core.call_oracle_stack(phi, X, X.shape[-1])
-    deviation = np.linalg.svd(images - form(X), compute_uv=False)[:, 0]
-    size = np.linalg.svd(X, compute_uv=False)[:, 0]
-    for r in (deviation / np.maximum(size, 1e-300)).tolist():
-        worst = max(worst, r)
-    return worst
+    ratios = core.opnorm(images - form(X)) / np.maximum(core.opnorm(X), 1e-300)
+    return max(worst, core.running_max(ratios))
 
 
 def projective_distance(A, B) -> float:
@@ -135,40 +132,27 @@ def involution_for_subspace(W: core.Subspace) -> np.ndarray:
     return 2.0 * core.projection(W) - np.eye(W.ambient_dim)
 
 
-def psi(phi, W: core.Subspace) -> core.Subspace:
-    """``Psi(W) = ker(I - phi(U_W))``.
-
-    A dimension change means the oracle violates its hypotheses and raises
-    :class:`DimensionDrift`.
-    """
-    return _fixed_space(W, core.call_oracle(phi, involution_for_subspace(W)))
-
-
-def _fixed_space(W: core.Subspace, Y) -> core.Subspace:
-    """``ker(I - Y)`` for the image ``Y`` of ``U_W``, of the dimension of W."""
-    # the absolute floor keeps the whole space when W is everything
-    K = core.kernel(np.eye(W.ambient_dim) - Y)
-    if K.dim != W.dim:
-        raise DimensionDrift(
-            f"subspace map changed dimension {W.dim} -> {K.dim}"
-        )
-    return K
-
-
-def _psi_each(phi, subspaces):
-    """``Psi`` of each subspace in order, yielded one at a time.
+def psi(phi, subspaces):
+    """``Psi(W) = ker(I - phi(U_W))`` of each subspace W in order, yielded
+    one at a time.
 
     The involutions are fixed before any oracle call, so a map that opts in
     with ``stacked = True`` sees all of them in one
     :func:`core.stacked_call` first.  Any other map, or a stacked map whose
     stacked call fails, is called on each involution as its ``Psi`` is
-    taken, as :func:`psi` calls it, so the first probe that fails raises
-    first.
+    taken, so the first probe that fails raises first.  A dimension change
+    means the oracle violates its hypotheses and raises
+    :class:`DimensionDrift`.
     """
     U = np.stack([involution_for_subspace(W) for W in subspaces])
     Y = core.stacked_call(phi, U, U.shape[-1])
     for i, W in enumerate(subspaces):
-        yield _fixed_space(W, core.call_oracle(phi, U[i]) if Y is None else Y[i])
+        # the absolute floor keeps the whole space when W is everything
+        K = core.kernel(np.eye(W.ambient_dim)
+                        - (core.call_oracle(phi, U[i]) if Y is None else Y[i]))
+        if K.dim != W.dim:
+            raise DimensionDrift(f"subspace map changed dimension {W.dim} -> {K.dim}")
+        yield K
 
 
 def lattice_compat_check(phi, n: int, trials: int = 20, seed: int = 0) -> bool:
@@ -189,13 +173,12 @@ def lattice_compat_check(phi, n: int, trials: int = 20, seed: int = 0) -> bool:
         W = core.Subspace(Q[:, np.sort(idx1)])
         Wp = core.Subspace(Q[:, np.sort(idx2)])
         try:
-            lhs = psi(phi, core.subspace_sum(W, Wp))
-            rhs = core.subspace_sum(psi(phi, W), psi(phi, Wp))
+            lhs, image, image_p = psi(phi, [core.subspace_sum(W, Wp), W, Wp])
         except (DimensionDrift, OracleFailure):
             # an oracle that breaks the subspace map certainly does not
             # respect lattice operations
             return False
-        if core.subspace_distance(lhs, rhs) > LATTICE_TOL:
+        if core.subspace_distance(lhs, core.subspace_sum(image, image_p)) > LATTICE_TOL:
             return False
     return True
 
@@ -223,9 +206,9 @@ def reconstruct(phi, n: int, validation_samples: int = VALIDATION_SAMPLES, seed:
     eye = np.eye(n, dtype=complex)
 
     # the 2n probe lines: coordinate lines, sum lines, the witness line
-    kernels = _psi_each(phi, [core.span(eye[:, i]) for i in range(n)]
-                        + [core.span(eye[:, 0] + eye[:, i]) for i in range(1, n)]
-                        + [core.span(eye[:, 0] + 1j * eye[:, 1])])
+    kernels = psi(phi, [core.span(eye[:, i]) for i in range(n)]
+                  + [core.span(eye[:, 0] + eye[:, i]) for i in range(1, n)]
+                  + [core.span(eye[:, 0] + 1j * eye[:, 1])])
     images = [next(kernels).basis[:, 0] for _ in range(n)]
 
     cols = [images[0]]

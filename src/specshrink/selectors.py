@@ -45,7 +45,7 @@ MONODROMY_RATIO_TOL = 1e-6
 
 #: How far an input may sit from a selector's domain (unitary, determinant 1,
 #: Hermitian, branch point off the spectrum), and the slack of nearest-match
-#: eigenvalue tracking.
+#: eigenvalue tracking at unit modulus.
 DOMAIN_TOL = 1e-8
 TRACKING_TOL = 1e-8
 
@@ -72,7 +72,7 @@ class EigenPath:
         if not self.matrices:
             raise ValueError("the path keeps no matrices to measure a spectral defect on")
         W = np.linalg.eigvals(np.stack(self.matrices))
-        return float(np.max(np.min(np.abs(W - self.values[:, None]), axis=1)))
+        return float(np.max(core.spectrum_inclusion_defect(self.values[:, None], W)))
 
     def to_dict(self) -> dict:
         return {
@@ -199,13 +199,17 @@ def _nearest_unambiguous(values, candidates) -> np.ndarray:
 
     One distance matrix and one row-wise sort for all values; the first
     ambiguous value (in order) names the error.  A tie is always ambiguous,
-    so the first minimum is the nearest candidate.
+    so the first minimum is the nearest candidate.  The slack beyond the
+    nearest distance is ``10 * TRACKING_TOL`` at candidates of modulus 1 or
+    more, and shrinks with their largest modulus below that, as their
+    spacing does near the origin.
     """
     d = np.abs(candidates[None, :] - values[:, None])
     if candidates.size > 1:
         nearest = np.sort(d, axis=1)
         d1, d2 = nearest[:, 0], nearest[:, 1]
-        ambiguous = d2 < np.maximum(2.0 * d1, d1 + 10.0 * TRACKING_TOL)
+        slack = 10.0 * TRACKING_TOL * min(1.0, float(np.max(np.abs(candidates))))
+        ambiguous = d2 < np.maximum(2.0 * d1, d1 + slack)
         if ambiguous.any():
             i = int(np.argmax(ambiguous))
             raise AmbiguousContinuation(

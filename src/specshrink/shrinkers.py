@@ -94,8 +94,7 @@ def canonical_shrinker(X, p: int, q: int, conjugator=None) -> np.ndarray:
     S = core.as_matrix(conjugator)
     if S.shape[0] != m:
         raise DimensionMismatch(f"conjugator must be {m}x{m}, got {S.shape}")
-    sv = np.linalg.svd(S, compute_uv=False)
-    if sv[-1] <= 1e-12 * max(1.0, sv[0]):
+    if core.numerically_singular(np.linalg.svd(S, compute_uv=False)):
         raise SingularConjugator("conjugator is numerically singular")
     return S @ B @ np.linalg.inv(S)
 
@@ -187,16 +186,13 @@ def verify_shrinker(phi, space, n: int, m: int, samples: int = DEFAULT_SAMPLES,
     X = spaces.sample_stack(sid, n, samples, np.random.default_rng(seed))
     Y = core.call_oracle_stack(phi, X, m)
 
-    inclusion = 0.0
-    for d in core.spectrum_inclusion_defect(core.spectrum(Y), core.spectrum(X)).tolist():
-        inclusion = max(inclusion, d)
+    inclusion = core.running_max(
+        core.spectrum_inclusion_defect(core.spectrum(Y), core.spectrum(X)))
     powerlaw = None
     if m % n == 0:
         k = m // n
         powers = np.array([core.poly_power(c, k) for c in core.char_poly(X)])
-        powerlaw = 0.0
-        for d in np.max(np.abs(core.char_poly(Y) - powers), axis=1).tolist():
-            powerlaw = max(powerlaw, d)
+        powerlaw = core.running_max(np.max(np.abs(core.char_poly(Y) - powers), axis=1))
     return ShrinkReport(
         space=sid.value,
         n=n,

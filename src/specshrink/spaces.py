@@ -403,7 +403,8 @@ def membership(space, X) -> bool:
 
     Scale conventions: linear conditions use ``tol * (1 + ||X||)``, the
     normality commutator uses ``tol * (1 + ||X||)^2``, semisimplicity uses
-    the condition-number surrogate of :func:`core.eig_decompose`.
+    the condition number of :func:`core.eig_decompose_stack`, at most
+    ``1 / core.DEFAULT_EIG_TOL``.
     """
     sid = SpaceId.parse(space)
     A = core.as_matrix(X)
@@ -418,7 +419,8 @@ def membership(space, X) -> bool:
         return core.opnorm(A.conj().T @ A - np.eye(n)) <= MEMBERSHIP_TOL * scale
 
     def semisimple():
-        return core.eig_decompose(A).semisimple
+        _, _, cond, _ = core.eig_decompose_stack(A[None])
+        return bool(cond[0] <= 1.0 / core.DEFAULT_EIG_TOL)
 
     if sid is SpaceId.MN:
         return True

@@ -240,7 +240,8 @@ def nearest_unambiguous_by_value(value, candidates):
     order = np.argsort(d)
     if d.size > 1:
         d1, d2 = float(d[order[0]]), float(d[order[1]])
-        if d2 < max(2.0 * d1, d1 + 10.0 * selectors.TRACKING_TOL):
+        slack = 10.0 * selectors.TRACKING_TOL * min(1.0, float(np.max(np.abs(candidates))))
+        if d2 < max(2.0 * d1, d1 + slack):
             raise AmbiguousContinuation(
                 f"nearest match is ambiguous: distances {d1:.3e} and {d2:.3e}"
             )
@@ -255,6 +256,19 @@ def continue_all_by_loop(prev, new_vals):
     if len(set(chosen)) != len(chosen):
         raise AmbiguousContinuation("two tracked eigenvalues claimed the same target")
     return new_vals[chosen]
+
+
+def psi_by_loop(phi, W):
+    """``Psi(W) = ker(I - phi(U_W))`` of one subspace, with one one-matrix
+    oracle call, as first written."""
+    from specshrink import core, reconstruct
+    from specshrink.errors import DimensionDrift
+
+    Y = core.call_oracle(phi, reconstruct.involution_for_subspace(W))
+    K = core.kernel(np.eye(W.ambient_dim) - Y)
+    if K.dim != W.dim:
+        raise DimensionDrift(f"subspace map changed dimension {W.dim} -> {K.dim}")
+    return K
 
 
 def worst_residual_by_loop(phi, form, draws, worst=0.0):

@@ -71,9 +71,10 @@ def test_not_semisimple_rejected():
 
 
 def test_ambiguous_clustering_rejected():
-    # clusters 5e-6 apart violate the 10x separation at grouping_tol 1e-6
+    # clusters 5e-6 apart violate the 10x separation at the grouping tolerance 1e-6
+    assert calculus.DEFAULT_GROUPING_TOL == 1e-6
     with pytest.raises(AmbiguousClustering):
-        calculus.spectral_idempotents(np.diag([0.0, 5e-6, 1.0]), grouping_tol=1e-6)
+        calculus.spectral_idempotents(np.diag([0.0, 5e-6, 1.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,8 @@ MALFORMED_MATRIX_FILES = {
     ["select", "--selector", "unlambda", "--cut=0,-inf"],
     ["reconstruct", "--oracle", "conj:2x2.json", "--n", "3"],
     ["reconstruct", "--oracle", "conj:zero-3x3.json", "--n", "3"],
+    ["calculus", "--f", "poly:nan"],
+    ["select", "--selector", "unlambda", "--cut", "0,0"],
 ])
 def test_usage_errors_exit_2_with_a_report(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)

@@ -43,7 +43,7 @@ def test_psi_identity_oracle():
     rng = np.random.default_rng(201)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     W = core.Subspace(q[:, :2])
-    out = reconstruct.psi(lambda X: X, W)
+    [out] = reconstruct.psi(lambda X: X, [W])
     assert core.subspace_distance(out, W) <= 1e-10
 
 
@@ -53,7 +53,7 @@ def test_psi_conjugation_oracle_maps_subspace():
     phi = reconstruct.make_oracle("conjugation", T0)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     W = core.Subspace(q[:, :2])
-    out = reconstruct.psi(phi, W)
+    [out] = reconstruct.psi(phi, [W])
     expected = core.Subspace.from_span(T0 @ W.basis)
     assert core.subspace_distance(out, expected) <= 1e-7
 
@@ -61,7 +61,7 @@ def test_psi_conjugation_oracle_maps_subspace():
 def test_psi_transpose_oracle_conjugates_lines():
     v = np.array([1.0, 1j, 0.0, 2.0])
     W = core.span(v)
-    out = reconstruct.psi(lambda X: X.T, W)
+    [out] = reconstruct.psi(lambda X: X.T, [W])
     assert core.subspace_distance(out, core.span(np.conj(v))) <= 1e-8
 
 
@@ -69,7 +69,7 @@ def test_psi_dimension_drift():
     rng = np.random.default_rng(203)
     U0 = spaces.haar_unitary(rng, 4)
     with pytest.raises(DimensionDrift):
-        reconstruct.psi(lambda X: U0, core.span([1.0, 0, 0, 0]))
+        next(reconstruct.psi(lambda X: U0, [core.span([1.0, 0, 0, 0])]))
 
 
 def test_psi_preserves_dimension_and_inclusion():
@@ -82,10 +82,27 @@ def test_psi_preserves_dimension_and_inclusion():
         d1 = int(rng.integers(1, d2))
         inner = core.Subspace(q[:, :d1])
         outer = core.Subspace(q[:, :d2])
-        im1 = reconstruct.psi(phi, inner)
-        im2 = reconstruct.psi(phi, outer)
+        im1, im2 = reconstruct.psi(phi, [inner, outer])
         assert im1.dim == d1 and im2.dim == d2
         assert core.containment_defect(im1, im2) <= 1e-6
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 5), st.integers(1, 6),
+       st.sampled_from(["identity", "transpose", reconstruct.MODE_CONJUGATION,
+                        reconstruct.MODE_TRANSPOSE]), st.booleans())
+def test_psi_of_a_sequence_equals_one_subspace_at_a_time(seed, n, k, kind, stacked):
+    rng = np.random.default_rng(seed)
+    modes = (reconstruct.MODE_CONJUGATION, reconstruct.MODE_TRANSPOSE)
+    oracle = reconstruct.make_oracle(kind, conjugator(rng, n) if kind in modes else None)
+    phi = oracle if stacked else (lambda X: oracle(X))
+    subspaces = [core.Subspace(spaces.haar_unitary(rng, n)[:, :int(rng.integers(0, n + 1))])
+                 for _ in range(k)]
+    got = list(reconstruct.psi(phi, subspaces))
+    want = [oracles.psi_by_loop(phi, W) for W in subspaces]
+    assert len(got) == k
+    for g, w in zip(got, want):
+        assert np.array_equal(g.basis, w.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +240,41 @@ def test_lattice_check_rejects_corrupted_oracle():
         return X
 
     assert not reconstruct.lattice_compat_check(corrupted, 4, trials=10, seed=0)
+
+
+def test_lattice_check_calls_a_stacked_map_once_per_trial():
+    identity = reconstruct.make_oracle("identity")
+    shapes = []
+
+    def counting(X):
+        shapes.append(np.shape(X))
+        return identity(X)
+
+    counting.stacked = True
+    assert reconstruct.lattice_compat_check(counting, 4, trials=7, seed=0)
+    # W + W', W and W' in one call
+    assert shapes == [(3, 4, 4)] * 7
+
+
+def test_lattice_check_calls_a_plain_map_once_per_subspace():
+    shapes = []
+
+    def plain(X):
+        shapes.append(np.shape(X))
+        return X
+
+    assert reconstruct.lattice_compat_check(plain, 4, trials=7, seed=0)
+    assert shapes == [(4, 4)] * 21
+    # a map whose Psi(W + W') drifts is not called on W or W'
+    U0 = spaces.haar_unitary(np.random.default_rng(218), 4)
+    calls = []
+
+    def drifting(X):
+        calls.append(X)
+        return U0
+
+    assert not reconstruct.lattice_compat_check(drifting, 4, trials=7, seed=0)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

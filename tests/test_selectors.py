@@ -330,6 +330,14 @@ def test_monodromy_four_cycle_small_radius():
     assert res.is_single_cycle()
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_monodromy_tracks_loops_of_tiny_radius(n):
+    # the roots of x^n - z sit r^(1/n) apart, far inside the slack at unit modulus
+    res = selectors.monodromy_xz(n, 1e-40, max(64 * n, 256))
+    assert res.is_single_cycle()
+    assert res.ratio_defect() <= selectors.MONODROMY_RATIO_TOL
+
+
 def test_monodromy_step_guard():
     with pytest.raises(ValueError):
         selectors.monodromy_xz(3, 1.0, 100)

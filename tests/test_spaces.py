@@ -19,6 +19,31 @@ def test_samplers_pass_their_own_membership(tag):
             assert spaces.membership(tag, X), (tag, n)
 
 
+@pytest.mark.parametrize("kind", ["simple", "repeated", "defective"])
+def test_membership_semisimplicity_is_the_condition_rule(kind):
+    # a simple spectrum, a conjugated diag(1, 1, 2, ..) with a healthy
+    # repeated eigenspace, and the same with a Jordan block on 1, whose
+    # eigenvector condition lands on either side of the cap
+    rng = np.random.default_rng(105)
+    verdicts = []
+    for n in (2, 3, 4, 6):
+        for _ in range(5):
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            S = np.eye(n) + 0.3 * g / core.opnorm(g)
+            D = np.diag([1.0, 1.0] + list(range(2, n))).astype(complex)
+            if kind == "simple":
+                D = np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            if kind == "defective":
+                D[0, 1] = 1.0
+            X = S @ D @ np.linalg.inv(S)
+            _, _, cond = oracles.eig_decompose_by_loop(X)
+            want = cond <= 1.0 / core.DEFAULT_EIG_TOL
+            assert spaces.membership("mn_ss", X) == want
+            assert spaces.membership("gln_ss", X) == (want and spaces.membership("gln", X))
+            verdicts.append(want)
+    assert all(verdicts) if kind != "defective" else not all(verdicts)
+
+
 def test_membership_negative_examples():
     assert not spaces.membership("hn", 1j * np.eye(2))
     assert spaces.membership("sun", np.diag([1j, 1j, -1.0]))
@@ -62,9 +87,8 @@ def test_ss_samples_are_semisimple_with_gaps():
     rng = np.random.default_rng(102)
     for _ in range(20):
         X = spaces.sample("mn_ss", 4, rng)
-        ed = core.eig_decompose(X)
-        assert ed.semisimple
-        vals = ed.eigenvalues
+        assert spaces.membership("mn_ss", X)
+        vals = core.spectrum(X)
         d = np.abs(vals[:, None] - vals[None, :])
         np.fill_diagonal(d, np.inf)
         assert d.min() > spaces.SIMPLE_GAP / 2
