@@ -7,18 +7,21 @@ and runs the same record in a fresh interpreter for both trees, each
 importing its own ``src/`` and ``perfbench/``:
 
 * ``acceptance.run_acceptance(s)`` as ``to_dict()`` records, seeds 0-2;
-* the report and exit code of every ``perfbench.workloads.cli_invocations``
-  command on the inputs of the ``cli`` workload's passes 0-7 at seed 0,
-  plus verify runs whose shrinker refuses the space (error reports) and the
-  ``hn`` and ``unlambda`` selectors, which that workload does not run;
+* the raw standard output and exit code of every
+  ``perfbench.workloads.cli_invocations`` command on the inputs of the
+  ``cli`` workload's passes 0-7 at seed 0, plus verify runs whose shrinker
+  refuses the space (error reports), the ``hn`` and ``unlambda`` selectors
+  and monodromy loops at n = 2, 4, 5, 7, 8 and radii 0.5, 2 and 1e-40,
+  which that workload does not run;
 * the standard output of every ``demos/*.py`` script, which alone run
   ``reconstruct.torus_conjugator`` and ``lattice_compat_check`` at n = 3.
 
-``wall_time`` is masked, and so is each run's temporary directory in
-paths.  The gate prints the first field that differs and exits 1 on any
-difference, else prints the counts and ``compare_runs`` per seed and exits
-0.  It is a pre-merge check for changes that claim identical results, not
-part of the test suite: it takes about half a minute.
+Reports are compared as text, byte for byte, with only the value on the
+``"wall_time"`` line masked, and each run's temporary directory in paths.
+The gate prints the first field (or report line) that differs and exits 1
+on any difference, else prints the counts and ``compare_runs`` per seed
+and exits 0.  It is a pre-merge check for changes that claim identical
+results, not part of the test suite: it takes about half a minute.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import runpy
 import shutil
 import subprocess
@@ -40,7 +44,8 @@ BUILD = ROOT / ".bench_build" / "parity"
 ACCEPTANCE_SEEDS = (0, 1, 2)
 CLI_PASSES = range(8)
 #: Verify runs whose shrinker raises on the space (the error report names
-#: the first failing sample), and the selectors the workload leaves out.
+#: the first failing sample), and the selectors and monodromy loops the
+#: workload leaves out.
 EXTRA_INVOCATIONS = (
     ("verify-su-scalar-on-gl", ["verify", "--space", "gl", "--n", "3", "--m", "6",
                                 "--shrinker", "su-scalar"]),
@@ -48,7 +53,10 @@ EXTRA_INVOCATIONS = (
                              "--shrinker", "hn-max"]),
     ("select-hn", ["select", "--selector", "hn"]),
     ("select-unlambda", ["select", "--selector", "unlambda"]),
+    *((f"monodromy-{n}-r{r}", ["monodromy", "--n", str(n), "--r", r])
+      for n in (2, 4, 5, 7, 8) for r in ("0.5", "2", "1e-40")),
 )
+WALL_TIME = re.compile(r'^(\s*"wall_time": ).*?(,?)$', re.MULTILINE)
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -71,13 +79,9 @@ def emit(tree: Path) -> dict:
             for label, argv in invocations + [(label, argv + ["--seed", str(k)])
                                               for label, argv in EXTRA_INVOCATIONS]:
                 code, stdout, error = workloads.invoke(argv)
-                try:
-                    report = json.loads(stdout)
-                    report.pop("wall_time", None)
-                except ValueError:
-                    report = stdout
-                record["cli"][f"{label}@{k}"] = {"code": code, "error": error,
-                                                 "report": report}
+                record["cli"][f"{label}@{k}"] = {
+                    "code": code, "error": error,
+                    "stdout": WALL_TIME.sub(r"\1<masked>\2", stdout)}
         text = json.dumps(record).replace(tmp, "<tmp>")
     record = json.loads(text)
     record["demos"] = {}
@@ -116,6 +120,10 @@ def first_difference(a, b, path="$"):
             if diff:
                 return diff
         return None
+    if isinstance(a, str) and isinstance(b, str) and a != b:
+        lines = list(zip(a.splitlines(), b.splitlines())) + [(a, b)]
+        line, (x, y) = next((i, pair) for i, pair in enumerate(lines) if pair[0] != pair[1])
+        return f"{path} line {line + 1}", x, y
     # json.dumps so that NaN equals NaN and 0.0 differs from -0.0
     return None if json.dumps(a) == json.dumps(b) else (path, a, b)
 
@@ -154,7 +162,7 @@ def main(argv=None) -> int:
         print(f"seed {s}: {len(runs[0])} acceptance results identical, "
               f"compare_runs = {compare_runs(*runs)}")
     codes = sorted({v["code"] for v in change["cli"].values()})
-    print(f"{len(change['cli'])} CLI reports identical apart from wall_time "
+    print(f"{len(change['cli'])} CLI reports byte-identical apart from the wall_time value "
           f"(exit codes {codes})")
     print(f"{len(change['demos'])} demo outputs identical")
     return 0

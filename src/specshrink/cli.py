@@ -15,9 +15,9 @@ and only picks their parameters; results are
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
@@ -26,24 +26,66 @@ from .acceptance import CheckResult
 from .errors import SpecshrinkError, UnsupportedDimension
 
 SCHEMA_VERSION = 1
+_INF = float("inf")
 
 
-def _jsonable(obj):
+def _encode(obj, newline="\n") -> str:
+    """``json.dumps(obj, indent=2)`` of ``obj`` with numpy values made plain.
+
+    Exact builtin types are dispatched first, as the bulk of a report is
+    lists of floats; anything else is converted the way numpy values are
+    reported (arrays as lists, numpy scalars as Python scalars, complex
+    values as ``[re, im]``) and encoded again.  ``newline`` is the line
+    break plus the indentation of the enclosing level.
+    """
+    kind = type(obj)
+    if kind is float:
+        if obj != obj:
+            return "NaN"
+        if obj == _INF:
+            return "Infinity"
+        if obj == -_INF:
+            return "-Infinity"
+        return float.__repr__(obj)
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([_encode(v, inner) for v in obj]) + newline + "]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join(
+            [_encode_str(str(k)) + ": " + _encode(v, inner) for k, v in obj.items()]
+        ) + newline + "}"
+    if kind is str:
+        return _encode_str(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return _encode(dict(obj), newline)
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return _encode(list(obj), newline)
     if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
+        return _encode(obj.tolist(), newline)
+    if isinstance(obj, np.bool_):
+        return _encode(bool(obj))
     if isinstance(obj, (np.integer, int)):
-        return int(obj)
+        return _encode(int(obj))
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        return _encode(float(obj))
     if isinstance(obj, (np.complexfloating, complex)):
-        return [float(obj.real), float(obj.imag)]
-    return obj
+        return _encode([float(obj.real), float(obj.imag)], newline)
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _emit(command, seed, config, results, started) -> int:
@@ -52,13 +94,12 @@ def _emit(command, seed, config, results, started) -> int:
         "schema": SCHEMA_VERSION,
         "command": command,
         "seed": seed,
-        "config": _jsonable(config),
-        "results": [_jsonable(r.to_dict()) for r in results],
+        "config": config,
+        "results": [r.to_dict() for r in results],
         "passed": passed,
         "wall_time": time.perf_counter() - started,
     }
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(_encode(report) + "\n")
     return 0 if passed else 1
 
 
@@ -171,9 +212,11 @@ def _cmd_select(args, started):
 # ---------------------------------------------------------------------------
 
 def _cmd_monodromy(args, started):
-    config = dict(n=args.n, r=args.r, steps=args.steps, seed=args.seed,
+    # the default meets the floor of 64 n steps that monodromy_xz sets
+    steps = max(512, 64 * args.n) if args.steps is None else args.steps
+    config = dict(n=args.n, r=args.r, steps=steps, seed=args.seed,
                   ratio_threshold=selectors.MONODROMY_RATIO_TOL)
-    res = selectors.monodromy_xz(args.n, args.r, args.steps)
+    res = selectors.monodromy_xz(args.n, args.r, steps)
     results = [
         CheckResult.of(None, "monodromy-cycle",
                        "the loop induces a single n-cycle on the eigenvalues",
@@ -369,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("monodromy", help="eigenvalue transport around the corner loop")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=512)
+    p.add_argument("--steps", type=int, default=None, help="default max(512, 64 n)")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("configspace", help="circle configuration classification checks")

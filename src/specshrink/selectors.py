@@ -76,8 +76,9 @@ class EigenPath:
 
     def to_dict(self) -> dict:
         return {
-            "parameters": [float(t) for t in self.parameters],
-            "values": [[float(v.real), float(v.imag)] for v in self.values],
+            "parameters": np.asarray(self.parameters, dtype=float).tolist(),
+            "values": np.ascontiguousarray(self.values, dtype=complex).view(float)
+                        .reshape(-1, 2).tolist(),
             "max_jump": self.max_jump,
         }
 
@@ -194,22 +195,32 @@ def un_lambda_select(U, lam: complex) -> complex:
 # Nearest-match continuation and monodromy
 # ---------------------------------------------------------------------------
 
+def _tie_screen(d, candidates):
+    """``(ambiguous, d1, d2)`` for distances ``d[..., i, j]`` from value i to
+    ``candidates[..., j]``: whether value i has no unambiguous nearest
+    candidate, and its two smallest distances; leading axes are a stack.
+
+    A tie is always ambiguous.  The slack beyond the nearest distance is
+    ``10 * TRACKING_TOL`` at candidates of modulus 1 or more, and shrinks
+    with their largest modulus below that, as their spacing does near the
+    origin.
+    """
+    nearest = np.sort(d, axis=-1)
+    d1, d2 = nearest[..., 0], nearest[..., 1]
+    slack = 10.0 * TRACKING_TOL * np.fmin(1.0, np.max(np.abs(candidates), axis=-1))
+    return d2 < np.maximum(2.0 * d1, d1 + slack[..., None]), d1, d2
+
+
 def _nearest_unambiguous(values, candidates) -> np.ndarray:
     """Index of the candidate nearest to each value; ties are an error, not a guess.
 
     One distance matrix and one row-wise sort for all values; the first
     ambiguous value (in order) names the error.  A tie is always ambiguous,
-    so the first minimum is the nearest candidate.  The slack beyond the
-    nearest distance is ``10 * TRACKING_TOL`` at candidates of modulus 1 or
-    more, and shrinks with their largest modulus below that, as their
-    spacing does near the origin.
+    so the first minimum is the nearest candidate.
     """
     d = np.abs(candidates[None, :] - values[:, None])
     if candidates.size > 1:
-        nearest = np.sort(d, axis=1)
-        d1, d2 = nearest[:, 0], nearest[:, 1]
-        slack = 10.0 * TRACKING_TOL * min(1.0, float(np.max(np.abs(candidates))))
-        ambiguous = d2 < np.maximum(2.0 * d1, d1 + slack)
+        ambiguous, d1, d2 = _tie_screen(d, candidates)
         if ambiguous.any():
             i = int(np.argmax(ambiguous))
             raise AmbiguousContinuation(
@@ -218,12 +229,45 @@ def _nearest_unambiguous(values, candidates) -> np.ndarray:
     return np.argmin(d, axis=1)
 
 
-def _continue_all(prev: np.ndarray, new_vals: np.ndarray) -> np.ndarray:
-    """Match every tracked value to the new spectrum; must be a bijection."""
-    chosen = _nearest_unambiguous(prev, new_vals)
-    if len(set(chosen.tolist())) != chosen.size:
+def track_spectra(spectra) -> np.ndarray:
+    """Nearest-match tracking of the values of ``spectra[0]``, in its order,
+    through the rows of a ``(steps + 1, n)`` array of spectra.
+
+    Row k + 1 of the result holds the entries of ``spectra[k + 1]`` matched
+    to row k of the result: every tracked value to its nearest entry, with
+    the tie rule of :func:`_tie_screen`, and the matches must be a
+    bijection.  All steps are matched at once on one ``(steps, n, n)``
+    distance array; the tracked order is then the composition of the
+    per-step index maps.  Every tracked value is an entry of its row, so
+    these are the distances a step-by-step matching computes, only in
+    another row order.  The first failing step raises what that matching
+    raises: the first ambiguous tracked value names the message, otherwise
+    two values claimed the same target.
+    """
+    spectra = np.asarray(spectra, dtype=complex)
+    steps, n = spectra.shape[0] - 1, spectra.shape[1]
+    # d[k, a, j]: from entry a of row k to entry j of row k + 1
+    d = np.abs(spectra[1:, None, :] - spectra[:-1, :, None])
+    step_map = np.argmin(d, axis=2)
+    ambiguous = np.zeros((steps, n), dtype=bool)
+    if n > 1:
+        ambiguous, d1, d2 = _tie_screen(d, spectra[1:])
+    shared = (np.sort(step_map, axis=1) != np.arange(n)).any(axis=1)
+    bad = ambiguous.any(axis=1) | shared
+    last = int(np.argmax(bad)) if bad.any() else steps
+    order = np.empty((last + 1, n), dtype=np.intp)
+    order[0] = np.arange(n)
+    for k in range(last):
+        order[k + 1] = step_map[k][order[k]]
+    if last < steps:
+        hit = ambiguous[last][order[last]]
+        if hit.any():
+            a = order[last][np.argmax(hit)]
+            raise AmbiguousContinuation(
+                f"nearest match is ambiguous: distances {d1[last, a]:.3e} and {d2[last, a]:.3e}"
+            )
         raise AmbiguousContinuation("two tracked eigenvalues claimed the same target")
-    return new_vals[chosen]
+    return np.take_along_axis(spectra, order, axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,12 +332,9 @@ def monodromy_xz(n: int, r: float, steps: int) -> MonodromyResult:
         raise ValueError(f"loop radius must be finite and positive, got {r}")
     ts = np.linspace(0.0, 1.0, steps + 1)
     spectra = np.linalg.eigvals(corner_matrices(n, r * np.exp(2j * np.pi * ts)))
-    start = core.canonical_spectrum(spectra[0])
-    values = np.empty((steps + 1, n), dtype=complex)
-    values[0] = start
-    for k in range(1, steps + 1):
-        values[k] = _continue_all(values[k - 1], spectra[k])
-    end = values[-1]
+    spectra[0] = core.canonical_spectrum(spectra[0])
+    values = track_spectra(spectra)
+    start, end = values[0], values[-1]
     perm = tuple(_nearest_unambiguous(end, start).tolist())
     if len(set(perm)) != n:
         raise AmbiguousContinuation("loop endpoints do not biject onto the start spectrum")

@@ -6,8 +6,8 @@ recurrence, matrix square roots instead of SVD, exhaustive integer-shift
 enumeration instead of the sort-based construction, closed-form roots
 instead of eigenvalue continuation, every bijection instead of bisection
 over perfect matchings, scipy's matching instead of augmenting paths, one
-matrix, value, path or permutation at a time instead of a stacked kernel or
-a stacked draw.
+matrix, value, step, path or permutation at a time instead of a stacked
+kernel or a stacked draw, ``json.dumps`` instead of the CLI's own encoder.
 """
 
 import itertools
@@ -256,6 +256,32 @@ def continue_all_by_loop(prev, new_vals):
     if len(set(chosen)) != len(chosen):
         raise AmbiguousContinuation("two tracked eigenvalues claimed the same target")
     return new_vals[chosen]
+
+
+def track_by_loop(spectra):
+    """Track the values of ``spectra[0]`` through its rows one step at a time."""
+    values = [spectra[0]]
+    for new_vals in spectra[1:]:
+        values.append(continue_all_by_loop(values[-1], new_vals))
+    return np.array(values)
+
+
+def monodromy_by_loop(n, r, steps):
+    """The corner-loop monodromy as first written: one continuation per step
+    from the canonical start spectrum, one nearest match per endpoint."""
+    from specshrink import core, selectors
+    from specshrink.errors import AmbiguousContinuation
+
+    ts = np.linspace(0.0, 1.0, steps + 1)
+    spectra = np.linalg.eigvals(selectors.corner_matrices(n, r * np.exp(2j * np.pi * ts)))
+    start = core.canonical_spectrum(spectra[0])
+    values = track_by_loop([start, *spectra[1:]])
+    perm = tuple(nearest_unambiguous_by_value(v, start) for v in values[-1])
+    if len(set(perm)) != n:
+        raise AmbiguousContinuation("loop endpoints do not biject onto the start spectrum")
+    return selectors.MonodromyResult(n=n, r=float(r), steps=steps, permutation=perm,
+                                     start=start, end=values[-1], parameters=ts,
+                                     values=values)
 
 
 def psi_by_loop(phi, W):
@@ -633,3 +659,23 @@ def conjugation_invariance_defect_by_loop(rng, n, samples, fns):
             rhs = S @ apply_function_by_loop(X, f) @ Sinv
             worst = max(worst, _opnorm_by_loop(lhs - rhs) / scale)
     return worst
+
+
+def jsonable_by_walk(obj):
+    """Plain JSON values for a report by one isinstance walk: arrays as
+    lists, numpy scalars as Python scalars, complex values as [re, im]."""
+    if isinstance(obj, dict):
+        return {str(k): jsonable_by_walk(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable_by_walk(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return jsonable_by_walk(obj.tolist())
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, (np.floating, float)):
+        return float(obj)
+    if isinstance(obj, (np.complexfloating, complex)):
+        return [float(obj.real), float(obj.imag)]
+    return obj

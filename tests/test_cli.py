@@ -6,7 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+import oracles
 from specshrink import cli, core
 
 
@@ -154,6 +157,15 @@ def test_monodromy(capsys):
     assert len(path["values"][0]) == 2  # [re, im] pairs
 
 
+@pytest.mark.parametrize("n, steps", [(6, 512), (9, 576)])
+def test_monodromy_default_steps_meet_the_step_floor(capsys, n, steps):
+    # without --steps the loop takes max(512, 64 n) steps, which the report resolves
+    code, report = run_cli(capsys, ["monodromy", "--n", str(n)])
+    assert code == 0
+    assert report["config"]["steps"] == steps
+    assert len(report["config"]["paths"][0]["values"]) == steps + 1
+
+
 def test_select_su(capsys):
     code, report = run_cli(capsys, [
         "select", "--selector", "su", "--n", "3", "--steps", "200", "--seed", "1"])
@@ -265,3 +277,35 @@ def test_bad_parameters_are_refused_before_any_numerics(capsys, argv, error):
     assert code == 2
     [result] = report["results"]
     assert result["details"]["error"] == error
+
+
+# ---------------------------------------------------------------------------
+# report encoding
+# ---------------------------------------------------------------------------
+
+_floats = st.floats() | st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e308])
+_strings = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\n\t", "\u00e9\u2028", "\U0001f600"])
+_numpy_scalars = (
+    _floats.map(np.float64)
+    | st.floats(width=32).map(np.float32)
+    | st.integers(-2**63, 2**63 - 1).map(np.int64)
+    | st.booleans().map(np.bool_)
+    | st.tuples(_floats, _floats).map(lambda z: np.complex128(complex(*z)))
+)
+_arrays = hnp.arrays(st.sampled_from([np.float64, np.complex128]),
+                     hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3))
+_leaves = (_floats | st.integers(-2**200, 2**200) | st.booleans() | st.none() | _strings
+           | _numpy_scalars | _arrays)
+_reports = st.recursive(
+    _leaves,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_strings | st.integers() | _floats, inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_reports)
+def test_report_encoding_equals_json_dumps(obj):
+    assert cli._encode(obj) == json.dumps(oracles.jsonable_by_walk(obj), indent=2)

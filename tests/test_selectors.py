@@ -250,32 +250,90 @@ def test_un_lambda_jumps_across_cut():
 # monodromy
 # ---------------------------------------------------------------------------
 
+def assert_tracks_like_loop(spectra):
+    # the stacked tracker against one nearest match per value and step:
+    # the same values, or the same error with the same message
+    try:
+        want = oracles.track_by_loop(spectra)
+    except AmbiguousContinuation as exc:
+        with pytest.raises(AmbiguousContinuation) as got:
+            selectors.track_spectra(spectra)
+        assert str(got.value) == str(exc)
+        return exc
+    assert np.array_equal(selectors.track_spectra(spectra), want)
+    return None
+
+
 @settings(max_examples=60, deadline=None)
 @given(seeds, st.integers(1, 8), st.sampled_from([1e-9, 1e-3, 0.3]), st.booleans())
 def test_continue_all_equals_per_value_matching(seed, n, noise, tie):
-    # one distance matrix per step against one nearest match per value:
-    # the same targets, or the same error with the same message
     rng = np.random.default_rng(seed)
     prev = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     new = rng.permutation(prev + noise * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
     if tie and n > 1:
         new[1] = new[0]
-    try:
-        want = oracles.continue_all_by_loop(prev, new)
-    except AmbiguousContinuation as exc:
-        with pytest.raises(AmbiguousContinuation) as got:
-            selectors._continue_all(prev, new)
-        assert str(got.value) == str(exc)
-    else:
-        assert np.array_equal(selectors._continue_all(prev, new), want)
+    assert_tracks_like_loop(np.stack([prev, new]))
 
 
 def test_continue_all_rejects_a_shared_target():
     prev = np.array([0.0, 1.0], dtype=complex)
     new = np.array([0.4, 10.0], dtype=complex)  # both values clearly nearest 0.4
-    for continue_all in (selectors._continue_all, oracles.continue_all_by_loop):
+    for track in (selectors.track_spectra, oracles.track_by_loop):
         with pytest.raises(AmbiguousContinuation, match="same target"):
-            continue_all(prev, new)
+            track(np.stack([prev, new]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds, st.integers(2, 6), st.integers(1, 12),
+       st.lists(st.sampled_from(["exact tie", "near tie", "shared target", "nan"]),
+                max_size=2))
+def test_track_spectra_fails_where_the_loop_fails(seed, n, steps, faults):
+    # a slowly moving spectrum, each row in its own order, with ties, a
+    # stolen target or a NaN planted at random steps: the first bad step (in
+    # the loop's order of tracked values) names the same error
+    rng = np.random.default_rng(seed)
+    walk = np.cumsum(0.01 * (rng.standard_normal((steps + 1, n))
+                             + 1j * rng.standard_normal((steps + 1, n))), axis=0)
+    spectra = 3.0 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) + walk
+    spectra = np.array([rng.permutation(row) for row in spectra])
+    for fault in faults:
+        k = int(rng.integers(1, steps + 1))
+        i, j = rng.choice(n, size=2, replace=False)
+        if fault == "exact tie":
+            spectra[k, j] = spectra[k, i]
+        elif fault == "near tie":
+            spectra[k, j] = spectra[k, i] + float(rng.choice([1e-12, 1e-9, 1e-4]))
+        elif fault == "shared target":
+            spectra[k, j] = 1e3 * (1 + 1j)
+        else:
+            spectra[k, j] = np.nan
+    exc = assert_tracks_like_loop(spectra)
+    if "exact tie" in faults:  # the value tracked onto the tie meets it
+        assert exc is not None
+
+
+def test_track_spectra_names_the_first_ambiguous_tracked_value():
+    # at step 2 the values tracked from 0 and from 15 are both ambiguous;
+    # row 1 lists 15 first, the tracked order lists 0 first, as the loop does
+    spectra = np.array([[0.0, 5.0, 10.0, 15.0],
+                        [15.0, 10.0, 5.0, 0.0],
+                        [15.1, 15.15, 1.0, 1.5]], dtype=complex)
+    message = "nearest match is ambiguous: distances 1.000e+00 and 1.500e+00"
+    for track in (selectors.track_spectra, oracles.track_by_loop):
+        with pytest.raises(AmbiguousContinuation) as got:
+            track(spectra)
+        assert str(got.value) == message
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 8), st.sampled_from([1e-40, 1e-3, 0.5, 1.0, 2.0, 1e3]),
+       st.integers(0, 192))
+def test_monodromy_equals_step_by_step_tracking(n, r, extra):
+    steps = 64 * n + extra
+    got, want = selectors.monodromy_xz(n, r, steps), oracles.monodromy_by_loop(n, r, steps)
+    assert got.permutation == want.permutation
+    for field in ("values", "start", "end"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
 
 
 def test_corner_matrix_sign_pinned_by_trace_recurrence():
