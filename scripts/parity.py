@@ -12,7 +12,7 @@ importing its own ``src/`` and ``perfbench/``:
   ``cli`` workload's passes 0-7 at seed 0, plus verify runs whose shrinker
   refuses the space (error reports), the ``hn`` and ``unlambda`` selectors
   and monodromy loops at n = 2, 4, 5, 7, 8 and radii 0.5, 2 and 1e-40,
-  which that workload does not run;
+  which that workload does not run, and ``specshrink all`` once at seed 0;
 * the standard output of every ``demos/*.py`` script, which alone run
   ``reconstruct.torus_conjugator`` and ``lattice_compat_check`` at n = 3.
 
@@ -56,6 +56,9 @@ EXTRA_INVOCATIONS = (
     *((f"monodromy-{n}-r{r}", ["monodromy", "--n", str(n), "--r", r])
       for n in (2, 4, 5, 7, 8) for r in ("0.5", "2", "1e-40")),
 )
+#: Invocations run once, at seed 0: ``all`` runs the whole acceptance suite,
+#: whose records the seeds above already compare.
+ONCE_INVOCATIONS = (("all", ["all"]),)
 WALL_TIME = re.compile(r'^(\s*"wall_time": ).*?(,?)$', re.MULTILINE)
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -69,19 +72,24 @@ def emit(tree: Path) -> dict:
     record = {"acceptance": {str(s): [r.to_dict() for r in acceptance.run_acceptance(s)]
                              for s in ACCEPTANCE_SEEDS},
               "cli": {}}
+
+    def run(key, argv):
+        code, stdout, error = workloads.invoke(argv)
+        record["cli"][key] = {"code": code, "error": error,
+                              "stdout": WALL_TIME.sub(r"\1<masked>\2", stdout)}
+
     with tempfile.TemporaryDirectory() as tmp:
         cli = workloads.CliWorkload(0, Path(tmp))
         for k in CLI_PASSES:
             pass_seed = workloads.sub_seed(0, k)
             matrix_file = cli._matrix_file(pass_seed)
-            invocations = [(label, argv) for label, argv, *_ in workloads.cli_invocations(
-                pass_seed % 100_000, matrix_file, str(cli.missing_file))]
-            for label, argv in invocations + [(label, argv + ["--seed", str(k)])
-                                              for label, argv in EXTRA_INVOCATIONS]:
-                code, stdout, error = workloads.invoke(argv)
-                record["cli"][f"{label}@{k}"] = {
-                    "code": code, "error": error,
-                    "stdout": WALL_TIME.sub(r"\1<masked>\2", stdout)}
+            for label, argv, *_ in workloads.cli_invocations(
+                    pass_seed % 100_000, matrix_file, str(cli.missing_file)):
+                run(f"{label}@{k}", argv)
+            for label, argv in EXTRA_INVOCATIONS:
+                run(f"{label}@{k}", argv + ["--seed", str(k)])
+        for label, argv in ONCE_INVOCATIONS:
+            run(f"{label}@0", argv + ["--seed", "0"])
         text = json.dumps(record).replace(tmp, "<tmp>")
     record = json.loads(text)
     record["demos"] = {}

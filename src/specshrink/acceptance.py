@@ -12,6 +12,8 @@ a fixed seed is itself the final criterion, checked by comparing two runs.
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -360,23 +362,101 @@ CRITERION_CLAIMS = {
 }
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_context():
+    """The ``fork`` multiprocessing context when criterion 4 can run beside
+    the others: more than one usable CPU, ``fork`` available, and not a
+    daemonic worker (which may not start children); else None."""
+    if _usable_cpus() < 2:
+        return None
+    import multiprocessing
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return None
+    return multiprocessing.get_context("fork")
+
+
+class _ChildTraceback(Exception):
+    """The traceback text of an exception raised in the child process."""
+
+
+def _child_main(sender, fn, args):
+    try:
+        payload = (True, fn(*args), None)
+    except BaseException as exc:  # noqa: BLE001 - every failure goes to the parent
+        import traceback
+        payload = (False, exc, traceback.format_exc())
+    sender.send(payload)
+    sender.close()
+
+
+@contextlib.contextmanager
+def _forked(context, fn, *args):
+    """Run ``fn(*args)`` in one forked child while the body runs; yield a
+    function that waits for its result, or raises its exception with the
+    child's traceback text as the cause.  The child is always joined; when
+    the body raises first (``KeyboardInterrupt`` too), it is terminated."""
+    receiver, sender = context.Pipe(duplex=False)
+    child = context.Process(target=_child_main, args=(sender, fn, args), daemon=True)
+    child.start()
+    sender.close()
+
+    def result():
+        try:
+            ok, value, text = receiver.recv()
+        except EOFError:
+            child.join()
+            raise RuntimeError(f"the worker of {fn.__name__} exited with code "
+                               f"{child.exitcode} before sending a result") from None
+        if not ok:
+            raise value from _ChildTraceback(text)
+        return value
+
+    try:
+        yield result
+    except BaseException:
+        child.terminate()
+        raise
+    finally:
+        child.join()
+        child.close()
+        receiver.close()
+
+
 def run_acceptance(seed: int = 0) -> list[CheckResult]:
     """Run criteria 1-10 and return their results.
 
-    Criterion 11 (determinism) is a relation between two runs; use
-    :func:`compare_runs` on the outputs of two calls.
+    Criterion 4 (about half the time, in LAPACK) runs in one forked child
+    while the parent runs the others, when :func:`_fork_context` allows it;
+    else all run in process.  Each criterion seeds its own generator, so
+    both routes return the same results.  Criterion 11 (determinism) is a
+    relation between two runs; use :func:`compare_runs` on the outputs of
+    two calls.
     """
-    results = []
-    results += _crit_powerlaw(seed * 1009 + 1)
-    results += _crit_degenerate(seed * 1009 + 3)
-    results += _crit_su_selector(seed * 1009 + 4)
-    results += _crit_monodromy(seed * 1009 + 5)
-    results += _crit_configspace(seed * 1009 + 6)
-    results += _crit_calculus(seed * 1009 + 7)
-    results += _crit_dichotomy(seed * 1009 + 8)
-    results += _crit_theta(seed * 1009 + 9)
-    results += _crit_reconstruct(seed * 1009 + 10)
-    return results
+    s = seed * 1009
+    context = _fork_context()
+    if context is None:
+        return _criteria_1_to_3(s) + _crit_su_selector(s + 4) + _criteria_5_to_10(s)
+    # su_paths imports scipy; imported here, every child does not import it again
+    from scipy.linalg import expm  # noqa: F401
+    with _forked(context, _crit_su_selector, s + 4) as su_selector:
+        head, tail = _criteria_1_to_3(s), _criteria_5_to_10(s)
+        return head + su_selector() + tail
+
+
+def _criteria_1_to_3(s):
+    return _crit_powerlaw(s + 1) + _crit_degenerate(s + 3)
+
+
+def _criteria_5_to_10(s):
+    return (_crit_monodromy(s + 5) + _crit_configspace(s + 6) + _crit_calculus(s + 7)
+            + _crit_dichotomy(s + 8) + _crit_theta(s + 9) + _crit_reconstruct(s + 10))
 
 
 def _numeric_fingerprint(results):

@@ -182,7 +182,7 @@ def _cmd_select(args, started):
         H1 /= core.opnorm(H1)
         ts = _path_parameters(steps, step)
         mats = [X0 + t * H1 for t in ts]
-        path = selectors.selector_path(lambda M: selectors.hn_select(M), mats, ts)
+        path = selectors.selector_path(selectors.hn_select_stack, mats, ts)
     else:  # unlambda
         lam_re, lam_im = (float(v) for v in args.cut.split(","))
         lam = complex(lam_re, lam_im)

@@ -360,13 +360,22 @@ def hn_select_stack(X) -> np.ndarray:
     return np.max(np.linalg.eigvalsh(A), axis=-1)
 
 
+hn_select_stack.stacked = True
+
+
 def hn_select(X) -> float:
     """Largest eigenvalue of a Hermitian matrix; 1-Lipschitz in X."""
     return float(hn_select_stack(core.as_matrix(X)[None])[0])
 
 
 def selector_path(select, mats, parameters=None) -> EigenPath:
-    """Apply a scalar selector along a matrix path and record the values."""
+    """Apply a scalar selector along a matrix path and record the values.
+
+    A selector that opts in with a true ``stacked`` attribute, as
+    :func:`hn_select_stack` does, is called once on the ``(k, n, n)`` path
+    stack; any other selector, or a stacked one whose call fails, is called
+    one matrix at a time, so a failure raises as a one-matrix call does.
+    """
     mats = list(mats)
     if len(mats) < 2:
         raise ValueError(f"a path needs at least one step, got {len(mats)} matrices")
@@ -374,8 +383,16 @@ def selector_path(select, mats, parameters=None) -> EigenPath:
                             dtype=float)
     if not np.isfinite(parameters).all():
         raise ValueError("path parameters must be finite")
-    vals = np.array([select(M) for M in mats], dtype=complex)
-    return EigenPath(parameters=parameters, values=vals, matrices=mats)
+    stacked = getattr(select, "stacked", False)
+    try:
+        vals = select(np.stack(mats)) if stacked else None
+    except Exception:  # the one-matrix calls below raise for the failing matrix
+        vals = None
+    if vals is None:
+        one = (lambda M: select(np.asarray(M)[None])[0]) if stacked else select
+        vals = [one(M) for M in mats]
+    return EigenPath(parameters=parameters, values=np.array(vals, dtype=complex),
+                     matrices=mats)
 
 
 def _skew_traceless(rng, n):

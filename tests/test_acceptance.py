@@ -5,11 +5,16 @@ line per criterion.  The suite itself is shared with the ``all`` command
 line subcommand, so the reported defects are identical there.
 """
 
+import multiprocessing
+import os
+import time
+
 import numpy as np
 import pytest
 
 import oracles
 from specshrink import acceptance
+from specshrink.errors import UnsupportedDimension
 
 SEED = 0
 
@@ -149,3 +154,86 @@ def test_criterion_11_determinism(results):
     print(f"criterion 11 [{'PASS' if passed else 'FAIL'}] "
           f"{acceptance.CRITERION_CLAIMS[11]}: worst relative drift {worst:.3e}")
     assert passed
+
+
+# ---------------------------------------------------------------------------
+# Criterion 4 in a forked child
+# ---------------------------------------------------------------------------
+
+PARENT_CRITERIA = ("_crit_powerlaw", "_crit_degenerate", "_crit_monodromy",
+                   "_crit_configspace", "_crit_calculus", "_crit_dichotomy",
+                   "_crit_theta", "_crit_reconstruct")
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="no fork start method on this platform")
+
+
+def test_one_cpu_runs_in_process_with_the_forked_results(results, monkeypatch):
+    # the module's results took the forked route wherever it forks at all
+    monkeypatch.setattr(acceptance, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(acceptance, "_forked", None)  # any fork attempt fails
+    serial = acceptance.run_acceptance(seed=SEED)
+    assert [r.to_dict() for r in serial] == [r.to_dict() for r in results]
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_forked_route_leaves_no_child(results):
+    assert acceptance._usable_cpus() < 2 or acceptance._fork_context() is not None
+    assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    """The fork route on any host, with the parent's criteria made instant."""
+    monkeypatch.setattr(acceptance, "_usable_cpus", lambda: 2)
+    for name in PARENT_CRITERIA:
+        monkeypatch.setattr(acceptance, name, lambda seed, name=name: [(name, seed)])
+    return monkeypatch
+
+
+@needs_fork
+def test_forked_results_merge_in_criterion_order(forking):
+    forking.setattr(acceptance, "_crit_su_selector", lambda seed: [("child", os.getpid())])
+    out = acceptance.run_acceptance(seed=2)
+    assert [r[0] for r in out] == ["_crit_powerlaw", "_crit_degenerate", "child",
+                                   *PARENT_CRITERIA[2:]]
+    assert [r[1] for r in out if r[0] != "child"] == [2019, 2021, *range(2023, 2029)]
+    assert out[2][1] != os.getpid()
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_child_exception_reraises_in_the_parent(forking):
+    def boom(seed):
+        raise UnsupportedDimension("boom")
+
+    forking.setattr(acceptance, "_crit_su_selector", boom)
+    with pytest.raises(UnsupportedDimension, match="^boom$") as info:
+        acceptance.run_acceptance(seed=SEED)
+    assert type(info.value) is UnsupportedDimension
+    cause = str(info.value.__cause__)
+    assert "Traceback" in cause and "in boom" in cause and "UnsupportedDimension: boom" in cause
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_child_that_dies_without_a_result_raises(forking):
+    forking.setattr(acceptance, "_crit_su_selector", lambda seed: os._exit(3))
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        acceptance.run_acceptance(seed=SEED)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_parent_failure_terminates_the_running_child(forking, error):
+    def parent_fails(seed):
+        raise error("parent")
+
+    forking.setattr(acceptance, "_crit_su_selector", lambda seed: time.sleep(60))
+    forking.setattr(acceptance, "_crit_theta", parent_fails)
+    started = time.perf_counter()
+    with pytest.raises(error, match="parent"):
+        acceptance.run_acceptance(seed=SEED)
+    assert time.perf_counter() - started < 30
+    assert multiprocessing.active_children() == []

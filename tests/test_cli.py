@@ -135,10 +135,12 @@ def test_usage_errors_exit_2_with_a_report(capsys, monkeypatch, tmp_path, argv):
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy is imported by selectors.su_paths alone, when it first runs
+    # scipy is imported by selectors.su_paths alone, when it first runs, and
+    # multiprocessing by acceptance.run_acceptance alone, when it forks
     src = Path(cli.__file__).resolve().parent.parent
     probe = ("import sys, specshrink, specshrink.cli; "
-             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+             "print([m for m in sys.modules "
+             "if m.split('.')[0] in ('scipy', 'multiprocessing')])")
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout

@@ -438,6 +438,36 @@ def test_hn_select_stack_names_first_bad_matrix(where):
         selectors.hn_select_stack(np.eye(2))
 
 
+@settings(max_examples=30, deadline=None)
+@given(seeds, st.integers(1, 8), st.integers(2, 40), st.floats(1e-3, 1e3))
+def test_stacked_hn_path_equals_per_matrix_selection(seed, n, k, scale):
+    # select --selector hn's path: one hn_select_stack call on the whole stack
+    rng = np.random.default_rng(seed)
+    X0 = spaces.sample("hn", n, rng)
+    H1 = spaces.sample("hn", n, rng)
+    ts = scale * np.arange(k)
+    mats = [X0 + t * H1 for t in ts]
+    got = selectors.selector_path(selectors.hn_select_stack, mats, ts)
+    want = selectors.selector_path(selectors.hn_select, mats, ts)
+    assert got.values.dtype == want.values.dtype == complex
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.values.real, [selectors.hn_select(M) for M in mats])
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    (np.array([[0.0, 1.0], [0.0, 0.0]]), NotHermitian,
+     "^input is not Hermitian within tolerance$"),
+    (np.array([[np.inf, 0.0], [0.0, 1.0]]), DimensionMismatch,
+     "^matrix entries must be finite$"),
+])
+def test_stacked_hn_path_fails_as_the_one_matrix_call(bad, error, message):
+    # a failed stacked call falls back to one matrix at a time: the bare message
+    mats = [np.eye(2)] * 3 + [bad] + [np.eye(2)]
+    for select in (selectors.hn_select_stack, selectors.hn_select):
+        with pytest.raises(error, match=message):
+            selectors.selector_path(select, mats)
+
+
 def test_hn_select_is_lipschitz_along_paths():
     rng = np.random.default_rng(54)
     X = spaces.sample("hn", 4, rng)
