@@ -16,7 +16,7 @@ from specshrink import core, spaces, theta
 
 rng = np.random.default_rng(11)
 
-q = spaces.haar_unitary(rng, 3)
+q = spaces.sample("un", 3, rng)
 S = (q * np.array([0.5, 1.0, 2.0])) @ q.conj().T
 N = spaces.sample("nn", 3, rng) + 0.6 * np.eye(3)
 X = S @ N @ np.linalg.inv(S)
@@ -33,7 +33,7 @@ print(f"  normal matrices are fixed: ||theta(N) - N|| = "
 print(f"  double-factorization defect (constructed S^-1 N S vs theta(X)) = "
       f"{core.opnorm(TX - np.linalg.solve(S, N @ S)):.3e}")
 
-U = spaces.haar_unitary(rng, 3)
+U = spaces.sample("un", 3, rng)
 XU = S @ U @ np.linalg.inv(S)
 S2 = S @ S
 print(f"  inverse-square defect on the unitary orbit of S = "

@@ -16,7 +16,7 @@ from specshrink import core, reconstruct, spaces, theta
 from specshrink.errors import ResidualTooLarge
 
 rng = np.random.default_rng(21)
-u, v = spaces.haar_unitary(rng, 3), spaces.haar_unitary(rng, 3)
+u, v = spaces.sample("un", 3, rng), spaces.sample("un", 3, rng)
 T0 = (u * np.array([1.0, 4.0, 20.0])) @ v.conj().T
 print("hidden matrix T0 (condition number 20), both branches:")
 

@@ -104,7 +104,7 @@ def _crit_degenerate(seed):
 def _su_conjugation_pairs(rng, n: int, k: int):
     """``k`` Haar special unitaries U and their conjugates ``V U V^H`` by Haar
     unitaries V, from one Gaussian draw in the order of ``k`` alternating
-    ``special_unitary``/``haar_unitary`` calls."""
+    ``sample("sun")``/``sample("un")`` calls."""
     z = rng.standard_normal((k, 2, 2, n, n))
     U = spaces._unit_determinant(spaces._haar(z[:, 0]))
     V = spaces._haar(z[:, 1])
@@ -274,8 +274,8 @@ def _crit_theta(seed):
 # ---------------------------------------------------------------------------
 
 def _seeded_conjugator(rng, n, max_cond=50.0):
-    u = spaces.haar_unitary(rng, n)
-    v = spaces.haar_unitary(rng, n)
+    u = spaces.sample(spaces.SpaceId.UN, n, rng)
+    v = spaces.sample(spaces.SpaceId.UN, n, rng)
     s = max_cond ** rng.uniform(size=n)
     return (u * s) @ v.conj().T
 
@@ -304,7 +304,7 @@ def _crit_reconstruct(seed):
     inclusion = 0.0
     dim_failures = 0
     for _ in range(100):
-        q = spaces.haar_unitary(rng, 4)
+        q = spaces.sample(spaces.SpaceId.UN, 4, rng)
         d2 = int(rng.integers(2, 4))
         d1 = int(rng.integers(1, d2))
         W = core.Subspace(q[:, :d1])

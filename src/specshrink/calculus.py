@@ -40,9 +40,7 @@ def _semisimple_eig(A) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvector matrices of a ``(k, n, n)`` stack of
     semisimple matrices; a matrix that is not semisimple raises."""
     w, P, cond, _ = core.eig_decompose_stack(A)
-    core.check_rows([(cond > 1.0 / core.DEFAULT_EIG_TOL, NotSemisimple,
-                      "eigenvector condition {cond:.3e} exceeds the semisimplicity cap")],
-                    cond=cond)
+    core.check_rows([core.semisimplicity_check(cond)], cond=cond)
     return w, P
 
 

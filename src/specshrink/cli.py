@@ -190,7 +190,7 @@ def _cmd_select(args, started):
             raise ValueError(f"the cut must be finite and nonzero, got {args.cut!r}")
         lam /= abs(lam)
         config["cut"] = [lam.real, lam.imag]
-        Q = spaces.haar_unitary(rng, n)
+        Q = spaces.sample(spaces.SpaceId.UN, n, rng)
         base = np.angle(lam)
         # phase paths stay in a band strictly inside the cut's complement
         th0 = base + rng.uniform(0.4, 2 * np.pi - 0.4, size=n)

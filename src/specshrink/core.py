@@ -31,6 +31,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EmptySpectrum,
+    NotSemisimple,
     NumericalFailure,
     OracleFailure,
     Singular,
@@ -265,8 +266,8 @@ def eig_decompose_stack(X) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     columns even when the eigenspace is healthy; inside each eigenvalue
     cluster (single linkage at ``DEFAULT_EIG_TOL * (1 + ||X||)``) we
     therefore re-extract an orthonormal basis of the numerical eigenspace
-    before judging conditioning.  A matrix counts as semisimple when its
-    condition number is at most ``1 / DEFAULT_EIG_TOL``.  The solver, the
+    before judging conditioning; :func:`semisimplicity_check` turns the
+    condition numbers into the semisimplicity verdict.  The solver, the
     norms, the conditioning and the sort run once on the stack, bit for bit
     the one-matrix results; only matrices that may have a cluster take the
     re-extraction, one at a time.
@@ -291,6 +292,14 @@ def eig_decompose_stack(X) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     rows = np.arange(k)[:, None]
     vectors = P[rows[:, :, None], np.arange(n)[:, None], order[:, None, :]]
     return w[rows, order], vectors, cond, norm
+
+
+def semisimplicity_check(cond):
+    """The semisimplicity verdict as a :func:`check_rows` row: a matrix whose
+    :func:`eig_decompose_stack` condition number exceeds
+    ``1 / DEFAULT_EIG_TOL`` is not semisimple."""
+    return (cond > 1.0 / DEFAULT_EIG_TOL, NotSemisimple,
+            "eigenvector condition {cond:.3e} exceeds the semisimplicity cap")
 
 
 def condition_numbers(P) -> np.ndarray:
@@ -658,11 +667,6 @@ def matrix_from_dict(data: dict) -> np.ndarray:
                     for row in entries)):
         raise ValueError(f"'entries' must be {n} rows of {n} finite [re, im] pairs")
     return np.array([[complex(re, im) for re, im in row] for row in entries], dtype=complex)
-
-
-def save_matrix(path, X):
-    with open(path, "w") as fh:
-        json.dump(matrix_to_dict(X), fh)
 
 
 def load_matrix(path) -> np.ndarray:

@@ -165,7 +165,7 @@ def lattice_compat_check(phi, n: int, trials: int = 20, seed: int = 0) -> bool:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     for _ in range(trials):
-        Q = spaces.haar_unitary(rng, n)
+        Q = spaces.sample(spaces.SpaceId.UN, n, rng)
         d1 = int(rng.integers(1, n))
         d2 = int(rng.integers(1, n))
         idx1 = rng.choice(n, size=d1, replace=False)

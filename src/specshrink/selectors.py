@@ -350,8 +350,8 @@ def monodromy_xz(n: int, r: float, steps: int) -> MonodromyResult:
 
 def hn_select_stack(X) -> np.ndarray:
     """Largest eigenvalue of every Hermitian matrix of a ``(k, n, n)``
-    stack, in one stacked ``eigvalsh``; the first matrix that is not
-    Hermitian raises."""
+    stack, in one stacked ``eigvalsh``; 1-Lipschitz in each matrix.  The
+    first matrix that is not Hermitian raises."""
     A = core.as_matrix(X, stack=True)
     if A.ndim != 3:
         raise DimensionMismatch(f"expected a (k, n, n) stack, got shape {A.shape}")
@@ -361,11 +361,6 @@ def hn_select_stack(X) -> np.ndarray:
 
 
 hn_select_stack.stacked = True
-
-
-def hn_select(X) -> float:
-    """Largest eigenvalue of a Hermitian matrix; 1-Lipschitz in X."""
-    return float(hn_select_stack(core.as_matrix(X)[None])[0])
 
 
 def selector_path(select, mats, parameters=None) -> EigenPath:
@@ -433,7 +428,7 @@ def su_paths(rng, n: int, count: int, steps: int, step: float,
     z = np.empty((count, 2, n, n))
     E = np.empty((count, n, n), dtype=complex)
     for i in range(count):
-        z[i] = rng.standard_normal((2, n, n))  # special_unitary's Gaussians
+        z[i] = rng.standard_normal((2, n, n))  # sample("sun")'s Gaussians
         E[i] = expm(step * _skew_traceless(rng, n))
     U = spaces._unit_determinant(spaces._haar(z))
     values = np.empty((count, steps + 1), dtype=complex)

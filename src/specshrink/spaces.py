@@ -10,15 +10,15 @@ its defining equations.  Distribution choices, all documented per sampler:
 * ``nn``        Haar-conjugated complex Gaussian diagonal.
 * ``hn``        GUE-style, ``(G + G^H) / 2``.
 * ``*_ss``      Conjugated diagonal with a simple-spectrum rejection; the
-  conjugator has bounded condition number (singular values log-uniform in
-  [0.8, 1.25]) so that coefficient-level checks downstream are not drowned
-  in rounding noise.
+  conjugator ``U diag(s) V^H`` (Haar U, V; s log-uniform in [0.8, 1.25])
+  has bounded condition number so that coefficient-level checks downstream
+  are not drowned in rounding noise.
 * ``gln_star``  ``gln`` conditioned on det staying away from -1.
 
 The draws the claim checks share (separated circle points and eigenvalue
-pairs, bounded semisimple, positive definite and commuting normal
-matrices) live here too.  Every rejection loop here gives up after
-``MAX_TRIES`` draws with :class:`UnsupportedDimension`.
+pairs, and the parts of bounded-conjugator, semisimple, positive definite
+and commuting normal stacks) live here too.  Every rejection loop here
+gives up after ``MAX_TRIES`` draws with :class:`UnsupportedDimension`.
 
 Samplers take a ``numpy.random.Generator`` (or a seed) and are pure given
 it; membership tests are pure.  :func:`sample_stack` draws k matrices of a
@@ -43,7 +43,7 @@ SIMPLE_GAP = 1e-4
 #: Draws a rejection sampler makes before it gives up.
 MAX_TRIES = 1000
 
-#: Log-spread of the singular values of :func:`bounded_conjugator` (about
+#: Log-spread of the bounded conjugators' singular values (about
 #: [0.8, 1.25]) and the tolerance of :func:`membership`.
 CONJUGATOR_SPREAD = 0.22
 MEMBERSHIP_TOL = 1e-8
@@ -100,7 +100,8 @@ def _ginibre(z) -> np.ndarray:
 
 
 def _haar(z) -> np.ndarray:
-    """Compute part of :func:`haar_unitary` on ``(k, 2, n, n)`` Gaussians."""
+    """Haar unitaries from ``(k, 2, n, n)`` Gaussians: QR of Ginibre matrices
+    with R's diagonal phases divided out (without that, QR is not Haar)."""
     q, r = np.linalg.qr(_ginibre(z))
     d = np.diagonal(r, axis1=1, axis2=2)
     return q * (d / np.abs(d))[:, None, :]
@@ -118,38 +119,15 @@ def _unit_determinant(x) -> np.ndarray:
 
 
 def _conjugator_draw(g, n: int):
-    """Draw part of :func:`bounded_conjugator`: the log singular values,
-    then the Gaussians of its two Haar factors."""
+    """Draw part of a bounded conjugator ``U diag(e^s) V^H``: the log
+    singular values s, then the Gaussians of its Haar factors U and V."""
     return g.uniform(-CONJUGATOR_SPREAD, CONJUGATOR_SPREAD, size=n), g.standard_normal((2, 2, n, n))
 
 
 def _conjugator(s, z) -> np.ndarray:
-    """Compute part of :func:`bounded_conjugator` on ``(k, n)`` log singular
+    """Compute part of the bounded conjugators on ``(k, n)`` log singular
     values and ``(k, 2, 2, n, n)`` Gaussians."""
     return (_haar(z[:, 0]) * np.exp(s)[:, None, :]) @ core.adjoint(_haar(z[:, 1]))
-
-
-def haar_unitary(rng, n: int) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix.
-
-    The diagonal of R is divided out by its phases; without this fix QR
-    output is not Haar.
-    """
-    return _haar(np.random.default_rng(rng).standard_normal((1, 2, n, n)))[0]
-
-
-def special_unitary(rng, n: int) -> np.ndarray:
-    """Haar unitary rescaled by a determinant root onto det = 1."""
-    return _unit_determinant(_haar(np.random.default_rng(rng).standard_normal((1, 2, n, n))))[0]
-
-
-def bounded_conjugator(rng, n: int) -> np.ndarray:
-    """Random invertible matrix with condition number at most e^(2 CONJUGATOR_SPREAD).
-
-    Built as U diag(s) V^H with Haar U, V and log-uniform singular values.
-    """
-    s, z = _conjugator_draw(np.random.default_rng(rng), n)
-    return _conjugator(s[None], z[None])[0]
 
 
 def _simple_complex_tuple(rng, n, modulus_band=None, unit_product=False,
@@ -267,28 +245,22 @@ def separated_pair(rng) -> np.ndarray:
 
 
 def _semisimple_draw(g, n: int):
-    """Draw part of :func:`semisimple_sample`; its compute part is
+    """Draw part of a conjugated diagonal whose eigenvalues are more than 0.05
+    apart and of modulus at most 2.5; its compute part is
     :func:`_conjugated_diagonal`."""
     if n < 1:
         raise UnsupportedDimension(f"dimension must be >= 1, got {n}")
     return _conjugated_diagonal_draw(g, n, modulus_band=(0.0, 2.5), min_gap=0.05)
 
 
-def semisimple_sample(rng, n: int) -> np.ndarray:
-    """Conjugated diagonal whose eigenvalues are more than 0.05 apart and of
-    modulus at most 2.5, with a bounded-condition conjugator."""
-    g = np.random.default_rng(rng)
-    return _conjugated_diagonal(*_stack_draws([_semisimple_draw(g, n)]))[0]
-
-
 def _positive_definite_draw(g, n: int):
-    """Draw part of :func:`positive_definite`: the Gaussians of its Haar
-    eigenbasis, then its log eigenvalues."""
+    """Draw part of a positive definite matrix: the Gaussians of its Haar
+    eigenbasis, then its log eigenvalues, uniform in ``[log 0.5, log 2]``."""
     return g.standard_normal((2, n, n)), g.uniform(np.log(0.5), np.log(2.0), size=n)
 
 
 def _positive_definite(z, u) -> tuple[np.ndarray, np.ndarray]:
-    """Compute part of :func:`positive_definite` on ``(k, 2, n, n)``
+    """Compute part of the positive definite matrices on ``(k, 2, n, n)``
     Gaussians and ``(k, n)`` log eigenvalues: the matrices and their
     condition numbers."""
     q = _haar(z)
@@ -296,35 +268,20 @@ def _positive_definite(z, u) -> tuple[np.ndarray, np.ndarray]:
     return (q * s[:, None, :]) @ core.adjoint(q), s.max(axis=1) / s.min(axis=1)
 
 
-def positive_definite(rng, n: int) -> tuple[np.ndarray, float]:
-    """Haar-rotated positive definite matrix with eigenvalues log-uniform in
-    [0.5, 2], and its condition number."""
-    g = np.random.default_rng(rng)
-    S, cond = _positive_definite(*_stack_draws([_positive_definite_draw(g, n)]))
-    return S[0], float(cond[0])
-
-
 def _normal_pair_draw(g, n: int):
-    """Draw part of :func:`normal_pair`: the Gaussians of the shared
-    eigenbasis, then the two eigenvalue tuples."""
+    """Draw part of two commuting normal matrices: the Gaussians of their
+    shared Haar eigenbasis, then two eigenvalue tuples, each with entries
+    more than 0.1 apart and of modulus in [0.3, 3]."""
     z = g.standard_normal((2, n, n))
     return (z, *(_simple_complex_tuple(g, n, modulus_band=(0.3, 3.0), min_gap=0.1)
                  for _ in range(2)))
 
 
 def _normal_pair(z, lam1, lam2) -> tuple[np.ndarray, np.ndarray]:
-    """Compute part of :func:`normal_pair` on ``(k, 2, n, n)`` Gaussians and
-    two ``(k, n)`` eigenvalue stacks."""
+    """Compute part of the commuting normal pairs on ``(k, 2, n, n)``
+    Gaussians and two ``(k, n)`` eigenvalue stacks."""
     q = _haar(z)
     return tuple(q @ core.diagonals(lam) @ core.adjoint(q) for lam in (lam1, lam2))
-
-
-def normal_pair(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two commuting normal matrices sharing a Haar eigenbasis, each with
-    eigenvalues 0.1 apart and of modulus in [0.3, 3]."""
-    g = np.random.default_rng(rng)
-    N1, N2 = _normal_pair(*_stack_draws([_normal_pair_draw(g, n)]))
-    return N1[0], N2[0]
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +359,8 @@ def membership(space, X) -> bool:
     """Check the defining equations of the space within ``tol = MEMBERSHIP_TOL``.
 
     Scale conventions: linear conditions use ``tol * (1 + ||X||)``, the
-    normality commutator uses ``tol * (1 + ||X||)^2``, semisimplicity uses
-    the condition number of :func:`core.eig_decompose_stack`, at most
-    ``1 / core.DEFAULT_EIG_TOL``.
+    normality commutator uses ``tol * (1 + ||X||)^2``, semisimplicity is
+    :func:`core.semisimplicity_check`'s verdict.
     """
     sid = SpaceId.parse(space)
     A = core.as_matrix(X)
@@ -420,7 +376,8 @@ def membership(space, X) -> bool:
 
     def semisimple():
         _, _, cond, _ = core.eig_decompose_stack(A[None])
-        return bool(cond[0] <= 1.0 / core.DEFAULT_EIG_TOL)
+        failed, _, _ = core.semisimplicity_check(cond)
+        return not failed[0]
 
     if sid is SpaceId.MN:
         return True

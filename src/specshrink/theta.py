@@ -16,7 +16,6 @@ assumed, as the putnam-fuglede defect of :func:`identity_defects`.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,13 +39,6 @@ class ThetaDecomposition:
 
     s: np.ndarray
     normal: np.ndarray
-    matrix: np.ndarray
-
-    @functools.cached_property
-    def residual(self):
-        """Relative operator-norm error of ``S N S^{-1}`` against the input."""
-        recon = core.right_divide(self.s @ self.normal, self.s)
-        return core.opnorm(recon - self.matrix) / np.maximum(core.opnorm(self.matrix), 1e-300)
 
 
 def theta_decompose(X) -> ThetaDecomposition:
@@ -62,8 +54,7 @@ def theta_decompose(X) -> ThetaDecomposition:
     w, P, cond, norm = core.eig_decompose_stack(As)
     scale = 1.0 + norm
     core.check_rows([
-        (cond > 1.0 / core.DEFAULT_EIG_TOL, NotSemisimple,
-         "eigenvector condition {cond:.3e} exceeds the semisimplicity cap"),
+        core.semisimplicity_check(cond),
         (np.abs(w).min(axis=1) <= core.DEFAULT_EIG_TOL * scale, Singular,
          "matrix is numerically singular"),
         (cond > DEFAULT_COND_CAP, WellDefinednessDegraded,
@@ -73,7 +64,7 @@ def theta_decompose(X) -> ThetaDecomposition:
     N = V @ core.diagonals(w) @ core.adjoint(V)
     if A.ndim == 2:
         S, N = S[0], N[0]
-    return ThetaDecomposition(s=S, normal=N, matrix=A)
+    return ThetaDecomposition(s=S, normal=N)
 
 
 def theta(X) -> np.ndarray:

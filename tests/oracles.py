@@ -163,13 +163,13 @@ def bottleneck_by_scipy_matching(a, b):
 
 def su_conjugation_pairs_by_loop(rng, n, k):
     """Criterion 4's (U, V U V^H) pairs as first written: one
-    ``special_unitary`` and one ``haar_unitary`` call per pair."""
+    ``sample("sun")`` and one ``sample("un")`` call per pair."""
     from specshrink import spaces
 
     Us, conjs = [], []
     for _ in range(k):
-        U = spaces.special_unitary(rng, n)
-        V = spaces.haar_unitary(rng, n)
+        U = spaces.sample("sun", n, rng)
+        V = spaces.sample("un", n, rng)
         Us.append(U)
         conjs.append(V @ U @ V.conj().T)
     return np.stack(Us), np.stack(conjs)
@@ -221,7 +221,7 @@ def su_paths_by_loop(rng, n, count, steps, step):
 
     out = []
     for _ in range(count):
-        U = spaces.special_unitary(rng, n)
+        U = spaces.sample("sun", n, rng)
         E = scipy.linalg.expm(step * selectors._skew_traceless(rng, n))
         mats = []
         for _ in range(steps + 1):
@@ -366,7 +366,10 @@ def _haar_by_loop(g, n):
     return q * (d / np.abs(d))
 
 
-def _conjugator_by_loop(g, n):
+def conjugator_by_loop(g, n):
+    """A bounded conjugator ``U diag(e^s) V^H`` drawn from generator ``g``
+    as first written, one matrix at a time: the bits, and the generator's
+    end state, of the conjugators the semisimple samplers draw."""
     from specshrink import spaces
 
     s = np.exp(g.uniform(-spaces.CONJUGATOR_SPREAD, spaces.CONJUGATOR_SPREAD, size=n))
@@ -374,7 +377,7 @@ def _conjugator_by_loop(g, n):
 
 
 def _conjugated_diagonal_by_loop(g, lam):
-    c = _conjugator_by_loop(g, len(lam))
+    c = conjugator_by_loop(g, len(lam))
     return c @ np.diag(lam) @ np.linalg.inv(c)
 
 
@@ -651,7 +654,7 @@ def conjugation_invariance_defect_by_loop(rng, n, samples, fns):
     worst = 0.0
     for _ in range(samples):
         X = _semisimple_by_loop(rng, n)
-        S = _conjugator_by_loop(rng, n)
+        S = conjugator_by_loop(rng, n)
         Sinv = np.linalg.inv(S)
         scale = (1.0 + _opnorm_by_loop(X)) * float(np.linalg.cond(S, 2)) ** 2
         for f in fns:

@@ -37,7 +37,7 @@ def test_idempotents_triangular_closed_form():
 
 def test_idempotents_conjugation_transport():
     rng = np.random.default_rng(70)
-    P = spaces.bounded_conjugator(rng, 3)
+    P = oracles.conjugator_by_loop(rng, 3)
     X = P @ np.diag([1.0, 2.0, 3.0]) @ np.linalg.inv(P)
     pairs = calculus.spectral_idempotents(X)
     cond = np.linalg.cond(P, 2)
@@ -136,7 +136,7 @@ def test_conj_on_normal_is_adjoint():
 def test_conjugation_invariance():
     rng = np.random.default_rng(75)
     X = spaces.sample("mn_ss", 3, rng)
-    S = spaces.bounded_conjugator(rng, 3)
+    S = oracles.conjugator_by_loop(rng, 3)
     cond = np.linalg.cond(S, 2)
     lhs = calculus.apply_function(S @ X @ np.linalg.inv(S), np.conj)
     rhs = S @ calculus.apply_function(X, np.conj) @ np.linalg.inv(S)
@@ -214,6 +214,27 @@ def test_blowup_witness_embedded_in_repeated_block():
     assert dev >= 1.0
 
 
+def _near_repeated_witnesses():
+    """Criterion 7's blow-up witness (gap 1e-8, off-diagonal 1e-2) and
+    criterion 8's repeated-block witness (gap 4e-9, off-diagonal 9e-5)."""
+    Tp = np.diag([1.0, 1.0, 2.0]).astype(complex)
+    Tp[0, 1] = 9e-5
+    Tp[1, 1] = 1.0 + 4e-9
+    return [triangular(1.0, 1.0 + 1e-8, 1e-2), Tp]
+
+
+@pytest.mark.parametrize("X", _near_repeated_witnesses(), ids=["criterion-7", "criterion-8"])
+def test_near_repeated_witnesses_are_semisimple(X):
+    # diagonalizable with nearly repeated eigenvalues: every semisimplicity
+    # verdict must accept them, or criteria 7 and 8 raise NotSemisimple
+    _, _, cond, _ = core.eig_decompose_stack(X[None])
+    failed, _, _ = core.semisimplicity_check(cond)
+    assert not failed.any()
+    assert spaces.membership("mn_ss", X)
+    fX = calculus.apply_function(X, calculus.sqrt_shift, grouping_tol=1e-12)
+    assert np.isfinite(fX).all()
+
+
 def test_named_function_parser():
     assert calculus.named_function("identity")(2.0) == 2.0
     assert calculus.named_function("conj")(1j) == -1j
@@ -259,7 +280,7 @@ def test_stacked_calculus_equals_each_matrix(seed, n, k, tag):
     f = calculus.named_function(tag)
     T = spaces.sample_stack("mn_ss", n, k, rng)
     if n >= 2:
-        P = spaces.bounded_conjugator(rng, n)
+        P = oracles.conjugator_by_loop(rng, n)
         lam = np.arange(n, dtype=complex)
         T[0] = P @ np.diag(np.where(lam == 0, 1.0, lam)) @ np.linalg.inv(P)
         T[-1] = P @ np.diag(lam + np.where(lam == 1, 1e-7 - 1, 0.0)) @ np.linalg.inv(P)

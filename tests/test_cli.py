@@ -235,7 +235,7 @@ def test_reconstruct_matrix_file(capsys, tmp_path):
     T0 = np.eye(3) + 0.4 * (rng.standard_normal((3, 3))
                             + 1j * rng.standard_normal((3, 3)))
     path = tmp_path / "t0.json"
-    core.save_matrix(path, T0)
+    path.write_text(json.dumps(core.matrix_to_dict(T0)))
     code, report = run_cli(capsys, [
         "reconstruct", "--oracle", f"conj:{path}", "--space", "un", "--n", "3",
         "--seed", "0"])

@@ -12,8 +12,8 @@ from specshrink.errors import (
 
 
 def conjugator(rng, n, max_cond=20.0):
-    u = spaces.haar_unitary(rng, n)
-    v = spaces.haar_unitary(rng, n)
+    u = spaces.sample("un", n, rng)
+    v = spaces.sample("un", n, rng)
     s = max_cond ** rng.uniform(size=n)
     return (u * s) @ v.conj().T
 
@@ -67,7 +67,7 @@ def test_psi_transpose_oracle_conjugates_lines():
 
 def test_psi_dimension_drift():
     rng = np.random.default_rng(203)
-    U0 = spaces.haar_unitary(rng, 4)
+    U0 = spaces.sample("un", 4, rng)
     with pytest.raises(DimensionDrift):
         next(reconstruct.psi(lambda X: U0, [core.span([1.0, 0, 0, 0])]))
 
@@ -96,7 +96,7 @@ def test_psi_of_a_sequence_equals_one_subspace_at_a_time(seed, n, k, kind, stack
     modes = (reconstruct.MODE_CONJUGATION, reconstruct.MODE_TRANSPOSE)
     oracle = reconstruct.make_oracle(kind, conjugator(rng, n) if kind in modes else None)
     phi = oracle if stacked else (lambda X: oracle(X))
-    subspaces = [core.Subspace(spaces.haar_unitary(rng, n)[:, :int(rng.integers(0, n + 1))])
+    subspaces = [core.Subspace(spaces.sample("un", n, rng)[:, :int(rng.integers(0, n + 1))])
                  for _ in range(k)]
     got = list(reconstruct.psi(phi, subspaces))
     want = [oracles.psi_by_loop(phi, W) for W in subspaces]
@@ -206,7 +206,7 @@ def test_torus_rejects_wrong_form():
 
 def test_torus_general_defining_matrix():
     rng = np.random.default_rng(209)
-    S = spaces.haar_unitary(rng, 3)
+    S = spaces.sample("un", 3, rng)
     T0 = conjugator(rng, 3)
     phi = reconstruct.make_oracle("conjugation", T0)
     TG = reconstruct.torus_conjugator(phi, S, seed=0)
@@ -230,7 +230,7 @@ def test_lattice_check_identity_and_conjugation():
 
 def test_lattice_check_rejects_corrupted_oracle():
     rng = np.random.default_rng(211)
-    U0 = spaces.haar_unitary(rng, 4)
+    U0 = spaces.sample("un", 4, rng)
     calls = {"k": 0}
 
     def corrupted(X):
@@ -266,7 +266,7 @@ def test_lattice_check_calls_a_plain_map_once_per_subspace():
     assert reconstruct.lattice_compat_check(plain, 4, trials=7, seed=0)
     assert shapes == [(4, 4)] * 21
     # a map whose Psi(W + W') drifts is not called on W or W'
-    U0 = spaces.haar_unitary(np.random.default_rng(218), 4)
+    U0 = spaces.sample("un", 4, np.random.default_rng(218))
     calls = []
 
     def drifting(X):
@@ -399,7 +399,7 @@ def test_classification_apply():
     T0 = conjugator(rng, 3)
     cls = reconstruct.classify_preserver(
         reconstruct.make_oracle("conjugation", T0), "un", 3, seed=0)
-    U = spaces.haar_unitary(rng, 3)
+    U = spaces.sample("un", 3, rng)
     assert core.opnorm(cls.apply(U) - T0 @ U @ np.linalg.inv(T0)) <= 1e-8
 
 

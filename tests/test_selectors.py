@@ -46,7 +46,7 @@ def test_su_select_scalar_case_via_enumeration():
 @given(seeds, st.integers(2, 4))
 def test_su_select_matches_enumeration_and_spectrum(seed, n):
     rng = np.random.default_rng(seed)
-    U = spaces.special_unitary(rng, n)
+    U = spaces.sample("sun", n, rng)
     rep = selectors.su_representative(U)
     assert np.allclose(rep, oracles.su_representative_by_enumeration(U), atol=1e-8)
     val = selectors.su_select(U)
@@ -59,8 +59,8 @@ def test_su_select_conjugation_invariance(seed, n):
     # beyond the enumeration oracle's reach (n <= 4): spectral membership
     # and conjugation invariance at the pinned threshold up to n = 6
     rng = np.random.default_rng(seed)
-    U = spaces.special_unitary(rng, n)
-    V = spaces.haar_unitary(rng, n)
+    U = spaces.sample("sun", n, rng)
+    V = spaces.sample("un", n, rng)
     val = selectors.su_select(U)
     assert np.min(np.abs(np.linalg.eigvals(U) - val)) <= selectors.SPECTRAL_TOL
     assert abs(selectors.su_select(V @ U @ V.conj().T) - val) <= selectors.SPECTRAL_TOL
@@ -69,7 +69,7 @@ def test_su_select_conjugation_invariance(seed, n):
 def test_su_select_path_continuity():
     rng = np.random.default_rng(51)
     for _ in range(5):
-        U = spaces.special_unitary(rng, 3)
+        U = spaces.sample("sun", 3, rng)
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         A = 0.5 * (g - g.conj().T)
         A -= (np.trace(A) / 3) * np.eye(3)
@@ -100,7 +100,7 @@ def test_su_select_stack_bitwise_equals_loop(seed, n, k, path):
     if path:
         Us = selectors.su_path(rng, n, k, 1e-3).matrices[:k]
     else:
-        Us = [spaces.special_unitary(rng, n) for _ in range(k)]
+        Us = [spaces.sample("sun", n, rng) for _ in range(k)]
     Us[int(rng.integers(k))] = np.exp(2j * np.pi * int(rng.integers(n)) / n) * np.eye(n)
     got = selectors.su_select_stack(np.stack(Us))
     want = np.array([oracles.su_select_by_loop(U) for U in Us])
@@ -120,7 +120,7 @@ def test_su_select_stack_names_first_bad_matrix(bad, where):
     with pytest.raises(SpecshrinkError) as single:
         selectors.su_select(bad)
     rng = np.random.default_rng(54)
-    Us = np.stack([spaces.special_unitary(rng, 3) for _ in range(10)])
+    Us = np.stack([spaces.sample("sun", 3, rng) for _ in range(10)])
     Us[where] = bad
     if where < 9:
         Us[9] = np.diag([1.0, -1.0, 1.0])  # a later bad matrix is not the one named
@@ -145,7 +145,7 @@ def test_unitarity_screen_keeps_the_svd_verdict(monkeypatch):
 
     def scaled(target):
         e = np.sqrt(1.0 + target) - 1.0
-        return spaces.special_unitary(rng, n) @ np.diag([1.0 + e, 1.0 / (1.0 + e), 1.0])
+        return spaces.sample("sun", n, rng) @ np.diag([1.0 + e, 1.0 / (1.0 + e), 1.0])
 
     inside = [scaled(t * bound) for t in (1e-6, 0.5, 1.0 - 1e-4)]
     outside = scaled((1.0 + 1e-4) * bound)
@@ -208,9 +208,9 @@ def test_su_paths_reject_empty_paths_and_bad_steps(count, steps, step):
 def test_selector_path_needs_a_finite_step():
     for mats in ([], [np.eye(2)]):
         with pytest.raises(ValueError, match="at least one step"):
-            selectors.selector_path(selectors.hn_select, mats)
+            selectors.selector_path(oracles.hn_select_by_loop, mats)
     with pytest.raises(ValueError, match="finite"):
-        selectors.selector_path(selectors.hn_select, [np.eye(2)] * 3, [0.0, np.nan, 1.0])
+        selectors.selector_path(oracles.hn_select_by_loop, [np.eye(2)] * 3, [0.0, np.nan, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +226,7 @@ def test_un_lambda_examples():
 
 def test_un_lambda_continuity_away_from_cut():
     rng = np.random.default_rng(52)
-    Q = spaces.haar_unitary(rng, 2)
+    Q = spaces.sample("un", 2, rng)
     th0 = rng.uniform(-2.8, 2.0, size=2)
     drift = rng.uniform(-0.5, 0.5, size=2)
     vals = []
@@ -406,10 +406,10 @@ def test_monodromy_step_guard():
 # ---------------------------------------------------------------------------
 
 def test_hn_select_examples():
-    assert selectors.hn_select(np.diag([3.0, -1.0])) == pytest.approx(3.0)
-    assert selectors.hn_select(np.eye(4)) == pytest.approx(1.0)
+    assert selectors.hn_select_stack(np.diag([3.0, -1.0])[None])[0] == pytest.approx(3.0)
+    assert selectors.hn_select_stack(np.eye(4)[None])[0] == pytest.approx(1.0)
     with pytest.raises(NotHermitian):
-        selectors.hn_select(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        selectors.hn_select_stack(np.array([[0.0, 1.0], [0.0, 0.0]])[None])
 
 
 @settings(max_examples=30, deadline=None)
@@ -420,7 +420,7 @@ def test_hn_select_stack_bitwise_equals_loop(seed, n, k):
     want = np.array([oracles.hn_select_by_loop(h) for h in H])
     assert got.shape == (k,)
     assert np.array_equal(got, want)
-    assert selectors.hn_select(H[-1]) == want[-1]
+    assert selectors.hn_select_stack(H[-1][None])[0] == want[-1]
 
 
 @pytest.mark.parametrize("where", [0, 4, 9])
@@ -433,7 +433,7 @@ def test_hn_select_stack_names_first_bad_matrix(where):
     with pytest.raises(NotHermitian, match=f"matrix {where} of the stack: input is not"):
         selectors.hn_select_stack(H)
     with pytest.raises(NotHermitian, match="^input is not Hermitian within tolerance$"):
-        selectors.hn_select(bad)
+        selectors.hn_select_stack(bad[None])
     with pytest.raises(DimensionMismatch):
         selectors.hn_select_stack(np.eye(2))
 
@@ -448,10 +448,10 @@ def test_stacked_hn_path_equals_per_matrix_selection(seed, n, k, scale):
     ts = scale * np.arange(k)
     mats = [X0 + t * H1 for t in ts]
     got = selectors.selector_path(selectors.hn_select_stack, mats, ts)
-    want = selectors.selector_path(selectors.hn_select, mats, ts)
+    want = selectors.selector_path(oracles.hn_select_by_loop, mats, ts)
     assert got.values.dtype == want.values.dtype == complex
     assert np.array_equal(got.values, want.values)
-    assert np.array_equal(got.values.real, [selectors.hn_select(M) for M in mats])
+    assert np.array_equal(got.values.real, [selectors.hn_select_stack(M[None])[0] for M in mats])
 
 
 @pytest.mark.parametrize("bad, error, message", [
@@ -463,7 +463,7 @@ def test_stacked_hn_path_equals_per_matrix_selection(seed, n, k, scale):
 def test_stacked_hn_path_fails_as_the_one_matrix_call(bad, error, message):
     # a failed stacked call falls back to one matrix at a time: the bare message
     mats = [np.eye(2)] * 3 + [bad] + [np.eye(2)]
-    for select in (selectors.hn_select_stack, selectors.hn_select):
+    for select in (selectors.hn_select_stack, oracles.hn_select_by_loop):
         with pytest.raises(error, match=message):
             selectors.selector_path(select, mats)
 
@@ -473,9 +473,9 @@ def test_hn_select_is_lipschitz_along_paths():
     X = spaces.sample("hn", 4, rng)
     H = spaces.sample("hn", 4, rng)
     H /= core.opnorm(H)
-    prev = selectors.hn_select(X)
+    prev = selectors.hn_select_stack(X[None])[0]
     for k in range(1, 100):
         Y = X + 1e-2 * k * H
-        cur = selectors.hn_select(Y)
+        cur = selectors.hn_select_stack(Y[None])[0]
         assert abs(cur - prev) <= 1e-2 + 1e-9  # eigenvalue perturbation bound
         prev = cur

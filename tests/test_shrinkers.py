@@ -160,7 +160,7 @@ def test_sun_shrinker_examples():
 def test_sun_shrinker_continuity_along_path():
     import scipy.linalg
     rng = np.random.default_rng(4)
-    U = spaces.special_unitary(rng, 3)
+    U = spaces.sample("sun", 3, rng)
     g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     A = 0.5 * (g - g.conj().T)
     A -= (np.trace(A) / 3) * np.eye(3)

@@ -4,7 +4,7 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from specshrink import core, spaces
+from specshrink import calculus, core, spaces
 from specshrink.errors import UnsupportedDimension
 
 ALL_TAGS = [s.value for s in spaces.SpaceId]
@@ -66,7 +66,7 @@ def test_zero_dimension_rejected():
     with pytest.raises(UnsupportedDimension):
         spaces.sample("mn", 0)
     with pytest.raises(UnsupportedDimension):
-        spaces.semisimple_sample(np.random.default_rng(0), 0)
+        calculus.interpolation_defect(np.random.default_rng(0), 0, 1, [np.conj])
 
 
 def test_circle_point_budget_runs_out():
@@ -97,7 +97,7 @@ def test_ss_samples_are_semisimple_with_gaps():
 def test_haar_first_entry_square_is_uniform():
     # |U_11|^2 for Haar 2x2 is uniform on [0,1]
     rng = np.random.default_rng(103)
-    vals = np.array([abs(spaces.haar_unitary(rng, 2)[0, 0]) ** 2 for _ in range(5000)])
+    vals = np.array([abs(spaces.sample("un", 2, rng)[0, 0]) ** 2 for _ in range(5000)])
     stat = scipy.stats.kstest(vals, "uniform").statistic
     assert stat < 0.05
 
