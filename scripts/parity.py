@@ -11,6 +11,7 @@ importing its own ``src/`` and ``perfbench/``:
   ``perfbench.workloads.cli_invocations`` command on the inputs of the
   ``cli`` workload's passes 0-7 at seed 0, plus verify runs whose shrinker
   refuses the space (error reports), the ``hn`` and ``unlambda`` selectors
+  (one ``unlambda`` path long enough to cross its cut, a failing check)
   and monodromy loops at n = 2, 4, 5, 7, 8 and radii 0.5, 2 and 1e-40,
   which that workload does not run, and ``specshrink all`` once at seed 0;
 * the standard output of every ``demos/*.py`` script, which alone run
@@ -53,6 +54,9 @@ EXTRA_INVOCATIONS = (
                              "--shrinker", "hn-max"]),
     ("select-hn", ["select", "--selector", "hn"]),
     ("select-unlambda", ["select", "--selector", "unlambda"]),
+    # a path long enough to cross the cut: a failing continuity check
+    ("select-unlambda-across-cut", ["select", "--selector", "unlambda", "--steps", "1000",
+                                    "--step", "0.02"]),
     *((f"monodromy-{n}-r{r}", ["monodromy", "--n", str(n), "--r", r])
       for n in (2, 4, 5, 7, 8) for r in ("0.5", "2", "1e-40")),
 )

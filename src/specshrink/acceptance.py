@@ -115,23 +115,21 @@ def _crit_su_selector(seed):
     claim = ("special unitary eigenvalue selection is spectral, conjugation "
              "invariant and continuous along paths")
     rng = np.random.default_rng(seed)
-    spectral = 0.0
-    invariance = 0.0
+    gaps = []
+    moved = []
     for n in (2, 3, 4):
         Us, conjs = _su_conjugation_pairs(rng, n, 60)
         vals = selectors.su_select_stack(Us)
-        gaps = core.spectrum_inclusion_defect(vals[:, None], np.linalg.eigvals(Us))
-        spectral = max(spectral, float(gaps.max()))
+        gaps.append(core.spectrum_inclusion_defect(vals[:, None], np.linalg.eigvals(Us)))
         # the distance is Python's complex abs (libm hypot), not numpy's
-        moved = (selectors.su_select_stack(conjs) - vals).tolist()
-        invariance = max(invariance, max(map(abs, moved)))
+        moved += map(abs, (selectors.su_select_stack(conjs) - vals).tolist())
+    spectral = core.running_max(gaps)
+    invariance = core.running_max(moved)
 
     step = 1e-3
     nsteps = 500
-    max_jump = 0.0
-    for n in (2, 3, 4):
-        for path in selectors.su_paths(rng, n, 50, nsteps, step):
-            max_jump = max(max_jump, path.max_jump)
+    max_jump = core.running_max([path.max_jump for n in (2, 3, 4)
+                                 for path in selectors.su_paths(rng, n, 50, nsteps, step)])
 
     return [
         CheckResult.of(4, "su-selector-spectral", claim, spectral, selectors.SPECTRAL_TOL,
@@ -150,13 +148,14 @@ def _crit_su_selector(seed):
 def _crit_monodromy(seed):
     claim = "a loop of the corner parameter induces a single n-cycle on the eigenvalues"
     out = []
-    worst_ratio = 0.0
+    ratios = []
     all_cycles = True
     for n in range(2, 7):
         for r in (0.5, 1.0, 2.0):
             res = selectors.monodromy_xz(n, r, steps=max(64 * n, 256))
             all_cycles = all_cycles and res.is_single_cycle()
-            worst_ratio = max(worst_ratio, res.ratio_defect())
+            ratios.append(res.ratio_defect())
+    worst_ratio = core.running_max(ratios)
     out.append(CheckResult.of(5, "monodromy-cycles", claim,
                               0.0 if all_cycles else 1.0, 0.5,
                               {"n_range": [2, 6], "radii": [0.5, 1.0, 2.0]},
@@ -288,7 +287,7 @@ def _crit_reconstruct(seed):
     n = 3
     spaces_under_test = ("un", "nn", "gln_ss", "sln_ss")
 
-    worst_proj = 0.0
+    proj = []
     mode_failures = 0
     for k in range(25):
         T0 = _seeded_conjugator(rng, n)
@@ -297,11 +296,12 @@ def _crit_reconstruct(seed):
         for cls in reconstruct.classify_spaces(phi, spaces_under_test, n, seed=seed + k):
             if cls.mode != mode:
                 mode_failures += 1
-            worst_proj = max(worst_proj, reconstruct.projective_distance(cls.matrix, T0))
+            proj.append(reconstruct.projective_distance(cls.matrix, T0))
+    worst_proj = core.running_max(proj)
 
     T0 = _seeded_conjugator(rng, 4, max_cond=10.0)
     phi = reconstruct.make_oracle(reconstruct.MODE_CONJUGATION, T0)
-    inclusion = 0.0
+    containment = []
     dim_failures = 0
     for _ in range(100):
         q = spaces.sample(spaces.SpaceId.UN, 4, rng)
@@ -314,7 +314,8 @@ def _crit_reconstruct(seed):
         except Exception:
             dim_failures += 1
             continue
-        inclusion = max(inclusion, core.containment_defect(im1, im2))
+        containment.append(core.containment_defect(im1, im2))
+    inclusion = core.running_max(containment)
     lattice_ok = (reconstruct.lattice_compat_check(reconstruct.make_oracle("identity"), 4,
                                                    trials=20, seed=seed)
                   and reconstruct.lattice_compat_check(phi, 4, trials=20, seed=seed))
@@ -474,23 +475,25 @@ def compare_runs(first: list[CheckResult], second: list[CheckResult]) -> float:
     """Worst relative disagreement between the defects of two runs.
 
     Returns 0.0 for identical runs; raises if the runs have different
-    shapes.  The caller applies the bound: criterion 11 in the acceptance
-    tests passes when the result is at most 1e-12.
+    shapes; equal numbers or two NaN agree, and any other pair with a NaN or
+    an infinity differs by ``inf``.  The caller applies the bound: criterion
+    11 in the acceptance tests passes when the result is at most 1e-12.
     """
     fp1 = _numeric_fingerprint(first)
     fp2 = _numeric_fingerprint(second)
     if len(fp1) != len(fp2):
         raise ValueError("runs have different result counts")
-    worst = 0.0
+    gaps = []
     for (n1, d1, x1), (n2, d2, x2) in zip(fp1, fp2):
         if n1 != n2 or (d1 is None) != (d2 is None) or len(x1) != len(x2):
             raise ValueError(f"runs diverge structurally at {n1!r} vs {n2!r}")
         pairs = list(zip([0.0 if d1 is None else d1], [0.0 if d2 is None else d2]))
         pairs += [(a[1], b[1]) for a, b in zip(x1, x2)]
         for a, b in pairs:
-            denom = max(abs(a), abs(b), 1e-300)
-            worst = max(worst, abs(a - b) / denom)
-    return worst
+            same = a == b or (np.isnan(a) and np.isnan(b))
+            gap = 0.0 if same else abs(a - b) / max(abs(a), abs(b), 1e-300)
+            gaps.append(np.inf if np.isnan(gap) else gap)  # one-sided NaN or infinity
+    return core.running_max(gaps)
 
 
 def criterion_summary(results: list[CheckResult]) -> list[str]:
@@ -500,7 +503,7 @@ def criterion_summary(results: list[CheckResult]) -> list[str]:
         group = [r for r in results if r.criterion == crit]
         ok = all(r.passed for r in group)
         defects = [r.defect for r in group if r.defect is not None]
-        worst = f" worst defect {max(defects):.3e}" if defects else ""
+        worst = f" worst defect {core.running_max(defects):.3e}" if defects else ""
         lines.append(
             f"criterion {crit:2d} [{'PASS' if ok else 'FAIL'}] "
             f"{CRITERION_CLAIMS[crit]}:{worst} ({len(group)} checks)"

@@ -188,10 +188,9 @@ def perturbation_probe(F, X0, scale: float, samples: int, rng,
     n = A.shape[0]
     g = np.random.default_rng(rng)
     base = F(A)
-    worst = 0.0
-    produced = 0
+    moves = []
     rejected = 0
-    while produced < samples:
+    while len(moves) < samples:
         D = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
         D *= scale / core.opnorm(D)
         try:
@@ -201,9 +200,8 @@ def perturbation_probe(F, X0, scale: float, samples: int, rng,
             if rejected == spaces.MAX_TRIES:
                 raise NotSemisimple("perturbation resampling budget exhausted")
             continue
-        produced += 1
-        worst = max(worst, core.opnorm(val - base))
-    return worst, rejected
+        moves.append(core.opnorm(val - base))
+    return core.running_max(moves), rejected
 
 
 def continuity_probe(T, f: Callable[[complex], complex], scale: float,

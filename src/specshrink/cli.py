@@ -154,16 +154,6 @@ def _cmd_verify(args, started):
 # select
 # ---------------------------------------------------------------------------
 
-def _path_parameters(steps, step):
-    """The path parameters ``k * step``, k = 0..steps, refused before any
-    path matrix is built from them when one is not finite."""
-    # the largest parameter is steps * step; forming k * step for an
-    # infinite step would already warn at k = 0
-    if not (np.isfinite(step) and np.isfinite(steps * step)):
-        raise ValueError("path parameters must be finite")
-    return np.arange(steps + 1) * step
-
-
 def _cmd_select(args, started):
     rng = np.random.default_rng(args.seed)
     n, steps, step = args.n, args.steps, args.step
@@ -180,7 +170,7 @@ def _cmd_select(args, started):
         X0 = spaces.sample(spaces.SpaceId.HN, n, rng)
         H1 = spaces.sample(spaces.SpaceId.HN, n, rng)
         H1 /= core.opnorm(H1)
-        ts = _path_parameters(steps, step)
+        ts = selectors.path_parameters(steps, step)
         mats = [X0 + t * H1 for t in ts]
         path = selectors.selector_path(selectors.hn_select_stack, mats, ts)
     else:  # unlambda
@@ -195,10 +185,10 @@ def _cmd_select(args, started):
         # phase paths stay in a band strictly inside the cut's complement
         th0 = base + rng.uniform(0.4, 2 * np.pi - 0.4, size=n)
         drift = rng.uniform(-0.3, 0.3, size=n)
-        ts = _path_parameters(steps, step)
+        ts = selectors.path_parameters(steps, step)
         mats = [Q @ np.diag(np.exp(1j * (th0 + t * drift))) @ Q.conj().T for t in ts]
         path = selectors.selector_path(
-            lambda M: selectors.un_lambda_select(M, lam), mats, ts)
+            lambda Ms: selectors.un_lambda_select_stack(Ms, lam), mats, ts)
 
     results.append(CheckResult.of(None, "selector-continuity",
                                   "the selection varies continuously along the path",

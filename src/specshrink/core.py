@@ -108,9 +108,9 @@ def diagonals(lam) -> np.ndarray:
 
 
 def running_max(values) -> float:
-    """``max(0, v_1, v_2, ...)`` taken one value at a time, as a loop that
-    keeps a running worst from 0 takes it, over an array of any shape."""
-    return max([0.0, *np.asarray(values).ravel().tolist()])
+    """Every check's worst defect: ``max(0, v_1, v_2, ...)`` over an array of
+    any shape, and NaN when any value is NaN, so that the check fails."""
+    return float(np.max(np.asarray(values, dtype=float), initial=0.0))
 
 
 def call_oracle(phi, X) -> np.ndarray:

@@ -99,8 +99,8 @@ class PreserverClassification:
 
 
 def _worst_residual(phi, form, draws, worst: float = 0.0) -> float:
-    """Worst ``||phi(X) - form(X)|| / ||X||`` over the ``(k, n, n)`` stack
-    ``draws``, starting from ``worst``.
+    """Worst ``||phi(X) - form(X)|| / ||X||`` (NaN if a ratio is NaN) over the
+    ``(k, n, n)`` stack ``draws``, starting from ``worst``.
 
     Every validation stage draws its whole stack before the oracle sees
     any of it, so a sampler that runs out of budget raises before any
@@ -111,7 +111,7 @@ def _worst_residual(phi, form, draws, worst: float = 0.0) -> float:
     X = np.asarray(draws, dtype=complex)  # as core.opnorm norms a real draw
     images = core.call_oracle_stack(phi, X, X.shape[-1])
     ratios = core.opnorm(images - form(X)) / np.maximum(core.opnorm(X), 1e-300)
-    return max(worst, core.running_max(ratios))
+    return core.running_max(np.append(ratios, worst))
 
 
 def projective_distance(A, B) -> float:
@@ -242,7 +242,7 @@ def reconstruct(phi, n: int, validation_samples: int = VALIDATION_SAMPLES, seed:
     residual = _worst_residual(
         phi, lambda X: conjugate(T, X, mode),
         spaces.sample_stack(validation_space, n, validation_samples, rng))
-    if residual > RESIDUAL_TOL:
+    if not residual <= RESIDUAL_TOL:
         raise ResidualTooLarge(
             f"validation residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}; "
             "the oracle is not a conjugation or transpose-conjugation",
@@ -301,7 +301,7 @@ def torus_conjugator(phi, S, seed: int = 0) -> np.ndarray:
         phi, lambda X: conjugate(T_G, X),
         np.stack([S @ np.diag(spaces.circle_points(rng, n, 0.1 / n)) @ Sinv
                   for _ in range(VALIDATION_SAMPLES)]))
-    if residual > RESIDUAL_TOL:
+    if not residual <= RESIDUAL_TOL:
         raise ResidualTooLarge(
             f"torus validation residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}",
             residual=residual,
@@ -380,7 +380,7 @@ def classify_spaces(phi, space_names, n: int, validation_samples: int = VALIDATI
                 root_extension, cls.apply, _gl_star_ss_sample(rng, n, validation_samples),
                 residual)
 
-        if residual > RESIDUAL_TOL:
+        if not residual <= RESIDUAL_TOL:
             raise ResidualTooLarge(
                 f"full-space validation residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}; "
                 "the oracle is not of the conjugation form on this space",

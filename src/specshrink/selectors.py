@@ -59,20 +59,15 @@ class EigenPath:
     matrices: Optional[list] = None
 
     @property
-    def jumps(self) -> np.ndarray:
-        return np.abs(np.diff(self.values))
-
-    @property
     def max_jump(self) -> float:
-        j = self.jumps
-        return float(j.max()) if j.size else 0.0
+        return core.running_max(np.abs(np.diff(self.values)))
 
     def spectral_defect(self) -> float:
         """Worst distance from a selected value to the spectrum of its matrix."""
         if not self.matrices:
             raise ValueError("the path keeps no matrices to measure a spectral defect on")
         W = np.linalg.eigvals(np.stack(self.matrices))
-        return float(np.max(core.spectrum_inclusion_defect(self.values[:, None], W)))
+        return core.running_max(core.spectrum_inclusion_defect(self.values[:, None], W))
 
     def to_dict(self) -> dict:
         return {
@@ -87,12 +82,19 @@ class EigenPath:
 # Special unitary selector
 # ---------------------------------------------------------------------------
 
-def _check_unitary(U):
-    A = core.as_matrix(U)
-    n = A.shape[0]
-    if core.opnorm(A.conj().T @ A - np.eye(n)) > DOMAIN_TOL * (1.0 + n):
-        raise NotUnitary(f"input is not unitary within tolerance {DOMAIN_TOL}")
-    return A
+def _not_unitary(A) -> np.ndarray:
+    """Whether ``||U^H U - I|| > DOMAIN_TOL (1 + n)`` for each U of a finite
+    ``(k, n, n)`` stack.  The Frobenius norm bounds the operator norm, so
+    only rows whose Frobenius norm reaches the bound (less a rounding
+    margin) need the SVD; a NaN norm compares False, so finite input only."""
+    n = A.shape[1]
+    gram = np.conj(np.swapaxes(A, 1, 2)) @ A - np.eye(n)
+    bound = DOMAIN_TOL * (1.0 + n)
+    suspect = np.linalg.norm(gram, axis=(1, 2)) > bound * (1.0 - 1e-6)
+    failed = np.zeros(len(A), dtype=bool)
+    if suspect.any():
+        failed[suspect] = np.linalg.svd(gram[suspect], compute_uv=False)[:, 0] > bound
+    return failed
 
 
 def _su_points(Us) -> np.ndarray:
@@ -107,18 +109,11 @@ def _su_points(Us) -> np.ndarray:
     A = np.asarray(Us, dtype=complex)
     if A.ndim != 3 or A.shape[1] != A.shape[2] or A.shape[1] == 0:
         raise DimensionMismatch(f"expected a stack of square matrices, got shape {A.shape}")
-    k, n = A.shape[0], A.shape[1]
+    n = A.shape[1]
     finite = np.isfinite(A).all(axis=(1, 2))
     if not finite.all():
         A = np.where(finite[:, None, None], A, np.eye(n))  # keep LAPACK off non-finite
-    gram = np.conj(np.swapaxes(A, 1, 2)) @ A - np.eye(n)
-    # the Frobenius norm bounds the operator norm from above, so only rows
-    # whose Frobenius norm reaches the bound (less a rounding margin) need the SVD
-    bound = DOMAIN_TOL * (1.0 + n)
-    suspect = np.linalg.norm(gram, axis=(1, 2)) > bound * (1.0 - 1e-6)
-    not_unitary = np.zeros(k, dtype=bool)
-    if suspect.any():
-        not_unitary[suspect] = np.linalg.svd(gram[suspect], compute_uv=False)[:, 0] > bound
+    not_unitary = _not_unitary(A)
     det_off = np.abs(np.linalg.det(A) - 1.0) > DOMAIN_TOL * n
     theta = np.sort(np.mod(np.angle(np.linalg.eigvals(A)) / TWO_PI, 1.0), axis=1)
     total = theta.sum(axis=1)
@@ -174,21 +169,27 @@ def su_select(U) -> complex:
 # Largest-argument selector on unitaries avoiding a ray
 # ---------------------------------------------------------------------------
 
-def un_lambda_select(U, lam: complex) -> complex:
-    """Eigenvalue of U maximizing the argument branch cut along the ray of lam.
+def un_lambda_select_stack(Us, lam: complex) -> np.ndarray:
+    """Eigenvalue of each unitary of a ``(k, n, n)`` stack maximizing the
+    argument with the branch cut along the ray of lam.
 
     Defined on unitaries whose spectrum avoids the modulus-1 point ``lam``;
     any continuous branch on the cut plane differs by a constant, so the
-    maximizer does not depend on the branch convention.
+    maximizer does not depend on the branch convention.  The first matrix
+    that is not unitary, or has ``lam`` in its spectrum, raises.
     """
-    A = _check_unitary(U)
+    A = core.as_matrix(Us, stack=True)
+    if A.ndim != 3:
+        raise DimensionMismatch(f"expected a (k, n, n) stack, got shape {A.shape}")
     vals = np.linalg.eigvals(A)
     lam = complex(lam)
-    if np.min(np.abs(vals - lam)) <= DOMAIN_TOL:
-        raise LambdaInSpectrum("the branch point is in the spectrum")
-    base = np.angle(lam)
-    branch = np.mod(np.angle(vals) - base, TWO_PI)
-    return complex(vals[int(np.argmax(branch))])
+    core.check_rows([
+        (_not_unitary(A), NotUnitary, f"input is not unitary within tolerance {DOMAIN_TOL}"),
+        (np.min(np.abs(vals - lam), axis=1) <= DOMAIN_TOL, LambdaInSpectrum,
+         "the branch point is in the spectrum"),
+    ])
+    branch = np.mod(np.angle(vals) - np.angle(lam), TWO_PI)
+    return vals[np.arange(len(vals)), np.argmax(branch, axis=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +300,7 @@ class MonodromyResult:
 
     def ratio_defect(self) -> float:
         """Worst distance of a root ratio from the primitive root exp(2 pi i / n)."""
-        return float(np.max(np.abs(self.ratios() - np.exp(2j * np.pi / self.n))))
+        return core.running_max(np.abs(self.ratios() - np.exp(2j * np.pi / self.n)))
 
 
 def corner_matrices(n: int, zs) -> np.ndarray:
@@ -360,16 +361,14 @@ def hn_select_stack(X) -> np.ndarray:
     return np.max(np.linalg.eigvalsh(A), axis=-1)
 
 
-hn_select_stack.stacked = True
-
-
 def selector_path(select, mats, parameters=None) -> EigenPath:
-    """Apply a scalar selector along a matrix path and record the values.
+    """Apply a stacked selector along a matrix path and record the values.
 
-    A selector that opts in with a true ``stacked`` attribute, as
-    :func:`hn_select_stack` does, is called once on the ``(k, n, n)`` path
-    stack; any other selector, or a stacked one whose call fails, is called
-    one matrix at a time, so a failure raises as a one-matrix call does.
+    ``select`` maps a ``(k, n, n)`` stack to its k selected values, as
+    :func:`su_select_stack`, :func:`hn_select_stack` and
+    :func:`un_lambda_select_stack` do, and is called once on the path
+    stack.  When that call raises, it is called on each one-matrix stack
+    in order, so the failing matrix raises its bare one-matrix message.
     """
     mats = list(mats)
     if len(mats) < 2:
@@ -378,16 +377,24 @@ def selector_path(select, mats, parameters=None) -> EigenPath:
                             dtype=float)
     if not np.isfinite(parameters).all():
         raise ValueError("path parameters must be finite")
-    stacked = getattr(select, "stacked", False)
     try:
-        vals = select(np.stack(mats)) if stacked else None
-    except Exception:  # the one-matrix calls below raise for the failing matrix
-        vals = None
-    if vals is None:
-        one = (lambda M: select(np.asarray(M)[None])[0]) if stacked else select
-        vals = [one(M) for M in mats]
+        vals = select(np.stack(mats))
+    except Exception:
+        for M in mats:  # the failing matrix raises as a one-matrix call
+            select(np.asarray(M)[None])
+        raise
     return EigenPath(parameters=parameters, values=np.array(vals, dtype=complex),
                      matrices=mats)
+
+
+def path_parameters(steps: int, step: float) -> np.ndarray:
+    """The path parameters ``k * step``, k = 0..steps, refused before any
+    path matrix is built from them when one is not finite."""
+    # the largest parameter is steps * step; forming k * step for an
+    # infinite step would already warn at k = 0
+    if not (np.isfinite(step) and np.isfinite(steps * step)):
+        raise ValueError("path parameters must be finite")
+    return np.arange(steps + 1) * step
 
 
 def _skew_traceless(rng, n):
@@ -423,13 +430,14 @@ def su_paths(rng, n: int, count: int, steps: int, step: float,
     if count < 1 or steps < 1:
         raise ValueError(f"need at least one path of one step, got {count} paths "
                          f"of {steps} steps")
-    if not np.isfinite(step):
-        raise ValueError(f"the step must be finite, got {step}")
+    parameters = path_parameters(steps, step)
     z = np.empty((count, 2, n, n))
     E = np.empty((count, n, n), dtype=complex)
     for i in range(count):
         z[i] = rng.standard_normal((2, n, n))  # sample("sun")'s Gaussians
         E[i] = expm(step * _skew_traceless(rng, n))
+    if not np.isfinite(E).all():
+        raise ValueError(f"exp(step A) is not finite at step {step}")
     U = spaces._unit_determinant(spaces._haar(z))
     values = np.empty((count, steps + 1), dtype=complex)
     matrices = [[] for _ in range(count)] if keep_matrices else None
@@ -445,7 +453,6 @@ def su_paths(rng, n: int, count: int, steps: int, step: float,
         if keep_matrices:
             for i in range(count):
                 matrices[i].extend(stack[i])
-    parameters = np.arange(steps + 1) * step
     return [EigenPath(parameters=parameters, values=values[i],
                       matrices=matrices[i] if keep_matrices else None)
             for i in range(count)]

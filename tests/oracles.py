@@ -187,6 +187,25 @@ def hn_select_by_loop(X):
     return float(np.max(np.linalg.eigvalsh(A)))
 
 
+def un_lambda_select_by_loop(U, lam):
+    """The cut-plane selector on one matrix, as first written: check that U
+    is unitary and that ``lam`` is off its spectrum, then take the
+    eigenvalue of largest argument measured from the ray of ``lam``."""
+    from specshrink import core, selectors
+    from specshrink.errors import LambdaInSpectrum, NotUnitary
+
+    A = core.as_matrix(U)
+    n = A.shape[0]
+    if core.opnorm(A.conj().T @ A - np.eye(n)) > selectors.DOMAIN_TOL * (1.0 + n):
+        raise NotUnitary(f"input is not unitary within tolerance {selectors.DOMAIN_TOL}")
+    vals = np.linalg.eigvals(A)
+    lam = complex(lam)
+    if np.min(np.abs(vals - lam)) <= selectors.DOMAIN_TOL:
+        raise LambdaInSpectrum("the branch point is in the spectrum")
+    branch = np.mod(np.angle(vals) - np.angle(lam), 2.0 * np.pi)
+    return complex(vals[int(np.argmax(branch))])
+
+
 def su_select_by_loop(U):
     """The special unitary selector one matrix at a time, as first written:
     validate, sort the eigenvalue angles, rotate the integer excess to the

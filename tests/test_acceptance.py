@@ -156,6 +156,18 @@ def test_criterion_11_determinism(results):
     assert passed
 
 
+@pytest.mark.parametrize("a, b, want", [
+    (0.5, 0.5, 0.0), (np.nan, np.nan, 0.0), (np.nan, 0.5, np.inf), (0.5, np.nan, np.inf),
+    (np.inf, 0.5, np.inf), (0.5, 0.25, 0.5)])
+def test_compare_runs_reads_a_one_sided_nan_as_disagreement(a, b, want):
+    def run(defect, value):
+        return [acceptance.CheckResult.of(1, "check", "", defect, 1.0, {"x": 1.0}),
+                acceptance.CheckResult.of(2, "other", "", 0.0, 1.0, {"value": value})]
+
+    assert acceptance.compare_runs(run(a, 0.0), run(b, 0.0)) == want
+    assert acceptance.compare_runs(run(0.0, a), run(0.0, b)) == want
+
+
 # ---------------------------------------------------------------------------
 # Criterion 4 in a forked child
 # ---------------------------------------------------------------------------

@@ -112,6 +112,8 @@ MALFORMED_MATRIX_FILES = {
     ["select", "--selector", "hn", "--step", "inf"],
     ["select", "--selector", "unlambda", "--step", "nan"],
     ["select", "--selector", "hn", "--step", "1e308"],
+    ["select", "--selector", "su", "--step", "1e306"],
+    ["select", "--selector", "su", "--step", "1e200"],
     ["reconstruct", "--oracle", "conj:no-n.json", "--n", "3"],
     ["reconstruct", "--oracle", "conj:list.json", "--n", "3"],
     ["reconstruct", "--oracle", "conj:3x3-entries-for-n-2.json", "--n", "3"],

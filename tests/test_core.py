@@ -211,6 +211,16 @@ def test_poly_power_rejects_nonpositive_powers():
 # spectrum comparison
 # ---------------------------------------------------------------------------
 
+def test_running_max_fails_on_nan():
+    # a NaN defect is the worst, so the check that reads it fails
+    with np.errstate(invalid="raise"):
+        assert np.isnan(core.running_max([0.5, np.nan]))
+        assert np.isnan(core.running_max(np.array([[np.nan], [0.5]])))
+        assert core.running_max([]) == 0.0
+        assert core.running_max([-1.0, -2.0]) == 0.0
+        assert core.running_max(np.array([[0.25, 3.0], [1.0, 2.0]])) == 3.0
+
+
 def test_inclusion_defect_examples():
     assert core.spectrum_inclusion_defect([1, 2], [1, 2, 3]) == 0
     assert core.spectrum_inclusion_defect([1, 2, 3], [1, 2]) == pytest.approx(1.0)

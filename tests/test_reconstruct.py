@@ -293,6 +293,21 @@ def test_classify_round_trip(space):
         assert cls.residual <= 1e-6
 
 
+def test_a_nan_residual_fails_validation(monkeypatch):
+    # a residual that could not be computed is refused, as a large one is
+    identity = reconstruct.make_oracle("identity")
+    monkeypatch.setattr(reconstruct, "_worst_residual", lambda *args: np.nan)
+    with pytest.raises(ResidualTooLarge, match="^validation residual nan"):
+        reconstruct.reconstruct(identity, 3)
+    with pytest.raises(ResidualTooLarge, match="^torus validation residual nan"):
+        reconstruct.torus_conjugator(identity, np.eye(3), seed=0)
+    # only the full-space stage, which starts from the basis stage's worst, reads NaN
+    monkeypatch.setattr(reconstruct, "_worst_residual",
+                        lambda phi, form, draws, worst=None: 0.0 if worst is None else np.nan)
+    with pytest.raises(ResidualTooLarge, match="^full-space validation residual nan"):
+        reconstruct.classify_preserver(identity, "un", 3)
+
+
 def test_classify_rejects_involution():
     with pytest.raises(ResidualTooLarge) as info:
         reconstruct.classify_preserver(theta.theta, "gln_ss", 3, seed=0)

@@ -11,6 +11,7 @@ from specshrink.errors import (
     LambdaInSpectrum,
     NotHermitian,
     NotSpecialUnitary,
+    NotUnitary,
     SpecshrinkError,
 )
 
@@ -79,7 +80,7 @@ def test_su_select_path_continuity():
         for _ in range(300):
             mats.append(U)
             U = E @ U
-        path = selectors.selector_path(selectors.su_select, mats)
+        path = selectors.selector_path(selectors.su_select_stack, mats)
         assert path.max_jump <= 0.05
 
 
@@ -199,8 +200,11 @@ def test_spectral_defect_needs_matrices():
 
 
 @pytest.mark.parametrize("count, steps, step", [
-    (0, 10, 1e-3), (2, 0, 1e-3), (2, -2, 1e-3), (2, 10, np.nan), (2, 10, np.inf)])
+    (0, 10, 1e-3), (2, 0, 1e-3), (2, -2, 1e-3), (2, 10, np.nan), (2, 10, np.inf),
+    (2, 500, 1e306), (2, 500, 1e200)])
 def test_su_paths_reject_empty_paths_and_bad_steps(count, steps, step):
+    # 500 steps of 1e306 overflow the path parameters; a step of 1e200
+    # keeps them finite but overflows exp(step A)
     with pytest.raises(ValueError):
         selectors.su_paths(np.random.default_rng(58), 3, count, steps, step)
 
@@ -208,9 +212,9 @@ def test_su_paths_reject_empty_paths_and_bad_steps(count, steps, step):
 def test_selector_path_needs_a_finite_step():
     for mats in ([], [np.eye(2)]):
         with pytest.raises(ValueError, match="at least one step"):
-            selectors.selector_path(oracles.hn_select_by_loop, mats)
+            selectors.selector_path(selectors.hn_select_stack, mats)
     with pytest.raises(ValueError, match="finite"):
-        selectors.selector_path(oracles.hn_select_by_loop, [np.eye(2)] * 3, [0.0, np.nan, 1.0])
+        selectors.selector_path(selectors.hn_select_stack, [np.eye(2)] * 3, [0.0, np.nan, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +222,15 @@ def test_selector_path_needs_a_finite_step():
 # ---------------------------------------------------------------------------
 
 def test_un_lambda_examples():
-    assert selectors.un_lambda_select(np.diag([1.0, 1j]), -1.0) == pytest.approx(1j)
-    assert selectors.un_lambda_select(np.diag([1.0]), -1.0) == pytest.approx(1.0)
-    with pytest.raises(LambdaInSpectrum):
-        selectors.un_lambda_select(np.diag([-1.0, 1j]), -1.0)
+    got = selectors.un_lambda_select_stack(np.diag([1.0, 1j])[None], -1.0)
+    assert got.shape == (1,) and got[0] == pytest.approx(1j)
+    assert selectors.un_lambda_select_stack(np.diag([1.0])[None], -1.0)[0] == pytest.approx(1.0)
+    with pytest.raises(LambdaInSpectrum, match="^the branch point is in the spectrum$"):
+        selectors.un_lambda_select_stack(np.diag([-1.0, 1j])[None], -1.0)
+    with pytest.raises(NotUnitary, match="^input is not unitary within tolerance"):
+        selectors.un_lambda_select_stack(2 * np.eye(2)[None], -1.0)
+    with pytest.raises(DimensionMismatch):
+        selectors.un_lambda_select_stack(np.eye(2), -1.0)
 
 
 def test_un_lambda_continuity_away_from_cut():
@@ -229,21 +238,45 @@ def test_un_lambda_continuity_away_from_cut():
     Q = spaces.sample("un", 2, rng)
     th0 = rng.uniform(-2.8, 2.0, size=2)
     drift = rng.uniform(-0.5, 0.5, size=2)
-    vals = []
-    for k in range(400):
-        phases = np.exp(1j * (th0 + 1e-3 * k * drift))
-        U = Q @ np.diag(phases) @ Q.conj().T
-        vals.append(selectors.un_lambda_select(U, -1.0))
+    Us = [Q @ np.diag(np.exp(1j * (th0 + 1e-3 * k * drift))) @ Q.conj().T
+          for k in range(400)]
+    vals = selectors.un_lambda_select_stack(np.stack(Us), -1.0)
     assert np.max(np.abs(np.diff(vals))) <= 0.05
 
 
 def test_un_lambda_jumps_across_cut():
     # one eigenvalue sweeps through the branch ray: O(1) jump appears
-    vals = []
-    for th in np.linspace(0.9 * np.pi, 1.1 * np.pi, 200):
-        U = np.diag([np.exp(1j * th), np.exp(0.2j)])
-        vals.append(selectors.un_lambda_select(U, -1.0))
+    Us = [np.diag([np.exp(1j * th), np.exp(0.2j)])
+          for th in np.linspace(0.9 * np.pi, 1.1 * np.pi, 200)]
+    vals = selectors.un_lambda_select_stack(np.stack(Us), -1.0)
     assert np.max(np.abs(np.diff(vals))) > 0.5
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, st.integers(1, 6), st.integers(1, 20))
+def test_un_lambda_select_stack_bitwise_equals_loop(seed, n, k):
+    rng = np.random.default_rng(seed)
+    Us = spaces.sample_stack("un", n, k, rng)
+    lam = np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+    got = selectors.un_lambda_select_stack(Us, lam)
+    want = np.array([oracles.un_lambda_select_by_loop(U, lam) for U in Us])
+    assert got.shape == (k,)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    (2 * np.eye(2), NotUnitary, "^input is not unitary within tolerance 1e-08$"),
+    (np.diag([-1.0, 1j]), LambdaInSpectrum, "^the branch point is in the spectrum$"),
+])
+def test_stacked_unlambda_path_fails_as_the_one_matrix_call(bad, error, message):
+    # the stacked call names matrix 3; the replay one matrix at a time raises bare
+    mats = [np.eye(2)] * 3 + [bad] + [np.eye(2)]
+    with pytest.raises(error, match="^matrix 3 of the stack: "):
+        selectors.un_lambda_select_stack(np.stack(mats), -1.0)
+    with pytest.raises(error, match=message):
+        selectors.selector_path(lambda Ms: selectors.un_lambda_select_stack(Ms, -1.0), mats)
+    with pytest.raises(error, match=message):
+        oracles.un_lambda_select_by_loop(bad, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +481,8 @@ def test_stacked_hn_path_equals_per_matrix_selection(seed, n, k, scale):
     ts = scale * np.arange(k)
     mats = [X0 + t * H1 for t in ts]
     got = selectors.selector_path(selectors.hn_select_stack, mats, ts)
-    want = selectors.selector_path(oracles.hn_select_by_loop, mats, ts)
-    assert got.values.dtype == want.values.dtype == complex
-    assert np.array_equal(got.values, want.values)
+    assert got.values.dtype == complex
+    assert np.array_equal(got.values, [oracles.hn_select_by_loop(M) for M in mats])
     assert np.array_equal(got.values.real, [selectors.hn_select_stack(M[None])[0] for M in mats])
 
 
@@ -461,11 +493,12 @@ def test_stacked_hn_path_equals_per_matrix_selection(seed, n, k, scale):
      "^matrix entries must be finite$"),
 ])
 def test_stacked_hn_path_fails_as_the_one_matrix_call(bad, error, message):
-    # a failed stacked call falls back to one matrix at a time: the bare message
+    # a failed stacked call is replayed one matrix at a time: the bare message
     mats = [np.eye(2)] * 3 + [bad] + [np.eye(2)]
-    for select in (selectors.hn_select_stack, oracles.hn_select_by_loop):
-        with pytest.raises(error, match=message):
-            selectors.selector_path(select, mats)
+    with pytest.raises(error, match=message):
+        selectors.selector_path(selectors.hn_select_stack, mats)
+    with pytest.raises(error, match=message):
+        oracles.hn_select_by_loop(bad)
 
 
 def test_hn_select_is_lipschitz_along_paths():

@@ -118,6 +118,31 @@ def test_batched_check_equals_the_loop(seed, space, n, p, samples):
     want = oracles.verify_shrinker_defects_by_loop(phi, space, n, (p + 1) * n, samples, seed)
     assert (rep.inclusion_defect, rep.powerlaw_defect) == want
 
+def test_a_powerlaw_defect_that_overflows_fails():
+    # blockdiag(X, lambda_1 I_3) keeps the spectrum inside X's but breaks the
+    # power law by about 1e2; two large nilpotent entries leave the spectrum
+    # alone and overflow the image's characteristic polynomial to NaN
+    import scipy.linalg
+
+    from specshrink.acceptance import CheckResult
+
+    def lopsided(big):
+        def phi(X):
+            Y = scipy.linalg.block_diag(X, core.spectrum(X)[0] * np.eye(3))
+            Y[3, 4] = Y[4, 5] = big
+            return Y
+        return phi
+
+    with np.errstate(all="ignore"):
+        plain = shrinkers.verify_shrinker(lopsided(0.0), "gln", 3, 6, samples=20, seed=0)
+        huge = shrinkers.verify_shrinker(lopsided(1e160), "gln", 3, 6, samples=20, seed=0)
+    assert plain.powerlaw_defect > 1.0
+    assert np.isnan(huge.powerlaw_defect)
+    assert huge.inclusion_defect <= shrinkers.INCLUSION_TOL
+    check = CheckResult.of(1, "powerlaw", "", huge.powerlaw_defect, shrinkers.POWERLAW_TOL)
+    assert not check.passed
+
+
 def test_oracle_failure_and_dimension_mismatch():
     def broken(X):
         raise RuntimeError("boom")
