@@ -11,9 +11,10 @@ importing its own ``src/`` and ``perfbench/``:
   ``perfbench.workloads.cli_invocations`` command on the inputs of the
   ``cli`` workload's passes 0-7 at seed 0, plus verify runs whose shrinker
   refuses the space (error reports), the ``hn`` and ``unlambda`` selectors
-  (one ``unlambda`` path long enough to cross its cut, a failing check)
-  and monodromy loops at n = 2, 4, 5, 7, 8 and radii 0.5, 2 and 1e-40,
-  which that workload does not run, and ``specshrink all`` once at seed 0;
+  (one ``unlambda`` path long enough to cross its cut, a failing check),
+  monodromy loops at n = 2, 4, 5, 7, 8 and radii 0.5, 2 and 1e-40 and
+  configuration-space checks at n = 1, 2, 6, 7 and 8, which that workload
+  does not run, and ``specshrink all`` once at seed 0;
 * the standard output of every ``demos/*.py`` script, which alone run
   ``reconstruct.torus_conjugator`` and ``lattice_compat_check`` at n = 3.
 
@@ -45,8 +46,8 @@ BUILD = ROOT / ".bench_build" / "parity"
 ACCEPTANCE_SEEDS = (0, 1, 2)
 CLI_PASSES = range(8)
 #: Verify runs whose shrinker raises on the space (the error report names
-#: the first failing sample), and the selectors and monodromy loops the
-#: workload leaves out.
+#: the first failing sample), and the selectors, monodromy loops and
+#: configuration-space sizes the workload leaves out.
 EXTRA_INVOCATIONS = (
     ("verify-su-scalar-on-gl", ["verify", "--space", "gl", "--n", "3", "--m", "6",
                                 "--shrinker", "su-scalar"]),
@@ -59,6 +60,8 @@ EXTRA_INVOCATIONS = (
                                     "--step", "0.02"]),
     *((f"monodromy-{n}-r{r}", ["monodromy", "--n", str(n), "--r", r])
       for n in (2, 4, 5, 7, 8) for r in ("0.5", "2", "1e-40")),
+    # the n <= 2 edge, the largest exhaustive n and the random-permutation branch
+    *((f"configspace-{n}", ["configspace", "--n", str(n)]) for n in (1, 2, 6, 7, 8)),
 )
 #: Invocations run once, at seed 0: ``all`` runs the whole acceptance suite,
 #: whose records the seeds above already compare.

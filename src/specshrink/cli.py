@@ -15,6 +15,7 @@ and only picks their parameters; results are
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -373,6 +374,7 @@ def _cmd_all(args, started):
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="specshrink",
@@ -453,8 +455,7 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     started = time.perf_counter()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args, started)
     except (SpecshrinkError, ValueError, OSError, ZeroDivisionError) as exc:

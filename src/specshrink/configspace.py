@@ -49,6 +49,12 @@ def all_permutations(n: int):
     return itertools.permutations(range(n))
 
 
+def _permutation_rows(n: int) -> np.ndarray:
+    """All of S_n in lexicographic order, one int8 row per permutation."""
+    return np.fromiter(itertools.chain.from_iterable(all_permutations(n)), dtype=np.int8,
+                       count=math.factorial(n) * n).reshape(-1, n)
+
+
 @dataclass(frozen=True)
 class CirclePoints:
     """n distinct modulus-1 complex numbers."""
@@ -62,11 +68,8 @@ class CirclePoints:
             raise DegeneratePoints("need at least one point")
         if np.max(np.abs(np.abs(v) - 1.0)) > 1e-10:
             raise DegeneratePoints("points must lie on the unit circle")
-        if v.size > 1:
-            d = np.abs(v[:, None] - v[None, :])
-            np.fill_diagonal(d, np.inf)
-            if d.min() <= 1e-8:
-                raise DegeneratePoints("points must be pairwise distinct")
+        if spaces._min_gap(v) <= 1e-8:
+            raise DegeneratePoints("points must be pairwise distinct")
 
     @property
     def n(self) -> int:
@@ -85,32 +88,41 @@ class PermCoset:
 
     @classmethod
     def of(cls, n: int, tau: Perm) -> "PermCoset":
-        eta = eta_cycle(n)
-        best = tau
-        cur = tau
-        for _ in range(n - 1):
-            cur = compose(cur, eta)
-            if cur < best:
-                best = cur
-        return cls(n, tuple(best))
+        return cls(n, tuple(coset_representatives(np.array([tau]))[0].tolist()))
 
     def contains(self, sigma: Perm) -> bool:
         return PermCoset.of(self.n, tuple(sigma)) == self
 
     def left_multiply(self, sigma: Perm) -> "PermCoset":
-        return PermCoset.of(self.n, compose(tuple(sigma), self.rep))
+        return PermCoset(self.n, tuple(left_multiply_stack([sigma], self.rep)[0].tolist()))
+
+
+def coset_representatives(taus: np.ndarray) -> np.ndarray:
+    """Lex-minimal representatives of the cosets tau<eta>, one per row tau:
+    ``tau eta^s`` reads tau cyclically from position s, so the least one
+    starts at symbol 0."""
+    n = taus.shape[1]
+    return np.take_along_axis(taus, (np.argmin(taus, axis=1)[:, None] + np.arange(n)) % n, axis=1)
+
+
+def left_multiply_stack(sigmas, rep: Perm) -> np.ndarray:
+    """Representatives of the cosets ``sigma rep<eta>``, one per row sigma."""
+    return coset_representatives(np.asarray(sigmas)[:, list(rep)])
+
+
+def _classify_acted(pts: CirclePoints, sigmas) -> np.ndarray:
+    """Components of ``sigma . pts``, one per row sigma (not validated again:
+    the points are those of ``pts`` reordered), each read counterclockwise
+    from the smallest principal argument in [0, 2 pi); another start changes
+    the permutation by a power of eta, which the coset quotient absorbs."""
+    acted = np.empty(np.shape(sigmas))
+    np.put_along_axis(acted, np.asarray(sigmas), np.mod(np.angle(pts.z), 2.0 * np.pi), axis=1)
+    return coset_representatives(np.argsort(acted, axis=1, kind="stable"))
 
 
 def classify_component(pts: CirclePoints) -> PermCoset:
-    """Coset of the permutation enumerating the points counterclockwise.
-
-    The traversal starts at the point of smallest principal argument in
-    [0, 2 pi); starting anywhere else changes the permutation by a power
-    of eta, which the coset quotient absorbs.
-    """
-    angles = np.mod(np.angle(pts.z), 2.0 * np.pi)
-    tau = tuple(int(i) for i in np.argsort(angles, kind="stable"))
-    return PermCoset.of(pts.n, tau)
+    """Coset of the permutation enumerating the points counterclockwise."""
+    return PermCoset(pts.n, tuple(_classify_acted(pts, [identity_perm(pts.n)])[0].tolist()))
 
 
 def act(sigma: Perm, pts: CirclePoints) -> CirclePoints:
@@ -125,26 +137,16 @@ def isotropy_of_component(pts: CirclePoints) -> set:
     Exhaustive over S_n; the result is the conjugate of the cyclic group
     generated by eta by any coset representative.
     """
-    base = classify_component(pts)
-    return {
-        sigma
-        for sigma in all_permutations(pts.n)
-        if classify_component(act(sigma, pts)) == base
-    }
+    sigmas = _permutation_rows(pts.n)
+    fixed = (_classify_acted(pts, sigmas) == classify_component(pts).rep).all(axis=1)
+    return {tuple(s) for s in sigmas[fixed].tolist()}
 
 
 def expected_isotropy(coset: PermCoset) -> set:
-    """``g <eta> g^{-1}`` for g the stored coset representative."""
-    n = coset.n
-    g = coset.rep
-    ginv = inverse(g)
-    eta = eta_cycle(n)
-    out = set()
-    cur = identity_perm(n)
-    for _ in range(n):
-        out.add(compose(g, compose(cur, ginv)))
-        cur = compose(cur, eta)
-    return out
+    """``g <eta> g^{-1}`` for g the stored coset representative: row s of
+    ``g[(g^{-1} + s) mod n]`` is ``g eta^s g^{-1}``."""
+    shifts = (np.array(inverse(coset.rep)) + np.arange(coset.n)[:, None]) % coset.n
+    return {tuple(r) for r in np.array(coset.rep)[shifts].tolist()}
 
 
 #: Largest n whose checks run over all of S_n; above it equivariance is
@@ -173,13 +175,12 @@ def classification_failures(rng, n: int, trials: int) -> tuple[int, Optional[int
     for _ in range(trials):
         pts = CirclePoints(spaces.circle_points(rng, n, 0.15))
         base = classify_component(pts)
-        sigmas = (all_permutations(n) if exhaustive
-                  else [tuple(rng.permutation(n)) for _ in range(RANDOM_PERMUTATIONS)])
-        for sigma in sigmas:
-            if classify_component(act(sigma, pts)) != base.left_multiply(sigma):
-                equivariance += 1
+        sigmas = (_permutation_rows(n) if exhaustive
+                  else np.array([rng.permutation(n) for _ in range(RANDOM_PERMUTATIONS)]))
+        reps = _classify_acted(pts, sigmas)
+        equivariance += int((reps != left_multiply_stack(sigmas, base.rep)).any(axis=1).sum())
         if exhaustive:
-            iso = isotropy_of_component(pts)
+            iso = {tuple(s) for s in sigmas[(reps == base.rep).all(axis=1)].tolist()}
             if iso != expected_isotropy(base) or len(iso) != n:
                 isotropy += 1
     return equivariance, (isotropy if exhaustive else None)
@@ -204,9 +205,7 @@ def verify_cycle_decomposition(n: int) -> bool:
     if not 2 <= n <= 8:
         raise ValueError("exhaustive range is 2 <= n <= 8")
     eta = eta_cycle(n)
-    count = math.factorial(n)
-    thetas = np.fromiter(itertools.chain.from_iterable(all_permutations(n)),
-                         dtype=np.int8, count=count * n).reshape(count, n)
+    thetas = _permutation_rows(n)
     # c(theta(j)) = theta(eta(j)), written column by column
     c = np.empty_like(thetas)
     rows = np.arange(len(thetas))

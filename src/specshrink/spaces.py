@@ -139,20 +139,20 @@ def _simple_complex_tuple(rng, n, modulus_band=None, unit_product=False,
     product 1 and participates in every rejection test.
     """
     g = np.random.default_rng(rng)
+    lo, hi = modulus_band or (0.0, np.inf)
+    root2 = np.sqrt(2)
     for _ in range(MAX_TRIES):
-        lam = (g.standard_normal(n) + 1j * g.standard_normal(n)) / np.sqrt(2)
+        # n real parts, then n imaginary parts, each row read as one complex number
+        lam = np.ascontiguousarray(g.standard_normal((2, n)).T).view(complex)[:, 0] / root2
         if unit_product:
-            head = lam[: n - 1]
-            prod = np.prod(head) if n > 1 else 1.0 + 0j
+            prod = lam[:-1].prod()
             if abs(prod) < 1e-6:
                 continue
-            lam = np.concatenate([head, [1.0 / prod]])
-        if modulus_band is not None:
-            lo, hi = modulus_band
-            mods = np.abs(lam)
-            if np.any(mods < lo) or np.any(mods > hi):
-                continue
-        if n == 1 or _min_gap(lam) > min_gap:
+            lam[-1] = 1.0 / prod
+        mods = np.abs(lam)
+        gaps = np.abs(lam[:, None] - lam)
+        gaps.flat[::n + 1] = np.inf
+        if lo <= mods.min() and mods.max() <= hi and gaps.min() > min_gap:
             return lam
     raise UnsupportedDimension("could not draw a simple-spectrum tuple")
 

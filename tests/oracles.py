@@ -350,6 +350,90 @@ def cycle_decomposition_by_enumeration(n):
     return True
 
 
+def coset_representative_by_rotation(n, tau):
+    """The lex-least of the n rotations ``tau eta^s`` of a permutation, one
+    composition with eta at a time."""
+    from specshrink import configspace
+
+    eta = configspace.eta_cycle(n)
+    best = cur = tuple(tau)
+    for _ in range(n - 1):
+        cur = configspace.compose(cur, eta)
+        best = min(best, cur)
+    return best
+
+
+def expected_isotropy_by_loop(n, g):
+    """``g <eta> g^{-1}``, one power of eta and two compositions at a time."""
+    from specshrink import configspace
+
+    ginv = configspace.inverse(g)
+    eta = configspace.eta_cycle(n)
+    out = set()
+    cur = configspace.identity_perm(n)
+    for _ in range(n):
+        out.add(configspace.compose(g, configspace.compose(cur, ginv)))
+        cur = configspace.compose(cur, eta)
+    return out
+
+
+def classification_failures_by_loop(rng, n, trials):
+    """The configuration-space check as first written: each permutation's
+    acted configuration built (and validated) and classified on its own,
+    then all of S_n classified a second time for the isotropy."""
+    from specshrink import configspace as cs, spaces
+
+    def classify(pts):
+        angles = np.mod(np.angle(pts.z), 2.0 * np.pi)
+        return coset_representative_by_rotation(
+            pts.n, tuple(int(i) for i in np.argsort(angles, kind="stable")))
+
+    exhaustive = n <= cs.EXHAUSTIVE_MAX_N
+    equivariance = isotropy = 0
+    for _ in range(trials):
+        pts = cs.CirclePoints(spaces.circle_points(rng, n, 0.15))
+        base = classify(pts)
+        sigmas = (itertools.permutations(range(n)) if exhaustive
+                  else [tuple(rng.permutation(n)) for _ in range(cs.RANDOM_PERMUTATIONS)])
+        for sigma in sigmas:
+            moved = coset_representative_by_rotation(n, cs.compose(sigma, base))
+            if classify(cs.act(sigma, pts)) != moved:
+                equivariance += 1
+        if exhaustive:
+            iso = {sigma for sigma in itertools.permutations(range(n))
+                   if classify(cs.act(sigma, pts)) == base}
+            if iso != expected_isotropy_by_loop(n, base) or len(iso) != n:
+                isotropy += 1
+    return equivariance, (isotropy if exhaustive else None)
+
+
+def simple_complex_tuple_by_loop(rng, n, modulus_band=None, unit_product=False,
+                                 min_gap=None):
+    """The simple-tuple draw as first written: two draws of n normals per
+    attempt, then the product, band and gap tests one after another."""
+    from specshrink import spaces
+    from specshrink.errors import UnsupportedDimension
+
+    min_gap = spaces.SIMPLE_GAP if min_gap is None else min_gap
+    g = np.random.default_rng(rng)
+    for _ in range(spaces.MAX_TRIES):
+        lam = (g.standard_normal(n) + 1j * g.standard_normal(n)) / np.sqrt(2)
+        if unit_product:
+            head = lam[: n - 1]
+            prod = np.prod(head) if n > 1 else 1.0 + 0j
+            if abs(prod) < 1e-6:
+                continue
+            lam = np.concatenate([head, [1.0 / prod]])
+        if modulus_band is not None:
+            lo, hi = modulus_band
+            mods = np.abs(lam)
+            if np.any(mods < lo) or np.any(mods > hi):
+                continue
+        if n == 1 or spaces._min_gap(lam) > min_gap:
+            return lam
+    raise UnsupportedDimension("could not draw a simple-spectrum tuple")
+
+
 def char_poly_by_loop(X):
     """The trace recurrence on one matrix, as first written."""
     A = np.asarray(X, dtype=complex)

@@ -149,6 +149,42 @@ def test_import_leaves_scipy_unloaded():
     assert out.strip() == "[]"
 
 
+def test_import_builds_no_parser():
+    src = Path(cli.__file__).resolve().parent.parent
+    probe = "import specshrink.cli as c; print(c.build_parser.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "0"
+
+
+def test_main_calls_share_the_parser_but_no_state(capsys):
+    # different subcommands and defaults one after another, through one
+    # parser, give the reports of calls that each build their own
+    argvs = [["select", "--selector", "unlambda", "--steps", "50"],
+             ["select", "--steps", "50"],
+             ["configspace", "--n", "3", "--trials", "-1"],
+             ["select", "--selector", "hn", "--steps", "50", "--seed", "2"],
+             ["select", "--steps", "50"]]
+
+    def runs(fresh):
+        out = []
+        for argv in argvs:
+            if fresh:
+                cli.build_parser.cache_clear()
+            code = cli.main(argv)
+            report = json.loads(capsys.readouterr().out)
+            report.pop("wall_time")
+            out.append((code, report))
+        return out
+
+    shared = runs(fresh=False)
+    assert cli.build_parser.cache_info().currsize == 1
+    assert shared == runs(fresh=True)
+    assert [code for code, _ in shared] == [0, 0, 2, 0, 0]
+    assert shared[1][1]["config"]["selector"] == "su"
+
+
 def test_monodromy(capsys):
     code, report = run_cli(capsys, [
         "monodromy", "--n", "3", "--r", "1", "--steps", "512", "--seed", "0"])

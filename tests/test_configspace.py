@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from specshrink import configspace as cs
@@ -122,6 +123,47 @@ def test_coset_equality_semantics():
     assert cs.PermCoset.of(n, tau).contains(cs.compose(tau, cs.compose(eta, eta)))
     assert cs.PermCoset.of(n, tau) != cs.PermCoset.of(n, cs.compose(eta, tau)) or \
         cs.PermCoset.of(n, tau).contains(cs.compose(eta, tau))
+
+
+_permutation_stacks = st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_permutation_stacks)
+def test_coset_representatives_equal_the_rotation_loop(taus):
+    n = len(taus[0])
+    want = [oracles.coset_representative_by_rotation(n, tau) for tau in taus]
+    assert [tuple(r) for r in cs.coset_representatives(np.array(taus)).tolist()] == want
+    assert [cs.PermCoset.of(n, tau).rep for tau in taus] == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.permutations(range(n))))
+def test_expected_isotropy_equals_the_loop(tau):
+    coset = cs.PermCoset.of(len(tau), tau)
+    assert cs.expected_isotropy(coset) == oracles.expected_isotropy_by_loop(coset.n, coset.rep)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_classification_failures_equal_the_loop(n):
+    for seed in (0, 7, 19):
+        rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert cs.classification_failures(rng, n, 2) == \
+            oracles.classification_failures_by_loop(loop_rng, n, 2)
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_classification_rejects_right_multiplication(monkeypatch, n):
+    # composed on the wrong side, the check expects sigma . pts in the coset
+    # rep sigma <eta> where it lies in sigma rep <eta>; at n = 3, <eta> is the
+    # alternating group, normal in S_3, so the two always agree
+    monkeypatch.setattr(cs, "left_multiply_stack", lambda sigmas, rep: cs.coset_representatives(
+        np.asarray(rep)[np.asarray(sigmas)]))
+    equivariance, isotropy = cs.classification_failures(np.random.default_rng(0), n, 3)
+    assert (equivariance > 0) == (n > 3)
+    assert isotropy in (0, None)
 
 
 @pytest.mark.parametrize("n", range(2, 9))

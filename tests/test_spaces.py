@@ -184,3 +184,36 @@ def test_each_stacked_slot_keeps_its_own_budget(tag, k):
     got = spaces.sample_stack(tag, 3, k, g)
     assert np.array_equal(got, np.stack([good] * k))
     assert g.drawn == k * spaces.MAX_TRIES
+
+
+#: The simple-tuple options each caller passes: separated_pair,
+#: _normal_pair_draw, _semisimple_draw, mn_ss, gln_ss and sln_ss.
+TUPLE_OPTIONS = [
+    dict(min_gap=0.2),
+    dict(modulus_band=(0.3, 3.0), min_gap=0.1),
+    dict(modulus_band=(0.0, 2.5), min_gap=0.05),
+    dict(),
+    dict(modulus_band=(0.1, np.inf)),
+    dict(modulus_band=(1.0 / 3.0, 3.0), unit_product=True),
+]
+
+
+@pytest.mark.parametrize("options", TUPLE_OPTIONS, ids=lambda o: ",".join(o) or "default")
+@pytest.mark.parametrize("n", range(1, 9))
+def test_simple_tuple_draw_equals_the_loop(options, n):
+    for seed in range(10):
+        g, loop_g = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            got = spaces._simple_complex_tuple(g, n, **options)
+            want = oracles.simple_complex_tuple_by_loop(loop_g, n, **options)
+            assert got.tobytes() == want.tobytes()
+        assert g.bit_generator.state == loop_g.bit_generator.state
+
+
+def test_simple_tuple_budget_runs_out_as_the_loop():
+    g, loop_g = np.random.default_rng(4), np.random.default_rng(4)
+    for draw, rng in ((spaces._simple_complex_tuple, g),
+                      (oracles.simple_complex_tuple_by_loop, loop_g)):
+        with pytest.raises(UnsupportedDimension):
+            draw(rng, 3, modulus_band=(0.3, 3.0), min_gap=10.0)
+    assert g.bit_generator.state == loop_g.bit_generator.state
