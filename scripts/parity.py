@@ -12,9 +12,11 @@ importing its own ``src/`` and ``perfbench/``:
   ``cli`` workload's passes 0-7 at seed 0, plus verify runs whose shrinker
   refuses the space (error reports), the ``hn`` and ``unlambda`` selectors
   (one ``unlambda`` path long enough to cross its cut, a failing check),
-  monodromy loops at n = 2, 4, 5, 7, 8 and radii 0.5, 2 and 1e-40 and
-  configuration-space checks at n = 1, 2, 6, 7 and 8, which that workload
-  does not run, and ``specshrink all`` once at seed 0;
+  monodromy loops at n = 2, 4, 5, 7, 8 and radii 0.5, 2 and 1e-40,
+  configuration-space checks at n = 1, 2, 6, 7 and 8, ``gl_star`` verify
+  runs, transpose reconstruction on ``sln_ss``, the theta probe and the
+  shifted square root of the calculus, which that workload does not run,
+  and ``specshrink all`` once at seed 0;
 * the standard output of every ``demos/*.py`` script, which alone run
   ``reconstruct.torus_conjugator`` and ``lattice_compat_check`` at n = 3.
 
@@ -62,6 +64,13 @@ EXTRA_INVOCATIONS = (
       for n in (2, 4, 5, 7, 8) for r in ("0.5", "2", "1e-40")),
     # the n <= 2 edge, the largest exhaustive n and the random-permutation branch
     *((f"configspace-{n}", ["configspace", "--n", str(n)]) for n in (1, 2, 6, 7, 8)),
+    # the det != -1 rejections of gln_star and of the sln_ss root extension,
+    # repeated eigenvalues through the cluster pass, and a shifted square root
+    ("verify-gl-star", ["verify", "--space", "gl_star", "--n", "3", "--m", "6"]),
+    ("reconstruct-transpose-sln-ss", ["reconstruct", "--oracle", "transpose",
+                                      "--space", "sln_ss", "--n", "3"]),
+    ("theta-probe", ["theta", "--check", "probe"]),
+    ("calculus-sqrt-shift", ["calculus", "--f", "sqrt-shift", "--n", "4"]),
 )
 #: Invocations run once, at seed 0: ``all`` runs the whole acceptance suite,
 #: whose records the seeds above already compare.

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import calculus, configspace, core, reconstruct, selectors, shrinkers, spaces, theta
-from .errors import ResidualTooLarge
+from .errors import ResidualTooLarge, SpecshrinkError
 
 
 @dataclass(frozen=True)
@@ -311,7 +311,7 @@ def _crit_reconstruct(seed):
         Wp = core.Subspace(q[:, :d2])
         try:
             im1, im2 = reconstruct.psi(phi, [W, Wp])
-        except Exception:
+        except SpecshrinkError:
             dim_failures += 1
             continue
         containment.append(core.containment_defect(im1, im2))

@@ -49,12 +49,9 @@ def _clusters(w, grouping_tol: float) -> list[tuple[complex, np.ndarray]]:
     pairs; clusters closer than ``10 * grouping_tol`` are refused."""
     clusters = core.cluster_points(w, grouping_tol)
     reps = [complex(w[idx].mean()) for idx in clusters]
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            if abs(reps[i] - reps[j]) <= 10.0 * grouping_tol:
-                raise AmbiguousClustering(
-                    "eigenvalue clusters are not separated by 10x the grouping tolerance"
-                )
+    if core.min_gaps(np.array(reps)[None])[0] <= 10.0 * grouping_tol:
+        raise AmbiguousClustering(
+            "eigenvalue clusters are not separated by 10x the grouping tolerance")
     return list(zip(reps, clusters))
 
 
@@ -100,7 +97,7 @@ def apply_function(T, f: Callable[[complex], complex],
     w, P = _semisimple_eig(As)
     Pinv = np.linalg.inv(P)
     # singletons that no clustering joins or calls ambiguous
-    simple = ~core.may_cluster(w, 10.0 * grouping_tol)
+    simple = core.min_gaps(w) > 10.0 * grouping_tol
     if simple.all():
         out = _singleton_sum(w, P, Pinv, f)
     else:
@@ -156,11 +153,8 @@ def lagrange_apply(T, f: Callable[[complex], complex]) -> np.ndarray:
     n = As.shape[-1]
     vals = np.linalg.eigvals(As)
     scale = 1.0 + core.opnorm(As)
-    if n > 1:
-        d = np.abs(vals[:, :, None] - vals[:, None, :])
-        d[:, np.arange(n), np.arange(n)] = np.inf
-        core.check_rows([(d.min(axis=(1, 2)) <= LAGRANGE_GAP_TOL * scale, AmbiguousClustering,
-                          "interpolation oracle requires simple spectrum")])
+    core.check_rows([(core.min_gaps(vals) <= LAGRANGE_GAP_TOL * scale, AmbiguousClustering,
+                      "interpolation oracle requires simple spectrum")])
     fv = np.array([[complex(f(v)) for v in row] for row in vals])
     eye = np.eye(n, dtype=complex)
     out = np.zeros_like(As)
@@ -205,7 +199,7 @@ def perturbation_probe(F, X0, scale: float, samples: int, rng,
 
 
 def continuity_probe(T, f: Callable[[complex], complex], scale: float,
-                     samples: int = 50, rng=None) -> float:
+                     samples: int = 50, *, rng) -> float:
     """Max ``||f(T + D) - f(T)||`` over random semisimple perturbations.
 
     Perturbations have operator norm exactly ``scale``; draws landing on a

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import spaces
+from . import core, spaces
 from .errors import DegeneratePoints
 
 Perm = tuple
@@ -68,7 +68,7 @@ class CirclePoints:
             raise DegeneratePoints("need at least one point")
         if np.max(np.abs(np.abs(v) - 1.0)) > 1e-10:
             raise DegeneratePoints("points must lie on the unit circle")
-        if spaces._min_gap(v) <= 1e-8:
+        if core.min_gaps(v[None])[0] <= 1e-8:
             raise DegeneratePoints("points must be pairwise distinct")
 
     @property

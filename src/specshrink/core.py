@@ -206,55 +206,39 @@ def spectrum(X) -> np.ndarray:
     return canonical_spectrum(vals)
 
 
+def min_gaps(w) -> np.ndarray:
+    """The ``(k,)`` smallest pairwise distances within the rows of the
+    ``(k, n)`` values ``w``, by numpy's array ``abs``; ``inf`` for a row of
+    fewer than two values."""
+    k, n = w.shape
+    d = np.abs(w[:, :, None] - w[:, None, :]).reshape(k, n * n)
+    d[:, ::n + 1] = np.inf  # the diagonal
+    return d.min(axis=1, initial=np.inf)
+
+
 def cluster_points(values, tol: float) -> list[np.ndarray]:
     """Single-linkage clusters of complex points at linking distance ``tol``.
 
-    Returns index arrays; two points land in one cluster when they are
-    connected by a chain of steps each shorter than ``tol``.
+    Returns index arrays, ordered by least index, members ascending; two
+    points land in one cluster when a chain of steps each at most ``tol``
+    long by numpy's array ``abs`` connects them.  Each point takes the least
+    label it links to until no label moves: each cluster's least index.
     """
     vals = np.asarray(values, dtype=complex).ravel()
     n = vals.size
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(vals[i] - vals[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return [np.array(g) for g in groups.values()]
+    link = np.abs(vals[:, None] - vals) <= tol
+    labels = np.arange(n)
+    while True:
+        moved = np.minimum(labels, np.where(link, labels, n).min(axis=1, initial=n))
+        if np.array_equal(moved, labels):
+            break
+        labels = moved
+    return [np.flatnonzero(labels == label) for label in np.unique(labels)]
 
 
 # ---------------------------------------------------------------------------
 # Eigendecomposition
 # ---------------------------------------------------------------------------
-
-#: Margin of the cluster screens (:func:`eig_decompose_stack`, and the
-#: calculus' grouping).  numpy's array ``abs`` can round differently from
-#: the scalar ``abs`` that :func:`cluster_points` decides with, by an ulp or
-#: so; a matrix whose array distances all exceed this multiple of the link
-#: distance has no cluster either way.
-CLUSTER_SCREEN = 2.0
-
-
-def may_cluster(w, link) -> np.ndarray:
-    """The cluster screen: one verdict per row of the ``(k, n)`` values
-    ``w``, true when two of its values lie within ``CLUSTER_SCREEN`` times
-    ``link`` (a scalar, or one per row) by the array ``abs``.  A row it
-    clears has no pair within ``link`` by the scalar ``abs`` either."""
-    link = np.reshape(CLUSTER_SCREEN * np.asarray(link, dtype=float), (-1, 1, 1))
-    # the n diagonal distances are exactly 0, so any further one is a pair
-    return (np.abs(w[:, :, None] - w[:, None, :]) <= link).sum(axis=(1, 2)) > w.shape[1]
-
 
 def eig_decompose_stack(X) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Eigendecompositions of a ``(k, n, n)`` stack: the canonically
@@ -269,8 +253,9 @@ def eig_decompose_stack(X) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     before judging conditioning; :func:`semisimplicity_check` turns the
     condition numbers into the semisimplicity verdict.  The solver, the
     norms, the conditioning and the sort run once on the stack, bit for bit
-    the one-matrix results; only matrices that may have a cluster take the
-    re-extraction, one at a time.
+    the one-matrix results; only matrices with a cluster, two eigenvalues
+    within the link by :func:`min_gaps`, take the re-extraction, one at a
+    time.
     """
     A = as_matrix(X, stack=True)
     if A.ndim != 3:
@@ -284,8 +269,7 @@ def eig_decompose_stack(X) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
             stack_message(k, i, "eigendecomposition did not converge")) from exc
     norm = opnorm(A)
     scale = 1.0 + norm
-    near = may_cluster(w, DEFAULT_EIG_TOL * scale)
-    for i in np.flatnonzero(near) if near.any() else ():
+    for i in np.flatnonzero(min_gaps(w) <= DEFAULT_EIG_TOL * scale):
         _reextract_clusters(A[i], w[i], P[i], scale[i])
     cond = condition_numbers(P)
     order = np.lexsort((w.imag, w.real), axis=-1)

@@ -398,16 +398,14 @@ def classify_preserver(phi, space, n: int, validation_samples: int = VALIDATION_
 
 def _gl_star_ss_sample(rng, n, k):
     """k semisimple invertible samples with det away from -1 and the
-    nonpositive real axis, where the principal root extension is defined.
+    nonpositive real axis, where the principal root extension is defined."""
+    def safe(x):
+        det = np.linalg.det(x)
+        return (np.abs(det + 1.0) > 1e-3) & (np.abs(np.angle(det)) < np.pi - 0.2)
 
-    The tests run on scalars, as numpy's array abs rounds differently
-    from its scalar abs.
-    """
     return spaces.rejection_stack(
         lambda m: spaces.sample_stack(spaces.SpaceId.GLN_SS, n, m, rng),
-        lambda x: [abs(det + 1.0) > 1e-3 and abs(np.angle(det)) < np.pi - 0.2
-                   for det in np.linalg.det(x)],
-        k, "could not draw a determinant-safe sample")
+        safe, k, "could not draw a determinant-safe sample")
 
 
 # ---------------------------------------------------------------------------

@@ -150,20 +150,9 @@ def _simple_complex_tuple(rng, n, modulus_band=None, unit_product=False,
                 continue
             lam[-1] = 1.0 / prod
         mods = np.abs(lam)
-        gaps = np.abs(lam[:, None] - lam)
-        gaps.flat[::n + 1] = np.inf
-        if lo <= mods.min() and mods.max() <= hi and gaps.min() > min_gap:
+        if lo <= mods.min() and mods.max() <= hi and core.min_gaps(lam[None])[0] > min_gap:
             return lam
     raise UnsupportedDimension("could not draw a simple-spectrum tuple")
-
-
-def _min_gap(vals) -> float:
-    v = np.asarray(vals).ravel()
-    if v.size < 2:
-        return np.inf
-    d = np.abs(v[:, None] - v[None, :])
-    np.fill_diagonal(d, np.inf)
-    return float(d.min())
 
 
 def _stack_draws(draws) -> tuple:
@@ -234,7 +223,7 @@ def circle_points(rng, n: int, min_gap: float) -> np.ndarray:
     g = np.random.default_rng(rng)
     for _ in range(MAX_TRIES):
         z = np.exp(2j * np.pi * g.uniform(size=n))
-        if _min_gap(z) > min_gap:
+        if core.min_gaps(z[None])[0] > min_gap:
             return z
     raise UnsupportedDimension(f"could not draw {n} circle points {min_gap} apart")
 
@@ -288,7 +277,7 @@ def _normal_pair(z, lam1, lam2) -> tuple[np.ndarray, np.ndarray]:
 # The main samplers
 # ---------------------------------------------------------------------------
 
-def sample(space, n: int, rng=None) -> np.ndarray:
+def sample(space, n: int, rng) -> np.ndarray:
     """Draw one matrix from the named space: the k = 1 case of :func:`sample_stack`.
 
     Output passes ``membership(space, .)``.  See the module docstring
@@ -297,7 +286,7 @@ def sample(space, n: int, rng=None) -> np.ndarray:
     return sample_stack(space, n, 1, rng)[0]
 
 
-def sample_stack(space, n: int, k: int, rng=None) -> np.ndarray:
+def sample_stack(space, n: int, k: int, rng) -> np.ndarray:
     """Draw k matrices from the named space as one ``(k, n, n)`` stack.
 
     Bit for bit the k matrices that k calls of :func:`sample` on the same
@@ -342,11 +331,9 @@ def sample_stack(space, n: int, k: int, rng=None) -> np.ndarray:
         a = _ginibre(g.standard_normal((k, 2, n, n)))
         return 0.5 * (a + core.adjoint(a))
     if sid is SpaceId.GLN_STAR:
-        # the distance is taken on scalars, as numpy's array abs rounds
-        # differently from its scalar abs
         return rejection_stack(
             lambda m: sample_stack(SpaceId.GLN, n, m, g),
-            lambda x: [abs(det + 1.0) > 1e-6 for det in np.linalg.det(x)],
+            lambda x: np.abs(np.linalg.det(x) + 1.0) > 1e-6,
             k, "det != -1 rejection sampling failed")
     raise ValueError(f"unhandled space {sid}")  # pragma: no cover
 

@@ -429,9 +429,46 @@ def simple_complex_tuple_by_loop(rng, n, modulus_band=None, unit_product=False,
             mods = np.abs(lam)
             if np.any(mods < lo) or np.any(mods > hi):
                 continue
-        if n == 1 or spaces._min_gap(lam) > min_gap:
+        if n == 1 or min_gap_by_loop(lam) > min_gap:
             return lam
     raise UnsupportedDimension("could not draw a simple-spectrum tuple")
+
+
+def min_gap_by_loop(vals):
+    """The smallest pairwise distance of a set of points as first written,
+    ``inf`` for fewer than two."""
+    v = np.asarray(vals).ravel()
+    if v.size < 2:
+        return np.inf
+    d = np.abs(v[:, None] - v[None, :])
+    np.fill_diagonal(d, np.inf)
+    return float(d.min())
+
+
+def cluster_points_by_loop(values, tol):
+    """Single-linkage clusters as first written: a union-find over every
+    pair, linked by the scalar ``abs``, groups in the order of their
+    roots' first members."""
+    vals = np.asarray(values, dtype=complex).ravel()
+    n = vals.size
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(vals[i] - vals[j]) <= tol:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return [np.array(g) for g in groups.values()]
 
 
 def char_poly_by_loop(X):
@@ -565,7 +602,7 @@ def eig_decompose_by_loop(X):
     w, P = np.linalg.eig(A)
     P = P.astype(complex, copy=True)
     scale = 1.0 + _opnorm_by_loop(A)
-    for idx in core.cluster_points(w, core.DEFAULT_EIG_TOL * scale):
+    for idx in cluster_points_by_loop(w, core.DEFAULT_EIG_TOL * scale):
         if len(idx) < 2:
             continue
         mu = w[idx].mean()
@@ -643,7 +680,7 @@ def apply_function_by_loop(T, f, grouping_tol=None):
     w, P, cond = eig_decompose_by_loop(T)
     if not cond <= 1.0 / core.DEFAULT_EIG_TOL:
         raise NotSemisimple("not semisimple")
-    clusters = core.cluster_points(w, tol)
+    clusters = cluster_points_by_loop(w, tol)
     reps = [complex(w[idx].mean()) for idx in clusters]
     for i, j in itertools.combinations(range(len(reps)), 2):
         if abs(reps[i] - reps[j]) <= 10.0 * tol:

@@ -8,13 +8,14 @@ line subcommand, so the reported defects are identical there.
 import multiprocessing
 import os
 import time
+import types
 
 import numpy as np
 import pytest
 
 import oracles
-from specshrink import acceptance
-from specshrink.errors import UnsupportedDimension
+from specshrink import acceptance, reconstruct
+from specshrink.errors import DimensionDrift, UnsupportedDimension
 
 SEED = 0
 
@@ -145,6 +146,25 @@ def test_criterion_10_reconstruction(results):
     assert by_name["reconstruct-lattice-compat"].passed
     assert by_name["reconstruct-rejects-involution"].details["rejected"]
     assert passed
+
+
+@pytest.mark.parametrize("error", [TypeError, DimensionDrift])
+def test_subspace_map_counts_only_library_errors(monkeypatch, error):
+    # a library error is a dimension failure of the map; any other
+    # exception is a fault of the harness or the oracle and surfaces.  Only
+    # the suite's own psi calls raise: reconstruct's inner ones run as before
+    def psi(*args):
+        raise error("injected")
+
+    monkeypatch.setattr(acceptance, "reconstruct",
+                        types.SimpleNamespace(**{**vars(reconstruct), "psi": psi}))
+    if error is TypeError:
+        with pytest.raises(TypeError, match="injected"):
+            acceptance._crit_reconstruct(SEED)
+        return
+    by_name = {r.name: r for r in acceptance._crit_reconstruct(SEED)}
+    sm = by_name["reconstruct-subspace-map"]
+    assert sm.details["dimension_failures"] == 100 and not sm.passed
 
 
 def test_criterion_11_determinism(results):

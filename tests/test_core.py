@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from specshrink import core
@@ -129,13 +129,50 @@ def test_stacked_eig_decompose_equals_each_row(seed, n, kinds):
 
 
 def test_eig_cluster_pass_runs_on_clustered_rows_only(monkeypatch):
-    # 1 and 1 + 1e-8 are one cluster at the link 1e-8 (1 + ||X||) = 4e-8
-    X = np.diag([1.0, 1.0 + 1e-8, 3.0]).astype(complex)
+    # at the link 1e-8 (1 + ||X||) = 4e-8, 1 is one cluster with 1 + 1e-8
+    # and with 1 + 3e-8, but not with 1 + 6e-8: the pass runs on exactly the
+    # rows whose clustering joins two eigenvalues
+    seconds = [2.0, 1.0 + 1e-8, 1.0 + 3e-8, 1.0 + 6e-8]
+    X = np.array([np.diag([1.0, s, 3.0]) for s in seconds], dtype=complex)
     calls = []
     real = core._reextract_clusters
-    monkeypatch.setattr(core, "_reextract_clusters", lambda *a: calls.append(1) or real(*a))
-    core.eig_decompose_stack(np.stack([np.diag([1.0, 2.0, 3.0]).astype(complex), X]))
-    assert calls == [1]
+    monkeypatch.setattr(core, "_reextract_clusters",
+                        lambda *a: calls.append(a[0][1, 1].real) or real(*a))
+    core.eig_decompose_stack(X)
+    assert calls == seconds[1:3]
+
+
+def test_min_gaps_equal_the_gap_loop():
+    rng = np.random.default_rng(3)
+    for n in range(9):
+        w = rand_complex(rng, max(n, 1))[:4, :n]
+        if n >= 2:
+            w[1, -1] = w[1, 0]  # an exact repeat: a zero gap
+        got = core.min_gaps(w)
+        want = [oracles.min_gap_by_loop(row) for row in w]
+        assert got.shape == (len(w),) and np.array_equal(got, want)
+        if n < 2:
+            assert np.all(got == np.inf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds, st.integers(0, 8), st.sampled_from([1e-8, 1e-6, 0.1]))
+def test_cluster_points_equal_the_union_find(seed, n, tol):
+    rng = np.random.default_rng(seed)
+    pts = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * rng.choice([tol, 1.0])
+    # plant chains: most points lie within about one link of an earlier one
+    for i in range(1, n):
+        if rng.uniform() < 0.7:
+            step = tol * rng.uniform(0.0, 1.5) * np.exp(2j * np.pi * rng.uniform())
+            pts[i] = pts[rng.integers(i)] + step
+    # the two abs functions may round a distance to either side of the link
+    d = np.abs(pts[:, None] - pts)
+    assume(not np.any(np.abs(d - tol) <= 4 * np.spacing(tol)))
+    got = core.cluster_points(pts, tol)
+    want = oracles.cluster_points_by_loop(pts, tol)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_stacked_errors_name_the_matrix():

@@ -64,9 +64,19 @@ def test_sample_defining_properties():
 
 def test_zero_dimension_rejected():
     with pytest.raises(UnsupportedDimension):
-        spaces.sample("mn", 0)
+        spaces.sample("mn", 0, np.random.default_rng(0))
     with pytest.raises(UnsupportedDimension):
         calculus.interpolation_defect(np.random.default_rng(0), 0, 1, [np.conj])
+
+
+def test_samplers_require_a_generator():
+    # no draw falls back to fresh OS entropy
+    with pytest.raises(TypeError):
+        spaces.sample("un", 3)
+    with pytest.raises(TypeError):
+        spaces.sample_stack("un", 3, 2)
+    with pytest.raises(TypeError):
+        calculus.continuity_probe(np.eye(2), np.conj, 1e-3)
 
 
 def test_circle_point_budget_runs_out():
@@ -132,9 +142,9 @@ def test_determinant_roots_at_n_2_equal_the_loop(tag):
 
 def test_sample_stack_rejects_empty_stacks():
     with pytest.raises(ValueError):
-        spaces.sample_stack("un", 3, 0)
+        spaces.sample_stack("un", 3, 0, np.random.default_rng(0))
     with pytest.raises(UnsupportedDimension):
-        spaces.sample_stack("un", 0, 3)
+        spaces.sample_stack("un", 0, 3, np.random.default_rng(0))
 
 
 class ScriptedGinibre(np.random.Generator):
