@@ -12,8 +12,9 @@ importing its own ``src/`` and ``perfbench/``:
   ``cli`` workload's passes 0-7 at seed 0, plus verify runs whose shrinker
   refuses the space (error reports), the ``hn`` and ``unlambda`` selectors
   (one ``unlambda`` path long enough to cross its cut, a failing check),
-  monodromy loops at n = 2, 4, 5, 7, 8 and radii 0.5, 2 and 1e-40,
-  configuration-space checks at n = 1, 2, 6, 7 and 8, ``gl_star`` verify
+  monodromy loops at n = 2, 4, 5, 7, 8 and radii 0.5, 2 and 1e-40, at
+  n = 12 and at n = 9 with radius 1e-40, configuration-space checks at
+  n = 1, 2, 3, 4, 6, 7 and 8, ``gl_star`` verify
   runs, transpose reconstruction on ``sln_ss``, the theta probe and the
   shifted square root of the calculus, which that workload does not run,
   and ``specshrink all`` once at seed 0;
@@ -62,8 +63,12 @@ EXTRA_INVOCATIONS = (
                                     "--step", "0.02"]),
     *((f"monodromy-{n}-r{r}", ["monodromy", "--n", str(n), "--r", r])
       for n in (2, 4, 5, 7, 8) for r in ("0.5", "2", "1e-40")),
-    # the n <= 2 edge, the largest exhaustive n and the random-permutation branch
-    *((f"configspace-{n}", ["configspace", "--n", str(n)]) for n in (1, 2, 6, 7, 8)),
+    # loops above the n <= 8 the workload runs
+    ("monodromy-12", ["monodromy", "--n", "12"]),
+    ("monodromy-9-r1e-40", ["monodromy", "--n", "9", "--r", "1e-40"]),
+    # the n <= 2 edge, small tables, the largest exhaustive n and the
+    # random-permutation branch
+    *((f"configspace-{n}", ["configspace", "--n", str(n)]) for n in (1, 2, 3, 4, 6, 7, 8)),
     # the det != -1 rejections of gln_star and of the sln_ss root extension,
     # repeated eigenvalues through the cluster pass, and a shifted square root
     ("verify-gl-star", ["verify", "--space", "gl_star", "--n", "3", "--m", "6"]),

@@ -229,6 +229,8 @@ def closed_form_defect(rng, samples: int, fns) -> float:
     triangular 2x2 matrices with eigenvalues more than 0.2 apart."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if not fns:
+        raise ValueError("fns must name at least one function")
     draws = []
     for _ in range(samples):
         l1, l2 = spaces.separated_pair(rng)
@@ -246,6 +248,8 @@ def interpolation_defect(rng, n: int, samples: int, fns) -> float:
     semisimple n x n matrices."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if not fns:
+        raise ValueError("fns must name at least one function")
     T = spaces._conjugated_diagonal(*spaces._stack_draws(
         [spaces._semisimple_draw(rng, n) for _ in range(samples)]))
     scale = 1.0 + core.opnorm(T)
@@ -260,6 +264,8 @@ def conjugation_invariance_defect(rng, n: int, samples: int, fns) -> float:
     random semisimple X and bounded-condition S."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if not fns:
+        raise ValueError("fns must name at least one function")
     xs, ss = [], []
     for _ in range(samples):
         xs.append(spaces._semisimple_draw(rng, n))

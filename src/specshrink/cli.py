@@ -108,7 +108,7 @@ def _emit(command, seed, config, results, started) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _cmd_verify(args, started):
+def _cmd_verify(args):
     space = spaces.SpaceId.parse(args.space)
     p, q = (int(v) for v in args.pq.split(","))
     config = dict(space=space.value, n=args.n, m=args.m, pq=[p, q],
@@ -148,14 +148,14 @@ def _cmd_verify(args, started):
             None, None, dict(divisible=False, n=args.n, m=args.m),
             passed=args.shrinker != "canonical",
         ))
-    return _emit("verify", args.seed, config, results, started)
+    return config, results
 
 
 # ---------------------------------------------------------------------------
 # select
 # ---------------------------------------------------------------------------
 
-def _cmd_select(args, started):
+def _cmd_select(args):
     rng = np.random.default_rng(args.seed)
     n, steps, step = args.n, args.steps, args.step
     config = dict(selector=args.selector, n=n, steps=steps, step=step,
@@ -195,14 +195,14 @@ def _cmd_select(args, started):
                                   "the selection varies continuously along the path",
                                   path.max_jump, selectors.JUMP_TOL))
     config["path"] = path.to_dict()
-    return _emit("select", args.seed, config, results, started)
+    return config, results
 
 
 # ---------------------------------------------------------------------------
 # monodromy
 # ---------------------------------------------------------------------------
 
-def _cmd_monodromy(args, started):
+def _cmd_monodromy(args):
     # the default meets the floor of 64 n steps that monodromy_xz sets
     steps = max(512, 64 * args.n) if args.steps is None else args.steps
     config = dict(n=args.n, r=args.r, steps=steps, seed=args.seed,
@@ -221,14 +221,14 @@ def _cmd_monodromy(args, started):
         selectors.EigenPath(res.parameters, res.values[:, j]).to_dict()
         for j in range(args.n)
     ]
-    return _emit("monodromy", args.seed, config, results, started)
+    return config, results
 
 
 # ---------------------------------------------------------------------------
 # configspace
 # ---------------------------------------------------------------------------
 
-def _cmd_configspace(args, started):
+def _cmd_configspace(args):
     n = args.n
     config = dict(n=n, seed=args.seed, trials=args.trials)
     eq_fail, iso_fail = configspace.classification_failures(
@@ -246,14 +246,14 @@ def _cmd_configspace(args, started):
             None, "cycle-decomposition",
             "every transposition factors through a conjugated cyclic shift",
             None, None, passed=configspace.verify_cycle_decomposition(n)))
-    return _emit("configspace", args.seed, config, results, started)
+    return config, results
 
 
 # ---------------------------------------------------------------------------
 # calculus
 # ---------------------------------------------------------------------------
 
-def _cmd_calculus(args, started):
+def _cmd_calculus(args):
     fns = [calculus.named_function(args.f)]
     rng = np.random.default_rng(args.seed)
     n, samples = args.n, args.samples
@@ -275,7 +275,7 @@ def _cmd_calculus(args, started):
                        calculus.conjugation_invariance_defect(rng, n, samples, fns),
                        calculus.INVARIANCE_TOL),
     ]
-    return _emit("calculus", args.seed, config, results, started)
+    return config, results
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +292,7 @@ _THETA_CHECKS = {
 }
 
 
-def _cmd_theta(args, started):
+def _cmd_theta(args):
     n = args.n
     config = dict(check=args.check, n=n, samples=args.samples, seed=args.seed,
                   scale=args.scale, threshold=theta.IDENTITY_TOL)
@@ -306,7 +306,7 @@ def _cmd_theta(args, started):
             None, "probe", "empirical oscillation near a repeated spectrum (report only)",
             None, None, dict(oscillation=oscillation, scale=args.scale, rejected=rejected),
             passed=True)]
-        return _emit("theta", args.seed, config, results, started)
+        return config, results
 
     defects = theta.identity_defects(np.random.default_rng(args.seed), args.samples, (n,))
     checks = list(_THETA_CHECKS) if args.check == "all" else [args.check]
@@ -315,14 +315,14 @@ def _cmd_theta(args, started):
         identity, claim = _THETA_CHECKS[kind]
         results.append(CheckResult.of(None, kind, claim, defects[identity],
                                       theta.IDENTITY_TOL))
-    return _emit("theta", args.seed, config, results, started)
+    return config, results
 
 
 # ---------------------------------------------------------------------------
 # reconstruct
 # ---------------------------------------------------------------------------
 
-def _cmd_reconstruct(args, started):
+def _cmd_reconstruct(args):
     config = dict(oracle=args.oracle, space=args.space, n=args.n,
                   samples=args.samples, seed=args.seed,
                   residual_threshold=reconstruct.RESIDUAL_TOL)
@@ -346,7 +346,7 @@ def _cmd_reconstruct(args, started):
             validation_samples=args.samples, seed=args.seed)
         results = [CheckResult.of(None, "classification", claim, cls.residual,
                                   reconstruct.RESIDUAL_TOL,
-                                  dict(mode=cls.mode, matrix=cls.to_dict()["matrix"]),
+                                  dict(mode=cls.mode, matrix=core.matrix_to_dict(cls.matrix)),
                                   passed=True)]
     except UnsupportedDimension:
         raise
@@ -356,18 +356,18 @@ def _cmd_reconstruct(args, started):
                                   dict(error=type(exc).__name__, message=str(exc),
                                        residual=getattr(exc, "residual", None)),
                                   passed=False)]
-    return _emit("reconstruct", args.seed, config, results, started)
+    return config, results
 
 
 # ---------------------------------------------------------------------------
 # all
 # ---------------------------------------------------------------------------
 
-def _cmd_all(args, started):
+def _cmd_all(args):
     outcome = acceptance.run_acceptance(seed=args.seed)
     for line in acceptance.criterion_summary(outcome):
         print(line, file=sys.stderr)
-    return _emit("all", args.seed, dict(seed=args.seed), outcome, started)
+    return dict(seed=args.seed), outcome
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +457,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args, started)
+        config, results = _DISPATCH[args.command](args)
     except (SpecshrinkError, ValueError, OSError, ZeroDivisionError) as exc:
         # a library failure exits 1; a bad argument surfaces as one of the
         # builtin errors or as an unsupported dimension, and exits 2
@@ -467,6 +467,7 @@ def main(argv=None) -> int:
         _emit(args.command, getattr(args, "seed", None), {}, [error], started)
         failed = isinstance(exc, SpecshrinkError) and not isinstance(exc, UnsupportedDimension)
         return 1 if failed else 2
+    return _emit(args.command, args.seed, config, results, started)
 
 
 if __name__ == "__main__":

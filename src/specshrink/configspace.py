@@ -11,8 +11,6 @@ traversal start is arbitrary, which is exactly that quotient).
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,38 +19,43 @@ import numpy as np
 from . import core, spaces
 from .errors import DegeneratePoints
 
-Perm = tuple
 
-
-def identity_perm(n: int) -> Perm:
+def identity_perm(n: int) -> tuple:
     return tuple(range(n))
 
 
-def eta_cycle(n: int) -> Perm:
+def eta_cycle(n: int) -> tuple:
     """The full cycle i -> i + 1 mod n."""
     return tuple((i + 1) % n for i in range(n))
 
 
-def compose(a: Perm, b: Perm) -> Perm:
+def compose(a: tuple, b: tuple) -> tuple:
     """(a o b)(i) = a(b(i))."""
     return tuple(a[b[i]] for i in range(len(a)))
 
 
-def inverse(a: Perm) -> Perm:
+def inverse(a: tuple) -> tuple:
     out = [0] * len(a)
     for i, j in enumerate(a):
         out[j] = i
     return tuple(out)
 
 
-def all_permutations(n: int):
-    return itertools.permutations(range(n))
+def all_permutations(n: int) -> list:
+    return [tuple(p) for p in _permutation_rows(n).tolist()]
 
 
 def _permutation_rows(n: int) -> np.ndarray:
-    """All of S_n in lexicographic order, one int8 row per permutation."""
-    return np.fromiter(itertools.chain.from_iterable(all_permutations(n)), dtype=np.int8,
-                       count=math.factorial(n) * n).reshape(-1, n)
+    """All of S_n in lexicographic order, one int8 row per permutation: each
+    first symbol f in turn, followed by S_(n-1) shifted past f."""
+    if n == 0:
+        return np.zeros((1, 0), dtype=np.int8)
+    tail = _permutation_rows(n - 1)
+    first = np.arange(n, dtype=np.int8)[:, None, None]
+    rows = np.empty((n, len(tail), n), dtype=np.int8)
+    rows[..., :1] = first
+    rows[..., 1:] = tail + (tail >= first)
+    return rows.reshape(-1, n)
 
 
 @dataclass(frozen=True)
@@ -84,16 +87,16 @@ class PermCoset:
     """A left coset tau<eta> in S_n, stored by its lex-minimal representative."""
 
     n: int
-    rep: Perm
+    rep: tuple
 
     @classmethod
-    def of(cls, n: int, tau: Perm) -> "PermCoset":
+    def of(cls, n: int, tau: tuple) -> "PermCoset":
         return cls(n, tuple(coset_representatives(np.array([tau]))[0].tolist()))
 
-    def contains(self, sigma: Perm) -> bool:
+    def contains(self, sigma: tuple) -> bool:
         return PermCoset.of(self.n, tuple(sigma)) == self
 
-    def left_multiply(self, sigma: Perm) -> "PermCoset":
+    def left_multiply(self, sigma: tuple) -> "PermCoset":
         return PermCoset(self.n, tuple(left_multiply_stack([sigma], self.rep)[0].tolist()))
 
 
@@ -105,7 +108,7 @@ def coset_representatives(taus: np.ndarray) -> np.ndarray:
     return np.take_along_axis(taus, (np.argmin(taus, axis=1)[:, None] + np.arange(n)) % n, axis=1)
 
 
-def left_multiply_stack(sigmas, rep: Perm) -> np.ndarray:
+def left_multiply_stack(sigmas, rep: tuple) -> np.ndarray:
     """Representatives of the cosets ``sigma rep<eta>``, one per row sigma."""
     return coset_representatives(np.asarray(sigmas)[:, list(rep)])
 
@@ -125,7 +128,7 @@ def classify_component(pts: CirclePoints) -> PermCoset:
     return PermCoset(pts.n, tuple(_classify_acted(pts, [identity_perm(pts.n)])[0].tolist()))
 
 
-def act(sigma: Perm, pts: CirclePoints) -> CirclePoints:
+def act(sigma: tuple, pts: CirclePoints) -> CirclePoints:
     """Left action: output point j is input point sigma^{-1}(j)."""
     inv = inverse(tuple(sigma))
     return CirclePoints(pts.z[list(inv)])
@@ -171,11 +174,12 @@ def classification_failures(rng, n: int, trials: int) -> tuple[int, Optional[int
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     exhaustive = n <= EXHAUSTIVE_MAX_N
+    table = _permutation_rows(n) if exhaustive else None
     equivariance = isotropy = 0
     for _ in range(trials):
         pts = CirclePoints(spaces.circle_points(rng, n, 0.15))
         base = classify_component(pts)
-        sigmas = (_permutation_rows(n) if exhaustive
+        sigmas = (table if exhaustive
                   else np.array([rng.permutation(n) for _ in range(RANDOM_PERMUTATIONS)]))
         reps = _classify_acted(pts, sigmas)
         equivariance += int((reps != left_multiply_stack(sigmas, base.rep)).any(axis=1).sum())
@@ -193,34 +197,25 @@ def verify_cycle_decomposition(n: int) -> bool:
     a power s with ``theta eta^s theta^{-1} = sigma' sigma`` where sigma'
     fixes one of the two symbols moved by sigma.  The conjugate
     ``c = theta eta theta^{-1}`` only depends on theta through the coset
-    theta<eta>, so distinct conjugates enumerate all of S_n without
-    redundancy.  ``sigma' = c^s sigma`` fixes a iff ``c^s(b) = a`` and
+    theta<eta>, and since eta is the full n-cycle each coset holds exactly
+    one theta with ``theta(0) = 0``; those (n-1)! thetas give every
+    conjugate once.  ``sigma' = c^s sigma`` fixes a iff ``c^s(b) = a`` and
     fixes b iff ``c^s(a) = b``, for sigma = (a b).
 
-    Runs on all of S_n at once, one int8 row per permutation: conjugates
-    by indexing, deduplicated through one base-n integer key per row, then
-    a table ``hit[c, x, y]`` of whether some power ``c^s`` (s = 1..n-1)
-    sends y to x.
+    Runs on the (n-1)! representatives at once, one int8 row per
+    permutation: conjugates by indexing, then a table ``hit[c, x, y]`` of
+    whether some power ``c^s`` (s = 1..n-1) sends y to x.
     """
     if not 2 <= n <= 8:
         raise ValueError("exhaustive range is 2 <= n <= 8")
     eta = eta_cycle(n)
-    thetas = _permutation_rows(n)
-    # c(theta(j)) = theta(eta(j)), written column by column
+    thetas = np.insert(_permutation_rows(n - 1) + 1, 0, 0, axis=1)  # theta(0) = 0
     c = np.empty_like(thetas)
-    rows = np.arange(len(thetas))
-    for j in range(n):
-        c[rows, thetas[:, j]] = thetas[:, eta[j]]
-    key = np.zeros(len(c), dtype=np.int32)  # n^n <= 8^8 fits
-    for j in range(n):
-        key = key * n + c[:, j]
-    c = c[np.unique(key, return_index=True)[1]]
-    rows = np.arange(len(c))[:, None]
-    cols = np.arange(n)[None, :]
+    np.put_along_axis(c, thetas, thetas[:, list(eta)], axis=1)  # c(theta(j)) = theta(eta(j))
     hit = np.zeros((len(c), n, n), dtype=bool)
     power = c
     for _ in range(n - 1):
-        hit[rows, power, cols] = True
+        np.put_along_axis(hit, power[:, None, :], True, axis=1)  # hit[c, c^s(y), y]
         power = np.take_along_axis(c, power, axis=1)
     a, b = np.triu_indices(n, 1)
     return bool((hit[:, a, b] | hit[:, b, a]).all())

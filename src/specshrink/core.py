@@ -633,9 +633,12 @@ def matrix_to_dict(X) -> dict:
 
 
 def _is_entry(z) -> bool:
-    return (isinstance(z, list) and len(z) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    and math.isfinite(v) for v in z))
+    try:
+        return (isinstance(z, list) and len(z) == 2
+                and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                        and math.isfinite(v) for v in z))
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def matrix_from_dict(data: dict) -> np.ndarray:
@@ -655,4 +658,8 @@ def matrix_from_dict(data: dict) -> np.ndarray:
 
 def load_matrix(path) -> np.ndarray:
     with open(path) as fh:
-        return matrix_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("the matrix file nests too deeply to parse") from None
+    return matrix_from_dict(data)

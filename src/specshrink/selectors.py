@@ -212,40 +212,10 @@ def _tie_screen(d, candidates):
     return d2 < np.maximum(2.0 * d1, d1 + slack[..., None]), d1, d2
 
 
-def _nearest_unambiguous(values, candidates) -> np.ndarray:
-    """Index of the candidate nearest to each value; ties are an error, not a guess.
-
-    One distance matrix and one row-wise sort for all values; the first
-    ambiguous value (in order) names the error.  A tie is always ambiguous,
-    so the first minimum is the nearest candidate.
-    """
-    d = np.abs(candidates[None, :] - values[:, None])
-    if candidates.size > 1:
-        ambiguous, d1, d2 = _tie_screen(d, candidates)
-        if ambiguous.any():
-            i = int(np.argmax(ambiguous))
-            raise AmbiguousContinuation(
-                f"nearest match is ambiguous: distances {d1[i]:.3e} and {d2[i]:.3e}"
-            )
-    return np.argmin(d, axis=1)
-
-
-def track_spectra(spectra) -> np.ndarray:
-    """Nearest-match tracking of the values of ``spectra[0]``, in its order,
-    through the rows of a ``(steps + 1, n)`` array of spectra.
-
-    Row k + 1 of the result holds the entries of ``spectra[k + 1]`` matched
-    to row k of the result: every tracked value to its nearest entry, with
-    the tie rule of :func:`_tie_screen`, and the matches must be a
-    bijection.  All steps are matched at once on one ``(steps, n, n)``
-    distance array; the tracked order is then the composition of the
-    per-step index maps.  Every tracked value is an entry of its row, so
-    these are the distances a step-by-step matching computes, only in
-    another row order.  The first failing step raises what that matching
-    raises: the first ambiguous tracked value names the message, otherwise
-    two values claimed the same target.
-    """
-    spectra = np.asarray(spectra, dtype=complex)
+def _track_order(spectra) -> np.ndarray:
+    """The tracked order of :func:`track_spectra`: row k holds, for each
+    value of ``spectra[0]``, the index of the entry of ``spectra[k]`` it was
+    tracked to."""
     steps, n = spectra.shape[0] - 1, spectra.shape[1]
     # d[k, a, j]: from entry a of row k to entry j of row k + 1
     d = np.abs(spectra[1:, None, :] - spectra[:-1, :, None])
@@ -268,7 +238,26 @@ def track_spectra(spectra) -> np.ndarray:
                 f"nearest match is ambiguous: distances {d1[last, a]:.3e} and {d2[last, a]:.3e}"
             )
         raise AmbiguousContinuation("two tracked eigenvalues claimed the same target")
-    return np.take_along_axis(spectra, order, axis=1)
+    return order
+
+
+def track_spectra(spectra) -> np.ndarray:
+    """Nearest-match tracking of the values of ``spectra[0]``, in its order,
+    through the rows of a ``(steps + 1, n)`` array of spectra.
+
+    Row k + 1 of the result holds the entries of ``spectra[k + 1]`` matched
+    to row k of the result: every tracked value to its nearest entry, with
+    the tie rule of :func:`_tie_screen`, and the matches must be a
+    bijection.  All steps are matched at once on one ``(steps, n, n)``
+    distance array; the tracked order is then the composition of the
+    per-step index maps.  Every tracked value is an entry of its row, so
+    these are the distances a step-by-step matching computes, only in
+    another row order.  The first failing step raises what that matching
+    raises: the first ambiguous tracked value names the message, otherwise
+    two values claimed the same target.
+    """
+    spectra = np.asarray(spectra, dtype=complex)
+    return np.take_along_axis(spectra, _track_order(spectra), axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,14 +323,12 @@ def monodromy_xz(n: int, r: float, steps: int) -> MonodromyResult:
     ts = np.linspace(0.0, 1.0, steps + 1)
     spectra = np.linalg.eigvals(corner_matrices(n, r * np.exp(2j * np.pi * ts)))
     spectra[0] = core.canonical_spectrum(spectra[0])
-    values = track_spectra(spectra)
-    start, end = values[0], values[-1]
-    perm = tuple(_nearest_unambiguous(end, start).tolist())
-    if len(set(perm)) != n:
-        raise AmbiguousContinuation("loop endpoints do not biject onto the start spectrum")
+    # one more step closes the loop: its index map is the permutation
+    order = _track_order(np.vstack([spectra, spectra[:1]]))
+    values = np.take_along_axis(spectra, order[:-1], axis=1)
     return MonodromyResult(
-        n=n, r=float(r), steps=steps, permutation=perm,
-        start=start, end=end, parameters=ts, values=values,
+        n=n, r=float(r), steps=steps, permutation=tuple(order[-1].tolist()),
+        start=values[0], end=values[-1], parameters=ts, values=values,
     )
 
 
@@ -441,7 +428,7 @@ def su_paths(rng, n: int, count: int, steps: int, step: float,
     U = spaces._unit_determinant(spaces._haar(z))
     values = np.empty((count, steps + 1), dtype=complex)
     matrices = [[] for _ in range(count)] if keep_matrices else None
-    block = max(1, SELECT_BLOCK // max(count, 1))
+    block = max(1, SELECT_BLOCK // count)
     for k0 in range(0, steps + 1, block):
         width = min(block, steps + 1 - k0)
         stack = np.empty((count, width, n, n), dtype=complex)

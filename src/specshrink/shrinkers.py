@@ -22,9 +22,6 @@ import numpy as np
 from . import core, selectors, spaces
 from .errors import DimensionMismatch, SingularConjugator
 
-DEFAULT_SAMPLES = 100
-DEFAULT_SEED = 0
-
 #: Pinned thresholds of the batch check: the worst inclusion defect and the
 #: worst power-law coefficient defect a shrinker may show.
 INCLUSION_TOL = 1e-8
@@ -165,8 +162,7 @@ def make_shrinker(kind: str, m: int | None = None, p: int | None = None,
 # The batch check
 # ---------------------------------------------------------------------------
 
-def verify_shrinker(phi, space, n: int, m: int, samples: int = DEFAULT_SAMPLES,
-                    seed: int = DEFAULT_SEED) -> ShrinkReport:
+def verify_shrinker(phi, space, n: int, m: int, samples: int = 100, seed: int = 0) -> ShrinkReport:
     """Inclusion and (when n | m) power-law defects in one seeded pass.
 
     When n does not divide m only degenerate shrinkers can exist; the

@@ -16,8 +16,6 @@ assumed, as the putnam-fuglede defect of :func:`identity_defects`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import core, spaces
@@ -32,18 +30,10 @@ DEFAULT_COND_CAP = 1e6
 IDENTITY_TOL = 1e-6
 
 
-@dataclass(frozen=True, eq=False)
-class ThetaDecomposition:
-    """``X = S N S^{-1}`` with S positive definite and N normal; each field
-    a ``(k, n, n)`` stack when the input was one."""
-
-    s: np.ndarray
-    normal: np.ndarray
-
-
-def theta_decompose(X) -> ThetaDecomposition:
-    """Factor a semisimple invertible X as ``S N S^{-1}``; every matrix of a
-    ``(k, n, n)`` stack at once.
+def theta_decompose(X) -> tuple[np.ndarray, np.ndarray]:
+    """Factor a semisimple invertible X as ``S N S^{-1}``, returned as
+    ``(S, N)`` with S positive definite and N normal; every matrix of a
+    ``(k, n, n)`` stack at once, each factor then a stack.
 
     Writes ``X = P D P^{-1}``, polar-decomposes ``P = S V``, and sets
     ``N = V D V^H`` which is normal by construction.  Each step runs once on
@@ -64,7 +54,7 @@ def theta_decompose(X) -> ThetaDecomposition:
     N = V @ core.diagonals(w) @ core.adjoint(V)
     if A.ndim == 2:
         S, N = S[0], N[0]
-    return ThetaDecomposition(s=S, normal=N)
+    return S, N
 
 
 def theta(X) -> np.ndarray:
@@ -73,8 +63,8 @@ def theta(X) -> np.ndarray:
 
     Involutory, spectrum preserving, the identity on normal matrices.
     """
-    dec = theta_decompose(X)
-    return np.linalg.solve(dec.s, dec.normal @ dec.s)
+    S, N = theta_decompose(X)
+    return np.linalg.solve(S, N @ S)
 
 
 # an oracle that takes stacks: the checks call it once per stack
@@ -119,6 +109,8 @@ def identity_defects(rng, trials: int, dims) -> dict:
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if not dims:
+        raise ValueError("dims must name at least one dimension")
     for n in dims:
         if n < 1:
             raise UnsupportedDimension(f"dimension must be >= 1, got {n}")

@@ -329,3 +329,14 @@ def test_failing_sample_raises_the_loops_class(monkeypatch):
     count = iter(range(10**6))
     with pytest.raises(EqualEigenvalues):
         calculus.closed_form_defect(np.random.default_rng(5), 6, fns)
+
+
+@pytest.mark.parametrize("check", [
+    lambda rng: calculus.closed_form_defect(rng, 5, []),
+    lambda rng: calculus.interpolation_defect(rng, 3, 5, []),
+    lambda rng: calculus.conjugation_invariance_defect(rng, 3, 5, []),
+], ids=["closed-form", "interpolation", "invariance"])
+def test_cross_checks_refuse_an_empty_function_list(check):
+    # no function means nothing is checked; a defect of 0.0 would pass
+    with pytest.raises(ValueError, match="at least one function"):
+        check(np.random.default_rng(0))

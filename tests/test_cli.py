@@ -77,6 +77,8 @@ MALFORMED_MATRIX_FILES = {
     "3x3-entries-for-n-2.json": {"n": 2, "entries": [[[1.0, 0.0]] * 3] * 3},
     "2x2.json": {"n": 2, "entries": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
     "zero-3x3.json": {"n": 3, "entries": [[[0.0, 0.0]] * 3] * 3},
+    "int-beyond-float.json": {"n": 1, "entries": [[[10 ** 400, 0]]]},
+    "deep.json": "[" * 200_000,  # written as is: too deep for json.dumps
 }
 
 
@@ -123,11 +125,13 @@ MALFORMED_MATRIX_FILES = {
     ["reconstruct", "--oracle", "conj:zero-3x3.json", "--n", "3"],
     ["calculus", "--f", "poly:nan"],
     ["select", "--selector", "unlambda", "--cut", "0,0"],
+    ["reconstruct", "--oracle", "conj:int-beyond-float.json", "--n", "3"],
+    ["reconstruct", "--oracle", "conj:deep.json", "--n", "3"],
 ])
 def test_usage_errors_exit_2_with_a_report(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)
     for name, record in MALFORMED_MATRIX_FILES.items():
-        (tmp_path / name).write_text(json.dumps(record))
+        (tmp_path / name).write_text(record if isinstance(record, str) else json.dumps(record))
     code, report = run_cli(capsys, argv)
     assert code == 2
     check_schema(report, argv[0])

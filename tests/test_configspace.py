@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,14 @@ def test_permutation_helpers():
     assert cs.compose((1, 2, 0), (2, 0, 1)) == (0, 1, 2)
     assert cs.inverse((1, 2, 0)) == (2, 0, 1)
     assert cs.eta_cycle(3) == (1, 2, 0)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_permutation_rows_are_itertools_order(n):
+    rows = cs._permutation_rows(n)
+    assert rows.dtype == np.int8
+    assert [tuple(r) for r in rows.tolist()] == list(itertools.permutations(range(n)))
+    assert cs.all_permutations(n) == list(itertools.permutations(range(n)))
 
 
 def test_validation():

@@ -483,10 +483,18 @@ def test_matrix_json_round_trip(tmp_path):
     {"n": 1, "entries": [[[1, 0, 0]]]},
     {"n": 1, "entries": [[["1", 0]]]},
     {"n": 1, "entries": [[[float("nan"), 0]]]},
+    {"n": 1, "entries": [[[10 ** 400, 0]]]},  # an integer beyond the float range
 ])
 def test_matrix_from_dict_rejects_malformed_records(record):
     with pytest.raises(ValueError):
         core.matrix_from_dict(record)
+
+
+def test_load_matrix_rejects_a_file_nested_too_deeply(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    with pytest.raises(ValueError, match="nests too deeply"):
+        core.load_matrix(path)
 
 
 def _near_permutation(n):

@@ -369,6 +369,30 @@ def test_monodromy_equals_step_by_step_tracking(n, r, extra):
         assert np.array_equal(getattr(got, field), getattr(want, field))
 
 
+@pytest.mark.parametrize("n", range(9, 13))
+@pytest.mark.parametrize("r", [1e-40, 1.0, 1e3])
+def test_monodromy_equals_step_by_step_tracking_above_n_8(n, r):
+    got, want = selectors.monodromy_xz(n, r, 64 * n), oracles.monodromy_by_loop(n, r, 64 * n)
+    assert got.permutation == want.permutation
+    assert got.is_single_cycle()
+    for field in ("values", "start", "end"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+def test_closing_step_names_the_first_ambiguous_end_value():
+    # the loop's closing step tracks [end, start]: end[1] ties 1 and
+    # start[2], end[2] ties start[1] and start[2] more closely, and the
+    # tie of end[1], first in tracked order, names the error
+    start = np.exp(2j * np.pi * np.arange(3) / 3)
+    end = np.array([start[1], np.exp(-1j * np.pi / 3), -0.5])
+    with pytest.raises(AmbiguousContinuation) as want:
+        [oracles.nearest_unambiguous_by_value(v, start) for v in end]
+    with pytest.raises(AmbiguousContinuation) as got:
+        selectors.track_spectra(np.stack([end, start]))
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("nearest match is ambiguous: distances 1.000e+00")
+
+
 def test_corner_matrix_sign_pinned_by_trace_recurrence():
     # char poly of the corner matrix is x^n - z (not x^n + z)
     for n in (2, 3, 4, 5):

@@ -24,9 +24,9 @@ def invertible_normal(rng, n):
     return q @ np.diag(lam) @ q.conj().T
 
 
-def residual(dec, X):
+def residual(S, N, X):
     """Relative operator-norm error of ``S N S^{-1}`` against X."""
-    return core.opnorm(dec.s @ dec.normal @ np.linalg.inv(dec.s) - X) / core.opnorm(X)
+    return core.opnorm(S @ N @ np.linalg.inv(S) - X) / core.opnorm(X)
 
 
 # ---------------------------------------------------------------------------
@@ -36,19 +36,19 @@ def residual(dec, X):
 def test_decompose_normal_input():
     rng = np.random.default_rng(80)
     N = invertible_normal(rng, 3)
-    dec = theta.theta_decompose(N)
-    assert core.opnorm(dec.s - np.eye(3)) <= 1e-7
-    assert core.opnorm(dec.normal - N) <= 1e-7
-    assert residual(dec, N) <= 1e-10
+    S, normal = theta.theta_decompose(N)
+    assert core.opnorm(S - np.eye(3)) <= 1e-7
+    assert core.opnorm(normal - N) <= 1e-7
+    assert residual(S, normal, N) <= 1e-10
 
 
 def test_decompose_worked_example():
     # diag(2,1) . rotation . diag(2,1)^-1; the positive factor is recovered
     # up to a scalar, so compare the involution output instead
     X = np.array([[0.0, -2.0], [0.5, 0.0]])
-    dec = theta.theta_decompose(X)
-    ratio = dec.s[0, 0] / dec.s[1, 1]
-    assert abs(dec.s[0, 1]) <= 1e-12
+    S, _ = theta.theta_decompose(X)
+    ratio = S[0, 0] / S[1, 1]
+    assert abs(S[0, 1]) <= 1e-12
     assert ratio.real == pytest.approx(2.0, abs=1e-10)
     assert np.allclose(theta.theta(X), [[0.0, -0.5], [2.0, 0.0]], atol=1e-12)
 
@@ -58,12 +58,11 @@ def test_decompose_recovers_constructed_factorization():
     S = positive_definite(rng, 4)
     N = invertible_normal(rng, 4)
     X = S @ N @ np.linalg.inv(S)
-    dec = theta.theta_decompose(X)
-    assert residual(dec, X) <= 1e-7
-    assert core.opnorm(dec.normal @ dec.normal.conj().T
-                       - dec.normal.conj().T @ dec.normal) \
-        <= 1e-7 * core.opnorm(dec.normal) ** 2
-    assert np.min(np.linalg.eigvalsh(dec.s)) > 0
+    S_got, N_got = theta.theta_decompose(X)
+    assert residual(S_got, N_got, X) <= 1e-7
+    assert core.opnorm(N_got @ N_got.conj().T - N_got.conj().T @ N_got) \
+        <= 1e-7 * core.opnorm(N_got) ** 2
+    assert np.min(np.linalg.eigvalsh(S_got)) > 0
 
 
 def test_decompose_error_paths():
@@ -255,3 +254,8 @@ def test_failing_trial_raises_the_loops_class(monkeypatch, calls):
     _zero_eigenvalue_on_call(monkeypatch, calls)
     with pytest.raises(Singular):
         theta.identity_defects(np.random.default_rng(3), 8, (2, 3))
+
+
+def test_identity_defects_refuse_an_empty_dimension_list():
+    with pytest.raises(ValueError, match="at least one dimension"):
+        theta.identity_defects(np.random.default_rng(0), 3, ())
