@@ -34,7 +34,7 @@ print()
 print("monodromy around the nilpotent block")
 for n in (2, 3, 4):
     res = selectors.monodromy_xz(n, 1.0, steps=max(64 * n, 256))
-    ratio = res.end[0] / res.start[0]
+    ratio = res.ratios()[0]
     print(f"  n={n}: permutation {res.permutation}, single cycle: "
           f"{res.is_single_cycle()}, root ratio after the loop "
           f"{np.round(ratio, 6)} (expect exp(2 pi i / {n}))")

@@ -19,7 +19,10 @@ importing its own ``src/`` and ``perfbench/``:
   shifted square root of the calculus, which that workload does not run,
   and ``specshrink all`` once at seed 0;
 * the standard output of every ``demos/*.py`` script, which alone run
-  ``reconstruct.torus_conjugator`` and ``lattice_compat_check`` at n = 3.
+  ``reconstruct.torus_conjugator`` and ``lattice_compat_check`` at n = 3;
+* ``core.spectrum_match_distance`` on 300 seeded pairs of spectra on the
+  integer grid, n = 2-8, whose ties send most of them to the bisection
+  fallback that no other input here reaches.
 
 Reports are compared as text, byte for byte, with only the value on the
 ``"wall_time"`` line masked, and each run's temporary directory in paths.
@@ -80,6 +83,7 @@ EXTRA_INVOCATIONS = (
 #: Invocations run once, at seed 0: ``all`` runs the whole acceptance suite,
 #: whose records the seeds above already compare.
 ONCE_INVOCATIONS = (("all", ["all"]),)
+MATCH_PAIRS = 300
 WALL_TIME = re.compile(r'^(\s*"wall_time": ).*?(,?)$', re.MULTILINE)
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -87,7 +91,8 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 def emit(tree: Path) -> dict:
     """The record of one tree, computed in this process from its sources."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
-    from specshrink import acceptance
+    import numpy as np
+    from specshrink import acceptance, core
     import workloads
 
     record = {"acceptance": {str(s): [r.to_dict() for r in acceptance.run_acceptance(s)]
@@ -119,6 +124,10 @@ def emit(tree: Path) -> dict:
         with contextlib.redirect_stdout(out):
             runpy.run_path(str(demo), run_name="__main__")
         record["demos"][demo.name] = out.getvalue()
+    rng = np.random.default_rng(0)
+    # each pair is (2 spectra, real and imaginary parts, n) grid integers
+    pairs = [rng.integers(-2, 3, size=(2, 2, n)) for n in rng.integers(2, 9, MATCH_PAIRS)]
+    record["match"] = [core.spectrum_match_distance(*(p[:, 0] + 1j * p[:, 1])) for p in pairs]
     return record
 
 
@@ -194,6 +203,7 @@ def main(argv=None) -> int:
     print(f"{len(change['cli'])} CLI reports byte-identical apart from the wall_time value "
           f"(exit codes {codes})")
     print(f"{len(change['demos'])} demo outputs identical")
+    print(f"{len(change['match'])} bottleneck matching distances identical")
     return 0
 
 

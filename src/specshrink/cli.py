@@ -458,7 +458,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config, results = _DISPATCH[args.command](args)
-    except (SpecshrinkError, ValueError, OSError, ZeroDivisionError) as exc:
+    except (SpecshrinkError, ValueError, OSError, ZeroDivisionError, MemoryError) as exc:
         # a library failure exits 1; a bad argument surfaces as one of the
         # builtin errors or as an unsupported dimension, and exits 2
         print(f"error: {exc}", file=sys.stderr)

@@ -113,14 +113,18 @@ def running_max(values) -> float:
     return float(np.max(np.asarray(values, dtype=float), initial=0.0))
 
 
-def call_oracle(phi, X) -> np.ndarray:
-    """``phi(X)`` as a validated matrix; any exception the black-box map
-    raises, or an output that is not a finite square matrix, becomes
-    :class:`OracleFailure`."""
+def call_oracle(phi, X, m: int) -> np.ndarray:
+    """``phi(X)`` as a validated ``m x m`` matrix; any exception the
+    black-box map raises, or an output that is not a finite square matrix,
+    becomes :class:`OracleFailure`, and a square output of another size
+    raises :class:`DimensionMismatch`."""
     try:
-        return as_matrix(phi(X))
+        Y = as_matrix(phi(X))
     except Exception as exc:
         raise OracleFailure(f"oracle raised on an input: {exc!r}") from exc
+    if Y.shape != (m, m):
+        raise DimensionMismatch(f"oracle output is {Y.shape}, expected ({m}, {m})")
+    return Y
 
 
 def stacked_call(phi, X, m: int):
@@ -159,10 +163,7 @@ def call_oracle_stack(phi, X, m: int) -> np.ndarray:
         return Y
     out = np.empty((len(X), m, m), dtype=complex)
     for i, x in enumerate(X):
-        y = call_oracle(phi, x)
-        if y.shape != (m, m):
-            raise DimensionMismatch(f"oracle output is {y.shape}, expected ({m}, {m})")
-        out[i] = y
+        out[i] = call_oracle(phi, x, m)
     return out
 
 
@@ -399,57 +400,26 @@ def spectrum_inclusion_defect(A, B):
     return defects if defects.ndim else float(defects)
 
 
-def _has_perfect_matching(adj: list[list[int]]) -> bool:
-    """Whether the bipartite graph with row ``i`` joined to the columns
-    ``adj[i]`` matches every row to its own column.
-
-    Kuhn's augmenting paths, each found by a breadth-first search over
-    alternating paths, so no recursion: a row with no augmenting path
-    proves the maximum matching is short of perfect.
-    """
-    n = len(adj)
-    owner = [-1] * n     # row matched to each column
-    partner = [-1] * n   # column matched to each row
-    for root in range(n):
-        reached_from = [-1] * n  # row from which each column was reached
-        queue = [root]
-        free = -1
-        for row in queue:  # the queue grows while it is read
-            for col in adj[row]:
-                if reached_from[col] == -1:
-                    reached_from[col] = row
-                    if owner[col] == -1:
-                        free = col
-                        break
-                    queue.append(owner[col])
-            if free != -1:
-                break
-        if free == -1:
-            return False
-        col = free
-        while col != -1:  # flip the path; the root's old partner is -1
-            row = reached_from[col]
-            owner[col], partner[row], col = row, col, partner[row]
-    return True
-
-
 def _bottleneck_assignment(D: np.ndarray) -> float:
-    """Smallest t such that the bipartite graph {d_ij <= t} has a perfect matching."""
+    """Smallest t such that the bipartite graph {d_ij <= t} has a perfect matching.
+
+    Bisection over the distinct distances.  At each threshold scipy's
+    assignment solver picks one entry per row and column at least cost on
+    the 0/1 costs "exceeds t" (a NaN distance counts as exceeding), and t
+    is feasible when no chosen entry exceeds it.
+    """
+    from scipy.optimize import linear_sum_assignment
+
     levels = np.unique(D)
-    rows = D.tolist()
     lo, hi = 0, levels.size - 1
-
-    def feasible(t):
-        t = float(t)
-        return _has_perfect_matching(
-            [[j for j, d in enumerate(row) if d <= t] for row in rows])
-
     while lo < hi:
         mid = (lo + hi) // 2
-        if feasible(levels[mid]):
-            hi = mid
-        else:
+        over = ~(D <= levels[mid])
+        rows, cols = linear_sum_assignment(over.astype(float))
+        if over[rows, cols].any():
             lo = mid + 1
+        else:
+            hi = mid
     return float(levels[lo])
 
 
@@ -460,9 +430,9 @@ def spectrum_match_distance(A, B) -> float:
     nearest ``b`` of each ``a`` (the row argmins of the distances) are all
     different, they are a matching of cost ``max_i min_j |a_i - b_j|``,
     and no matching costs less: that distance is the answer.  Otherwise it
-    is found by bisection over the pairwise distances with a bipartite
-    perfect-matching test at each threshold.  Both routes return the same
-    element of the distance matrix.
+    is found by bisection over the pairwise distances with scipy's
+    assignment solver as the perfect-matching test at each threshold.
+    Both routes return the same element of the distance matrix.
     """
     a = np.asarray(A, dtype=complex).ravel()
     b = np.asarray(B, dtype=complex).ravel()

@@ -90,13 +90,6 @@ class PreserverClassification:
         """Evaluate the classified form on a matrix."""
         return conjugate(self.matrix, X, self.mode)
 
-    def to_dict(self) -> dict:
-        return {
-            "matrix": core.matrix_to_dict(self.matrix),
-            "mode": self.mode,
-            "residual": self.residual,
-        }
-
 
 def _worst_residual(phi, form, draws, worst: float = 0.0) -> float:
     """Worst ``||phi(X) - form(X)|| / ||X||`` (NaN if a ratio is NaN) over the
@@ -112,6 +105,18 @@ def _worst_residual(phi, form, draws, worst: float = 0.0) -> float:
     images = core.call_oracle_stack(phi, X, X.shape[-1])
     ratios = core.opnorm(images - form(X)) / np.maximum(core.opnorm(X), 1e-300)
     return core.running_max(np.append(ratios, worst))
+
+
+def _validated(stage: str, reason: str, residual: float) -> float:
+    """``residual`` when it is at most ``RESIDUAL_TOL``; otherwise, NaN
+    included, :class:`ResidualTooLarge` whose message names the ``stage``
+    and ends with the ``reason``."""
+    if not residual <= RESIDUAL_TOL:
+        raise ResidualTooLarge(
+            f"{stage} residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}{reason}",
+            residual=residual,
+        )
+    return residual
 
 
 def projective_distance(A, B) -> float:
@@ -149,7 +154,7 @@ def psi(phi, subspaces):
     for i, W in enumerate(subspaces):
         # the absolute floor keeps the whole space when W is everything
         K = core.kernel(np.eye(W.ambient_dim)
-                        - (core.call_oracle(phi, U[i]) if Y is None else Y[i]))
+                        - (core.call_oracle(phi, U[i], W.ambient_dim) if Y is None else Y[i]))
         if K.dim != W.dim:
             raise DimensionDrift(f"subspace map changed dimension {W.dim} -> {K.dim}")
         yield K
@@ -242,13 +247,8 @@ def reconstruct(phi, n: int, validation_samples: int = VALIDATION_SAMPLES, seed:
     residual = _worst_residual(
         phi, lambda X: conjugate(T, X, mode),
         spaces.sample_stack(validation_space, n, validation_samples, rng))
-    if not residual <= RESIDUAL_TOL:
-        raise ResidualTooLarge(
-            f"validation residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}; "
-            "the oracle is not a conjugation or transpose-conjugation",
-            residual=residual,
-        )
-    return PreserverClassification(matrix=T, mode=mode, residual=residual)
+    return PreserverClassification(matrix=T, mode=mode, residual=_validated(
+        "validation", "; the oracle is not a conjugation or transpose-conjugation", residual))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +284,7 @@ def torus_conjugator(phi, S, seed: int = 0) -> np.ndarray:
     for _ in range(TORUS_ATTEMPTS):
         u = spaces.circle_points(rng, n, 0.5 / n)
         X = S @ np.diag(u) @ Sinv
-        Y = core.call_oracle(phi, X)
+        Y = core.call_oracle(phi, X, n)
         w, V = np.linalg.eig(Y)
         try:
             match = [_nearest_strict(u_i, w) for u_i in u]
@@ -297,15 +297,10 @@ def torus_conjugator(phi, S, seed: int = 0) -> np.ndarray:
     if T_G is None:
         raise EigenvalueCollision("eigenvalue matching stayed ambiguous")
 
-    residual = _worst_residual(
+    _validated("torus validation", "", _worst_residual(
         phi, lambda X: conjugate(T_G, X),
         np.stack([S @ np.diag(spaces.circle_points(rng, n, 0.1 / n)) @ Sinv
-                  for _ in range(VALIDATION_SAMPLES)]))
-    if not residual <= RESIDUAL_TOL:
-        raise ResidualTooLarge(
-            f"torus validation residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}",
-            residual=residual,
-        )
+                  for _ in range(VALIDATION_SAMPLES)])))
     return T_G
 
 
@@ -380,13 +375,9 @@ def classify_spaces(phi, space_names, n: int, validation_samples: int = VALIDATI
                 root_extension, cls.apply, _gl_star_ss_sample(rng, n, validation_samples),
                 residual)
 
-        if not residual <= RESIDUAL_TOL:
-            raise ResidualTooLarge(
-                f"full-space validation residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}; "
-                "the oracle is not of the conjugation form on this space",
-                residual=residual,
-            )
-        out.append(PreserverClassification(matrix=cls.matrix, mode=cls.mode, residual=residual))
+        out.append(PreserverClassification(matrix=cls.matrix, mode=cls.mode, residual=_validated(
+            "full-space validation", "; the oracle is not of the conjugation form on this space",
+            residual)))
     return out
 
 

@@ -268,8 +268,6 @@ class MonodromyResult:
     r: float
     steps: int
     permutation: tuple
-    start: np.ndarray
-    end: np.ndarray
     parameters: np.ndarray
     values: np.ndarray  # shape (steps + 1, n)
 
@@ -285,7 +283,7 @@ class MonodromyResult:
 
     def ratios(self) -> np.ndarray:
         """end / start per tracked eigenvalue."""
-        return self.end / self.start
+        return self.values[-1] / self.values[0]
 
     def ratio_defect(self) -> float:
         """Worst distance of a root ratio from the primitive root exp(2 pi i / n)."""
@@ -326,10 +324,8 @@ def monodromy_xz(n: int, r: float, steps: int) -> MonodromyResult:
     # one more step closes the loop: its index map is the permutation
     order = _track_order(np.vstack([spectra, spectra[:1]]))
     values = np.take_along_axis(spectra, order[:-1], axis=1)
-    return MonodromyResult(
-        n=n, r=float(r), steps=steps, permutation=tuple(order[-1].tolist()),
-        start=values[0], end=values[-1], parameters=ts, values=values,
-    )
+    return MonodromyResult(n=n, r=float(r), steps=steps, permutation=tuple(order[-1].tolist()),
+                           parameters=ts, values=values)
 
 
 # ---------------------------------------------------------------------------

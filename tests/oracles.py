@@ -5,9 +5,10 @@ than the library code it checks: root expansion instead of the trace
 recurrence, matrix square roots instead of SVD, exhaustive integer-shift
 enumeration instead of the sort-based construction, closed-form roots
 instead of eigenvalue continuation, every bijection instead of bisection
-over perfect matchings, scipy's matching instead of augmenting paths, one
-matrix, value, step, path or permutation at a time instead of a stacked
-kernel or a stacked draw, ``json.dumps`` instead of the CLI's own encoder.
+over perfect matchings, scipy's bipartite matching instead of its
+assignment solver, one matrix, value, step, path or permutation at a time
+instead of a stacked kernel or a stacked draw, ``json.dumps`` instead of
+the CLI's own encoder.
 """
 
 import itertools
@@ -299,8 +300,7 @@ def monodromy_by_loop(n, r, steps):
     if len(set(perm)) != n:
         raise AmbiguousContinuation("loop endpoints do not biject onto the start spectrum")
     return selectors.MonodromyResult(n=n, r=float(r), steps=steps, permutation=perm,
-                                     start=start, end=values[-1], parameters=ts,
-                                     values=values)
+                                     parameters=ts, values=values)
 
 
 def psi_by_loop(phi, W):
@@ -309,7 +309,7 @@ def psi_by_loop(phi, W):
     from specshrink import core, reconstruct
     from specshrink.errors import DimensionDrift
 
-    Y = core.call_oracle(phi, reconstruct.involution_for_subspace(W))
+    Y = core.call_oracle(phi, reconstruct.involution_for_subspace(W), W.ambient_dim)
     K = core.kernel(np.eye(W.ambient_dim) - Y)
     if K.dim != W.dim:
         raise DimensionDrift(f"subspace map changed dimension {W.dim} -> {K.dim}")

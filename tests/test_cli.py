@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from specshrink import cli, core
+from specshrink import cli, core, shrinkers
 
 
 def run_cli(capsys, argv):
@@ -140,13 +140,34 @@ def test_usage_errors_exit_2_with_a_report(capsys, monkeypatch, tmp_path, argv):
     assert result["name"] == "run" and result["details"]["error"]
 
 
+def test_an_allocation_too_large_for_memory_exits_2_with_a_report(capsys, monkeypatch):
+    # raised, not allocated: whether a huge allocation fails at once
+    # depends on the host's overcommit setting
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 14.6 TiB")
+
+    monkeypatch.setattr(shrinkers, "verify_shrinker", exhausted)
+    code, report = run_cli(capsys, ["verify", "--space", "gl", "--n", "3", "--m", "6"])
+    assert code == 2
+    check_schema(report, "verify")
+    [result] = report["results"]
+    assert result["name"] == "run" and not result["passed"]
+    assert result["details"] == {"error": "MemoryError", "message": "Unable to allocate 14.6 TiB"}
+
+
 def test_import_leaves_scipy_unloaded():
-    # scipy is imported by selectors.su_paths alone, when it first runs, and
-    # multiprocessing by acceptance.run_acceptance alone, when it forks
+    # scipy is imported by selectors.su_paths, by the bisection fallback of
+    # core.spectrum_match_distance and by acceptance.run_acceptance before it
+    # forks, each when it first runs; multiprocessing by run_acceptance alone.
+    # A screened match and a theta run load neither.
     src = Path(cli.__file__).resolve().parent.parent
-    probe = ("import sys, specshrink, specshrink.cli; "
-             "print([m for m in sys.modules "
-             "if m.split('.')[0] in ('scipy', 'multiprocessing')])")
+    probe = "\n".join([
+        "import contextlib, io, sys, specshrink, specshrink.cli",
+        "from specshrink import core",
+        "assert core.spectrum_match_distance([0, 1j], [1.5j, 0.25]) == 0.5",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert specshrink.cli.main(['theta', '--n', '3', '--samples', '20']) == 0",
+        "print([m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')])"])
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout

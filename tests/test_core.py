@@ -306,7 +306,7 @@ def _grid_spectrum(n):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 8).flatmap(lambda n: st.tuples(_grid_spectrum(n), _grid_spectrum(n))))
 def test_match_distance_on_a_grid_equals_both_oracles(spectra):
-    # augmenting-path matching vs every bijection and vs scipy's matching
+    # scipy's assignment solver vs every bijection and vs scipy's bipartite matching
     a, b = spectra
     got = core.spectrum_match_distance(a, b)
     assert got == oracles.bottleneck_by_enumeration(a, b)
@@ -319,6 +319,9 @@ def test_match_distance_at_a_large_size():
     b = np.random.default_rng(41).permutation(a) + 0.25
     assert core.spectrum_match_distance(a, b) == 0.25
     assert core.spectrum_match_distance(a, a[::-1]) == 0.0
+    # a half shift ties each point between two neighbours, so the nearest
+    # matches collide and the bisection fallback decides
+    assert core.spectrum_match_distance(a, np.random.default_rng(42).permutation(a) + 0.5) == 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import oracles
 from specshrink import core, reconstruct, spaces, theta
 from specshrink.errors import (
     DimensionDrift,
+    DimensionMismatch,
     ResidualTooLarge,
     UnsupportedDimension,
 )
@@ -478,6 +479,24 @@ def test_probe_lines_raise_in_order():
 
     with pytest.raises(DimensionDrift):
         reconstruct.reconstruct(drifting, 3)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("entry", [
+    lambda phi: next(reconstruct.psi(phi, [core.span(np.eye(3)[:, 0])])),
+    lambda phi: reconstruct.classify_preserver(phi, "un", 3),
+    lambda phi: reconstruct.lattice_compat_check(phi, 3),
+    lambda phi: reconstruct.torus_conjugator(phi, np.eye(3)),
+], ids=["psi", "classify_preserver", "lattice_compat_check", "torus_conjugator"])
+def test_an_oracle_output_of_the_wrong_size_fails_on_the_first_call(entry):
+    calls = []
+
+    def small(X):
+        calls.append(X)
+        return np.eye(2)
+
+    with pytest.raises(DimensionMismatch, match=r"^oracle output is \(2, 2\), expected \(3, 3\)$"):
+        entry(small)
     assert len(calls) == 1
 
 
