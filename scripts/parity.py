@@ -22,7 +22,10 @@ importing its own ``src/`` and ``perfbench/``:
   ``reconstruct.torus_conjugator`` and ``lattice_compat_check`` at n = 3;
 * ``core.spectrum_match_distance`` on 300 seeded pairs of spectra on the
   integer grid, n = 2-8, whose ties send most of them to the bisection
-  fallback that no other input here reaches.
+  fallback that no other input here reaches;
+* ``core.char_poly`` on seeded stacks of 4 complex Gaussian matrices,
+  n = 1-16, beyond the sizes that the suite and the ``verify`` reports
+  reach.
 
 Reports are compared as text, byte for byte, with only the value on the
 ``"wall_time"`` line masked, and each run's temporary directory in paths.
@@ -84,6 +87,7 @@ EXTRA_INVOCATIONS = (
 #: whose records the seeds above already compare.
 ONCE_INVOCATIONS = (("all", ["all"]),)
 MATCH_PAIRS = 300
+CHAR_POLY_DIMS = range(1, 17)
 WALL_TIME = re.compile(r'^(\s*"wall_time": ).*?(,?)$', re.MULTILINE)
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -128,6 +132,11 @@ def emit(tree: Path) -> dict:
     # each pair is (2 spectra, real and imaginary parts, n) grid integers
     pairs = [rng.integers(-2, 3, size=(2, 2, n)) for n in rng.integers(2, 9, MATCH_PAIRS)]
     record["match"] = [core.spectrum_match_distance(*(p[:, 0] + 1j * p[:, 1])) for p in pairs]
+    # each stack is (4 matrices, real and imaginary parts, n, n) Gaussians;
+    # the coefficients are kept as (real, imaginary) pairs of floats
+    stacks = [rng.standard_normal((4, 2, n, n)) for n in CHAR_POLY_DIMS]
+    record["char_poly"] = [core.char_poly(z[:, 0] + 1j * z[:, 1]).view(float).tolist()
+                           for z in stacks]
     return record
 
 
@@ -204,6 +213,7 @@ def main(argv=None) -> int:
           f"(exit codes {codes})")
     print(f"{len(change['demos'])} demo outputs identical")
     print(f"{len(change['match'])} bottleneck matching distances identical")
+    print(f"{len(change['char_poly'])} characteristic polynomial stacks identical")
     return 0
 
 

@@ -61,18 +61,16 @@ POWERLAW_SPACES = ("gln", "sln", "un", "nn", "mn", "gln_ss", "sln_ss")
 
 
 def _crit_powerlaw(seed):
-    claim_pl = "image characteristic polynomial is the m/n power of the source"
-    claim_in = "image spectrum is contained in the source spectrum"
     rng = np.random.default_rng(seed)
     out = []
     for space in POWERLAW_SPACES:
         S0 = shrinkers.fixed_conjugator(rng, 6)
         phi = shrinkers.make_shrinker("canonical", conjugator=S0)
         report = shrinkers.verify_shrinker(phi, space, 3, 6, samples=100, seed=seed)
-        out.append(CheckResult.of(1, f"powerlaw-{space}", claim_pl,
+        out.append(CheckResult.of(1, f"powerlaw-{space}", shrinkers.POWERLAW_CLAIM,
                                   report.powerlaw_defect, shrinkers.POWERLAW_TOL,
                                   {"samples": 100, "pq": [1, 1]}))
-        out.append(CheckResult.of(2, f"inclusion-{space}", claim_in,
+        out.append(CheckResult.of(2, f"inclusion-{space}", shrinkers.INCLUSION_CLAIM,
                                   report.inclusion_defect, shrinkers.INCLUSION_TOL,
                                   {"samples": 100}))
     return out
@@ -134,8 +132,8 @@ def _crit_su_selector(seed):
     return [
         CheckResult.of(4, "su-selector-spectral", claim, spectral, selectors.SPECTRAL_TOL,
                        {"draws": 180}),
-        CheckResult.of(4, "su-selector-conjugation-invariant", claim, invariance, 1e-8,
-                       {"pairs": 180}),
+        CheckResult.of(4, "su-selector-conjugation-invariant", claim, invariance,
+                       selectors.INVARIANCE_TOL, {"pairs": 180}),
         CheckResult.of(4, "su-selector-path-continuity", claim, max_jump, selectors.JUMP_TOL,
                        {"paths": 150, "step": step, "steps_per_path": nsteps}),
     ]
@@ -329,13 +327,15 @@ def _crit_reconstruct(seed):
         theta_residual = float(exc.residual or 0.0)
 
     return [
-        CheckResult.of(10, "reconstruct-roundtrip", claim, worst_proj, 1e-5,
+        CheckResult.of(10, "reconstruct-roundtrip", claim, worst_proj,
+                       reconstruct.ROUNDTRIP_TOL,
                        {"pairs": 25, "spaces": list(spaces_under_test),
                         "mode_failures": mode_failures},
-                       passed=(worst_proj <= 1e-5 and mode_failures == 0)),
-        CheckResult.of(10, "reconstruct-subspace-map", claim, inclusion, 1e-6,
+                       passed=(worst_proj <= reconstruct.ROUNDTRIP_TOL and mode_failures == 0)),
+        CheckResult.of(10, "reconstruct-subspace-map", claim, inclusion,
+                       reconstruct.SUBSPACE_MAP_TOL,
                        {"subspace_pairs": 100, "dimension_failures": dim_failures},
-                       passed=(inclusion <= 1e-6 and dim_failures == 0)),
+                       passed=(inclusion <= reconstruct.SUBSPACE_MAP_TOL and dim_failures == 0)),
         CheckResult.of(10, "reconstruct-lattice-compat", claim,
                        0.0 if lattice_ok else 1.0, 0.5, {}, passed=lattice_ok),
         CheckResult.of(10, "reconstruct-rejects-involution", claim, None, None,

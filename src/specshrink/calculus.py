@@ -63,33 +63,22 @@ def _idempotent(P, Pinv, idx) -> np.ndarray:
     return (P * mask) @ Pinv
 
 
-def spectral_idempotents(T) -> list[tuple[complex, np.ndarray]]:
-    """Spectral idempotents of a semisimple matrix: the pairs
-    ``(lambda, E_lambda)``, one per eigenvalue cluster.
-
-    Eigenvalues within ``DEFAULT_GROUPING_TOL`` of each other (single
-    linkage) become one cluster with the summed idempotent; clusters must
-    stay separated by more than ``10 * DEFAULT_GROUPING_TOL`` or the
-    grouping is ambiguous and refused.
-    """
-    w, P = _semisimple_eig(core.as_matrix(T)[None])
-    Pinv = np.linalg.inv(P[0])
-    return [(rep, _idempotent(P[0], Pinv, idx))
-            for rep, idx in _clusters(w[0], DEFAULT_GROUPING_TOL)]
-
-
 def apply_function(T, f: Callable[[complex], complex],
                    grouping_tol: float = DEFAULT_GROUPING_TOL) -> np.ndarray:
     """``f(T) = sum f(lambda) E_lambda`` on a semisimple matrix, or on every
     matrix of a ``(k, n, n)`` stack at once.
+
+    ``E_lambda`` is the idempotent of one eigenvalue cluster (single
+    linkage at ``grouping_tol``; clusters closer than ``10 * grouping_tol``
+    are refused), so an f that is 1 on one cluster and 0 elsewhere gives it.
 
     The construction is conjugation invariant:
     ``apply_function(S T S^-1, f) = S apply_function(T, f) S^-1`` up to
     conditioning-scaled rounding.  ``f`` is called once per eigenvalue
     cluster, on a complex scalar, matrix by matrix.  A matrix whose
     eigenvalues are all farther apart than the clustering could join is
-    computed on the stack, bit for bit the sum over
-    :func:`spectral_idempotents`; any other takes that sum itself.
+    computed on the stack, bit for bit the sum over its clusters'
+    idempotents; any other takes that sum itself.
     """
     A = core.as_matrix(T, stack=True)
     As = A if A.ndim == 3 else A[None]

@@ -131,14 +131,12 @@ def _cmd_verify(args):
                                        samples=args.samples, seed=args.seed)
     config["report"] = report.to_dict()
     results = [CheckResult.of(
-        None, "shrinking-inclusion",
-        "image spectrum is contained in the source spectrum",
+        None, "shrinking-inclusion", shrinkers.INCLUSION_CLAIM,
         report.inclusion_defect, shrinkers.INCLUSION_TOL,
     )]
     if report.divisible:
         results.append(CheckResult.of(
-            None, "powerlaw",
-            "image characteristic polynomial is the m/n power of the source",
+            None, "powerlaw", shrinkers.POWERLAW_CLAIM,
             report.powerlaw_defect, shrinkers.POWERLAW_TOL,
         ))
     else:

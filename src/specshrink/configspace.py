@@ -29,20 +29,11 @@ def eta_cycle(n: int) -> tuple:
     return tuple((i + 1) % n for i in range(n))
 
 
-def compose(a: tuple, b: tuple) -> tuple:
-    """(a o b)(i) = a(b(i))."""
-    return tuple(a[b[i]] for i in range(len(a)))
-
-
 def inverse(a: tuple) -> tuple:
     out = [0] * len(a)
     for i, j in enumerate(a):
         out[j] = i
     return tuple(out)
-
-
-def all_permutations(n: int) -> list:
-    return [tuple(p) for p in _permutation_rows(n).tolist()]
 
 
 def _permutation_rows(n: int) -> np.ndarray:
@@ -58,7 +49,7 @@ def _permutation_rows(n: int) -> np.ndarray:
     return rows.reshape(-1, n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CirclePoints:
     """n distinct modulus-1 complex numbers."""
 
@@ -78,23 +69,14 @@ class CirclePoints:
     def n(self) -> int:
         return self.z.size
 
-    def __eq__(self, other):
-        return isinstance(other, CirclePoints) and np.array_equal(self.z, other.z)
-
 
 @dataclass(frozen=True)
 class PermCoset:
-    """A left coset tau<eta> in S_n, stored by its lex-minimal representative."""
+    """A left coset tau<eta> in S_n, stored by its lex-minimal representative
+    (the row :func:`coset_representatives` gives any tau of the coset)."""
 
     n: int
     rep: tuple
-
-    @classmethod
-    def of(cls, n: int, tau: tuple) -> "PermCoset":
-        return cls(n, tuple(coset_representatives(np.array([tau]))[0].tolist()))
-
-    def contains(self, sigma: tuple) -> bool:
-        return PermCoset.of(self.n, tuple(sigma)) == self
 
     def left_multiply(self, sigma: tuple) -> "PermCoset":
         return PermCoset(self.n, tuple(left_multiply_stack([sigma], self.rep)[0].tolist()))

@@ -341,7 +341,7 @@ def char_poly(X) -> np.ndarray:
     Returns the ascending coefficients ``c_0 .. c_{n-1}`` of
     ``x^n + c_{n-1} x^{n-1} + ... + c_0``; the leading 1 is implicit.  A
     ``(k, n, n)`` stack gives the ``(k, n)`` coefficient rows, one batched
-    product per step.
+    product ``A @ M`` per step, whose trace gives the next coefficient.
 
     Uses only matrix products and traces, so it is independent of the
     eigensolver and can serve as a cross-check oracle for it.  This
@@ -357,11 +357,11 @@ def char_poly(X) -> np.ndarray:
     n = A.shape[-1]
     eye = np.eye(n, dtype=complex)
     asc = np.empty(A.shape[:-1], dtype=complex)
-    M = np.zeros_like(A)
+    AM = np.zeros_like(A)  # A @ M, with M = 0 before the first step
     c = np.ones(len(A), dtype=complex)
     for k in range(1, n + 1):
-        M = A @ M + c[:, None, None] * eye
-        c = -np.trace(A @ M, axis1=1, axis2=2) / k
+        AM = A @ (AM + c[:, None, None] * eye)
+        c = -np.trace(AM, axis1=1, axis2=2) / k
         asc[:, n - k] = c
     return asc if X.ndim == 3 else asc[0]
 

@@ -49,13 +49,17 @@ CLASSIFIABLE_SPACES = (
 
 #: Pinned tolerances: the largest validation residual
 #: ``||phi(X) - T X° T^{-1}|| / ||X||``; the gap distance within which
-#: the witness line singles out a branch; and the largest gap between
-#: ``Psi(W + W')`` and ``Psi(W) + Psi(W')``.  The kernel cut of
-#: ``I - phi(U_W)`` is ``core.KERNEL_TOL``, relative and absolute, as
-#: ``||U_W|| = 1``.
+#: the witness line singles out a branch; the largest gap between
+#: ``Psi(W + W')`` and ``Psi(W) + Psi(W')``; the largest projective distance
+#: of a recovered matrix from the implementing one; and the largest
+#: containment defect of ``Psi(W)`` in ``Psi(W')`` for ``W <= W'``.  The
+#: kernel cut of ``I - phi(U_W)`` is ``core.KERNEL_TOL``, relative and
+#: absolute, as ``||U_W|| = 1``.
 RESIDUAL_TOL = 1e-6
 BRANCH_TOL = 1e-3
 LATTICE_TOL = 1e-6
+ROUNDTRIP_TOL = 1e-5
+SUBSPACE_MAP_TOL = 1e-6
 
 #: Held-out samples per validation stage; torus elements tried before the
 #: eigenvalue matching counts as ambiguous.
@@ -147,8 +151,10 @@ def psi(phi, subspaces):
     stacked call fails, is called on each involution as its ``Psi`` is
     taken, so the first probe that fails raises first.  A dimension change
     means the oracle violates its hypotheses and raises
-    :class:`DimensionDrift`.
+    :class:`DimensionDrift`.  No subspaces yield nothing, with no oracle call.
     """
+    if not subspaces:
+        return
     U = np.stack([involution_for_subspace(W) for W in subspaces])
     Y = core.stacked_call(phi, U, U.shape[-1])
     for i, W in enumerate(subspaces):
@@ -166,6 +172,8 @@ def lattice_compat_check(phi, n: int, trials: int = 20, seed: int = 0) -> bool:
     Pairs are drawn with a shared orthonormal eigenbasis (columns of one
     Haar unitary), which is exactly the commuting-projection condition.
     """
+    if n < 2:
+        raise UnsupportedDimension(f"the lattice check needs n >= 2 for proper subspaces, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)

@@ -37,9 +37,11 @@ from .errors import (
 TWO_PI = 2.0 * np.pi
 
 #: Pinned thresholds: how far a selected value may sit from the spectrum,
-#: the largest step a selection may take along a path of step 1e-3, and how
-#: far a monodromy root ratio may sit from exp(2 pi i / n).
+#: how far it may move when its input is conjugated, the largest step a
+#: selection may take along a path of step 1e-3, and how far a monodromy
+#: root ratio may sit from exp(2 pi i / n).
 SPECTRAL_TOL = 1e-8
+INVARIANCE_TOL = 1e-8
 JUMP_TOL = 0.05
 MONODROMY_RATIO_TOL = 1e-6
 
@@ -213,9 +215,21 @@ def _tie_screen(d, candidates):
 
 
 def _track_order(spectra) -> np.ndarray:
-    """The tracked order of :func:`track_spectra`: row k holds, for each
-    value of ``spectra[0]``, the index of the entry of ``spectra[k]`` it was
-    tracked to."""
+    """Nearest-match tracking of the values of ``spectra[0]``, in its order,
+    through the rows of a ``(steps + 1, n)`` array of spectra.
+
+    Row k of the result holds, for each value of ``spectra[0]``, the index
+    of the entry of ``spectra[k]`` it was tracked to: every tracked value
+    goes to its nearest entry of the next row, with the tie rule of
+    :func:`_tie_screen`, and the matches must be a bijection.  All steps
+    are matched at once on one ``(steps, n, n)`` distance array; the
+    tracked order is then the composition of the per-step index maps.
+    Every tracked value is an entry of its row, so these are the distances
+    a step-by-step matching computes, only in another row order.  The
+    first failing step raises what that matching raises: the first
+    ambiguous tracked value names the message, otherwise two values
+    claimed the same target.
+    """
     steps, n = spectra.shape[0] - 1, spectra.shape[1]
     # d[k, a, j]: from entry a of row k to entry j of row k + 1
     d = np.abs(spectra[1:, None, :] - spectra[:-1, :, None])
@@ -239,25 +253,6 @@ def _track_order(spectra) -> np.ndarray:
             )
         raise AmbiguousContinuation("two tracked eigenvalues claimed the same target")
     return order
-
-
-def track_spectra(spectra) -> np.ndarray:
-    """Nearest-match tracking of the values of ``spectra[0]``, in its order,
-    through the rows of a ``(steps + 1, n)`` array of spectra.
-
-    Row k + 1 of the result holds the entries of ``spectra[k + 1]`` matched
-    to row k of the result: every tracked value to its nearest entry, with
-    the tie rule of :func:`_tie_screen`, and the matches must be a
-    bijection.  All steps are matched at once on one ``(steps, n, n)``
-    distance array; the tracked order is then the composition of the
-    per-step index maps.  Every tracked value is an entry of its row, so
-    these are the distances a step-by-step matching computes, only in
-    another row order.  The first failing step raises what that matching
-    raises: the first ambiguous tracked value names the message, otherwise
-    two values claimed the same target.
-    """
-    spectra = np.asarray(spectra, dtype=complex)
-    return np.take_along_axis(spectra, _track_order(spectra), axis=1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,9 +23,12 @@ from . import core, selectors, spaces
 from .errors import DimensionMismatch, SingularConjugator
 
 #: Pinned thresholds of the batch check: the worst inclusion defect and the
-#: worst power-law coefficient defect a shrinker may show.
+#: worst power-law coefficient defect a shrinker may show, and the claims
+#: they check, as every report states them.
 INCLUSION_TOL = 1e-8
 POWERLAW_TOL = 1e-7
+INCLUSION_CLAIM = "image spectrum is contained in the source spectrum"
+POWERLAW_CLAIM = "image characteristic polynomial is the m/n power of the source"
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
-"""Samplers and membership tests for the matrix spaces under study.
+"""Samplers for the matrix spaces under study.
 
-Every named space gets a seeded sampler and a membership predicate checking
-its defining equations.  Distribution choices, all documented per sampler:
+Every named space gets a seeded sampler.  Distribution choices, all
+documented per sampler:
 
 * ``mn``        Ginibre (iid complex Gaussian entries).
 * ``gln``       Ginibre with a rejection on the smallest singular value.
@@ -21,9 +21,9 @@ and commuting normal stacks) live here too.  Every rejection loop here
 gives up after ``MAX_TRIES`` draws with :class:`UnsupportedDimension`.
 
 Samplers take a ``numpy.random.Generator`` (or a seed) and are pure given
-it; membership tests are pure.  :func:`sample_stack` draws k matrices of a
-space as one ``(k, n, n)`` stack, bit for bit what k calls of
-:func:`sample` draw, and :func:`sample` is its k = 1 case.
+it.  :func:`sample_stack` draws k matrices of a space as one ``(k, n, n)``
+stack, bit for bit what k calls of :func:`sample` draw, and :func:`sample`
+is its k = 1 case.
 """
 
 from __future__ import annotations
@@ -44,9 +44,8 @@ SIMPLE_GAP = 1e-4
 MAX_TRIES = 1000
 
 #: Log-spread of the bounded conjugators' singular values (about
-#: [0.8, 1.25]) and the tolerance of :func:`membership`.
+#: [0.8, 1.25]).
 CONJUGATOR_SPREAD = 0.22
-MEMBERSHIP_TOL = 1e-8
 
 
 class SpaceId(str, Enum):
@@ -280,8 +279,7 @@ def _normal_pair(z, lam1, lam2) -> tuple[np.ndarray, np.ndarray]:
 def sample(space, n: int, rng) -> np.ndarray:
     """Draw one matrix from the named space: the k = 1 case of :func:`sample_stack`.
 
-    Output passes ``membership(space, .)``.  See the module docstring
-    for the distribution behind each tag.
+    See the module docstring for the distribution behind each tag.
     """
     return sample_stack(space, n, 1, rng)[0]
 
@@ -335,57 +333,4 @@ def sample_stack(space, n: int, k: int, rng) -> np.ndarray:
             lambda m: sample_stack(SpaceId.GLN, n, m, g),
             lambda x: np.abs(np.linalg.det(x) + 1.0) > 1e-6,
             k, "det != -1 rejection sampling failed")
-    raise ValueError(f"unhandled space {sid}")  # pragma: no cover
-
-
-# ---------------------------------------------------------------------------
-# Membership
-# ---------------------------------------------------------------------------
-
-def membership(space, X) -> bool:
-    """Check the defining equations of the space within ``tol = MEMBERSHIP_TOL``.
-
-    Scale conventions: linear conditions use ``tol * (1 + ||X||)``, the
-    normality commutator uses ``tol * (1 + ||X||)^2``, semisimplicity is
-    :func:`core.semisimplicity_check`'s verdict.
-    """
-    sid = SpaceId.parse(space)
-    A = core.as_matrix(X)
-    n = A.shape[0]
-    scale = 1.0 + core.opnorm(A)
-
-    def invertible():
-        s = np.linalg.svd(A, compute_uv=False)
-        return s[-1] > MEMBERSHIP_TOL * scale
-
-    def unitary():
-        return core.opnorm(A.conj().T @ A - np.eye(n)) <= MEMBERSHIP_TOL * scale
-
-    def semisimple():
-        _, _, cond, _ = core.eig_decompose_stack(A[None])
-        failed, _, _ = core.semisimplicity_check(cond)
-        return not failed[0]
-
-    if sid is SpaceId.MN:
-        return True
-    if sid is SpaceId.MN_SS:
-        return semisimple()
-    if sid is SpaceId.GLN:
-        return invertible()
-    if sid is SpaceId.GLN_SS:
-        return invertible() and semisimple()
-    if sid is SpaceId.SLN:
-        return invertible() and abs(np.linalg.det(A) - 1.0) <= MEMBERSHIP_TOL * scale ** n
-    if sid is SpaceId.SLN_SS:
-        return membership(SpaceId.SLN, A) and semisimple()
-    if sid is SpaceId.UN:
-        return unitary()
-    if sid is SpaceId.SUN:
-        return unitary() and abs(np.linalg.det(A) - 1.0) <= MEMBERSHIP_TOL * n
-    if sid is SpaceId.NN:
-        return core.opnorm(A @ A.conj().T - A.conj().T @ A) <= MEMBERSHIP_TOL * scale ** 2
-    if sid is SpaceId.HN:
-        return core.opnorm(A - A.conj().T) <= MEMBERSHIP_TOL * scale
-    if sid is SpaceId.GLN_STAR:
-        return invertible() and abs(np.linalg.det(A) + 1.0) > MEMBERSHIP_TOL * scale ** n
     raise ValueError(f"unhandled space {sid}")  # pragma: no cover

@@ -7,8 +7,9 @@ enumeration instead of the sort-based construction, closed-form roots
 instead of eigenvalue continuation, every bijection instead of bisection
 over perfect matchings, scipy's bipartite matching instead of its
 assignment solver, one matrix, value, step, path or permutation at a time
-instead of a stacked kernel or a stacked draw, ``json.dumps`` instead of
-the CLI's own encoder.
+instead of a stacked kernel or a stacked draw, a space's defining
+equations instead of its sampler, ``json.dumps`` instead of the CLI's own
+encoder.
 """
 
 import itertools
@@ -326,6 +327,11 @@ def worst_residual_by_loop(phi, form, draws, worst=0.0):
     return worst
 
 
+def compose(a, b):
+    """The permutation tuple ``(a o b)(i) = a(b(i))``."""
+    return tuple(a[b[i]] for i in range(len(a)))
+
+
 def cycle_decomposition_by_enumeration(n):
     """The shift-transposition factorization over every permutation tuple:
     for each distinct conjugate c of eta and each transposition (a b), some
@@ -335,7 +341,7 @@ def cycle_decomposition_by_enumeration(n):
     eta = configspace.eta_cycle(n)
     seen = set()
     for theta in itertools.permutations(range(n)):
-        c = configspace.compose(configspace.compose(theta, eta), configspace.inverse(theta))
+        c = compose(compose(theta, eta), configspace.inverse(theta))
         if c in seen:
             continue
         seen.add(c)
@@ -343,7 +349,7 @@ def cycle_decomposition_by_enumeration(n):
         cur = c
         for _ in range(n - 1):
             powers.append(cur)
-            cur = configspace.compose(c, cur)
+            cur = compose(c, cur)
         for a, b in itertools.combinations(range(n), 2):
             if not any(p[b] == a or p[a] == b for p in powers):
                 return False
@@ -358,7 +364,7 @@ def coset_representative_by_rotation(n, tau):
     eta = configspace.eta_cycle(n)
     best = cur = tuple(tau)
     for _ in range(n - 1):
-        cur = configspace.compose(cur, eta)
+        cur = compose(cur, eta)
         best = min(best, cur)
     return best
 
@@ -372,8 +378,8 @@ def expected_isotropy_by_loop(n, g):
     out = set()
     cur = configspace.identity_perm(n)
     for _ in range(n):
-        out.add(configspace.compose(g, configspace.compose(cur, ginv)))
-        cur = configspace.compose(cur, eta)
+        out.add(compose(g, compose(cur, ginv)))
+        cur = compose(cur, eta)
     return out
 
 
@@ -396,7 +402,7 @@ def classification_failures_by_loop(rng, n, trials):
         sigmas = (itertools.permutations(range(n)) if exhaustive
                   else [tuple(rng.permutation(n)) for _ in range(cs.RANDOM_PERMUTATIONS)])
         for sigma in sigmas:
-            moved = coset_representative_by_rotation(n, cs.compose(sigma, base))
+            moved = coset_representative_by_rotation(n, compose(sigma, base))
             if classify(cs.act(sigma, pts)) != moved:
                 equivariance += 1
         if exhaustive:
@@ -567,6 +573,62 @@ def sample_by_loop(space, n, rng):
             if abs(np.linalg.det(x) + 1.0) > 1e-6:
                 return x
         raise UnsupportedDimension("det != -1 rejection sampling failed")
+    raise ValueError(f"unhandled space {sid}")
+
+
+#: Tolerance of :func:`membership`.
+MEMBERSHIP_TOL = 1e-8
+
+
+def membership(space, X):
+    """Whether X satisfies the defining equations of the named space within
+    ``tol = MEMBERSHIP_TOL``: the reference the samplers' output must pass.
+
+    Scale conventions: linear conditions use ``tol * (1 + ||X||)``, the
+    normality commutator uses ``tol * (1 + ||X||)^2``, semisimplicity is
+    :func:`core.semisimplicity_check`'s verdict.
+    """
+    from specshrink import core, spaces
+
+    sid = spaces.SpaceId.parse(space)
+    A = core.as_matrix(X)
+    n = A.shape[0]
+    scale = 1.0 + core.opnorm(A)
+
+    def invertible():
+        s = np.linalg.svd(A, compute_uv=False)
+        return s[-1] > MEMBERSHIP_TOL * scale
+
+    def unitary():
+        return core.opnorm(A.conj().T @ A - np.eye(n)) <= MEMBERSHIP_TOL * scale
+
+    def semisimple():
+        _, _, cond, _ = core.eig_decompose_stack(A[None])
+        failed, _, _ = core.semisimplicity_check(cond)
+        return not failed[0]
+
+    if sid is spaces.SpaceId.MN:
+        return True
+    if sid is spaces.SpaceId.MN_SS:
+        return semisimple()
+    if sid is spaces.SpaceId.GLN:
+        return invertible()
+    if sid is spaces.SpaceId.GLN_SS:
+        return invertible() and semisimple()
+    if sid is spaces.SpaceId.SLN:
+        return invertible() and abs(np.linalg.det(A) - 1.0) <= MEMBERSHIP_TOL * scale ** n
+    if sid is spaces.SpaceId.SLN_SS:
+        return membership(spaces.SpaceId.SLN, A) and semisimple()
+    if sid is spaces.SpaceId.UN:
+        return unitary()
+    if sid is spaces.SpaceId.SUN:
+        return unitary() and abs(np.linalg.det(A) - 1.0) <= MEMBERSHIP_TOL * n
+    if sid is spaces.SpaceId.NN:
+        return core.opnorm(A @ A.conj().T - A.conj().T @ A) <= MEMBERSHIP_TOL * scale ** 2
+    if sid is spaces.SpaceId.HN:
+        return core.opnorm(A - A.conj().T) <= MEMBERSHIP_TOL * scale
+    if sid is spaces.SpaceId.GLN_STAR:
+        return invertible() and abs(np.linalg.det(A) + 1.0) > MEMBERSHIP_TOL * scale ** n
     raise ValueError(f"unhandled space {sid}")
 
 

@@ -14,7 +14,7 @@ def points(*angles):
 
 
 def test_permutation_helpers():
-    assert cs.compose((1, 2, 0), (2, 0, 1)) == (0, 1, 2)
+    assert oracles.compose((1, 2, 0), (2, 0, 1)) == (0, 1, 2)
     assert cs.inverse((1, 2, 0)) == (2, 0, 1)
     assert cs.eta_cycle(3) == (1, 2, 0)
 
@@ -24,7 +24,6 @@ def test_permutation_rows_are_itertools_order(n):
     rows = cs._permutation_rows(n)
     assert rows.dtype == np.int8
     assert [tuple(r) for r in rows.tolist()] == list(itertools.permutations(range(n)))
-    assert cs.all_permutations(n) == list(itertools.permutations(range(n)))
 
 
 def test_validation():
@@ -34,14 +33,18 @@ def test_validation():
         cs.CirclePoints(np.array([0.5, 1.0]))
 
 
+def coset(n, tau):
+    return cs.PermCoset(n, oracles.coset_representative_by_rotation(n, tau))
+
+
 def test_classify_counterclockwise_order():
-    assert cs.classify_component(points(0, 1 / 3, 2 / 3)) == cs.PermCoset.of(3, (0, 1, 2))
+    assert cs.classify_component(points(0, 1 / 3, 2 / 3)) == coset(3, (0, 1, 2))
 
 
 def test_classify_swapped_pair():
     # (1, e^{4 pi i/3}, e^{2 pi i/3}): reading counterclockwise visits 0, 2, 1
     got = cs.classify_component(points(0, 2 / 3, 1 / 3))
-    assert got == cs.PermCoset.of(3, (0, 2, 1))
+    assert got == coset(3, (0, 2, 1))
     assert got != cs.classify_component(points(0, 1 / 3, 2 / 3))
 
 
@@ -78,7 +81,7 @@ def test_classify_stable_under_small_perturbation():
 
 def test_act_examples():
     pts = points(0.0, 0.25, 0.5)
-    assert cs.act(cs.identity_perm(3), pts) == pts
+    assert np.array_equal(cs.act(cs.identity_perm(3), pts).z, pts.z)
     swapped = cs.act((1, 0, 2), pts)
     assert np.allclose(swapped.z, pts.z[[1, 0, 2]])
 
@@ -95,7 +98,7 @@ def test_equivariance_exhaustive(n):
                 break
         pts = cs.CirclePoints(z)
         base = cs.classify_component(pts)
-        for sigma in cs.all_permutations(n):
+        for sigma in itertools.permutations(range(n)):
             assert cs.classify_component(cs.act(sigma, pts)) == base.left_multiply(sigma)
 
 
@@ -125,14 +128,17 @@ def test_isotropy_is_conjugate_cyclic_n4():
 
 
 def test_coset_equality_semantics():
-    # two representatives differing by a power of eta give equal cosets
+    # permutations differing by a power of eta on the right share one
+    # representative; eta on the left moves this tau to another coset
     n = 4
     eta = cs.eta_cycle(n)
     tau = (2, 0, 3, 1)
-    assert cs.PermCoset.of(n, tau) == cs.PermCoset.of(n, cs.compose(tau, eta))
-    assert cs.PermCoset.of(n, tau).contains(cs.compose(tau, cs.compose(eta, eta)))
-    assert cs.PermCoset.of(n, tau) != cs.PermCoset.of(n, cs.compose(eta, tau)) or \
-        cs.PermCoset.of(n, tau).contains(cs.compose(eta, tau))
+    taus = [tau, oracles.compose(tau, eta), oracles.compose(tau, oracles.compose(eta, eta)),
+            oracles.compose(eta, tau)]
+    reps = [tuple(r) for r in cs.coset_representatives(np.array(taus)).tolist()]
+    assert reps[0] == reps[1] == reps[2] == (0, 3, 1, 2)
+    assert reps[3] != reps[0]
+    assert cs.PermCoset(n, reps[0]) == cs.PermCoset(n, reps[1]) != cs.PermCoset(n, reps[3])
 
 
 _permutation_stacks = st.integers(1, 8).flatmap(
@@ -145,14 +151,13 @@ def test_coset_representatives_equal_the_rotation_loop(taus):
     n = len(taus[0])
     want = [oracles.coset_representative_by_rotation(n, tau) for tau in taus]
     assert [tuple(r) for r in cs.coset_representatives(np.array(taus)).tolist()] == want
-    assert [cs.PermCoset.of(n, tau).rep for tau in taus] == want
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 8).flatmap(lambda n: st.permutations(range(n))))
 def test_expected_isotropy_equals_the_loop(tau):
-    coset = cs.PermCoset.of(len(tau), tau)
-    assert cs.expected_isotropy(coset) == oracles.expected_isotropy_by_loop(coset.n, coset.rep)
+    c = coset(len(tau), tau)
+    assert cs.expected_isotropy(c) == oracles.expected_isotropy_by_loop(c.n, c.rep)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -212,7 +212,7 @@ def test_char_poly_matches_root_expansion(seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seeds, st.integers(1, 8), st.integers(1, 12))
+@given(seeds, st.integers(1, 16), st.integers(1, 12))
 def test_stacked_char_poly_and_spectrum_equal_the_loop(seed, n, k):
     rng = np.random.default_rng(seed)
     # entries over several orders of magnitude, and a repeated matrix

@@ -73,6 +73,19 @@ def test_psi_dimension_drift():
         next(reconstruct.psi(lambda X: U0, [core.span([1.0, 0, 0, 0])]))
 
 
+@pytest.mark.parametrize("stacked", [False, True])
+def test_psi_of_no_subspaces_yields_nothing(stacked):
+    calls = []
+
+    def phi(X):
+        calls.append(X)
+        return X
+
+    phi.stacked = stacked
+    assert list(reconstruct.psi(phi, [])) == []
+    assert calls == []
+
+
 def test_psi_preserves_dimension_and_inclusion():
     rng = np.random.default_rng(204)
     T0 = conjugator(rng, 4)
@@ -328,6 +341,15 @@ def test_classify_guards():
     # no trial would pass a map that breaks the lattice operations unchecked
     with pytest.raises(ValueError):
         reconstruct.lattice_compat_check(lambda X: X * 0 + 1, 4, trials=0)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_lattice_check_needs_two_dimensions(n):
+    # no proper nonzero subspace exists: refused before any draw or oracle call
+    calls = []
+    with pytest.raises(UnsupportedDimension, match="^the lattice check needs n >= 2"):
+        reconstruct.lattice_compat_check(lambda X: calls.append(X) or X, n)
+    assert calls == []
 
 
 def test_classify_spaces_equals_one_call_per_space(monkeypatch):
