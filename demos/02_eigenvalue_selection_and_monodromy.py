@@ -19,9 +19,9 @@ from specshrink import selectors
 rng = np.random.default_rng(7)
 
 print("continuous selection on the special unitary group (n = 3)")
-path = selectors.su_path(rng, 3, 1000, 1e-3)
+[path] = selectors.su_paths(rng, 3, 1, 1000, 1e-3)
 print(f"  1000 steps of size 1e-3, max consecutive jump {path.max_jump:.3e}")
-print(f"  selected value stays on the spectrum within {path.spectral_defect():.3e}")
+print(f"  selected value stays on the spectrum within {path.spectral_defect:.3e}")
 
 print()
 print("the fundamental-domain representative at work:")

@@ -12,6 +12,7 @@ importing its own ``src/`` and ``perfbench/``:
   ``cli`` workload's passes 0-7 at seed 0, plus verify runs whose shrinker
   refuses the space (error reports), the ``hn`` and ``unlambda`` selectors
   (one ``unlambda`` path long enough to cross its cut, a failing check),
+  one ``su`` path of 3000 steps, which spans several selection blocks,
   monodromy loops at n = 2, 4, 5, 7, 8 and radii 0.5, 2 and 1e-40, at
   n = 12 and at n = 9 with radius 1e-40, configuration-space checks at
   n = 1, 2, 3, 4, 6, 7 and 8, ``gl_star`` verify
@@ -67,6 +68,9 @@ EXTRA_INVOCATIONS = (
     # a path long enough to cross the cut: a failing continuity check
     ("select-unlambda-across-cut", ["select", "--selector", "unlambda", "--steps", "1000",
                                     "--step", "0.02"]),
+    # more steps than one selection block holds: the spectral defect is
+    # gathered over blocks
+    ("select-su-blocks", ["select", "--selector", "su", "--n", "4", "--steps", "3000"]),
     *((f"monodromy-{n}-r{r}", ["monodromy", "--n", str(n), "--r", r])
       for n in (2, 4, 5, 7, 8) for r in ("0.5", "2", "1e-40")),
     # loops above the n <= 8 the workload runs

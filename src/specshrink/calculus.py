@@ -107,7 +107,7 @@ def apply_function(T, f: Callable[[complex], complex],
 def _singleton_sum(w, P, Pinv, f) -> np.ndarray:
     """``sum_j f(lambda_j) E_j`` over the one-eigenvalue idempotents of each
     matrix of a stack, in the order and rounding of the cluster sum."""
-    fw = np.array([[complex(f(complex(lam))) for lam in row] for row in w])
+    fw = np.array([[complex(f(complex(lam))) for lam in row] for row in w]).reshape(w.shape)
     out = np.zeros_like(P)
     for j in range(P.shape[-1]):
         out += fw[:, j, None, None] * _idempotent(P, Pinv, j)
@@ -144,7 +144,7 @@ def lagrange_apply(T, f: Callable[[complex], complex]) -> np.ndarray:
     scale = 1.0 + core.opnorm(As)
     core.check_rows([(core.min_gaps(vals) <= LAGRANGE_GAP_TOL * scale, AmbiguousClustering,
                       "interpolation oracle requires simple spectrum")])
-    fv = np.array([[complex(f(v)) for v in row] for row in vals])
+    fv = np.array([[complex(f(v)) for v in row] for row in vals]).reshape(vals.shape)
     eye = np.eye(n, dtype=complex)
     out = np.zeros_like(As)
     for i in range(n):

@@ -161,10 +161,10 @@ def _cmd_select(args):
     results = []
 
     if args.selector == "su":
-        path = selectors.su_path(rng, n, steps, step)
+        [path] = selectors.su_paths(rng, n, 1, steps, step)
         results.append(CheckResult.of(None, "selector-spectral",
                                       "the selected value is always an eigenvalue",
-                                      path.spectral_defect(), selectors.SPECTRAL_TOL))
+                                      path.spectral_defect, selectors.SPECTRAL_TOL))
     elif args.selector == "hn":
         X0 = spaces.sample(spaces.SpaceId.HN, n, rng)
         H1 = spaces.sample(spaces.SpaceId.HN, n, rng)

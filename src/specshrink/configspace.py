@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import core, spaces
-from .errors import DegeneratePoints
+from .errors import DegeneratePoints, UnsupportedDimension
 
 
 def identity_perm(n: int) -> tuple:
@@ -153,6 +153,8 @@ def classification_failures(rng, n: int, trials: int) -> tuple[int, Optional[int
     cyclic group of order n.  For n above ``EXHAUSTIVE_MAX_N`` equivariance
     is tested on random permutations and the isotropy count is None.
     """
+    if n < 1:
+        raise UnsupportedDimension(f"dimension must be >= 1, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     exhaustive = n <= EXHAUSTIVE_MAX_N

@@ -58,18 +58,12 @@ class EigenPath:
 
     parameters: np.ndarray
     values: np.ndarray
-    matrices: Optional[list] = None
+    #: Worst distance from a selected value to its matrix's spectrum (su_paths).
+    spectral_defect: Optional[float] = None
 
     @property
     def max_jump(self) -> float:
         return core.running_max(np.abs(np.diff(self.values)))
-
-    def spectral_defect(self) -> float:
-        """Worst distance from a selected value to the spectrum of its matrix."""
-        if not self.matrices:
-            raise ValueError("the path keeps no matrices to measure a spectral defect on")
-        W = np.linalg.eigvals(np.stack(self.matrices))
-        return core.running_max(core.spectrum_inclusion_defect(self.values[:, None], W))
 
     def to_dict(self) -> dict:
         return {
@@ -99,8 +93,9 @@ def _not_unitary(A) -> np.ndarray:
     return failed
 
 
-def _su_points(Us) -> np.ndarray:
-    """Fundamental-domain representatives of a ``(k, n, n)`` stack, one row each.
+def _su_points(Us) -> tuple[np.ndarray, np.ndarray]:
+    """Fundamental-domain representatives of a ``(k, n, n)`` stack, one row
+    each, and the ``(k, n)`` eigenvalues they were computed from.
 
     Eigenvalue angles theta_j in [0, 1) sum to an integer s for det = 1;
     the representative shifts the s largest sorted angles down by one turn
@@ -117,7 +112,8 @@ def _su_points(Us) -> np.ndarray:
         A = np.where(finite[:, None, None], A, np.eye(n))  # keep LAPACK off non-finite
     not_unitary = _not_unitary(A)
     det_off = np.abs(np.linalg.det(A) - 1.0) > DOMAIN_TOL * n
-    theta = np.sort(np.mod(np.angle(np.linalg.eigvals(A)) / TWO_PI, 1.0), axis=1)
+    vals = np.linalg.eigvals(A)
+    theta = np.sort(np.mod(np.angle(vals) / TWO_PI, 1.0), axis=1)
     total = theta.sum(axis=1)
     s = np.rint(total)
     off_integer = np.abs(total - s) > 1e-6
@@ -140,7 +136,7 @@ def _su_points(Us) -> np.ndarray:
          "last coordinate exceeds first + 1"),
     )
     core.check_rows(checks, total=total)
-    return x
+    return x, vals
 
 
 def su_select_stack(Us) -> np.ndarray:
@@ -149,13 +145,13 @@ def su_select_stack(Us) -> np.ndarray:
     Bit for bit the per-matrix values; one LAPACK call per step for the
     whole stack instead of one per matrix.
     """
-    return np.exp(2j * np.pi * _su_points(Us)[:, 0])
+    return np.exp(2j * np.pi * _su_points(Us)[0][:, 0])
 
 
 def su_representative(U) -> np.ndarray:
     """Fundamental-domain representative of the conjugacy class of U: the
     point of F, in full turns, whose domain bounds the kernel checks."""
-    return _su_points(core.as_matrix(U)[None])[0]
+    return _su_points(core.as_matrix(U)[None])[0][0]
 
 
 def su_select(U) -> complex:
@@ -177,14 +173,17 @@ def un_lambda_select_stack(Us, lam: complex) -> np.ndarray:
 
     Defined on unitaries whose spectrum avoids the modulus-1 point ``lam``;
     any continuous branch on the cut plane differs by a constant, so the
-    maximizer does not depend on the branch convention.  The first matrix
-    that is not unitary, or has ``lam`` in its spectrum, raises.
+    maximizer does not depend on the branch convention.  A ``lam`` off the
+    unit circle raises ValueError; the first matrix that is not unitary, or
+    has ``lam`` in its spectrum, raises.
     """
     A = core.as_matrix(Us, stack=True)
     if A.ndim != 3:
         raise DimensionMismatch(f"expected a (k, n, n) stack, got shape {A.shape}")
-    vals = np.linalg.eigvals(A)
     lam = complex(lam)
+    if not (np.isfinite(lam) and abs(abs(lam) - 1.0) <= DOMAIN_TOL):
+        raise ValueError(f"the branch point must have modulus 1, got {lam}")
+    vals = np.linalg.eigvals(A)
     core.check_rows([
         (_not_unitary(A), NotUnitary, f"input is not unitary within tolerance {DOMAIN_TOL}"),
         (np.min(np.abs(vals - lam), axis=1) <= DOMAIN_TOL, LambdaInSpectrum,
@@ -361,8 +360,7 @@ def selector_path(select, mats, parameters=None) -> EigenPath:
         for M in mats:  # the failing matrix raises as a one-matrix call
             select(np.asarray(M)[None])
         raise
-    return EigenPath(parameters=parameters, values=np.array(vals, dtype=complex),
-                     matrices=mats)
+    return EigenPath(parameters=parameters, values=np.array(vals, dtype=complex))
 
 
 def path_parameters(steps: int, step: float) -> np.ndarray:
@@ -389,8 +387,7 @@ def _skew_traceless(rng, n):
 SELECT_BLOCK = 1024
 
 
-def su_paths(rng, n: int, count: int, steps: int, step: float,
-             keep_matrices: bool = False) -> list[EigenPath]:
+def su_paths(rng, n: int, count: int, steps: int, step: float) -> list[EigenPath]:
     """The special unitary selector along ``count`` random one-parameter orbits.
 
     Each orbit draws a Haar special unitary U and a unit-norm traceless
@@ -398,8 +395,9 @@ def su_paths(rng, n: int, count: int, steps: int, step: float,
     on ``E^k U`` for k = 0..steps with ``E = exp(step A)``.  The U of all
     orbits come from one stacked QR and determinant rescaling; the orbits
     advance together, one stacked product per step, and are selected on
-    blocks of at most ``SELECT_BLOCK`` matrices.  scipy is imported here,
-    for ``expm`` only, so that importing the package does not load it.
+    blocks of at most ``SELECT_BLOCK`` matrices, whose spectra also give
+    each path's spectral defect.  scipy is imported here, for ``expm``
+    only, so that importing the package does not load it.
     """
     from scipy.linalg import expm
 
@@ -418,7 +416,7 @@ def su_paths(rng, n: int, count: int, steps: int, step: float,
         raise ValueError(f"exp(step A) is not finite at step {step}")
     U = spaces._unit_determinant(spaces._haar(z))
     values = np.empty((count, steps + 1), dtype=complex)
-    matrices = [[] for _ in range(count)] if keep_matrices else None
+    gaps = np.empty((count, steps + 1))
     block = max(1, SELECT_BLOCK // count)
     for k0 in range(0, steps + 1, block):
         width = min(block, steps + 1 - k0)
@@ -426,16 +424,11 @@ def su_paths(rng, n: int, count: int, steps: int, step: float,
         for j in range(width):
             stack[:, j] = U
             U = E @ U
-        values[:, k0:k0 + width] = su_select_stack(
-            stack.reshape(count * width, n, n)).reshape(count, width)
-        if keep_matrices:
-            for i in range(count):
-                matrices[i].extend(stack[i])
+        x, spectra = _su_points(stack.reshape(count * width, n, n))
+        selected = np.exp(2j * np.pi * x[:, 0])
+        values[:, k0:k0 + width] = selected.reshape(count, width)
+        gaps[:, k0:k0 + width] = core.spectrum_inclusion_defect(
+            selected[:, None], spectra).reshape(count, width)
     return [EigenPath(parameters=parameters, values=values[i],
-                      matrices=matrices[i] if keep_matrices else None)
+                      spectral_defect=core.running_max(gaps[i]))
             for i in range(count)]
-
-
-def su_path(rng, n: int, steps: int, step: float) -> EigenPath:
-    """:func:`su_paths` for one orbit, keeping its matrices."""
-    return su_paths(rng, n, 1, steps, step, keep_matrices=True)[0]

@@ -310,6 +310,12 @@ def test_stacked_calculus_errors_name_the_matrix():
         calculus.apply_function(jordan[None], np.conj)
 
 
+def test_stacked_calculus_of_an_empty_stack_is_empty():
+    empty = np.zeros((0, 2, 2))
+    assert calculus.apply_function(empty, np.conj).shape == (0, 2, 2)
+    assert calculus.lagrange_apply(empty, np.conj).shape == (0, 2, 2)
+
+
 def test_failing_sample_raises_the_loops_class(monkeypatch):
     # equal eigenvalues on the third draw: the closed form refuses them in
     # the loop and in the stack alike

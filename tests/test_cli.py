@@ -127,6 +127,7 @@ MALFORMED_MATRIX_FILES = {
     ["select", "--selector", "unlambda", "--cut", "0,0"],
     ["reconstruct", "--oracle", "conj:int-beyond-float.json", "--n", "3"],
     ["reconstruct", "--oracle", "conj:deep.json", "--n", "3"],
+    ["configspace", "--n", "-1"],
 ])
 def test_usage_errors_exit_2_with_a_report(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)
@@ -237,6 +238,21 @@ def test_select_su(capsys):
     assert code == 0
     check_schema(report, "select")
     assert all(r["passed"] for r in report["results"])
+
+
+def test_select_su_solves_each_path_once(capsys, monkeypatch):
+    # the spectral check reads the spectra the selection computed
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting_eigvals(a):
+        calls.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    code, report = run_cli(capsys, ["select", "--selector", "su"])
+    assert code == 0 and report["passed"]
+    assert calls == [(501, 3, 3)]
 
 
 def test_select_hn_and_unlambda(capsys):

@@ -95,11 +95,12 @@ def test_su_select_rejects_bad_inputs():
 @given(seeds, st.integers(2, 8), st.integers(1, 64), st.booleans())
 def test_su_select_stack_bitwise_equals_loop(seed, n, k, path):
     # the stack kernel and the per-matrix algorithm agree bit for bit, on a
-    # path recurrence as su_path builds it or on independent Haar draws,
+    # path recurrence as su_paths builds it or on independent Haar draws,
     # with an exactly degenerate scalar matrix at a random place
     rng = np.random.default_rng(seed)
     if path:
-        Us = selectors.su_path(rng, n, k, 1e-3).matrices[:k]
+        [(Us, _)] = oracles.su_paths_by_loop(rng, n, 1, k, 1e-3)
+        Us = Us[:k]
     else:
         Us = [spaces.sample("sun", n, rng) for _ in range(k)]
     Us[int(rng.integers(k))] = np.exp(2j * np.pi * int(rng.integers(n)) / n) * np.eye(n)
@@ -177,11 +178,6 @@ def test_su_paths_equal_sequential_paths(seed, n, count, steps):
     assert len(paths) == count
     for path, (_, values) in zip(paths, want):
         assert np.array_equal(path.values, values)
-        assert path.matrices is None
-    single = selectors.su_path(np.random.default_rng(seed), n, steps, 1e-3)
-    assert np.array_equal(single.values, want[0][1])
-    assert len(single.matrices) == steps + 1
-    assert all(np.array_equal(a, b) for a, b in zip(single.matrices, want[0][0]))
 
 
 def test_su_paths_blocks_cover_every_step(monkeypatch):
@@ -193,10 +189,19 @@ def test_su_paths_blocks_cover_every_step(monkeypatch):
     np.testing.assert_array_equal(paths[0].parameters, np.arange(11) * 1e-2)
 
 
-def test_spectral_defect_needs_matrices():
-    [path] = selectors.su_paths(np.random.default_rng(57), 3, 1, 2, 1e-3)
-    with pytest.raises(ValueError, match="no matrices"):
-        path.spectral_defect()
+@pytest.mark.parametrize("block", [selectors.SELECT_BLOCK, 7])
+@pytest.mark.parametrize("count", range(1, 9))
+def test_su_paths_spectral_defect_equals_a_second_eigensolve(monkeypatch, block, count):
+    # measured on the selection's own spectra, bit for bit a second solve on
+    # the path's matrices, also when a path spans several blocks
+    monkeypatch.setattr(selectors, "SELECT_BLOCK", block)
+    paths = selectors.su_paths(np.random.default_rng(57 + count), 3, count, 40, 1e-2)
+    want = oracles.su_paths_by_loop(np.random.default_rng(57 + count), 3, count, 40, 1e-2)
+    for path, (mats, values) in zip(paths, want):
+        W = np.linalg.eigvals(np.stack(mats))
+        assert path.spectral_defect == core.running_max(
+            core.spectrum_inclusion_defect(values[:, None], W))
+        assert path.spectral_defect <= selectors.SPECTRAL_TOL
 
 
 @pytest.mark.parametrize("count, steps, step", [
@@ -231,6 +236,14 @@ def test_un_lambda_examples():
         selectors.un_lambda_select_stack(2 * np.eye(2)[None], -1.0)
     with pytest.raises(DimensionMismatch):
         selectors.un_lambda_select_stack(np.eye(2), -1.0)
+
+
+@pytest.mark.parametrize("lam", [2.0, 0.5, 0.0, np.nan])
+def test_un_lambda_refuses_a_branch_point_off_the_circle(lam):
+    # the ray of 2 passes through the eigenvalue 1; the distance to 2
+    # itself would not see it
+    with pytest.raises(ValueError, match="modulus 1"):
+        selectors.un_lambda_select_stack(np.diag([1, 1j, -1j])[None], lam)
 
 
 def test_un_lambda_continuity_away_from_cut():
