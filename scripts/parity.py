@@ -12,7 +12,9 @@ importing its own ``src/`` and ``perfbench/``:
   ``cli`` workload's passes 0-7 at seed 0, plus verify runs whose shrinker
   refuses the space (error reports), the ``hn`` and ``unlambda`` selectors
   (one ``unlambda`` path long enough to cross its cut, a failing check),
-  one ``su`` path of 3000 steps, which spans several selection blocks,
+  ``hn`` and ``unlambda`` paths of 2000 steps at n = 8, each selected as
+  one stack, one ``su`` path of 3000 steps, which spans several selection
+  blocks,
   monodromy loops at n = 2, 4, 5, 7, 8 and radii 0.5, 2 and 1e-40, at
   n = 12 and at n = 9 with radius 1e-40, configuration-space checks at
   n = 1, 2, 3, 4, 6, 7 and 8, ``gl_star`` verify
@@ -71,6 +73,9 @@ EXTRA_INVOCATIONS = (
     # more steps than one selection block holds: the spectral defect is
     # gathered over blocks
     ("select-su-blocks", ["select", "--selector", "su", "--n", "4", "--steps", "3000"]),
+    # long paths beyond n = 3, each built and selected as one stack
+    ("select-hn-8", ["select", "--selector", "hn", "--n", "8", "--steps", "2000"]),
+    ("select-unlambda-8", ["select", "--selector", "unlambda", "--n", "8", "--steps", "2000"]),
     *((f"monodromy-{n}-r{r}", ["monodromy", "--n", str(n), "--r", r])
       for n in (2, 4, 5, 7, 8) for r in ("0.5", "2", "1e-40")),
     # loops above the n <= 8 the workload runs

@@ -117,8 +117,8 @@ def _crit_su_selector(seed):
     moved = []
     for n in (2, 3, 4):
         Us, conjs = _su_conjugation_pairs(rng, n, 60)
-        vals = selectors.su_select_stack(Us)
-        gaps.append(core.spectrum_inclusion_defect(vals[:, None], np.linalg.eigvals(Us)))
+        vals, gap = selectors.su_select_spectral(Us)
+        gaps.append(gap)
         # the distance is Python's complex abs (libm hypot), not numpy's
         moved += map(abs, (selectors.su_select_stack(conjs) - vals).tolist())
     spectral = core.running_max(gaps)
@@ -460,39 +460,52 @@ def _criteria_5_to_10(s):
             + _crit_dichotomy(s + 8) + _crit_theta(s + 9) + _crit_reconstruct(s + 10))
 
 
-def _numeric_fingerprint(results):
-    fp = []
-    for r in results:
-        nums = sorted(
-            (k, float(v)) for k, v in r.details.items()
-            if isinstance(v, (int, float)) and not isinstance(v, bool)
-        )
-        fp.append((r.name, r.defect, tuple(nums)))
-    return fp
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _field_gaps(row: str, key: str, a, b) -> list[float]:
+    """Relative gaps between two runs' values of one field of a result,
+    through lists: numbers give their relative gap, where two NaN agree
+    and any other pair with a NaN or an infinity differs by ``inf``;
+    differing booleans, verdicts among them, differ by ``inf``; any other
+    difference (a string, None against a value, a list of another length)
+    raises."""
+    if isinstance(a, bool) and isinstance(b, bool):
+        return [0.0 if a == b else np.inf]
+    if _is_number(a) and _is_number(b):
+        if a == b or (np.isnan(a) and np.isnan(b)):
+            return [0.0]
+        gap = abs(a - b) / max(abs(a), abs(b), 1e-300)
+        return [np.inf if np.isnan(gap) else gap]  # one-sided NaN or infinity
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [g for x, y in zip(a, b) for g in _field_gaps(row, key, x, y)]
+    if type(a) is not type(b) or a != b:
+        raise ValueError(f"runs diverge structurally at {row!r} {key!r}: {a!r} vs {b!r}")
+    return []
 
 
 def compare_runs(first: list[CheckResult], second: list[CheckResult]) -> float:
-    """Worst relative disagreement between the defects of two runs.
+    """Worst relative disagreement between two runs' verdicts, defects and
+    details.
 
     Returns 0.0 for identical runs; raises if the runs have different
-    shapes; equal numbers or two NaN agree, and any other pair with a NaN or
-    an infinity differs by ``inf``.  The caller applies the bound: criterion
-    11 in the acceptance tests passes when the result is at most 1e-12.
+    shapes: result counts, names, detail keys, or any field that differs
+    other than by a number or a boolean (see :func:`_field_gaps`).  The
+    caller applies the bound: criterion 11 in the acceptance tests passes
+    when the result is at most 1e-12.
     """
-    fp1 = _numeric_fingerprint(first)
-    fp2 = _numeric_fingerprint(second)
-    if len(fp1) != len(fp2):
+    if len(first) != len(second):
         raise ValueError("runs have different result counts")
     gaps = []
-    for (n1, d1, x1), (n2, d2, x2) in zip(fp1, fp2):
-        if n1 != n2 or (d1 is None) != (d2 is None) or len(x1) != len(x2):
-            raise ValueError(f"runs diverge structurally at {n1!r} vs {n2!r}")
-        pairs = list(zip([0.0 if d1 is None else d1], [0.0 if d2 is None else d2]))
-        pairs += [(a[1], b[1]) for a, b in zip(x1, x2)]
-        for a, b in pairs:
-            same = a == b or (np.isnan(a) and np.isnan(b))
-            gap = 0.0 if same else abs(a - b) / max(abs(a), abs(b), 1e-300)
-            gaps.append(np.inf if np.isnan(gap) else gap)  # one-sided NaN or infinity
+    for r1, r2 in zip(first, second):
+        if r1.name != r2.name or r1.details.keys() != r2.details.keys():
+            raise ValueError(f"runs diverge structurally at {r1.name!r} vs {r2.name!r}: "
+                             f"detail keys {sorted(r1.details)} vs {sorted(r2.details)}")
+        fields = [("passed", r1.passed, r2.passed), ("defect", r1.defect, r2.defect)]
+        fields += [(key, value, r2.details[key]) for key, value in r1.details.items()]
+        for key, a, b in fields:
+            gaps += _field_gaps(r1.name, key, a, b)
     return core.running_max(gaps)
 
 

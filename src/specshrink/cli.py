@@ -170,8 +170,8 @@ def _cmd_select(args):
         H1 = spaces.sample(spaces.SpaceId.HN, n, rng)
         H1 /= core.opnorm(H1)
         ts = selectors.path_parameters(steps, step)
-        mats = [X0 + t * H1 for t in ts]
-        path = selectors.selector_path(selectors.hn_select_stack, mats, ts)
+        path = selectors.EigenPath(
+            ts, selectors.hn_select_stack(X0 + ts[:, None, None] * H1).astype(complex))
     else:  # unlambda
         lam_re, lam_im = (float(v) for v in args.cut.split(","))
         lam = complex(lam_re, lam_im)
@@ -185,9 +185,8 @@ def _cmd_select(args):
         th0 = base + rng.uniform(0.4, 2 * np.pi - 0.4, size=n)
         drift = rng.uniform(-0.3, 0.3, size=n)
         ts = selectors.path_parameters(steps, step)
-        mats = [Q @ np.diag(np.exp(1j * (th0 + t * drift))) @ Q.conj().T for t in ts]
-        path = selectors.selector_path(
-            lambda Ms: selectors.un_lambda_select_stack(Ms, lam), mats, ts)
+        mats = Q @ core.diagonals(np.exp(1j * (th0 + ts[:, None] * drift))) @ Q.conj().T
+        path = selectors.EigenPath(ts, selectors.un_lambda_select_stack(mats, lam))
 
     results.append(CheckResult.of(None, "selector-continuity",
                                   "the selection varies continuously along the path",

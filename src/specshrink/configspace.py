@@ -60,9 +60,10 @@ class CirclePoints:
         object.__setattr__(self, "z", v)
         if v.size == 0:
             raise DegeneratePoints("need at least one point")
-        if np.max(np.abs(np.abs(v) - 1.0)) > 1e-10:
+        # written so that a NaN point fails both tests
+        if not np.max(np.abs(np.abs(v) - 1.0)) <= 1e-10:
             raise DegeneratePoints("points must lie on the unit circle")
-        if core.min_gaps(v[None])[0] <= 1e-8:
+        if not core.min_gaps(v[None])[0] > 1e-8:
             raise DegeneratePoints("points must be pairwise distinct")
 
     @property

@@ -139,13 +139,22 @@ def _su_points(Us) -> tuple[np.ndarray, np.ndarray]:
     return x, vals
 
 
-def su_select_stack(Us) -> np.ndarray:
-    """:func:`su_select` on every matrix of a ``(k, n, n)`` stack at once.
+def su_select_spectral(Us) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`su_select` on every matrix of a ``(k, n, n)`` stack at once,
+    and each selected value's distance to its matrix's spectrum.
 
     Bit for bit the per-matrix values; one LAPACK call per step for the
-    whole stack instead of one per matrix.
+    whole stack instead of one per matrix.  The distances are measured on
+    the eigenvalues the selection was computed from.
     """
-    return np.exp(2j * np.pi * _su_points(Us)[0][:, 0])
+    x, vals = _su_points(Us)
+    selected = np.exp(2j * np.pi * x[:, 0])
+    return selected, core.spectrum_inclusion_defect(selected[:, None], vals)
+
+
+def su_select_stack(Us) -> np.ndarray:
+    """The selected values of :func:`su_select_spectral`."""
+    return su_select_spectral(Us)[0]
 
 
 def su_representative(U) -> np.ndarray:
@@ -338,34 +347,12 @@ def hn_select_stack(X) -> np.ndarray:
     return np.max(np.linalg.eigvalsh(A), axis=-1)
 
 
-def selector_path(select, mats, parameters=None) -> EigenPath:
-    """Apply a stacked selector along a matrix path and record the values.
-
-    ``select`` maps a ``(k, n, n)`` stack to its k selected values, as
-    :func:`su_select_stack`, :func:`hn_select_stack` and
-    :func:`un_lambda_select_stack` do, and is called once on the path
-    stack.  When that call raises, it is called on each one-matrix stack
-    in order, so the failing matrix raises its bare one-matrix message.
-    """
-    mats = list(mats)
-    if len(mats) < 2:
-        raise ValueError(f"a path needs at least one step, got {len(mats)} matrices")
-    parameters = np.asarray(np.arange(len(mats)) if parameters is None else parameters,
-                            dtype=float)
-    if not np.isfinite(parameters).all():
-        raise ValueError("path parameters must be finite")
-    try:
-        vals = select(np.stack(mats))
-    except Exception:
-        for M in mats:  # the failing matrix raises as a one-matrix call
-            select(np.asarray(M)[None])
-        raise
-    return EigenPath(parameters=parameters, values=np.array(vals, dtype=complex))
-
-
 def path_parameters(steps: int, step: float) -> np.ndarray:
     """The path parameters ``k * step``, k = 0..steps, refused before any
-    path matrix is built from them when one is not finite."""
+    path matrix is built from them when there is no step or one is not
+    finite."""
+    if steps < 1:
+        raise ValueError(f"a path needs at least one step, got {steps}")
     # the largest parameter is steps * step; forming k * step for an
     # infinite step would already warn at k = 0
     if not (np.isfinite(step) and np.isfinite(steps * step)):
@@ -424,11 +411,9 @@ def su_paths(rng, n: int, count: int, steps: int, step: float) -> list[EigenPath
         for j in range(width):
             stack[:, j] = U
             U = E @ U
-        x, spectra = _su_points(stack.reshape(count * width, n, n))
-        selected = np.exp(2j * np.pi * x[:, 0])
+        selected, gap = su_select_spectral(stack.reshape(count * width, n, n))
         values[:, k0:k0 + width] = selected.reshape(count, width)
-        gaps[:, k0:k0 + width] = core.spectrum_inclusion_defect(
-            selected[:, None], spectra).reshape(count, width)
+        gaps[:, k0:k0 + width] = gap.reshape(count, width)
     return [EigenPath(parameters=parameters, values=values[i],
                       spectral_defect=core.running_max(gaps[i]))
             for i in range(count)]

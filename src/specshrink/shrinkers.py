@@ -74,6 +74,11 @@ def _kron_eye(A, p: int) -> np.ndarray:
         A.shape[:-2] + (n * p, n * p))
 
 
+def _check_multiplicities(p: int, q: int) -> None:
+    if p < 0 or q < 0 or p + q < 1:
+        raise ValueError("need p, q >= 0 with p + q >= 1")
+
+
 def canonical_shrinker(X, p: int, q: int, conjugator=None) -> np.ndarray:
     """``S . blockdiag(X (x) I_p, X^t (x) I_q) . S^{-1}``; every matrix of a
     ``(k, n, n)`` stack at once, bit for bit the one-matrix results.
@@ -82,8 +87,7 @@ def canonical_shrinker(X, p: int, q: int, conjugator=None) -> np.ndarray:
     Each eigenvalue's multiplicity is scaled by p + q.
     """
     A = core.as_matrix(X, stack=True)
-    if p < 0 or q < 0 or p + q < 1:
-        raise ValueError("need p, q >= 0 with p + q >= 1")
+    _check_multiplicities(p, q)
     k = p * A.shape[-1]
     m = (p + q) * A.shape[-1]
     B = np.zeros(A.shape[:-2] + (m, m), dtype=complex)
@@ -134,7 +138,8 @@ def make_shrinker(kind: str, m: int | None = None, p: int | None = None,
     (default 1 each) and ``conjugator``; its image size is ``(p + q) n``.
     ``hn-max`` and ``su-scalar`` are :func:`degenerate_shrinker_hn` and
     :func:`degenerate_shrinker_sun` onto ``I_m`` and need ``m``.  An
-    argument the kind does not use raises :class:`ValueError`.  The map
+    argument the kind does not use, or multiplicities ``p``, ``q`` that
+    :func:`canonical_shrinker` refuses, raise :class:`ValueError`.  The map
     takes a matrix or a ``(k, n, n)`` stack and carries ``stacked = True``,
     so :func:`verify_shrinker` calls it once per sample stack.
     """
@@ -145,6 +150,7 @@ def make_shrinker(kind: str, m: int | None = None, p: int | None = None,
             raise ValueError("the canonical shrinker takes no m; its image size is (p + q) n")
         p = 1 if p is None else p
         q = 1 if q is None else q
+        _check_multiplicities(p, q)
 
         def phi(X):
             return canonical_shrinker(X, p, q, conjugator)

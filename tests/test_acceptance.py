@@ -5,6 +5,8 @@ line per criterion.  The suite itself is shared with the ``all`` command
 line subcommand, so the reported defects are identical there.
 """
 
+import collections
+import dataclasses
 import multiprocessing
 import os
 import time
@@ -35,6 +37,22 @@ def test_su_conjugation_pairs_equal_the_loop(n):
     assert np.array_equal(U, want_U)
     assert np.array_equal(conj, want_conj)
     assert stacked_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+def test_criterion_4_solves_each_draw_stack_once(monkeypatch):
+    # the spectral gaps come from the selection's own eigensolve: the 60 U
+    # and the 60 conjugates of each n are solved once each, not U twice
+    calls = collections.Counter()
+    eigvals = np.linalg.eigvals
+
+    def counting(A):
+        if np.shape(A)[0] == 60:
+            calls[np.shape(A)[1]] += 1
+        return eigvals(A)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    acceptance._crit_su_selector(SEED + 4)
+    assert calls == {2: 2, 3: 2, 4: 2}
 
 
 def _criterion(results, k):
@@ -186,6 +204,35 @@ def test_compare_runs_reads_a_one_sided_nan_as_disagreement(a, b, want):
 
     assert acceptance.compare_runs(run(a, 0.0), run(b, 0.0)) == want
     assert acceptance.compare_runs(run(0.0, a), run(0.0, b)) == want
+
+
+def _flip(key):
+    return lambda r: {"details": {**r.details, key: not r.details[key]}}
+
+
+def _doubled(key):
+    return lambda r: {"details": {**r.details, key: [2 * v for v in r.details[key]]}}
+
+
+@pytest.mark.parametrize("name, change, want", [
+    ("dichotomy-simple-spectrum-decay", lambda r: {"passed": not r.passed}, np.inf),
+    ("dichotomy-simple-spectrum-decay", _doubled("deviations"), 0.5),
+    ("dichotomy-simple-spectrum-decay", _doubled("ratios"), 0.5),
+    ("degenerate-hn-2to5", _flip("divisibility_flagged"), np.inf),
+    ("reconstruct-rejects-involution", _flip("rejected"), np.inf),
+    ("inclusion-gln", lambda r: {"details": {"trials": r.details["samples"]}}, "'samples'"),
+    ("monodromy-ratio", lambda r: {"details": {"target": "exp(pi i / n)"}}, "'target'"),
+], ids=["passed", "deviations", "ratios", "divisibility_flagged", "rejected",
+        "renamed-key", "string"])
+def test_compare_runs_sees_verdicts_lists_and_detail_names(results, name, change, want):
+    # one field of one row differs: a verdict or a number in a list reads
+    # as a disagreement, a renamed key or another string as another shape
+    other = [dataclasses.replace(r, **change(r)) if r.name == name else r for r in results]
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match=f"{name!r}.*{want}"):
+            acceptance.compare_runs(results, other)
+    else:
+        assert acceptance.compare_runs(results, other) == want
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,8 @@ MALFORMED_MATRIX_FILES = {
     ["reconstruct", "--oracle", "conj:int-beyond-float.json", "--n", "3"],
     ["reconstruct", "--oracle", "conj:deep.json", "--n", "3"],
     ["configspace", "--n", "-1"],
+    ["verify", "--space", "gl", "--n", "3", "--m", "3", "--pq", "2,-1"],
+    ["verify", "--space", "gl", "--n", "3", "--m", "6", "--pq=-1,3"],
 ])
 def test_usage_errors_exit_2_with_a_report(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)

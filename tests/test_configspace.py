@@ -33,6 +33,15 @@ def test_validation():
         cs.CirclePoints(np.array([0.5, 1.0]))
 
 
+@pytest.mark.parametrize("z", [[np.nan, 1.0], [np.nan], [1.0, complex(np.nan, 1.0)],
+                               [np.inf, 1.0], [complex(1.0, np.inf)]])
+def test_non_finite_points_are_refused(z):
+    # a NaN compares False with both thresholds, so it must fail the tests
+    # rather than pass them
+    with pytest.raises(DegeneratePoints):
+        cs.CirclePoints(np.array(z, dtype=complex))
+
+
 def coset(n, tau):
     return cs.PermCoset(n, oracles.coset_representative_by_rotation(n, tau))
 

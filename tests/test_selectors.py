@@ -80,7 +80,7 @@ def test_su_select_path_continuity():
         for _ in range(300):
             mats.append(U)
             U = E @ U
-        path = selectors.selector_path(selectors.su_select_stack, mats)
+        path = selectors.EigenPath(np.arange(300), selectors.su_select_stack(np.stack(mats)))
         assert path.max_jump <= 0.05
 
 
@@ -109,6 +109,18 @@ def test_su_select_stack_bitwise_equals_loop(seed, n, k, path):
     assert got.shape == (k,)
     assert np.array_equal(got, want)
     assert selectors.su_select(Us[-1]) == want[-1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, st.integers(2, 8), st.integers(1, 64))
+def test_su_select_spectral_gaps_equal_a_second_eigensolve(seed, n, k):
+    # the gaps come from the selection's own eigensolve; LAPACK solves each
+    # matrix of a stack on its own, so a second solve gives the same bits
+    Us = spaces.sample_stack("sun", n, k, np.random.default_rng(seed))
+    values, gaps = selectors.su_select_spectral(Us)
+    assert np.array_equal(values, selectors.su_select_stack(Us))
+    assert np.array_equal(
+        gaps, core.spectrum_inclusion_defect(values[:, None], np.linalg.eigvals(Us)))
 
 
 @pytest.mark.parametrize("bad", [
@@ -214,12 +226,12 @@ def test_su_paths_reject_empty_paths_and_bad_steps(count, steps, step):
         selectors.su_paths(np.random.default_rng(58), 3, count, steps, step)
 
 
-def test_selector_path_needs_a_finite_step():
-    for mats in ([], [np.eye(2)]):
-        with pytest.raises(ValueError, match="at least one step"):
-            selectors.selector_path(selectors.hn_select_stack, mats)
+def test_path_parameters_need_a_finite_step():
+    for steps in (0, -2):
+        with pytest.raises(ValueError, match=f"^a path needs at least one step, got {steps}$"):
+            selectors.path_parameters(steps, 1e-3)
     with pytest.raises(ValueError, match="finite"):
-        selectors.selector_path(selectors.hn_select_stack, [np.eye(2)] * 3, [0.0, np.nan, 1.0])
+        selectors.path_parameters(3, np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +294,10 @@ def test_un_lambda_select_stack_bitwise_equals_loop(seed, n, k):
     (np.diag([-1.0, 1j]), LambdaInSpectrum, "^the branch point is in the spectrum$"),
 ])
 def test_stacked_unlambda_path_fails_as_the_one_matrix_call(bad, error, message):
-    # the stacked call names matrix 3; the replay one matrix at a time raises bare
+    # the stacked call names matrix 3; the one-matrix call raises bare
     mats = [np.eye(2)] * 3 + [bad] + [np.eye(2)]
-    with pytest.raises(error, match="^matrix 3 of the stack: "):
+    with pytest.raises(error, match=f"^matrix 3 of the stack: {message[1:]}"):
         selectors.un_lambda_select_stack(np.stack(mats), -1.0)
-    with pytest.raises(error, match=message):
-        selectors.selector_path(lambda Ms: selectors.un_lambda_select_stack(Ms, -1.0), mats)
     with pytest.raises(error, match=message):
         oracles.un_lambda_select_by_loop(bad, -1.0)
 
@@ -516,16 +526,17 @@ def test_hn_select_stack_names_first_bad_matrix(where):
 @settings(max_examples=30, deadline=None)
 @given(seeds, st.integers(1, 8), st.integers(2, 40), st.floats(1e-3, 1e3))
 def test_stacked_hn_path_equals_per_matrix_selection(seed, n, k, scale):
-    # select --selector hn's path: one hn_select_stack call on the whole stack
+    # select --selector hn's path: one broadcast stack, one hn_select_stack
+    # call; elementwise arithmetic, so the bits of one matrix at a time
     rng = np.random.default_rng(seed)
     X0 = spaces.sample("hn", n, rng)
     H1 = spaces.sample("hn", n, rng)
     ts = scale * np.arange(k)
-    mats = [X0 + t * H1 for t in ts]
-    got = selectors.selector_path(selectors.hn_select_stack, mats, ts)
-    assert got.values.dtype == complex
-    assert np.array_equal(got.values, [oracles.hn_select_by_loop(M) for M in mats])
-    assert np.array_equal(got.values.real, [selectors.hn_select_stack(M[None])[0] for M in mats])
+    mats = X0 + ts[:, None, None] * H1
+    assert np.array_equal(mats, [X0 + t * H1 for t in ts])
+    got = selectors.hn_select_stack(mats)
+    assert np.array_equal(got, [oracles.hn_select_by_loop(M) for M in mats])
+    assert np.array_equal(got, [selectors.hn_select_stack(M[None])[0] for M in mats])
 
 
 @pytest.mark.parametrize("bad, error, message", [
@@ -535,10 +546,10 @@ def test_stacked_hn_path_equals_per_matrix_selection(seed, n, k, scale):
      "^matrix entries must be finite$"),
 ])
 def test_stacked_hn_path_fails_as_the_one_matrix_call(bad, error, message):
-    # a failed stacked call is replayed one matrix at a time: the bare message
+    # the stacked call names matrix 3; the one-matrix call raises bare
     mats = [np.eye(2)] * 3 + [bad] + [np.eye(2)]
-    with pytest.raises(error, match=message):
-        selectors.selector_path(selectors.hn_select_stack, mats)
+    with pytest.raises(error, match=f"^matrix 3 of the stack: {message[1:]}"):
+        selectors.hn_select_stack(np.stack(mats))
     with pytest.raises(error, match=message):
         oracles.hn_select_by_loop(bad)
 
