@@ -32,10 +32,11 @@ importing its own ``src/`` and ``perfbench/``:
 
 Reports are compared as text, byte for byte, with only the value on the
 ``"wall_time"`` line masked, and each run's temporary directory in paths.
-The gate prints the first field (or report line) that differs and exits 1
-on any difference, else prints the counts and ``compare_runs`` per seed
-and exits 0.  It is a pre-merge check for changes that claim identical
-results, not part of the test suite: it takes about half a minute.
+The gate prints every field that differs (for a report, its first
+differing line), then their count, and exits 1 on any difference; else
+it prints the counts and ``compare_runs`` per seed and exits 0.  It is a
+pre-merge check for changes that claim identical results, not part of
+the test suite: it takes about half a minute.
 """
 
 from __future__ import annotations
@@ -159,29 +160,27 @@ def run_tree(tree: Path) -> dict:
     return json.loads(out)
 
 
-def first_difference(a, b, path="$"):
-    """``(path, a's value, b's value)`` at the first field where ``a`` and
-    ``b`` differ, else None."""
+def differences(a, b, path="$"):
+    """Each ``(path, a's value, b's value)`` where ``a`` and ``b`` differ,
+    in order; a differing string gives its first differing line."""
     if isinstance(a, dict) and isinstance(b, dict):
         for key in list(a) + [k for k in b if k not in a]:
             if key not in a or key not in b:
-                return f"{path}.{key} (present on one side)", a.get(key), b.get(key)
-            diff = first_difference(a[key], b[key], f"{path}.{key}")
-            if diff:
-                return diff
-        return None
-    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+                yield f"{path}.{key} (present on one side)", a.get(key), b.get(key)
+            else:
+                yield from differences(a[key], b[key], f"{path}.{key}")
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         for i, (x, y) in enumerate(zip(a, b)):
-            diff = first_difference(x, y, f"{path}[{i}]")
-            if diff:
-                return diff
-        return None
-    if isinstance(a, str) and isinstance(b, str) and a != b:
-        lines = list(zip(a.splitlines(), b.splitlines())) + [(a, b)]
-        line, (x, y) = next((i, pair) for i, pair in enumerate(lines) if pair[0] != pair[1])
-        return f"{path} line {line + 1}", x, y
+            yield from differences(x, y, f"{path}[{i}]")
+    elif isinstance(a, str) and isinstance(b, str):
+        if a != b:
+            lines = list(zip(a.splitlines(), b.splitlines())) + [(a, b)]
+            line, (x, y) = next((i, pair) for i, pair in enumerate(lines)
+                                if pair[0] != pair[1])
+            yield f"{path} line {line + 1}", x, y
     # json.dumps so that NaN equals NaN and 0.0 differs from -0.0
-    return None if json.dumps(a) == json.dumps(b) else (path, a, b)
+    elif json.dumps(a) != json.dumps(b):
+        yield path, a, b
 
 
 def main(argv=None) -> int:
@@ -202,12 +201,13 @@ def main(argv=None) -> int:
     subprocess.run(["tar", "-x", "-C", str(BUILD)], input=archive, check=True)
 
     parent, change = run_tree(BUILD), run_tree(ROOT)
-    diff = first_difference(parent, change)
-    if diff:
-        path, old, new = diff
+    diffs = list(differences(parent, change))
+    for path, old, new in diffs:
         print(f"DIFFERENT at {path}")
         print(f"  {args.parent}: {json.dumps(old)[:500]}")
         print(f"  this tree: {json.dumps(new)[:500]}")
+    if diffs:
+        print(f"{len(diffs)} differences")
         return 1
 
     sys.path.insert(0, str(ROOT / "src"))

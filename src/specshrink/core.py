@@ -114,53 +114,35 @@ def running_max(values) -> float:
 
 
 def call_oracle(phi, X, m: int) -> np.ndarray:
-    """``phi(X)`` as a validated ``m x m`` matrix; any exception the
-    black-box map raises, or an output that is not a finite square matrix,
-    becomes :class:`OracleFailure`, and a square output of another size
-    raises :class:`DimensionMismatch`."""
+    """``phi(X)`` as a validated ``m x m`` matrix, or as a ``(k, m, m)``
+    stack when ``X`` is a ``(k, n, n)`` stack; any exception the black-box
+    map raises, or an output that is not finite and square, becomes
+    :class:`OracleFailure`, and an output of another shape raises
+    :class:`DimensionMismatch`."""
+    want = np.shape(X)[:-2] + (m, m)
     try:
-        Y = as_matrix(phi(X))
+        Y = as_matrix(phi(X), stack=len(want) == 3)
     except Exception as exc:
         raise OracleFailure(f"oracle raised on an input: {exc!r}") from exc
-    if Y.shape != (m, m):
-        raise DimensionMismatch(f"oracle output is {Y.shape}, expected ({m}, {m})")
+    if Y.shape != want:
+        raise DimensionMismatch(f"oracle output is {Y.shape}, expected {want}")
     return Y
-
-
-def stacked_call(phi, X, m: int):
-    """``phi(X)`` in one call on the ``(k, n, n)`` stack ``X``, for a map
-    that opts in with a true ``stacked`` attribute; None when the map does
-    not opt in, or its call raises or returns anything but a finite
-    ``(k, m, m)`` stack, so the caller can fall back to one
-    :func:`call_oracle` per matrix."""
-    if not getattr(phi, "stacked", False):
-        return None
-    try:
-        Y = as_matrix(phi(X), stack=True)
-    except Exception:  # the caller's per-matrix calls name the failing matrix
-        return None
-    if Y.shape != (len(X), m, m):
-        return None
-    # contiguous, as a stack filled one matrix at a time is, so later
-    # products round alike
-    return np.ascontiguousarray(Y)
 
 
 def call_oracle_stack(phi, X, m: int) -> np.ndarray:
     """The ``(k, m, m)`` stack of ``phi`` on each matrix of the ``(k, n, n)``
-    stack ``X``.
+    stack ``X``, the one way a stack reaches a black-box map.
 
     A map that opts in with a true ``stacked`` attribute is called once on
-    the whole stack (:func:`stacked_call`).  Any other map, or a stacked
-    map whose stacked call fails, is called one matrix at a time through
-    :func:`call_oracle`: the first matrix whose call fails raises that
-    :class:`OracleFailure`, and the first output that is not ``m x m``
-    raises :class:`DimensionMismatch`.  The harness never looks inside the
+    the whole stack, and fails as that one :func:`call_oracle`.  Any other
+    map is called one matrix at a time, in order, and the first matrix whose
+    :func:`call_oracle` fails raises.  The harness never looks inside the
     map beyond that attribute.
     """
-    Y = stacked_call(phi, X, m)
-    if Y is not None:
-        return Y
+    if getattr(phi, "stacked", False):
+        # contiguous, as a stack filled one matrix at a time is, so later
+        # products round alike
+        return np.ascontiguousarray(call_oracle(phi, X, m))
     out = np.empty((len(X), m, m), dtype=complex)
     for i, x in enumerate(X):
         out[i] = call_oracle(phi, x, m)
@@ -265,9 +247,7 @@ def eig_decompose_stack(X) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     try:
         w, P = np.linalg.eig(A)
     except np.linalg.LinAlgError as exc:
-        i = next((i for i, a in enumerate(A) if _eig_fails(a)), 0)
-        raise NumericalFailure(
-            stack_message(k, i, "eigendecomposition did not converge")) from exc
+        raise NumericalFailure("eigendecomposition did not converge") from exc
     norm = opnorm(A)
     scale = 1.0 + norm
     for i in np.flatnonzero(min_gaps(w) <= DEFAULT_EIG_TOL * scale):
@@ -298,14 +278,6 @@ def condition_numbers(P) -> np.ndarray:
             return np.full(1, np.inf)
         return np.concatenate([condition_numbers(p[None]) for p in P])
     return np.divide(s[:, 0], s[:, -1], out=np.full(len(P), np.inf), where=s[:, -1] > 0)
-
-
-def _eig_fails(A) -> bool:
-    try:
-        np.linalg.eig(A)
-    except np.linalg.LinAlgError:
-        return True
-    return False
 
 
 def _reextract_clusters(A, w, P, scale):

@@ -30,6 +30,7 @@ from . import core, spaces, theta as theta_mod
 from .errors import (
     BranchAmbiguous,
     DimensionDrift,
+    DimensionMismatch,
     EigenvalueCollision,
     OracleFailure,
     ResidualTooLarge,
@@ -141,29 +142,32 @@ def involution_for_subspace(W: core.Subspace) -> np.ndarray:
     return 2.0 * core.projection(W) - np.eye(W.ambient_dim)
 
 
-def psi(phi, subspaces):
-    """``Psi(W) = ker(I - phi(U_W))`` of each subspace W in order, yielded
-    one at a time.
+def psi(phi, subspaces) -> list[core.Subspace]:
+    """``Psi(W) = ker(I - phi(U_W))`` of each subspace W, in order.
 
-    The involutions are fixed before any oracle call, so a map that opts in
-    with ``stacked = True`` sees all of them in one
-    :func:`core.stacked_call` first.  Any other map, or a stacked map whose
-    stacked call fails, is called on each involution as its ``Psi`` is
-    taken, so the first probe that fails raises first.  A dimension change
-    means the oracle violates its hypotheses and raises
-    :class:`DimensionDrift`.  No subspaces yield nothing, with no oracle call.
+    The involutions go to the oracle through one
+    :func:`core.call_oracle_stack` before any kernel is taken, so an oracle
+    failure on any of them raises before a dimension change does.  A
+    dimension change means the oracle violates its hypotheses and raises
+    :class:`DimensionDrift`.  No subspaces give an empty list, with no
+    oracle call; subspaces of different ambient dimensions raise
+    :class:`DimensionMismatch`.
     """
     if not subspaces:
-        return
-    U = np.stack([involution_for_subspace(W) for W in subspaces])
-    Y = core.stacked_call(phi, U, U.shape[-1])
-    for i, W in enumerate(subspaces):
+        return []
+    n = subspaces[0].ambient_dim
+    if any(W.ambient_dim != n for W in subspaces):
+        raise DimensionMismatch(
+            f"subspaces of ambient dimensions {[W.ambient_dim for W in subspaces]} differ")
+    Y = core.call_oracle_stack(phi, np.stack([involution_for_subspace(W) for W in subspaces]), n)
+    kernels = []
+    for W, y in zip(subspaces, Y):
         # the absolute floor keeps the whole space when W is everything
-        K = core.kernel(np.eye(W.ambient_dim)
-                        - (core.call_oracle(phi, U[i], W.ambient_dim) if Y is None else Y[i]))
+        K = core.kernel(np.eye(n) - y)
         if K.dim != W.dim:
             raise DimensionDrift(f"subspace map changed dimension {W.dim} -> {K.dim}")
-        yield K
+        kernels.append(K)
+    return kernels
 
 
 def lattice_compat_check(phi, n: int, trials: int = 20, seed: int = 0) -> bool:
@@ -222,11 +226,11 @@ def reconstruct(phi, n: int, validation_samples: int = VALIDATION_SAMPLES, seed:
     kernels = psi(phi, [core.span(eye[:, i]) for i in range(n)]
                   + [core.span(eye[:, 0] + eye[:, i]) for i in range(1, n)]
                   + [core.span(eye[:, 0] + 1j * eye[:, 1])])
-    images = [next(kernels).basis[:, 0] for _ in range(n)]
+    images = [K.basis[:, 0] for K in kernels[:n]]
 
     cols = [images[0]]
     for i in range(1, n):
-        w = next(kernels).basis[:, 0]
+        w = kernels[n + i - 1].basis[:, 0]
         M = np.column_stack([images[0], images[i]])
         c, *_ = np.linalg.lstsq(M, w, rcond=None)
         if np.linalg.norm(M @ c - w) > 1e-6:
@@ -239,7 +243,7 @@ def reconstruct(phi, n: int, validation_samples: int = VALIDATION_SAMPLES, seed:
         cols.append((b / a) * images[i])
     T = np.column_stack(cols)
 
-    probe = next(kernels)
+    probe = kernels[-1]
     d_lin = core.subspace_distance(probe, core.span(T[:, 0] + 1j * T[:, 1]))
     d_conj = core.subspace_distance(probe, core.span(T[:, 0] - 1j * T[:, 1]))
     lo, hi = sorted([d_lin, d_conj])

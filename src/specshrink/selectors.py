@@ -390,9 +390,8 @@ def su_paths(rng, n: int, count: int, steps: int, step: float) -> list[EigenPath
 
     if n < 2:
         raise UnsupportedDimension("a special unitary path needs n >= 2")
-    if count < 1 or steps < 1:
-        raise ValueError(f"need at least one path of one step, got {count} paths "
-                         f"of {steps} steps")
+    if count < 1:
+        raise ValueError(f"need at least one path, got {count}")
     parameters = path_parameters(steps, step)
     z = np.empty((count, 2, n, n))
     E = np.empty((count, n, n), dtype=complex)

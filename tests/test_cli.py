@@ -130,6 +130,7 @@ MALFORMED_MATRIX_FILES = {
     ["configspace", "--n", "-1"],
     ["verify", "--space", "gl", "--n", "3", "--m", "3", "--pq", "2,-1"],
     ["verify", "--space", "gl", "--n", "3", "--m", "6", "--pq=-1,3"],
+    ["select", "--selector", "su", "--steps", "0"],
 ])
 def test_usage_errors_exit_2_with_a_report(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)
@@ -141,6 +142,15 @@ def test_usage_errors_exit_2_with_a_report(capsys, monkeypatch, tmp_path, argv):
     assert not report["passed"]
     [result] = report["results"]
     assert result["name"] == "run" and result["details"]["error"]
+
+
+def test_an_empty_path_is_refused_in_one_wording(capsys):
+    messages = []
+    for selector in ("su", "hn"):
+        code, report = run_cli(capsys, ["select", "--selector", selector, "--steps", "0"])
+        assert code == 2
+        messages.append(report["results"][0]["details"]["message"])
+    assert messages == ["a path needs at least one step, got 0"] * 2
 
 
 def test_an_allocation_too_large_for_memory_exits_2_with_a_report(capsys, monkeypatch):

@@ -9,6 +9,7 @@ from specshrink import core
 from specshrink.errors import (
     DimensionMismatch,
     EmptySpectrum,
+    NumericalFailure,
     Singular,
     SizeMismatch,
 )
@@ -140,6 +141,18 @@ def test_eig_cluster_pass_runs_on_clustered_rows_only(monkeypatch):
                         lambda *a: calls.append(a[0][1, 1].real) or real(*a))
     core.eig_decompose_stack(X)
     assert calls == seconds[1:3]
+
+
+def test_eig_non_convergence_on_a_stack_names_no_matrix(monkeypatch):
+    # the stacked solver does not say which matrix failed, so neither does
+    # the error, as for spectrum and polar_decompose
+    def diverging(A):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", diverging)
+    with pytest.raises(NumericalFailure) as info:
+        core.eig_decompose_stack(np.stack([np.eye(3, dtype=complex)] * 3))
+    assert str(info.value) == "eigendecomposition did not converge"
 
 
 def test_min_gaps_equal_the_gap_loop():

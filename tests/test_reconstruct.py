@@ -7,6 +7,7 @@ from specshrink import core, reconstruct, spaces, theta
 from specshrink.errors import (
     DimensionDrift,
     DimensionMismatch,
+    OracleFailure,
     ResidualTooLarge,
     UnsupportedDimension,
 )
@@ -70,7 +71,19 @@ def test_psi_dimension_drift():
     rng = np.random.default_rng(203)
     U0 = spaces.sample("un", 4, rng)
     with pytest.raises(DimensionDrift):
-        next(reconstruct.psi(lambda X: U0, [core.span([1.0, 0, 0, 0])]))
+        reconstruct.psi(lambda X: U0, [core.span([1.0, 0, 0, 0])])
+
+
+def test_psi_refuses_subspaces_of_different_ambient_dimensions():
+    calls = []
+
+    def phi(X):
+        calls.append(X)
+        return X
+
+    with pytest.raises(DimensionMismatch, match=r"ambient dimensions \[3, 4\] differ"):
+        reconstruct.psi(phi, [core.span([1.0, 0, 0]), core.span([1.0, 0, 0, 0])])
+    assert calls == []
 
 
 @pytest.mark.parametrize("stacked", [False, True])
@@ -82,7 +95,7 @@ def test_psi_of_no_subspaces_yields_nothing(stacked):
         return X
 
     phi.stacked = stacked
-    assert list(reconstruct.psi(phi, [])) == []
+    assert reconstruct.psi(phi, []) == []
     assert calls == []
 
 
@@ -112,7 +125,7 @@ def test_psi_of_a_sequence_equals_one_subspace_at_a_time(seed, n, k, kind, stack
     phi = oracle if stacked else (lambda X: oracle(X))
     subspaces = [core.Subspace(spaces.sample("un", n, rng)[:, :int(rng.integers(0, n + 1))])
                  for _ in range(k)]
-    got = list(reconstruct.psi(phi, subspaces))
+    got = reconstruct.psi(phi, subspaces)
     want = [oracles.psi_by_loop(phi, W) for W in subspaces]
     assert len(got) == k
     for g, w in zip(got, want):
@@ -279,7 +292,8 @@ def test_lattice_check_calls_a_plain_map_once_per_subspace():
 
     assert reconstruct.lattice_compat_check(plain, 4, trials=7, seed=0)
     assert shapes == [(4, 4)] * 21
-    # a map whose Psi(W + W') drifts is not called on W or W'
+    # a map whose Psi(W + W') drifts is called on W + W', W and W' before
+    # the drift is found
     U0 = spaces.sample("un", 4, np.random.default_rng(218))
     calls = []
 
@@ -288,7 +302,7 @@ def test_lattice_check_calls_a_plain_map_once_per_subspace():
         return U0
 
     assert not reconstruct.lattice_compat_check(drifting, 4, trials=7, seed=0)
-    assert len(calls) == 1
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -489,23 +503,33 @@ def test_stacked_rejection_equals_the_loop():
 
 
 def test_probe_lines_raise_in_order():
-    # an oracle that drifts on the first probe line is reported as drifting,
-    # although it would raise on a later one
+    # every probe line goes to the oracle before any kernel is tested: an
+    # oracle that drifts on the first probe line and raises on a later one
+    # is reported as failing, and one that only drifts, after all 2n calls
     calls = []
 
-    def drifting(X):
+    def failing(X):
         calls.append(X)
         if len(calls) > 1:
             raise RuntimeError("later probe")
         return np.eye(3)
 
+    with pytest.raises(OracleFailure, match="later probe"):
+        reconstruct.reconstruct(failing, 3)
+    assert len(calls) == 2
+    calls.clear()
+
+    def drifting(X):
+        calls.append(X)
+        return np.eye(3)
+
     with pytest.raises(DimensionDrift):
         reconstruct.reconstruct(drifting, 3)
-    assert len(calls) == 1
+    assert len(calls) == 6
 
 
 @pytest.mark.parametrize("entry", [
-    lambda phi: next(reconstruct.psi(phi, [core.span(np.eye(3)[:, 0])])),
+    lambda phi: reconstruct.psi(phi, [core.span(np.eye(3)[:, 0])]),
     lambda phi: reconstruct.classify_preserver(phi, "un", 3),
     lambda phi: reconstruct.lattice_compat_check(phi, 3),
     lambda phi: reconstruct.torus_conjugator(phi, np.eye(3)),
@@ -523,17 +547,21 @@ def test_an_oracle_output_of_the_wrong_size_fails_on_the_first_call(entry):
 
 
 def test_probe_lines_of_a_stacked_map_raise_in_order():
-    # the stacked call on all 2n probe lines raises; the probes then go one
-    # at a time, so the drift on the first one is reported, as for any map
+    # all 2n probe lines go to a stacked map in one call, which fails as one
+    # call; the drift of an oracle that does not fail is found after it
     calls = []
 
-    def stacked(X):
+    def failing(X):
         calls.append(np.shape(X))
-        if np.ndim(X) == 3 or len(calls) > 2:
-            raise RuntimeError("later probe")
-        return np.eye(3)
+        raise RuntimeError("later probe")
 
-    stacked.stacked = True
+    def drifting(X):
+        calls.append(np.shape(X))
+        return np.broadcast_to(np.eye(3), np.shape(X))
+
+    failing.stacked = drifting.stacked = True
+    with pytest.raises(OracleFailure, match="later probe"):
+        reconstruct.reconstruct(failing, 3)
     with pytest.raises(DimensionDrift):
-        reconstruct.reconstruct(stacked, 3)
-    assert calls == [(6, 3, 3), (3, 3)]
+        reconstruct.reconstruct(drifting, 3)
+    assert calls == [(6, 3, 3)] * 2

@@ -279,15 +279,22 @@ def test_a_map_without_the_attribute_is_called_once_per_sample():
 
 
 def _first_failure(phi, X, m):
+    calls = []
+
+    def counting(A):
+        calls.append(np.shape(A))
+        return phi(A)
+
+    counting.stacked = getattr(phi, "stacked", False)
     with pytest.raises(Exception) as info:
-        core.call_oracle_stack(phi, X, m)
-    return type(info.value), str(info.value)
+        core.call_oracle_stack(counting, X, m)
+    return type(info.value), str(info.value), calls
 
 
 @pytest.mark.parametrize("bad", [0, 3, 6])
 def test_a_stacked_map_that_raises_fails_as_the_loop(bad):
-    # the stacked call raises on the whole stack; the loop then names the
-    # first failing matrix with the one-matrix message
+    # both raise OracleFailure wrapping the map's own exception: the loop's
+    # on the first failing matrix, the stacked map's on its one call
     rng = np.random.default_rng(5)
     X = spaces.sample_stack("gln", 3, 7, rng)
     X[bad:, 0, 0] = -5.0
@@ -302,32 +309,35 @@ def test_a_stacked_map_that_raises_fails_as_the_loop(bad):
         return plain(A)
 
     stacked.stacked = True
-    want = _first_failure(plain, X, 3)
     message = f"oracle raised on an input: RuntimeError('corner {X[bad, 0, 0]}')"
-    assert want == (OracleFailure, message)
-    assert _first_failure(stacked, X, 3) == want
+    assert _first_failure(plain, X, 3) == (OracleFailure, message, [(3, 3)] * (bad + 1))
+    message = f"oracle raised on an input: {RuntimeError(f'corner {X[:, 0, 0]}')!r}"
+    assert _first_failure(stacked, X, 3) == (OracleFailure, message, [(7, 3, 3)])
 
 
 def test_a_stacked_map_of_the_wrong_size_fails_as_the_loop():
+    # both raise DimensionMismatch: the loop on the first matrix, the
+    # stacked map on its one call, naming the stack's shape
     X = spaces.sample_stack("gln", 3, 4, np.random.default_rng(6))
 
     def stacked(A):
         return np.zeros(np.shape(A)[:-2] + (2, 2))
 
     stacked.stacked = True
-    want = _first_failure(lambda A: stacked(A), X, 3)
-    assert want == (DimensionMismatch, "oracle output is (2, 2), expected (3, 3)")
-    assert _first_failure(stacked, X, 3) == want
+    assert _first_failure(lambda A: stacked(A), X, 3) == (
+        DimensionMismatch, "oracle output is (2, 2), expected (3, 3)", [(3, 3)])
+    assert _first_failure(stacked, X, 3) == (
+        DimensionMismatch, "oracle output is (4, 2, 2), expected (4, 3, 3)", [(4, 3, 3)])
 
 
 def test_stacked_degenerate_shrinker_errors_match_the_loop():
-    # verify_shrinker on a space the shrinker refuses: the report names the
-    # first sample, as the one-matrix calls did
+    # verify_shrinker on a space the shrinker refuses: both reports name the
+    # refusal of the first sample, the stacked one as matrix 0 of its stack
     for kind, n, m in (("hn-max", 2, 5), ("su-scalar", 3, 4)):
         phi = shrinkers.make_shrinker(kind, m)
         with pytest.raises(OracleFailure) as got:
             shrinkers.verify_shrinker(phi, "gln", n, m, samples=5)
         with pytest.raises(OracleFailure) as want:
             shrinkers.verify_shrinker(lambda X: phi(X), "gln", n, m, samples=5)
-        assert str(got.value) == str(want.value)
-        assert "matrix" not in str(got.value)
+        assert "matrix" not in str(want.value)
+        assert str(got.value) == str(want.value).replace("('", "('matrix 0 of the stack: ")
