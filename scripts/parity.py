@@ -33,7 +33,8 @@ importing its own ``src/`` and ``perfbench/``:
 Reports are compared as text, byte for byte, with only the value on the
 ``"wall_time"`` line masked, and each run's temporary directory in paths.
 The gate prints every field that differs (for a report, its first
-differing line), then their count, and exits 1 on any difference; else
+differing line and how many lines only each side holds), then their
+count, and exits 1 on any difference; else
 it prints the counts and ``compare_runs`` per seed and exits 0.  It is a
 pre-merge check for changes that claim identical results, not part of
 the test suite: it takes about half a minute.
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import difflib
 import io
 import json
 import os
@@ -162,7 +164,8 @@ def run_tree(tree: Path) -> dict:
 
 def differences(a, b, path="$"):
     """Each ``(path, a's value, b's value)`` where ``a`` and ``b`` differ,
-    in order; a differing string gives its first differing line."""
+    in order; a differing string gives its first differing line and how
+    many lines are only in each side."""
     if isinstance(a, dict) and isinstance(b, dict):
         for key in list(a) + [k for k in b if k not in a]:
             if key not in a or key not in b:
@@ -177,7 +180,12 @@ def differences(a, b, path="$"):
             lines = list(zip(a.splitlines(), b.splitlines())) + [(a, b)]
             line, (x, y) = next((i, pair) for i, pair in enumerate(lines)
                                 if pair[0] != pair[1])
-            yield f"{path} line {line + 1}", x, y
+            ops = difflib.SequenceMatcher(None, a.splitlines(), b.splitlines(),
+                                          autojunk=False).get_opcodes()
+            only_a = sum(i2 - i1 for tag, i1, i2, _, _ in ops if tag != "equal")
+            only_b = sum(j2 - j1 for tag, _, _, j1, j2 in ops if tag != "equal")
+            yield (f"{path} line {line + 1} ({only_a} lines only in the first, "
+                   f"{only_b} only in the second)"), x, y
     # json.dumps so that NaN equals NaN and 0.0 differs from -0.0
     elif json.dumps(a) != json.dumps(b):
         yield path, a, b
@@ -211,7 +219,8 @@ def main(argv=None) -> int:
         return 1
 
     sys.path.insert(0, str(ROOT / "src"))
-    from specshrink.acceptance import CheckResult, compare_runs
+    from specshrink.acceptance import compare_runs
+    from specshrink.core import CheckResult
 
     for s in ACCEPTANCE_SEEDS:
         runs = [[CheckResult(**r) for r in rec["acceptance"][str(s)]] for rec in (parent, change)]

@@ -1,7 +1,8 @@
 """The acceptance suite: every headline claim as an executable check.
 
 Each criterion runs at a pinned tolerance and yields one or more
-:class:`CheckResult` records.  The claims themselves are computed by
+:class:`core.CheckResult` records, each stating its criterion's one claim
+from :data:`CRITERION_CLAIMS`.  The claims themselves are computed by
 library functions in each claim's own module; this suite and the
 ``specshrink`` command line call the same functions and differ only in the
 parameters they pick (seed, sizes, sample counts, functions).  The same
@@ -14,8 +15,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-from dataclasses import asdict, dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -23,34 +22,34 @@ from . import calculus, configspace, core, reconstruct, selectors, shrinkers, sp
 from .errors import ResidualTooLarge, SpecshrinkError
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """One check: its claim, worst defect, threshold and verdict.
+#: Each criterion's claim, as its rows and its summary line state it.
+CRITERION_CLAIMS = {
+    1: shrinkers.POWERLAW_CLAIM,
+    2: shrinkers.INCLUSION_CLAIM,
+    3: ("scalar shrinkers onto a selected eigenvalue beat the divisibility "
+        "constraint on Hermitian and special unitary inputs"),
+    4: ("special unitary eigenvalue selection is spectral, conjugation "
+        "invariant and continuous along paths"),
+    5: "a loop of the corner parameter induces a single n-cycle on the eigenvalues",
+    6: ("counterclockwise cosets classify circle configurations "
+        "equivariantly with cyclic isotropy"),
+    7: ("the 2x2 closed form, interpolation oracle and blow-up witness "
+        "agree with the idempotent calculus"),
+    8: "the calculus is continuous exactly at simple spectra",
+    9: ("the conjugation-swap involution is involutory, spectral, "
+        "normal-fixing, well defined and acts as inverse-square "
+        "conjugation on unitary orbits"),
+    10: ("preserver oracles are classified as conjugation or "
+         "transpose-conjugation with projective recovery; "
+         "non-conjugation maps are rejected"),
+    11: "determinism of the suite under a fixed seed",
+}
 
-    ``criterion`` is the acceptance criterion number, or None for a
-    command line check.
-    """
 
-    criterion: Optional[int]
-    name: str
-    claim: str
-    passed: bool
-    defect: Optional[float]
-    threshold: Optional[float]
-    details: dict = field(default_factory=dict)
-
-    @classmethod
-    def of(cls, criterion, name, claim, defect, threshold, details=None, passed=None):
-        """Build a result; ``passed`` defaults to ``defect <= threshold``."""
-        if passed is None:
-            passed = defect is not None and defect <= threshold
-        return cls(criterion, name, claim, bool(passed),
-                   None if defect is None else float(defect),
-                   None if threshold is None else float(threshold),
-                   details or {})
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+def _result(criterion, name, defect, threshold, details=None, passed=None):
+    """A row of ``criterion``, stating that criterion's claim."""
+    return core.CheckResult.of(criterion, name, CRITERION_CLAIMS[criterion],
+                               defect, threshold, details, passed)
 
 
 # ---------------------------------------------------------------------------
@@ -67,30 +66,26 @@ def _crit_powerlaw(seed):
         S0 = shrinkers.fixed_conjugator(rng, 6)
         phi = shrinkers.make_shrinker("canonical", conjugator=S0)
         report = shrinkers.verify_shrinker(phi, space, 3, 6, samples=100, seed=seed)
-        out.append(CheckResult.of(1, f"powerlaw-{space}", shrinkers.POWERLAW_CLAIM,
-                                  report.powerlaw_defect, shrinkers.POWERLAW_TOL,
-                                  {"samples": 100, "pq": [1, 1]}))
-        out.append(CheckResult.of(2, f"inclusion-{space}", shrinkers.INCLUSION_CLAIM,
-                                  report.inclusion_defect, shrinkers.INCLUSION_TOL,
-                                  {"samples": 100}))
+        out.append(_result(1, f"powerlaw-{space}", report.powerlaw_defect,
+                           shrinkers.POWERLAW_TOL, {"samples": 100, "pq": [1, 1]}))
+        out.append(_result(2, f"inclusion-{space}", report.inclusion_defect,
+                           shrinkers.INCLUSION_TOL, {"samples": 100}))
     return out
 
 
 def _crit_degenerate(seed):
-    claim = ("scalar shrinkers onto a selected eigenvalue beat the divisibility "
-             "constraint on Hermitian and special unitary inputs")
     out = []
     cases = [("hn", 2, 5, "hn-max"), ("sun", 3, 4, "su-scalar")]
     for space, n, m, kind in cases:
         report = shrinkers.verify_shrinker(shrinkers.make_shrinker(kind, m), space, n, m,
                                            samples=100, seed=seed)
-        divisibility_flagged = not report.divisible
-        out.append(CheckResult.of(
-            3, f"degenerate-{space}-{n}to{m}", claim,
+        divisibility_flagged = report.powerlaw_defect is None
+        out.append(_result(
+            3, f"degenerate-{space}-{n}to{m}",
             report.inclusion_defect, shrinkers.INCLUSION_TOL,
             {"n": n, "m": m, "divisibility_flagged": divisibility_flagged},
             passed=(report.inclusion_defect <= shrinkers.INCLUSION_TOL
-                    and divisibility_flagged and m % n != 0),
+                    and divisibility_flagged),
         ))
     return out
 
@@ -110,8 +105,6 @@ def _su_conjugation_pairs(rng, n: int, k: int):
 
 
 def _crit_su_selector(seed):
-    claim = ("special unitary eigenvalue selection is spectral, conjugation "
-             "invariant and continuous along paths")
     rng = np.random.default_rng(seed)
     gaps = []
     moved = []
@@ -130,12 +123,11 @@ def _crit_su_selector(seed):
                                  for path in selectors.su_paths(rng, n, 50, nsteps, step)])
 
     return [
-        CheckResult.of(4, "su-selector-spectral", claim, spectral, selectors.SPECTRAL_TOL,
-                       {"draws": 180}),
-        CheckResult.of(4, "su-selector-conjugation-invariant", claim, invariance,
-                       selectors.INVARIANCE_TOL, {"pairs": 180}),
-        CheckResult.of(4, "su-selector-path-continuity", claim, max_jump, selectors.JUMP_TOL,
-                       {"paths": 150, "step": step, "steps_per_path": nsteps}),
+        _result(4, "su-selector-spectral", spectral, selectors.SPECTRAL_TOL, {"draws": 180}),
+        _result(4, "su-selector-conjugation-invariant", invariance,
+                selectors.INVARIANCE_TOL, {"pairs": 180}),
+        _result(4, "su-selector-path-continuity", max_jump, selectors.JUMP_TOL,
+                {"paths": 150, "step": step, "steps_per_path": nsteps}),
     ]
 
 
@@ -144,7 +136,6 @@ def _crit_su_selector(seed):
 # ---------------------------------------------------------------------------
 
 def _crit_monodromy(seed):
-    claim = "a loop of the corner parameter induces a single n-cycle on the eigenvalues"
     out = []
     ratios = []
     all_cycles = True
@@ -154,12 +145,10 @@ def _crit_monodromy(seed):
             all_cycles = all_cycles and res.is_single_cycle()
             ratios.append(res.ratio_defect())
     worst_ratio = core.running_max(ratios)
-    out.append(CheckResult.of(5, "monodromy-cycles", claim,
-                              0.0 if all_cycles else 1.0, 0.5,
-                              {"n_range": [2, 6], "radii": [0.5, 1.0, 2.0]},
-                              passed=all_cycles))
-    out.append(CheckResult.of(5, "monodromy-ratio", claim, worst_ratio,
-                              selectors.MONODROMY_RATIO_TOL, {"target": "exp(2 pi i / n)"}))
+    out.append(_result(5, "monodromy-cycles", None, None,
+                       {"n_range": [2, 6], "radii": [0.5, 1.0, 2.0]}, passed=all_cycles))
+    out.append(_result(5, "monodromy-ratio", worst_ratio, selectors.MONODROMY_RATIO_TOL,
+                       {"target": "exp(2 pi i / n)"}))
     return out
 
 
@@ -168,8 +157,6 @@ def _crit_monodromy(seed):
 # ---------------------------------------------------------------------------
 
 def _crit_configspace(seed):
-    claim = ("counterclockwise cosets classify circle configurations "
-             "equivariantly with cyclic isotropy")
     rng = np.random.default_rng(seed)
     equivariance_failures = 0
     isotropy_failures = 0
@@ -180,13 +167,11 @@ def _crit_configspace(seed):
     cycle_ok = all(configspace.verify_cycle_decomposition(n) for n in range(2, 9))
     tol = configspace.FAILURE_TOL
     return [
-        CheckResult.of(6, "configspace-equivariance", claim,
-                       float(equivariance_failures), tol, {"n_max": 5}),
-        CheckResult.of(6, "configspace-isotropy", claim,
-                       float(isotropy_failures), tol, {"n_max": 5}),
-        CheckResult.of(6, "configspace-cycle-decomposition", claim,
-                       0.0 if cycle_ok else 1.0, tol, {"n_range": [2, 8]},
-                       passed=cycle_ok),
+        _result(6, "configspace-equivariance", float(equivariance_failures), tol,
+                {"n_max": 5}),
+        _result(6, "configspace-isotropy", float(isotropy_failures), tol, {"n_max": 5}),
+        _result(6, "configspace-cycle-decomposition", None, None, {"n_range": [2, 8]},
+                passed=cycle_ok),
     ]
 
 
@@ -195,8 +180,6 @@ def _crit_configspace(seed):
 # ---------------------------------------------------------------------------
 
 def _crit_calculus(seed):
-    claim = ("the 2x2 closed form, interpolation oracle and blow-up witness "
-             "agree with the idempotent calculus")
     rng = np.random.default_rng(seed)
     closed = calculus.closed_form_defect(
         rng, 100, [np.conj, lambda z: z * z, calculus.sqrt_shift])
@@ -211,19 +194,18 @@ def _crit_calculus(seed):
     witness_ok = blowup >= 10.0 and dist <= 1e-2 * (1.0 + 1e-9)
 
     return [
-        CheckResult.of(7, "calculus-2x2-closed-form", claim, closed, calculus.CLOSED_FORM_TOL,
-                       {"triples": 100}),
-        CheckResult.of(7, "calculus-interpolation-oracle", claim, lagrange,
-                       calculus.INTERPOLATION_TOL, {"samples": 100}),
-        CheckResult.of(7, "calculus-blowup-witness", claim, None, None,
-                       {"norm": blowup, "distance_to_identity": dist,
-                        "required_norm": 10.0, "delta": delta},
-                       passed=witness_ok),
+        _result(7, "calculus-2x2-closed-form", closed, calculus.CLOSED_FORM_TOL,
+                {"triples": 100}),
+        _result(7, "calculus-interpolation-oracle", lagrange, calculus.INTERPOLATION_TOL,
+                {"samples": 100}),
+        _result(7, "calculus-blowup-witness", None, None,
+                {"norm": blowup, "distance_to_identity": dist,
+                 "required_norm": 10.0, "delta": delta},
+                passed=witness_ok),
     ]
 
 
 def _crit_dichotomy(seed):
-    claim = "the calculus is continuous exactly at simple spectra"
     T = np.diag([1.0, 2.0, 3.0]).astype(complex)
     scales = [1e-2, 1e-3, 1e-4]
     devs = [calculus.continuity_probe(T, np.conj, s, samples=40,
@@ -242,13 +224,13 @@ def _crit_dichotomy(seed):
     witness_ok = dev >= 1.0 and step_norm <= 1e-4
 
     return [
-        CheckResult.of(8, "dichotomy-simple-spectrum-decay", claim, None, None,
-                       {"deviations": devs, "ratios": ratios, "required_ratio": 5.0},
-                       passed=simple_ok),
-        CheckResult.of(8, "dichotomy-repeated-spectrum-witness", claim, None, None,
-                       {"deviation": dev, "perturbation_norm": step_norm,
-                        "required_deviation": 1.0, "scale": 1e-4},
-                       passed=witness_ok),
+        _result(8, "dichotomy-simple-spectrum-decay", None, None,
+                {"deviations": devs, "ratios": ratios, "required_ratio": 5.0},
+                passed=simple_ok),
+        _result(8, "dichotomy-repeated-spectrum-witness", None, None,
+                {"deviation": dev, "perturbation_norm": step_norm,
+                 "required_deviation": 1.0, "scale": 1e-4},
+                passed=witness_ok),
     ]
 
 
@@ -257,12 +239,9 @@ def _crit_dichotomy(seed):
 # ---------------------------------------------------------------------------
 
 def _crit_theta(seed):
-    claim = ("the conjugation-swap involution is involutory, spectral, "
-             "normal-fixing, well defined and acts as inverse-square "
-             "conjugation on unitary orbits")
     rng = np.random.default_rng(seed)
     defects = theta.identity_defects(rng, 100, (2, 3, 4))
-    return [CheckResult.of(9, f"theta-{name}", claim, d, theta.IDENTITY_TOL, {"trials": 100})
+    return [_result(9, f"theta-{name}", d, theta.IDENTITY_TOL, {"trials": 100})
             for name, d in defects.items()]
 
 
@@ -278,9 +257,6 @@ def _seeded_conjugator(rng, n, max_cond=50.0):
 
 
 def _crit_reconstruct(seed):
-    claim = ("preserver oracles are classified as conjugation or "
-             "transpose-conjugation with projective recovery; "
-             "non-conjugation maps are rejected")
     rng = np.random.default_rng(seed)
     n = 3
     spaces_under_test = ("un", "nn", "gln_ss", "sln_ss")
@@ -327,41 +303,23 @@ def _crit_reconstruct(seed):
         theta_residual = float(exc.residual or 0.0)
 
     return [
-        CheckResult.of(10, "reconstruct-roundtrip", claim, worst_proj,
-                       reconstruct.ROUNDTRIP_TOL,
-                       {"pairs": 25, "spaces": list(spaces_under_test),
-                        "mode_failures": mode_failures},
-                       passed=(worst_proj <= reconstruct.ROUNDTRIP_TOL and mode_failures == 0)),
-        CheckResult.of(10, "reconstruct-subspace-map", claim, inclusion,
-                       reconstruct.SUBSPACE_MAP_TOL,
-                       {"subspace_pairs": 100, "dimension_failures": dim_failures},
-                       passed=(inclusion <= reconstruct.SUBSPACE_MAP_TOL and dim_failures == 0)),
-        CheckResult.of(10, "reconstruct-lattice-compat", claim,
-                       0.0 if lattice_ok else 1.0, 0.5, {}, passed=lattice_ok),
-        CheckResult.of(10, "reconstruct-rejects-involution", claim, None, None,
-                       {"rejected": theta_rejected, "residual": theta_residual},
-                       passed=theta_rejected),
+        _result(10, "reconstruct-roundtrip", worst_proj, reconstruct.ROUNDTRIP_TOL,
+                {"pairs": 25, "spaces": list(spaces_under_test),
+                 "mode_failures": mode_failures},
+                passed=(worst_proj <= reconstruct.ROUNDTRIP_TOL and mode_failures == 0)),
+        _result(10, "reconstruct-subspace-map", inclusion, reconstruct.SUBSPACE_MAP_TOL,
+                {"subspace_pairs": 100, "dimension_failures": dim_failures},
+                passed=(inclusion <= reconstruct.SUBSPACE_MAP_TOL and dim_failures == 0)),
+        _result(10, "reconstruct-lattice-compat", None, None, passed=lattice_ok),
+        _result(10, "reconstruct-rejects-involution", None, None,
+                {"rejected": theta_rejected, "residual": theta_residual},
+                passed=theta_rejected),
     ]
 
 
 # ---------------------------------------------------------------------------
 # Suite driver
 # ---------------------------------------------------------------------------
-
-CRITERION_CLAIMS = {
-    1: "power law of characteristic polynomials under shrinking maps",
-    2: "spectral inclusion of shrinking maps",
-    3: "divisibility counterexamples on Hermitian and special unitary inputs",
-    4: "continuous special unitary eigenvalue selection",
-    5: "eigenvalue monodromy around the nilpotent block",
-    6: "configuration-space classification and isotropy",
-    7: "semisimple functional calculus closed forms and oracles",
-    8: "continuity dichotomy of the calculus",
-    9: "the conjugation-swap involution",
-    10: "preserver reconstruction and rejection",
-    11: "determinism of the suite under a fixed seed",
-}
-
 
 def _usable_cpus() -> int:
     """CPUs this process may run on."""
@@ -430,7 +388,7 @@ def _forked(context, fn, *args):
         receiver.close()
 
 
-def run_acceptance(seed: int = 0) -> list[CheckResult]:
+def run_acceptance(seed: int = 0) -> list[core.CheckResult]:
     """Run criteria 1-10 and return their results.
 
     Criterion 4 (about half the time, in LAPACK) runs in one forked child
@@ -485,7 +443,7 @@ def _field_gaps(row: str, key: str, a, b) -> list[float]:
     return []
 
 
-def compare_runs(first: list[CheckResult], second: list[CheckResult]) -> float:
+def compare_runs(first: list[core.CheckResult], second: list[core.CheckResult]) -> float:
     """Worst relative disagreement between two runs' verdicts, defects and
     details.
 
@@ -509,7 +467,7 @@ def compare_runs(first: list[CheckResult], second: list[CheckResult]) -> float:
     return core.running_max(gaps)
 
 
-def criterion_summary(results: list[CheckResult]) -> list[str]:
+def criterion_summary(results: list[core.CheckResult]) -> list[str]:
     """One pass/fail line per criterion."""
     lines = []
     for crit in sorted({r.criterion for r in results}):

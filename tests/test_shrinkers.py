@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -94,11 +96,12 @@ def test_check_powerlaw_identity():
 
 
 def test_check_powerlaw_divisibility():
-    # n not dividing m: the report is flagged and no power law is measured
+    # n not dividing m: no power law is measured
     rep = shrinkers.verify_shrinker(
         lambda X: shrinkers.degenerate_shrinker_hn(X, 4), "hn", 3, 4,
         samples=5, seed=0)
-    assert not rep.divisible
+    # the report holds the two worst defects and nothing it was given
+    assert [f.name for f in dataclasses.fields(rep)] == ["inclusion_defect", "powerlaw_defect"]
     assert rep.powerlaw_defect is None
     assert rep.inclusion_defect <= 1e-8
 
@@ -124,7 +127,7 @@ def test_a_powerlaw_defect_that_overflows_fails():
     # alone and overflow the image's characteristic polynomial to NaN
     import scipy.linalg
 
-    from specshrink.acceptance import CheckResult
+    from specshrink.core import CheckResult
 
     def lopsided(big):
         def phi(X):
@@ -204,11 +207,11 @@ def test_degenerate_shrinkers_beat_divisibility():
     hn_rep = shrinkers.verify_shrinker(
         lambda X: shrinkers.degenerate_shrinker_hn(X, 5), "hn", 2, 5,
         samples=30, seed=0)
-    assert hn_rep.inclusion_defect <= 1e-8 and not hn_rep.divisible
+    assert hn_rep.inclusion_defect <= 1e-8 and hn_rep.powerlaw_defect is None
     su_rep = shrinkers.verify_shrinker(
         lambda U: shrinkers.degenerate_shrinker_sun(U, 4), "sun", 3, 4,
         samples=30, seed=0)
-    assert su_rep.inclusion_defect <= 1e-8 and not su_rep.divisible
+    assert su_rep.inclusion_defect <= 1e-8 and su_rep.powerlaw_defect is None
 
 
 # ---------------------------------------------------------------------------
