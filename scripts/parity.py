@@ -18,9 +18,10 @@ importing its own ``src/`` and ``perfbench/``:
   monodromy loops at n = 2, 4, 5, 7, 8 and radii 0.5, 2 and 1e-40, at
   n = 12 and at n = 9 with radius 1e-40, configuration-space checks at
   n = 1, 2, 3, 4, 6, 7 and 8, ``gl_star`` verify
-  runs, transpose reconstruction on ``sln_ss``, the theta probe and the
-  shifted square root of the calculus, which that workload does not run,
-  and ``specshrink all`` once at seed 0;
+  runs, transpose reconstruction on ``sln_ss``, the theta probe, each
+  single theta identity check at n = 2 and 4 and the shifted square root
+  of the calculus, which that workload does not run, and ``specshrink
+  all`` once at seed 0;
 * the standard output of every ``demos/*.py`` script, which alone run
   ``reconstruct.torus_conjugator`` and ``lattice_compat_check`` at n = 3;
 * ``core.spectrum_match_distance`` on 300 seeded pairs of spectra on the
@@ -93,6 +94,9 @@ EXTRA_INVOCATIONS = (
     ("reconstruct-transpose-sln-ss", ["reconstruct", "--oracle", "transpose",
                                       "--space", "sln_ss", "--n", "3"]),
     ("theta-probe", ["theta", "--check", "probe"]),
+    # each single identity check, which computes only its own identity
+    *((f"theta-{check}-{n}", ["theta", "--check", check, "--n", str(n)])
+      for check in ("involution", "pf", "commute", "ads") for n in (2, 4)),
     ("calculus-sqrt-shift", ["calculus", "--f", "sqrt-shift", "--n", "4"]),
 )
 #: Invocations run once, at seed 0: ``all`` runs the whole acceptance suite,

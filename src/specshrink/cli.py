@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 import time
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -34,10 +35,13 @@ def _encode(obj, newline="\n") -> str:
     """``json.dumps(obj, indent=2)`` of ``obj`` with numpy values made plain.
 
     Exact builtin types are dispatched first, as the bulk of a report is
-    lists of floats; anything else is converted the way numpy values are
-    reported (arrays as lists, numpy scalars as Python scalars, complex
-    values as ``[re, im]``) and encoded again.  ``newline`` is the line
-    break plus the indentation of the enclosing level.
+    lists of floats: a list of finite floats, or of ``[re, im]`` pairs of
+    finite floats, is written by one ``join`` over ``float.__repr__`` (see
+    :func:`_float_run`), and any other list item by item.  Anything else is
+    converted the way numpy values are reported (arrays as lists, numpy
+    scalars as Python scalars, complex values as ``[re, im]``) and encoded
+    again.  ``newline`` is the line break plus the indentation of the
+    enclosing level.
     """
     kind = type(obj)
     if kind is float:
@@ -52,7 +56,10 @@ def _encode(obj, newline="\n") -> str:
         if not obj:
             return "[]"
         inner = newline + "  "
-        return "[" + inner + ("," + inner).join([_encode(v, inner) for v in obj]) + newline + "]"
+        items = _float_run(obj, inner)
+        if items is None:
+            items = ("," + inner).join([_encode(v, inner) for v in obj])
+        return "[" + inner + items + newline + "]"
     if kind is dict:
         if not obj:
             return "{}"
@@ -87,6 +94,31 @@ def _encode(obj, newline="\n") -> str:
     if isinstance(obj, str):
         return _encode_str(obj)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _float_run(items, newline):
+    """The items of a list of exact ``float`` values, or of two-item lists
+    of them, written as ``json.dumps(indent=2)`` writes them between the
+    list's brackets at line break ``newline``; None for any other list and
+    for one that holds a non-finite value, which the item walk spells as
+    JSON does.
+    """
+    kinds = set(map(type, items))
+    if kinds == {float}:
+        text = ("," + newline).join(map(float.__repr__, items))
+    elif kinds == {list} and set(map(len, items)) == {2}:
+        flat = list(itertools.chain.from_iterable(items))
+        if set(map(type, flat)) != {float}:
+            return None
+        inner = newline + "  "
+        reprs = map(float.__repr__, flat)
+        text = "[" + inner + (newline + "]," + newline + "[" + inner).join(
+            map(("," + inner).join, zip(reprs, reprs))) + newline + "]"
+    else:
+        return None
+    # float.__repr__ writes NaN and the infinities as nan, inf and -inf, and
+    # writes no "n" for a finite value
+    return None if "n" in text else text
 
 
 def _emit(command, seed, config, results, started) -> int:
@@ -305,8 +337,9 @@ def _cmd_theta(args):
             passed=True)]
         return config, results
 
-    defects = theta.identity_defects(np.random.default_rng(args.seed), args.samples, (n,))
     checks = list(_THETA_CHECKS) if args.check == "all" else [args.check]
+    defects = theta.identity_defects(np.random.default_rng(args.seed), args.samples, (n,),
+                                     [_THETA_CHECKS[kind][0] for kind in checks])
     results = []
     for kind in checks:
         identity, claim = _THETA_CHECKS[kind]

@@ -90,14 +90,22 @@ IDENTITIES = ("involution", "spectrum", "normal-fixing", "putnam-fuglede",
               "commutativity", "inverse-square", "calculus-route")
 
 
-def identity_defects(rng, trials: int, dims) -> dict:
+def identity_defects(rng, trials: int, dims, names=IDENTITIES) -> dict:
     """Worst defects of the involution's identities on random inputs.
 
     Trial k draws ``X = S N S^-1`` and a commuting ``Y = S N2 S^-1`` of
     size ``dims[k % len(dims)]`` (S positive definite, N, N2 normal) and a
-    Haar unitary U.  Returns the worst defect of each identity, scaled by
-    conditioning: involution, spectrum, normal-fixing, putnam-fuglede,
-    commutativity, inverse-square and calculus-route.
+    Haar unitary U.  Returns the worst defect of each identity in ``names``,
+    scaled by conditioning, keyed in the order of :data:`IDENTITIES`:
+    involution, spectrum, normal-fixing, putnam-fuglede, commutativity,
+    inverse-square and calculus-route.
+
+    Every trial is drawn whatever ``names`` holds, so the generator ends in
+    the same state and each requested defect has the same bits as in the
+    full call.  An identity not in ``names`` is neither computed nor able
+    to fail the call: ``Y`` and its image are computed only for
+    commutativity, ``theta(X)`` only for the identities that read it.  An
+    unknown name, or no name, raises ``ValueError`` before any draw.
 
     Every trial is drawn first, in trial order, taking the generator's
     numbers as a one-trial-at-a-time loop takes them; then the trials of
@@ -111,6 +119,12 @@ def identity_defects(rng, trials: int, dims) -> dict:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not dims:
         raise ValueError("dims must name at least one dimension")
+    requested = set(names)
+    unknown = requested - set(IDENTITIES)
+    if unknown:
+        raise ValueError(f"unknown identities {sorted(unknown)}; expected some of {IDENTITIES}")
+    if not requested:
+        raise ValueError("names must name at least one identity")
     for n in dims:
         if n < 1:
             raise UnsupportedDimension(f"dimension must be >= 1, got {n}")
@@ -120,39 +134,55 @@ def identity_defects(rng, trials: int, dims) -> dict:
         draws.setdefault(n, []).append((trial, spaces._positive_definite_draw(rng, n),
                                         spaces._normal_pair_draw(rng, n),
                                         rng.standard_normal((2, n, n))))
-    values = {name: np.empty(trials) for name in IDENTITIES}
+    values = {name: np.empty(trials) for name in IDENTITIES if name in requested}
     for batch in draws.values():
         index, pd, pair, haar = zip(*batch)
         S, condS = spaces._positive_definite(*spaces._stack_draws(pd))
         N, N2 = spaces._normal_pair(*spaces._stack_draws(pair))
         U = spaces._haar(np.array(haar))
-        for name, defect in _stacked_defects(S, condS.tolist(), N, N2, U).items():
+        for name, defect in _stacked_defects(S, condS.tolist(), N, N2, U, requested).items():
             values[name][list(index)] = defect
     return {name: core.running_max(v) for name, v in values.items()}
 
 
-def _stacked_defects(S, condS, N, N2, U) -> dict:
-    """The identity defects of one dimension's trials, one per trial."""
+def _stacked_defects(S, condS, N, N2, U, want) -> dict:
+    """The defects of the identities in the set ``want`` on one dimension's
+    trials, one per trial.
+
+    Each shared step runs only when a wanted identity reads it, and the
+    steps run in the order the full set runs them, so a failing step raises
+    as it does there.
+    """
     Sinv = np.linalg.inv(S)
     X = S @ N @ Sinv
     cond2 = np.array([c ** 2 for c in condS])  # the loop's scalar powers
-    scale = (1.0 + core.opnorm(X)) * cond2
-    TX = theta(X)
-    Y = S @ N2 @ Sinv
-    TY = theta(Y)
-    XU = S @ U @ Sinv
-    S2 = S @ S
-    return {
-        "involution": core.opnorm(theta(TX) - X) / scale,
-        "spectrum": [core.spectrum_match_distance(a, b)
-                     for a, b in zip(core.spectrum(TX), core.spectrum(X))],
-        "normal-fixing": core.opnorm(theta(N) - N) / (1.0 + core.opnorm(N)),
-        "putnam-fuglede": core.opnorm(TX - np.linalg.solve(S, N @ S)) / scale,
-        "commutativity": core.opnorm(TX @ TY - TY @ TX)
-        / ((1.0 + core.opnorm(TX) * core.opnorm(TY)) * cond2),
-        "inverse-square": core.opnorm(theta(XU) - np.linalg.solve(S2, XU @ S2)) / scale,
-        "calculus-route": core.opnorm(TX - theta_via_calculus(S, N)) / scale,
-    }
+    if want & {"involution", "putnam-fuglede", "inverse-square", "calculus-route"}:
+        scale = (1.0 + core.opnorm(X)) * cond2
+    if want & {"involution", "spectrum", "putnam-fuglede", "commutativity", "calculus-route"}:
+        TX = theta(X)
+    if "commutativity" in want:
+        TY = theta(S @ N2 @ Sinv)
+    defects = {}
+    if "involution" in want:
+        defects["involution"] = core.opnorm(theta(TX) - X) / scale
+    if "spectrum" in want:
+        defects["spectrum"] = [core.spectrum_match_distance(a, b)
+                               for a, b in zip(core.spectrum(TX), core.spectrum(X))]
+    if "normal-fixing" in want:
+        defects["normal-fixing"] = core.opnorm(theta(N) - N) / (1.0 + core.opnorm(N))
+    if "putnam-fuglede" in want:
+        defects["putnam-fuglede"] = core.opnorm(TX - np.linalg.solve(S, N @ S)) / scale
+    if "commutativity" in want:
+        defects["commutativity"] = (core.opnorm(TX @ TY - TY @ TX)
+                                    / ((1.0 + core.opnorm(TX) * core.opnorm(TY)) * cond2))
+    if "inverse-square" in want:
+        XU = S @ U @ Sinv
+        S2 = S @ S
+        defects["inverse-square"] = (core.opnorm(theta(XU) - np.linalg.solve(S2, XU @ S2))
+                                     / scale)
+    if "calculus-route" in want:
+        defects["calculus-route"] = core.opnorm(TX - theta_via_calculus(S, N)) / scale
+    return defects
 
 
 def theta_continuity_probe(X0, scale: float, samples: int = 50,

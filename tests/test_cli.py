@@ -414,3 +414,41 @@ _reports = st.recursive(
 @given(_reports)
 def test_report_encoding_equals_json_dumps(obj):
     assert cli._encode(obj) == json.dumps(oracles.jsonable_by_walk(obj), indent=2)
+
+
+#: values that keep a float run on the one-join path (-0.0, 5e-324) or send
+#: it back to the item walk (non-finite values, a numpy float)
+_run_specials = st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324]) \
+    | st.floats().map(np.float64)
+#: items that no float run or pair run holds
+_odd_items = (st.integers() | st.booleans() | st.floats(width=32).map(np.float32)
+              | st.text(max_size=3)
+              | st.lists(st.floats(), min_size=1, max_size=1)
+              | st.lists(st.floats(), min_size=3, max_size=3))
+
+
+@st.composite
+def _float_runs(draw):
+    """A list of finite floats or of [re, im] pairs of them, with a few
+    special values planted, and sometimes one odd item."""
+    pairs = draw(st.booleans())
+    item = st.floats(allow_nan=False, allow_infinity=False)
+    items = draw(st.lists(st.lists(item, min_size=2, max_size=2) if pairs else item,
+                          min_size=1, max_size=60))
+    for special in draw(st.lists(_run_specials, max_size=3)):
+        i = draw(st.integers(0, len(items) - 1))
+        if pairs:
+            items[i][draw(st.integers(0, 1))] = special
+        else:
+            items[i] = special
+    if draw(st.booleans()):
+        items.insert(draw(st.integers(0, len(items))), draw(_odd_items))
+    return items
+
+
+@settings(max_examples=150, deadline=None)
+@given(_float_runs())
+def test_float_run_encoding_equals_json_dumps(items):
+    # at the top level and nested, where each line carries more indentation
+    for obj in (items, {"paths": [{"values": items}]}):
+        assert cli._encode(obj) == json.dumps(oracles.jsonable_by_walk(obj), indent=2)

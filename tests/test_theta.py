@@ -1,9 +1,11 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from specshrink import core, spaces, theta
+from specshrink import cli, core, spaces, theta
 from specshrink.errors import NotSemisimple, Singular, WellDefinednessDegraded
 
 seeds = st.integers(0, 2**32 - 1)
@@ -243,10 +245,12 @@ def _zero_eigenvalue_on_call(monkeypatch, calls):
     monkeypatch.setattr(spaces, "_simple_complex_tuple", patched)
 
 
-@pytest.mark.parametrize("calls", [{4}, {3, 9}])
+@pytest.mark.parametrize("calls", [{4}, {3, 9}, {3}])
 def test_failing_trial_raises_the_loops_class(monkeypatch, calls):
-    # the normal-pair draw takes two tuples per trial; a zero eigenvalue in N makes
-    # X singular, which theta refuses in the loop and in the stack alike
+    # the normal-pair draw takes two tuples per trial (N, then N2); a zero
+    # eigenvalue in N makes X singular and one in N2 makes Y singular, which
+    # theta refuses in the loop and in the stack alike
+    only_y = all(call % 2 for call in calls)
     _zero_eigenvalue_on_call(monkeypatch, calls)
     with pytest.raises(Singular):
         oracles.identity_defects_by_loop(np.random.default_rng(3), 8, (2, 3))
@@ -254,6 +258,44 @@ def test_failing_trial_raises_the_loops_class(monkeypatch, calls):
     _zero_eigenvalue_on_call(monkeypatch, calls)
     with pytest.raises(Singular):
         theta.identity_defects(np.random.default_rng(3), 8, (2, 3))
+    monkeypatch.undo()
+    _zero_eigenvalue_on_call(monkeypatch, calls)
+    with pytest.raises(Singular):
+        theta.identity_defects(np.random.default_rng(3), 8, (2, 3), ["commutativity"])
+    # only commutativity reads Y: a singular Y cannot fail putnam-fuglede
+    monkeypatch.undo()
+    _zero_eigenvalue_on_call(monkeypatch, calls)
+    with contextlib.nullcontext() if only_y else pytest.raises(Singular):
+        theta.identity_defects(np.random.default_rng(3), 8, (2, 3), ["putnam-fuglede"])
+
+
+#: the identities that ``specshrink theta --check all`` reports
+CLI_IDENTITIES = [identity for identity, _ in cli._THETA_CHECKS.values()]
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 4), (3,)])
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_identity_subsets_equal_the_full_call(seed, dims):
+    # the same draws and the same bits: a subset is the full call's values,
+    # keyed in IDENTITIES order, and the generator ends where the full call's does
+    full_rng = np.random.default_rng(seed)
+    full = theta.identity_defects(full_rng, 12, dims)
+    for names in [[name] for name in theta.IDENTITIES] + [CLI_IDENTITIES[::-1]]:
+        rng = np.random.default_rng(seed)
+        got = theta.identity_defects(rng, 12, dims, names)
+        assert list(got) == [name for name in theta.IDENTITIES if name in names]
+        assert got == {name: full[name] for name in got}
+        assert rng.bit_generator.state == full_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("names, match", [(["involution", "bogus"], "unknown identities"),
+                                          ([], "at least one identity")])
+def test_identity_defects_refuse_bad_names_before_any_draw(names, match):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=match):
+        theta.identity_defects(rng, 3, (2,), names)
+    assert rng.bit_generator.state == state
 
 
 def test_identity_defects_refuse_an_empty_dimension_list():
