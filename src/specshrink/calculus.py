@@ -75,9 +75,9 @@ def apply_function(T, f: Callable[[complex], complex],
     The construction is conjugation invariant:
     ``apply_function(S T S^-1, f) = S apply_function(T, f) S^-1`` up to
     conditioning-scaled rounding.  ``f`` is called once per eigenvalue
-    cluster, on a complex scalar, matrix by matrix.  A matrix whose
-    eigenvalues are all farther apart than the clustering could join is
-    computed on the stack, bit for bit the sum over its clusters'
+    cluster, on a complex scalar, matrix by matrix.  The matrices whose
+    eigenvalues are all farther apart than the clustering could join are
+    computed together on the stack, bit for bit the sum over their clusters'
     idempotents; any other takes that sum itself.
     """
     A = core.as_matrix(T, stack=True)
@@ -87,20 +87,15 @@ def apply_function(T, f: Callable[[complex], complex],
     Pinv = np.linalg.inv(P)
     # singletons that no clustering joins or calls ambiguous
     simple = core.min_gaps(w) > 10.0 * grouping_tol
-    if simple.all():
-        out = _singleton_sum(w, P, Pinv, f)
-    else:
-        out = np.zeros_like(As)
-        rows = np.flatnonzero(simple)
-        if rows.size:
-            out[rows] = _singleton_sum(w[rows], P[rows], Pinv[rows], f)
-        for i in np.flatnonzero(~simple):
-            try:
-                pairs = _clusters(w[i], grouping_tol)
-            except AmbiguousClustering as exc:
-                raise AmbiguousClustering(core.stack_message(k, i, str(exc))) from None
-            for rep, idx in pairs:
-                out[i] += complex(f(rep)) * _idempotent(P[i], Pinv[i], idx)
+    out = np.zeros_like(As)
+    out[simple] = _singleton_sum(w[simple], P[simple], Pinv[simple], f)
+    for i in np.flatnonzero(~simple):
+        try:
+            pairs = _clusters(w[i], grouping_tol)
+        except AmbiguousClustering as exc:
+            raise AmbiguousClustering(core.stack_message(k, i, str(exc))) from None
+        for rep, idx in pairs:
+            out[i] += complex(f(rep)) * _idempotent(P[i], Pinv[i], idx)
     return out if A.ndim == 3 else out[0]
 
 
@@ -213,48 +208,46 @@ def continuity_probe(T, f: Callable[[complex], complex], scale: float,
 # loop's first failure (a failed draw surfaces before any failed
 # computation), though a failing sample raises the class the loop raises.
 
-def closed_form_defect(rng, samples: int, fns) -> float:
-    """Worst ``||calc_2x2_closed_form - apply_function||`` on random upper
-    triangular 2x2 matrices with eigenvalues more than 0.2 apart."""
+def _check_batch(samples: int, fns) -> None:
+    """Refuse a cross-check with no samples or no functions, before any draw."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if not fns:
         raise ValueError("fns must name at least one function")
+
+
+def closed_form_defect(rng, samples: int, fns) -> float:
+    """Worst ``||calc_2x2_closed_form - apply_function||`` on random upper
+    triangular 2x2 matrices with eigenvalues more than 0.2 apart."""
+    _check_batch(samples, fns)
     draws = []
     for _ in range(samples):
         l1, l2 = spaces.separated_pair(rng)
         draws.append((l1, l2, complex(rng.standard_normal() + 1j * rng.standard_normal())))
     T = np.array([[[l1, alpha], [0.0, l2]] for l1, l2, alpha in draws])
-    defects = np.empty((samples, len(fns)))
-    for j, f in enumerate(fns):
+
+    def defects(f):
         closed = np.array([calc_2x2_closed_form(l1, l2, alpha, f) for l1, l2, alpha in draws])
-        defects[:, j] = core.opnorm(closed - apply_function(T, f))
-    return core.running_max(defects)
+        return core.opnorm(closed - apply_function(T, f))
+
+    return core.running_max([defects(f) for f in fns])
 
 
 def interpolation_defect(rng, n: int, samples: int, fns) -> float:
     """Worst ``||apply_function - lagrange_apply|| / (1 + ||T||)`` on random
     semisimple n x n matrices."""
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if not fns:
-        raise ValueError("fns must name at least one function")
+    _check_batch(samples, fns)
     T = spaces._conjugated_diagonal(*spaces._stack_draws(
         [spaces._semisimple_draw(rng, n) for _ in range(samples)]))
     scale = 1.0 + core.opnorm(T)
-    defects = np.empty((samples, len(fns)))
-    for j, f in enumerate(fns):
-        defects[:, j] = core.opnorm(apply_function(T, f) - lagrange_apply(T, f)) / scale
-    return core.running_max(defects)
+    return core.running_max([core.opnorm(apply_function(T, f) - lagrange_apply(T, f)) / scale
+                             for f in fns])
 
 
 def conjugation_invariance_defect(rng, n: int, samples: int, fns) -> float:
     """Worst ``||f(S X S^-1) - S f(X) S^-1|| / ((1 + ||X||) cond(S)^2)`` on
     random semisimple X and bounded-condition S."""
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if not fns:
-        raise ValueError("fns must name at least one function")
+    _check_batch(samples, fns)
     xs, ss = [], []
     for _ in range(samples):
         xs.append(spaces._semisimple_draw(rng, n))
@@ -265,12 +258,9 @@ def conjugation_invariance_defect(rng, n: int, samples: int, fns) -> float:
     # the loop's scalar powers
     cond2 = np.array([c ** 2 for c in core.condition_numbers(S).tolist()])
     scale = (1.0 + core.opnorm(X)) * cond2
-    defects = np.empty((samples, len(fns)))
-    for j, f in enumerate(fns):
-        lhs = apply_function(S @ X @ Sinv, f)
-        rhs = S @ apply_function(X, f) @ Sinv
-        defects[:, j] = core.opnorm(lhs - rhs) / scale
-    return core.running_max(defects)
+    return core.running_max([
+        core.opnorm(apply_function(S @ X @ Sinv, f) - S @ apply_function(X, f) @ Sinv) / scale
+        for f in fns])
 
 
 # ---------------------------------------------------------------------------

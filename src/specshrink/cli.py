@@ -449,8 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("theta", help="conjugation-swap involution checks")
-    p.add_argument("--check", choices=["involution", "pf", "commute", "ads", "probe", "all"],
-                   default="all")
+    p.add_argument("--check", choices=[*_THETA_CHECKS, "probe", "all"], default="all")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
@@ -486,6 +485,8 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         config, results = _DISPATCH[args.command](args)
     except (SpecshrinkError, ValueError, OSError, ZeroDivisionError, MemoryError) as exc:
         # a library failure exits 1; a bad argument surfaces as one of the

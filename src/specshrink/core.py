@@ -45,10 +45,10 @@ from .errors import (
 #: condition number at most ``1 / DEFAULT_EIG_TOL``.
 DEFAULT_EIG_TOL = 1e-8
 
-#: Relative singular-value cuts of :func:`polar_decompose` (singularity) and
-#: :meth:`Subspace.from_span` (rank); the orthonormality bound of a
-#: :class:`Subspace` basis; the relative and absolute null-space cut of
-#: :func:`kernel`.
+#: Relative singular-value cuts of :func:`numerically_singular` (the one
+#: invertibility test) and :meth:`Subspace.from_span` (rank); the
+#: orthonormality bound of a :class:`Subspace` basis; the relative and
+#: absolute null-space cut of :func:`kernel`.
 SINGULAR_TOL = 1e-12
 RANK_TOL = 1e-10
 ORTHONORMAL_TOL = 1e-8
@@ -146,39 +146,33 @@ class CheckResult:
 
 
 def call_oracle(phi, X, m: int) -> np.ndarray:
-    """``phi(X)`` as a validated ``m x m`` matrix, or as a ``(k, m, m)``
-    stack when ``X`` is a ``(k, n, n)`` stack; any exception the black-box
-    map raises, or an output that is not finite and square, becomes
-    :class:`OracleFailure`, and an output of another shape raises
-    :class:`DimensionMismatch`."""
+    """``phi(X)`` as a validated ``m x m`` matrix, or as the ``(k, m, m)``
+    stack of ``phi`` on each matrix of a ``(k, n, n)`` stack ``X``: the one
+    way a black-box map is evaluated.
+
+    A map that opts in with a true ``stacked`` attribute gets a stack in one
+    call, and fails as that one call; any other map gets one call per
+    matrix, in order, and the first failing matrix raises its one-matrix
+    error.  Any exception the map raises, or an output that is not finite
+    and square, becomes :class:`OracleFailure`; an output of another shape
+    raises :class:`DimensionMismatch`.  The harness never looks inside the
+    map beyond that attribute.
+    """
     want = np.shape(X)[:-2] + (m, m)
+    if len(want) == 3 and not getattr(phi, "stacked", False):
+        out = np.empty(want, dtype=complex)
+        for i, x in enumerate(X):
+            out[i] = call_oracle(phi, x, m)
+        return out
     try:
         Y = as_matrix(phi(X), stack=len(want) == 3)
     except Exception as exc:
         raise OracleFailure(f"oracle raised on an input: {exc!r}") from exc
     if Y.shape != want:
         raise DimensionMismatch(f"oracle output is {Y.shape}, expected {want}")
-    return Y
-
-
-def call_oracle_stack(phi, X, m: int) -> np.ndarray:
-    """The ``(k, m, m)`` stack of ``phi`` on each matrix of the ``(k, n, n)``
-    stack ``X``, the one way a stack reaches a black-box map.
-
-    A map that opts in with a true ``stacked`` attribute is called once on
-    the whole stack, and fails as that one :func:`call_oracle`.  Any other
-    map is called one matrix at a time, in order, and the first matrix whose
-    :func:`call_oracle` fails raises.  The harness never looks inside the
-    map beyond that attribute.
-    """
-    if getattr(phi, "stacked", False):
-        # contiguous, as a stack filled one matrix at a time is, so later
-        # products round alike
-        return np.ascontiguousarray(call_oracle(phi, X, m))
-    out = np.empty((len(X), m, m), dtype=complex)
-    for i, x in enumerate(X):
-        out[i] = call_oracle(phi, x, m)
-    return out
+    # contiguous, as a stack filled one matrix at a time is, so later
+    # products round alike
+    return np.ascontiguousarray(Y)
 
 
 def right_divide(A, S) -> np.ndarray:
@@ -454,7 +448,7 @@ def spectrum_match_distance(A, B) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Polar decomposition
+# Invertibility, determinant roots and polar decomposition
 # ---------------------------------------------------------------------------
 
 def numerically_singular(s):
@@ -465,6 +459,19 @@ def numerically_singular(s):
     if not s.shape[-1]:
         return np.ones(s.shape[:-1], dtype=bool)
     return s[..., -1] <= SINGULAR_TOL * np.maximum(1.0, s[..., 0])
+
+
+def determinant_roots(X) -> np.ndarray:
+    """The principal n-th roots of the determinants of an ``n x n`` matrix
+    or of each matrix of a ``(k, n, n)`` stack, shaped ``(..., 1, 1)`` to
+    scale it.
+
+    The roots are taken on scalars: the array power ``det ** 0.5`` at
+    n = 2 takes numpy's square-root path and can differ in the last bit.
+    """
+    dets = np.linalg.det(X)
+    n = np.shape(X)[-1]
+    return np.reshape([d ** (1.0 / n) for d in np.ravel(dets)], np.shape(dets) + (1, 1))
 
 
 def polar_decompose(S) -> tuple[np.ndarray, np.ndarray]:

@@ -42,10 +42,6 @@ class UnsupportedDimension(SpecshrinkError):
     """The requested dimension is outside the supported range."""
 
 
-class SingularConjugator(SpecshrinkError):
-    """A conjugating matrix is numerically singular."""
-
-
 # ---------------------------------------------------------------------------
 # shrinker checks
 # ---------------------------------------------------------------------------

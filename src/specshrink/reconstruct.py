@@ -103,11 +103,11 @@ def _worst_residual(phi, form, draws, worst: float = 0.0) -> float:
     Every validation stage draws its whole stack before the oracle sees
     any of it, so a sampler that runs out of budget raises before any
     :class:`OracleFailure` of that stage.  The stack goes to the oracle
-    through :func:`core.call_oracle_stack`, in one call for a map that opts
-    in; ``form`` and both norms then run once on the stack.
+    through :func:`core.call_oracle`, in one call for a map that opts in;
+    ``form`` and both norms then run once on the stack.
     """
     X = np.asarray(draws, dtype=complex)  # as core.opnorm norms a real draw
-    images = core.call_oracle_stack(phi, X, X.shape[-1])
+    images = core.call_oracle(phi, X, X.shape[-1])
     ratios = core.opnorm(images - form(X)) / np.maximum(core.opnorm(X), 1e-300)
     return core.running_max(np.append(ratios, worst))
 
@@ -145,11 +145,10 @@ def involution_for_subspace(W: core.Subspace) -> np.ndarray:
 def psi(phi, subspaces) -> list[core.Subspace]:
     """``Psi(W) = ker(I - phi(U_W))`` of each subspace W, in order.
 
-    The involutions go to the oracle through one
-    :func:`core.call_oracle_stack` before any kernel is taken, so an oracle
-    failure on any of them raises before a dimension change does.  A
-    dimension change means the oracle violates its hypotheses and raises
-    :class:`DimensionDrift`.  No subspaces give an empty list, with no
+    The involutions go to the oracle through one :func:`core.call_oracle`
+    before any kernel is taken, so an oracle failure on any of them raises
+    before a dimension change does.  A dimension change means the oracle
+    violates its hypotheses and raises :class:`DimensionDrift`.  No subspaces give an empty list, with no
     oracle call; subspaces of different ambient dimensions raise
     :class:`DimensionMismatch`.
     """
@@ -159,7 +158,7 @@ def psi(phi, subspaces) -> list[core.Subspace]:
     if any(W.ambient_dim != n for W in subspaces):
         raise DimensionMismatch(
             f"subspaces of ambient dimensions {[W.ambient_dim for W in subspaces]} differ")
-    Y = core.call_oracle_stack(phi, np.stack([involution_for_subspace(W) for W in subspaces]), n)
+    Y = core.call_oracle(phi, np.stack([involution_for_subspace(W) for W in subspaces]), n)
     kernels = []
     for W, y in zip(subspaces, Y):
         # the absolute floor keeps the whole space when W is everything
@@ -286,8 +285,7 @@ def torus_conjugator(phi, S, seed: int = 0) -> np.ndarray:
     """
     S = core.as_matrix(S)
     n = S.shape[0]
-    sv = np.linalg.svd(S, compute_uv=False)
-    if sv[-1] <= 1e-10 * max(1.0, sv[0]):
+    if core.numerically_singular(np.linalg.svd(S, compute_uv=False)):
         raise Singular("torus-defining matrix is singular")
     rng = np.random.default_rng(seed)
     Sinv = np.linalg.inv(S)
@@ -377,9 +375,7 @@ def classify_spaces(phi, space_names, n: int, validation_samples: int = VALIDATI
 
         if sid is spaces.SpaceId.SLN_SS:
             def root_extension(X):
-                # the principal root of each determinant, taken on scalars
-                c = np.reshape([d ** (1.0 / n) for d in np.ravel(np.linalg.det(X))],
-                               X.shape[:-2] + (1, 1))
+                c = core.determinant_roots(X)
                 return c * core.as_matrix(phi(X / c), stack=True)
 
             root_extension.stacked = getattr(phi, "stacked", False)

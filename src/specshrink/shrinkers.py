@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import core, selectors, spaces
-from .errors import DimensionMismatch, SingularConjugator
+from .errors import DimensionMismatch, Singular
 
 #: Pinned thresholds of the batch check: the worst inclusion defect and the
 #: worst power-law coefficient defect a shrinker may show, and the claims
@@ -89,7 +89,7 @@ def canonical_shrinker(X, p: int, q: int, conjugator=None) -> np.ndarray:
     if S.shape[0] != m:
         raise DimensionMismatch(f"conjugator must be {m}x{m}, got {S.shape}")
     if core.numerically_singular(np.linalg.svd(S, compute_uv=False)):
-        raise SingularConjugator("conjugator is numerically singular")
+        raise Singular("conjugator is numerically singular")
     return S @ B @ np.linalg.inv(S)
 
 
@@ -168,7 +168,7 @@ def verify_shrinker(phi, space, n: int, m: int, samples: int = 100, seed: int = 
     report then has no power-law defect.
 
     The samples are drawn as one stack and handed to the black-box map
-    through :func:`core.call_oracle_stack`: once, for a map that opts in
+    through :func:`core.call_oracle`: once, for a map that opts in
     with ``stacked = True`` (:func:`make_shrinker`), else one sample at a
     time.  Spectra, inclusion defects and characteristic polynomials then
     run once on the ``(samples, ., .)`` stacks.
@@ -178,7 +178,7 @@ def verify_shrinker(phi, space, n: int, m: int, samples: int = 100, seed: int = 
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     X = spaces.sample_stack(space, n, samples, np.random.default_rng(seed))
-    Y = core.call_oracle_stack(phi, X, m)
+    Y = core.call_oracle(phi, X, m)
 
     inclusion = core.running_max(
         core.spectrum_inclusion_defect(core.spectrum(Y), core.spectrum(X)))

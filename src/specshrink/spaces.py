@@ -107,14 +107,8 @@ def _haar(z) -> np.ndarray:
 
 
 def _unit_determinant(x) -> np.ndarray:
-    """Compute part of the determinant-1 rescaling of a stack.
-
-    The roots are taken on scalars: the array power ``det ** 0.5`` at
-    n = 2 takes numpy's square-root path and can differ in the last bit.
-    """
-    n = x.shape[-1]
-    roots = np.array([det ** (1.0 / n) for det in np.linalg.det(x)])
-    return x / roots[:, None, None]
+    """Compute part of the determinant-1 rescaling of a stack."""
+    return x / core.determinant_roots(x)
 
 
 def _conjugator_draw(g, n: int):
@@ -220,11 +214,9 @@ def circle_points(rng, n: int, min_gap: float) -> np.ndarray:
     if n < 1:
         raise ValueError(f"need at least one circle point, got n = {n}")
     g = np.random.default_rng(rng)
-    for _ in range(MAX_TRIES):
-        z = np.exp(2j * np.pi * g.uniform(size=n))
-        if core.min_gaps(z[None])[0] > min_gap:
-            return z
-    raise UnsupportedDimension(f"could not draw {n} circle points {min_gap} apart")
+    return rejection_stack(lambda m: np.exp(2j * np.pi * g.uniform(size=(m, n))),
+                           lambda z: core.min_gaps(z) > min_gap, 1,
+                           f"could not draw {n} circle points {min_gap} apart")[0]
 
 
 def separated_pair(rng) -> np.ndarray:

@@ -336,11 +336,18 @@ def test_failing_sample_raises_the_loops_class(monkeypatch):
 
 
 @pytest.mark.parametrize("check", [
-    lambda rng: calculus.closed_form_defect(rng, 5, []),
-    lambda rng: calculus.interpolation_defect(rng, 3, 5, []),
-    lambda rng: calculus.conjugation_invariance_defect(rng, 3, 5, []),
+    lambda rng, samples, fns: calculus.closed_form_defect(rng, samples, fns),
+    lambda rng, samples, fns: calculus.interpolation_defect(rng, 3, samples, fns),
+    lambda rng, samples, fns: calculus.conjugation_invariance_defect(rng, 3, samples, fns),
 ], ids=["closed-form", "interpolation", "invariance"])
 def test_cross_checks_refuse_an_empty_function_list(check):
-    # no function means nothing is checked; a defect of 0.0 would pass
-    with pytest.raises(ValueError, match="at least one function"):
-        check(np.random.default_rng(0))
+    # no function, or no sample, means nothing is checked; a defect of 0.0
+    # would pass.  Both are refused before any draw.
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for samples, fns, message in [(5, [], "fns must name at least one function"),
+                                  (0, [np.conj], "samples must be >= 1, got 0")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check(rng, samples, fns)
+        assert rng.bit_generator.state == state
+

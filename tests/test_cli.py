@@ -133,6 +133,8 @@ MALFORMED_MATRIX_FILES = {
     ["verify", "--space", "gl", "--n", "3", "--m", "3", "--pq", "2,-1"],
     ["verify", "--space", "gl", "--n", "3", "--m", "6", "--pq=-1,3"],
     ["select", "--selector", "su", "--steps", "0"],
+    ["monodromy", "--n", "3", "--seed", "-1"],
+    ["all", "--seed", "-1"],
 ])
 def test_usage_errors_exit_2_with_a_report(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)

@@ -10,6 +10,7 @@ from specshrink.errors import (
     DimensionMismatch,
     EmptySpectrum,
     NumericalFailure,
+    OracleFailure,
     Singular,
     SizeMismatch,
 )
@@ -33,6 +34,69 @@ def test_as_matrix_rejects_nonsquare():
 def test_as_matrix_rejects_nan():
     with pytest.raises(DimensionMismatch):
         core.as_matrix(np.array([[np.nan, 0], [0, 1]]))
+
+
+# ---------------------------------------------------------------------------
+# the black-box evaluator
+# ---------------------------------------------------------------------------
+
+def counting_map(stacked, fail_at=None):
+    """A transpose map that records each input it sees and raises on call
+    ``fail_at``; its output is a view that is not C-contiguous."""
+    calls = []
+
+    def phi(X):
+        calls.append(np.array(X))
+        if len(calls) - 1 == fail_at:
+            raise RuntimeError("boom")
+        return np.swapaxes(np.asarray(X), -1, -2)
+
+    phi.stacked = stacked
+    return phi, calls
+
+
+def test_a_plain_map_gets_one_call_per_matrix_in_order():
+    X = rand_complex(np.random.default_rng(3), 12).reshape(4, 3, 3, 4)[..., 0]
+    phi, calls = counting_map(stacked=False)
+    Y = core.call_oracle(phi, X, 3)
+    assert [c.shape for c in calls] == [(3, 3)] * 4
+    assert all(np.array_equal(c, x) for c, x in zip(calls, X))
+    assert np.array_equal(Y, np.swapaxes(X, -1, -2)) and Y.flags.c_contiguous
+
+
+@pytest.mark.parametrize("bad", [0, 2, 3])
+def test_a_plain_map_fails_on_its_first_failing_matrix(bad):
+    X = np.stack([np.eye(3, dtype=complex) * (i + 1) for i in range(4)])
+    phi, calls = counting_map(stacked=False, fail_at=bad)
+    with pytest.raises(OracleFailure, match="boom"):
+        core.call_oracle(phi, X, 3)
+    assert len(calls) == bad + 1
+
+
+def test_a_stacked_map_gets_one_call_and_a_contiguous_result():
+    X = np.stack([rand_complex(np.random.default_rng(i), 3) for i in range(5)])
+    phi, calls = counting_map(stacked=True)
+    Y = core.call_oracle(phi, X, 3)
+    assert [c.shape for c in calls] == [(5, 3, 3)]
+    assert np.array_equal(Y, np.swapaxes(X, -1, -2)) and Y.flags.c_contiguous
+    phi, calls = counting_map(stacked=True, fail_at=0)
+    with pytest.raises(OracleFailure, match="boom"):
+        core.call_oracle(phi, X, 3)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_a_single_matrix_is_one_call_and_a_wrong_size_is_refused(stacked):
+    x = rand_complex(np.random.default_rng(7), 3)
+    phi, calls = counting_map(stacked)
+    assert np.array_equal(core.call_oracle(phi, x, 3), x.T)
+    assert [c.shape for c in calls] == [(3, 3)]
+    with pytest.raises(DimensionMismatch, match=r"expected \(4, 4\)"):
+        core.call_oracle(phi, x, 4)
+    # a plain map fails on the stack's first matrix, a stacked map as one call
+    want = r"\(2, 4, 4\)" if stacked else r"\(4, 4\)"
+    with pytest.raises(DimensionMismatch, match=f"expected {want}$"):
+        core.call_oracle(phi, np.stack([x, x]), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +451,17 @@ def test_stacked_polar_and_opnorm_equal_each_matrix(seed, n, k):
 def test_opnorm_non_convergence_raises_a_numerical_failure():
     with pytest.raises(NumericalFailure, match="SVD did not converge"):
         core.opnorm(np.full((2, 3, 3), np.nan))
+
+
+def test_determinant_roots_are_the_scalar_principal_roots():
+    X = np.stack([rand_complex(np.random.default_rng(i), 2) for i in range(6)])
+    roots = core.determinant_roots(X)
+    assert roots.shape == (6, 1, 1) and core.determinant_roots(X[0]).shape == (1, 1)
+    dets = np.linalg.det(X)
+    # numpy's scalar power, bit for bit, on the principal branch
+    assert roots.ravel().tolist() == [d ** 0.5 for d in dets]
+    assert np.allclose(roots.ravel(), np.exp(np.log(dets) / 2), rtol=1e-14, atol=0)
+    assert np.allclose(np.linalg.det(X / roots), 1.0, atol=1e-12)
 
 
 def test_polar_singular_rejected():

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from specshrink import core, reconstruct, spaces, theta
+from specshrink import core, reconstruct, shrinkers, spaces, theta
 from specshrink.errors import (
     DimensionDrift,
     DimensionMismatch,
     OracleFailure,
     ResidualTooLarge,
+    Singular,
     UnsupportedDimension,
 )
 
@@ -229,6 +230,29 @@ def test_torus_rejects_wrong_form():
 
     with pytest.raises(ResidualTooLarge):
         reconstruct.torus_conjugator(phi, np.eye(3), seed=0)
+
+
+@pytest.mark.parametrize("smallest, singular", [(1e-13, True), (1e-11, False)])
+def test_every_invertibility_check_uses_one_singular_cut(smallest, singular):
+    # core.numerically_singular at SINGULAR_TOL = 1e-12, for the polar
+    # factor, the shrinker's conjugator and the torus-defining matrix alike
+    n = 3
+
+    def defining(size):
+        return np.diag([2.0] + [1.0] * (size - 2) + [smallest]).astype(complex)
+
+    calls = [
+        lambda: core.polar_decompose(defining(n)),
+        lambda: shrinkers.canonical_shrinker(np.diag([1.0, 2.0, 3.0]), 1, 1,
+                                             conjugator=defining(2 * n)),
+        lambda: reconstruct.torus_conjugator(reconstruct.make_oracle("identity"), defining(n)),
+    ]
+    for call in calls:
+        if singular:
+            with pytest.raises(Singular):
+                call()
+        else:
+            call()
 
 
 def test_torus_general_defining_matrix():

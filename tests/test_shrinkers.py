@@ -290,7 +290,7 @@ def _first_failure(phi, X, m):
 
     counting.stacked = getattr(phi, "stacked", False)
     with pytest.raises(Exception) as info:
-        core.call_oracle_stack(counting, X, m)
+        core.call_oracle(counting, X, m)
     return type(info.value), str(info.value), calls
 
 
