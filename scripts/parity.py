@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import difflib
 import io
 import json
 import os
@@ -55,6 +54,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -169,7 +169,7 @@ def run_tree(tree: Path) -> dict:
 def differences(a, b, path="$"):
     """Each ``(path, a's value, b's value)`` where ``a`` and ``b`` differ,
     in order; a differing string gives its first differing line and how
-    many lines are only in each side."""
+    many lines, counted with multiplicity, are only in each side."""
     if isinstance(a, dict) and isinstance(b, dict):
         for key in list(a) + [k for k in b if k not in a]:
             if key not in a or key not in b:
@@ -184,10 +184,10 @@ def differences(a, b, path="$"):
             lines = list(zip(a.splitlines(), b.splitlines())) + [(a, b)]
             line, (x, y) = next((i, pair) for i, pair in enumerate(lines)
                                 if pair[0] != pair[1])
-            ops = difflib.SequenceMatcher(None, a.splitlines(), b.splitlines(),
-                                          autojunk=False).get_opcodes()
-            only_a = sum(i2 - i1 for tag, i1, i2, _, _ in ops if tag != "equal")
-            only_b = sum(j2 - j1 for tag, _, _, j1, j2 in ops if tag != "equal")
+            # multiset counts, linear in the report's length: a line that
+            # only moved counts on neither side
+            la, lb = Counter(a.splitlines()), Counter(b.splitlines())
+            only_a, only_b = sum((la - lb).values()), sum((lb - la).values())
             yield (f"{path} line {line + 1} ({only_a} lines only in the first, "
                    f"{only_b} only in the second)"), x, y
     # json.dumps so that NaN equals NaN and 0.0 differs from -0.0

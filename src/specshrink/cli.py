@@ -2,10 +2,11 @@
 
 Machine-readable first: every subcommand prints one JSON report to
 standard output (schema version, seed, the fully resolved configuration
-including defaulted values, per-check results) and keeps diagnostics on
-standard error.  Exit codes: 0 when every requested check passed, 1 on a
-check failure, 2 on a usage error; the report is emitted in every case
-but argparse's own argument errors.
+including defaulted values, per-check results with their thresholds),
+stating each fact once, and keeps diagnostics on standard error.  Exit
+codes: 0 when every requested check passed, 1 on a check failure, 2 on a
+usage error; the report is emitted in every case but argparse's own
+argument errors.
 
 Each subcommand calls the same claim functions as the acceptance suite
 and only picks their parameters; results are
@@ -27,7 +28,7 @@ from . import acceptance, calculus, configspace, core, reconstruct, selectors, s
 from .core import CheckResult
 from .errors import SpecshrinkError, UnsupportedDimension
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 _INF = float("inf")
 
 
@@ -144,10 +145,7 @@ def _cmd_verify(args):
     space = spaces.SpaceId.parse(args.space)
     p, q = (int(v) for v in args.pq.split(","))
     config = dict(space=space.value, n=args.n, m=args.m, pq=[p, q],
-                  samples=args.samples, seed=args.seed, shrinker=args.shrinker,
-                  conjugator=args.conjugator,
-                  inclusion_threshold=shrinkers.INCLUSION_TOL,
-                  powerlaw_threshold=shrinkers.POWERLAW_TOL)
+                  samples=args.samples, shrinker=args.shrinker, conjugator=args.conjugator)
 
     if args.shrinker == "canonical":
         if args.m != (p + q) * args.n:
@@ -188,8 +186,7 @@ def _cmd_verify(args):
 def _cmd_select(args):
     rng = np.random.default_rng(args.seed)
     n, steps, step = args.n, args.steps, args.step
-    config = dict(selector=args.selector, n=n, steps=steps, step=step,
-                  seed=args.seed, jump_threshold=selectors.JUMP_TOL)
+    config = dict(selector=args.selector, n=n, steps=steps, step=step)
     results = []
 
     if args.selector == "su":
@@ -234,8 +231,7 @@ def _cmd_select(args):
 def _cmd_monodromy(args):
     # the default meets the floor of 64 n steps that monodromy_xz sets
     steps = max(512, 64 * args.n) if args.steps is None else args.steps
-    config = dict(n=args.n, r=args.r, steps=steps, seed=args.seed,
-                  ratio_threshold=selectors.MONODROMY_RATIO_TOL)
+    config = dict(n=args.n, r=args.r, steps=steps)
     res = selectors.monodromy_xz(args.n, args.r, steps)
     results = [
         CheckResult.of(None, "monodromy-cycle",
@@ -246,10 +242,8 @@ def _cmd_monodromy(args):
                        "each tracked root is multiplied by a primitive n-th root of unity",
                        res.ratio_defect(), selectors.MONODROMY_RATIO_TOL),
     ]
-    config["paths"] = [
-        selectors.EigenPath(res.parameters, res.values[:, j]).to_dict()
-        for j in range(args.n)
-    ]
+    # the parameters once, then one row per tracked root
+    config["path"] = selectors.EigenPath(res.parameters, res.values.T).to_dict()
     return config, results
 
 
@@ -259,7 +253,7 @@ def _cmd_monodromy(args):
 
 def _cmd_configspace(args):
     n = args.n
-    config = dict(n=n, seed=args.seed, trials=args.trials)
+    config = dict(n=n, trials=args.trials)
     eq_fail, iso_fail = configspace.classification_failures(
         np.random.default_rng(args.seed), n, args.trials)
     tol = configspace.FAILURE_TOL
@@ -286,10 +280,7 @@ def _cmd_calculus(args):
     fns = [calculus.named_function(args.f)]
     rng = np.random.default_rng(args.seed)
     n, samples = args.n, args.samples
-    config = dict(f=args.f, n=n, samples=samples, seed=args.seed,
-                  closed_form_threshold=calculus.CLOSED_FORM_TOL,
-                  interpolation_threshold=calculus.INTERPOLATION_TOL,
-                  invariance_threshold=calculus.INVARIANCE_TOL)
+    config = dict(f=args.f, n=n, samples=samples)
     results = [
         CheckResult.of(None, "closed-form-2x2",
                        "the triangular closed form matches the idempotent sum",
@@ -323,8 +314,7 @@ _THETA_CHECKS = {
 
 def _cmd_theta(args):
     n = args.n
-    config = dict(check=args.check, n=n, samples=args.samples, seed=args.seed,
-                  scale=args.scale, threshold=theta.IDENTITY_TOL)
+    config = dict(check=args.check, n=n, samples=args.samples, scale=args.scale)
     if args.check == "probe":
         if n < 2:
             raise UnsupportedDimension("the probe needs n >= 2 for a repeated eigenvalue")
@@ -353,9 +343,7 @@ def _cmd_theta(args):
 # ---------------------------------------------------------------------------
 
 def _cmd_reconstruct(args):
-    config = dict(oracle=args.oracle, space=args.space, n=args.n,
-                  samples=args.samples, seed=args.seed,
-                  residual_threshold=reconstruct.RESIDUAL_TOL)
+    config = dict(oracle=args.oracle, space=args.space, n=args.n, samples=args.samples)
     if args.oracle.startswith("conj:"):
         T0 = core.load_matrix(args.oracle.split(":", 1)[1])
         if T0.shape[0] != args.n:
@@ -381,9 +369,9 @@ def _cmd_reconstruct(args):
         raise
     except SpecshrinkError as exc:
         print(f"classification failed: {exc}", file=sys.stderr)
-        results = [CheckResult.of(None, "classification", claim, None, None,
-                                  dict(error=type(exc).__name__, message=str(exc),
-                                       residual=getattr(exc, "residual", None)),
+        results = [CheckResult.of(None, "classification", claim,
+                                  getattr(exc, "residual", None), reconstruct.RESIDUAL_TOL,
+                                  dict(error=type(exc).__name__, message=str(exc)),
                                   passed=False)]
     return config, results
 
@@ -396,7 +384,7 @@ def _cmd_all(args):
     outcome = acceptance.run_acceptance(seed=args.seed)
     for line in acceptance.criterion_summary(outcome):
         print(line, file=sys.stderr)
-    return dict(seed=args.seed), outcome
+    return {}, outcome
 
 
 # ---------------------------------------------------------------------------
@@ -411,60 +399,57 @@ def build_parser() -> argparse.ArgumentParser:
                     "JSON reports on stdout.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("verify", help="shrinking inclusion and power-law checks")
+    p = sub.add_parser("verify", parents=[seeded], help="shrinking inclusion and power-law checks")
     p.add_argument("--space", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--pq", default="1,1", help="p,q block multiplicities")
     p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--conjugator", choices=["identity", "random"], default="random")
     p.add_argument("--shrinker", choices=shrinkers.SHRINKER_KINDS, default="canonical")
 
-    p = sub.add_parser("select", help="continuity sweep of an eigenvalue selector")
+    p = sub.add_parser("select", parents=[seeded],
+                       help="continuity sweep of an eigenvalue selector")
     p.add_argument("--selector", choices=["su", "hn", "unlambda"], default="su")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--steps", type=int, default=500)
     p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cut", default="-1,0", help="branch point re,im for unlambda")
 
-    p = sub.add_parser("monodromy", help="eigenvalue transport around the corner loop")
+    p = sub.add_parser("monodromy", parents=[seeded],
+                       help="eigenvalue transport around the corner loop")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=None, help="default max(512, 64 n)")
-    p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("configspace", help="circle configuration classification checks")
+    p = sub.add_parser("configspace", parents=[seeded],
+                       help="circle configuration classification checks")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("calculus", help="semisimple functional calculus checks")
+    p = sub.add_parser("calculus", parents=[seeded], help="semisimple functional calculus checks")
     p.add_argument("--f", default="conj",
                    help="conj | identity | square | sqrt-shift | poly:c0,c1,...")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("theta", help="conjugation-swap involution checks")
+    p = sub.add_parser("theta", parents=[seeded], help="conjugation-swap involution checks")
     p.add_argument("--check", choices=[*_THETA_CHECKS, "probe", "all"], default="all")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scale", type=float, default=1e-3)
 
-    p = sub.add_parser("reconstruct", help="classify a preserver oracle")
+    p = sub.add_parser("reconstruct", parents=[seeded], help="classify a preserver oracle")
     p.add_argument("--oracle", required=True,
                    help="id | transpose | conj:<matrixfile> | theta")
     p.add_argument("--space", default="un")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("all", help="run the full acceptance suite")
-    p.add_argument("--seed", type=int, default=0)
+    sub.add_parser("all", parents=[seeded], help="run the full acceptance suite")
 
     return parser
 
@@ -494,7 +479,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         error = CheckResult.of(None, "run", "", None, None,
                                dict(error=type(exc).__name__, message=str(exc)), passed=False)
-        _emit(args.command, getattr(args, "seed", None), {}, [error], started)
+        _emit(args.command, args.seed, {}, [error], started)
         failed = isinstance(exc, SpecshrinkError) and not isinstance(exc, UnsupportedDimension)
         return 1 if failed else 2
     return _emit(args.command, args.seed, config, results, started)

@@ -54,7 +54,9 @@ TRACKING_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class EigenPath:
-    """A tracked eigenvalue selection along a matrix path."""
+    """A tracked eigenvalue selection along a matrix path: ``values`` holds
+    one value per parameter, or a ``(k, steps + 1)`` row of them for each of
+    k tracked values."""
 
     parameters: np.ndarray
     values: np.ndarray
@@ -66,11 +68,10 @@ class EigenPath:
         return core.running_max(np.abs(np.diff(self.values)))
 
     def to_dict(self) -> dict:
+        values = np.ascontiguousarray(self.values, dtype=complex)
         return {
             "parameters": np.asarray(self.parameters, dtype=float).tolist(),
-            "values": np.ascontiguousarray(self.values, dtype=complex).view(float)
-                        .reshape(-1, 2).tolist(),
-            "max_jump": self.max_jump,
+            "values": values.view(float).reshape(values.shape + (2,)).tolist(),
         }
 
 
@@ -267,12 +268,13 @@ def _track_order(spectra) -> np.ndarray:
 class MonodromyResult:
     """Eigenvalue transport around a loop in the corner parameter."""
 
-    n: int
-    r: float
-    steps: int
     permutation: tuple
     parameters: np.ndarray
     values: np.ndarray  # shape (steps + 1, n)
+
+    @property
+    def n(self) -> int:
+        return len(self.permutation)
 
     def is_single_cycle(self) -> bool:
         seen = 0
@@ -327,8 +329,7 @@ def monodromy_xz(n: int, r: float, steps: int) -> MonodromyResult:
     # one more step closes the loop: its index map is the permutation
     order = _track_order(np.vstack([spectra, spectra[:1]]))
     values = np.take_along_axis(spectra, order[:-1], axis=1)
-    return MonodromyResult(n=n, r=float(r), steps=steps, permutation=tuple(order[-1].tolist()),
-                           parameters=ts, values=values)
+    return MonodromyResult(permutation=tuple(order[-1].tolist()), parameters=ts, values=values)
 
 
 # ---------------------------------------------------------------------------

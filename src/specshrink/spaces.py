@@ -168,9 +168,17 @@ def _conjugated_diagonal(lam, s, z) -> np.ndarray:
 
 
 def _conjugated_diagonals(g, n: int, k: int, **tuple_options) -> np.ndarray:
-    """k conjugated diagonals, drawn one after another."""
-    return _conjugated_diagonal(*_stack_draws(
-        [_conjugated_diagonal_draw(g, n, **tuple_options) for _ in range(k)]))
+    """k conjugated diagonals, drawn one after another into stacks
+    allocated once, from the first draw, so that a k too large for memory
+    fails there."""
+    stacks = None
+    for i in range(k):
+        draw = _conjugated_diagonal_draw(g, n, **tuple_options)
+        if stacks is None:
+            stacks = [np.empty((k,) + part.shape, part.dtype) for part in draw]
+        for stack, part in zip(stacks, draw):
+            stack[i] = part
+    return _conjugated_diagonal(*stacks)
 
 
 def rejection_stack(draw, accept, k: int, failure: str) -> np.ndarray:
@@ -184,21 +192,25 @@ def rejection_stack(draw, accept, k: int, failure: str) -> np.ndarray:
     current slot's remaining budget), so the rng ends where the loop leaves
     it, and every slot keeps its own budget.  Raises
     :class:`UnsupportedDimension` with ``failure`` once one slot has seen
-    ``MAX_TRIES`` rejections.
+    ``MAX_TRIES`` rejections.  The output is allocated once, from the first
+    round, so that a k too large for memory fails there.
     """
-    kept = []
-    tries = 0
-    while len(kept) < k:
-        candidates = draw(min(k - len(kept), MAX_TRIES - tries))
+    kept = None
+    filled = tries = 0
+    while filled < k:
+        candidates = draw(min(k - filled, MAX_TRIES - tries))
+        if kept is None:
+            kept = np.empty((k,) + candidates.shape[1:], candidates.dtype)
         for x, ok in zip(candidates, accept(candidates)):
             if ok:
-                kept.append(x)
+                kept[filled] = x
+                filled += 1
                 tries = 0
             else:
                 tries += 1
         if tries == MAX_TRIES:
             raise UnsupportedDimension(failure)
-    return np.array(kept)
+    return kept
 
 
 # ---------------------------------------------------------------------------

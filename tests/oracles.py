@@ -83,12 +83,6 @@ def su_representative_by_enumeration(U):
     return np.array(next(iter(hits)))
 
 
-def corner_roots(n, z):
-    """Closed-form roots of x^n - z (the corner matrix's spectrum)."""
-    base = complex(z) ** (1.0 / n)
-    return base * np.exp(2j * np.pi * np.arange(n) / n)
-
-
 def corner_matrices_by_loop(n, r, steps):
     """The corner matrices of the loop |z| = r one step at a time, as first
     written: z = r at t = 0, then one scalar exp per step."""
@@ -300,8 +294,7 @@ def monodromy_by_loop(n, r, steps):
     perm = tuple(nearest_unambiguous_by_value(v, start) for v in values[-1])
     if len(set(perm)) != n:
         raise AmbiguousContinuation("loop endpoints do not biject onto the start spectrum")
-    return selectors.MonodromyResult(n=n, r=float(r), steps=steps, permutation=perm,
-                                     parameters=ts, values=values)
+    return selectors.MonodromyResult(permutation=perm, parameters=ts, values=values)
 
 
 def psi_by_loop(phi, W):

@@ -20,10 +20,12 @@ def run_cli(capsys, argv):
 
 
 def check_schema(report, command):
-    assert report["schema"] == 1
+    assert report["schema"] == cli.SCHEMA_VERSION
     assert report["command"] == command
     assert "seed" in report
+    # the seed and each threshold are stated once, at the top and in the rows
     assert isinstance(report["config"], dict)
+    assert not any(key == "seed" or key.endswith("threshold") for key in report["config"])
     assert isinstance(report["results"], list) and report["results"]
     assert "wall_time" in report
     for r in report["results"]:
@@ -47,10 +49,34 @@ def test_verify_reports_defaults(capsys):
     assert code == 0
     cfg = report["config"]
     # no hidden configuration: defaults are all in the report
-    assert cfg["samples"] == 100 and cfg["seed"] == 0
-    assert cfg["inclusion_threshold"] == 1e-8 and cfg["powerlaw_threshold"] == 1e-7
-    # the results carry the defects; the configuration does not copy them
+    assert cfg["samples"] == 100 and report["seed"] == 0
+    # the results carry the defects and thresholds; the configuration does
+    # not copy them
     assert "report" not in cfg
+    thresholds = {r["name"]: r["threshold"] for r in report["results"]}
+    assert thresholds == {"shrinking-inclusion": 1e-8, "powerlaw": 1e-7}
+
+
+def readme_commands():
+    """Each ``specshrink`` line of README's command list, as its arguments
+    and the exit code its comment documents."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("\n## Command line\n", 1)[1].split("```\n", 2)[1]
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        program, *argv = command.split()
+        assert program == "specshrink", line
+        yield pytest.param(argv, 1 if "exits 1" in comment else 0, id=" ".join(argv[:3]))
+
+
+@pytest.mark.parametrize("argv, code", readme_commands())
+def test_readme_commands_run_as_documented_and_state_each_fact_once(capsys, argv, code):
+    got, report = run_cli(capsys, argv)
+    assert got == code
+    check_schema(report, argv[0])
+    for r in report["results"]:
+        if isinstance(r["defect"], float):
+            assert isinstance(r["threshold"], float), r["name"]
 
 
 def test_verify_degenerate_hermitian(capsys):
@@ -243,10 +269,10 @@ def test_monodromy(capsys):
     assert code == 0
     check_schema(report, "monodromy")
     assert all(r["passed"] for r in report["results"])
-    assert len(report["config"]["paths"]) == 3
-    path = report["config"]["paths"][0]
-    assert len(path["values"]) == 513
-    assert len(path["values"][0]) == 2  # [re, im] pairs
+    # the parameters once, then one row of [re, im] pairs per tracked root
+    path = report["config"]["path"]
+    assert len(path["parameters"]) == 513
+    assert np.shape(path["values"]) == (3, 513, 2)
 
 
 @pytest.mark.parametrize("n, steps", [(6, 512), (9, 576)])
@@ -255,7 +281,7 @@ def test_monodromy_default_steps_meet_the_step_floor(capsys, n, steps):
     code, report = run_cli(capsys, ["monodromy", "--n", str(n)])
     assert code == 0
     assert report["config"]["steps"] == steps
-    assert len(report["config"]["paths"][0]["values"]) == steps + 1
+    assert len(report["config"]["path"]["parameters"]) == steps + 1
 
 
 def test_select_su(capsys):
@@ -358,7 +384,8 @@ def test_reconstruct_theta_negative_path(capsys):
     result = report["results"][0]
     assert not result["passed"]
     assert result["details"]["error"] == "ResidualTooLarge"
-    assert result["details"]["residual"] > 1e-3
+    # the measured residual is the row's defect, against the pinned threshold
+    assert result["defect"] > 1e-3 and result["threshold"] == 1e-6
 
 
 def test_verify_determinism_to_twelve_digits(capsys):

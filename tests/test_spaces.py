@@ -147,6 +147,38 @@ def test_sample_stack_rejects_empty_stacks():
         spaces.sample_stack("un", 0, 3, np.random.default_rng(0))
 
 
+#: A stack count whose output needs at least 10**16 * 3 * 16 = 4.8e17
+#: bytes, more than a 57-bit address space holds, so its allocation fails
+#: under any overcommit setting.
+IMPOSSIBLE_K = 10**16
+
+
+def once(draw):
+    """``draw`` for its first call; a second call raises, so a sampler that
+    would collect its draws one by one fails at once instead of growing."""
+    calls = []
+
+    def guarded(*args, **kwargs):
+        calls.append(args)
+        assert len(calls) == 1, "drew a second time before allocating the output"
+        return draw(*args, **kwargs)
+
+    return guarded
+
+
+def test_an_impossible_rejection_stack_fails_after_one_round():
+    draw = once(lambda m: np.broadcast_to(np.eye(3, dtype=complex), (m, 3, 3)))
+    with pytest.raises(MemoryError):
+        spaces.rejection_stack(draw, lambda x: np.ones(len(x), dtype=bool), IMPOSSIBLE_K, "")
+
+
+def test_an_impossible_conjugated_diagonal_stack_fails_after_one_draw(monkeypatch):
+    monkeypatch.setattr(spaces, "_conjugated_diagonal_draw",
+                        once(spaces._conjugated_diagonal_draw))
+    with pytest.raises(MemoryError):
+        spaces.sample_stack("gln_ss", 3, IMPOSSIBLE_K, np.random.default_rng(0))
+
+
 class ScriptedGinibre(np.random.Generator):
     """A generator whose Ginibre candidates follow a script of booleans:
     each n x n candidate's Gaussians make the matrix ``good`` or ``bad``.
